@@ -1,6 +1,7 @@
 """Command-line interface: simulate, verify, enumerate, certify, sweep.
 
-Exit codes: 0 success, 1 validation error, 2 a verification suite failed.
+Exit codes: 0 success, 1 validation or library error (a capacity limit,
+an energy-drift check), 2 a verification suite failed.
 Outputs are self-describing (full config and seeds embedded), CSV carries
 a `# schema=1` header line, JSON is emitted with sorted keys.  With
 --deterministic no timestamp is included, so identical command lines
@@ -23,8 +24,9 @@ from .disorder import (BJ_CSV_COLUMNS, check_antisymmetry,
                        estimate_Bj_probability, thresholds)
 from .enumeration import (ENUM_CSV_COLUMNS, certify_C0, contour_shapes,
                           enumerate_origin_contours)
-from .mc import RUN_CSV_COLUMNS, RunConfig, disorder_sweep
-from .model import ALPHA_PEIERLS_MAX, CouplingSpec, SpinConfiguration, Volume, enumerate_spins
+from .mc import RUN_CSV_COLUMNS, EnergyDriftError, RunConfig, disorder_sweep
+from .model import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, SpinConfiguration, Volume,
+                    enumerate_spins)
 from .triangles import spins_to_triangles, triangles_to_spins
 
 SCHEMA_VERSION = 1
@@ -358,7 +360,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, CapacityError, EnergyDriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ pairs to a fixed point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,25 +128,65 @@ def contour_power_mass(gamma: Contour, rho: float) -> float:
     return gamma.power_mass(rho)
 
 
-def _intervals_disjoint(a: Contour, b: Contour) -> bool:
-    return a.right_bond <= b.left_bond or b.right_bond <= a.left_bond
+class _Cluster(NamedTuple):
+    """Integer view of a contour: enclosing bonds, mass and member bond pairs."""
+
+    left: int
+    right: int
+    mass: int
+    bonds: Tuple[Tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, bonds: Sequence[Tuple[int, int]]) -> "_Cluster":
+        return cls(min(l for l, _ in bonds), max(r for _, r in bonds),
+                   sum(r - l for l, r in bonds), tuple(bonds))
+
+    def fused(self, other: "_Cluster") -> "_Cluster":
+        return _Cluster(min(self.left, other.left), max(self.right, other.right),
+                        self.mass + other.mass, self.bonds + other.bonds)
 
 
-def _pair_separated(a: Contour, b: Contour, c: int) -> bool:
+def _pair_separated(a: _Cluster, b: _Cluster, c: int) -> bool:
     """True iff the pair satisfies one of the separation alternatives."""
-    if _intervals_disjoint(a, b):
-        return a.distance(b) > c * min(a.mass, b.mass) ** 3
-    if a.enclosing.contains_triangle(b.enclosing):
+    # disjoint enclosing intervals: the closest triangles are the facing ends
+    if a.right <= b.left:
+        return b.left - a.right > c * min(a.mass, b.mass) ** 3
+    if b.right <= a.left:
+        return a.left - b.right > c * min(a.mass, b.mass) ** 3
+    if a.left <= b.left and b.right <= a.right:
         a, b = b, a
-    if not b.enclosing.contains_triangle(a.enclosing):
+    if not (b.left <= a.left and a.right <= b.right):
         return False  # partial overlap of enclosing intervals
     inner, outer = a, b
-    for t in outer.triangles:
-        if not (t.contains_triangle(inner.enclosing)
-                or t.right_bond <= inner.left_bond
-                or inner.right_bond <= t.left_bond):
+    threshold = c * inner.mass ** 3
+    # each outer triangle must contain or avoid the inner enclosing interval;
+    # its distance to the inner contour is then fixed by the inner's ends
+    for l, r in outer.bonds:
+        if r <= inner.left:
+            gap = inner.left - r
+        elif inner.right <= l:
+            gap = l - inner.right
+        elif l <= inner.left and inner.right <= r:
+            gap = min(inner.left - l, r - inner.right)
+        else:
             return False
-    return inner.distance(outer) > c * inner.mass**3
+        if gap <= threshold:
+            return False
+    return True
+
+
+def _first_violation(clusters: Sequence[_Cluster], c: int) -> Optional[Tuple[int, int]]:
+    """Lexicographically first pair (i, j), i < j, that is not separated."""
+    for i, a in enumerate(clusters):
+        reach = a.right + c * a.mass ** 3
+        for j in range(i + 1, len(clusters)):
+            b = clusters[j]
+            if b.left > reach:
+                # b and every later cluster lie beyond a's largest threshold
+                break
+            if not _pair_separated(a, b, c):
+                return i, j
+    return None
 
 
 def contours(family: TriangleFamily, c: SeparationConstant | int = 3) -> List[Contour]:
@@ -157,33 +197,26 @@ def contours(family: TriangleFamily, c: SeparationConstant | int = 3) -> List[Co
     endpoint.
     """
     cval = int(c)
-    clusters = [Contour.of([t]) for t in family.sorted()]
-    merged = True
-    while merged:
-        merged = False
-        clusters.sort(key=lambda g: (g.left_bond, g.mass))
-        n = len(clusters)
-        best = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not _pair_separated(clusters[i], clusters[j], cval):
-                    best = (i, j)
-                    break
-            if best:
-                break
-        if best:
-            i, j = best
-            fused = Contour.of(clusters[i].triangles + clusters[j].triangles)
-            clusters = [g for k, g in enumerate(clusters) if k not in (i, j)] + [fused]
-            merged = True
-    return sorted(clusters, key=lambda g: g.left_bond)
+    clusters = [_Cluster.of([t.bonds]) for t in family.sorted()]
+    while True:
+        clusters.sort(key=lambda g: (g.left, g.mass))
+        pair = _first_violation(clusters, cval)
+        if pair is None:
+            break
+        i, j = pair
+        fused = clusters[i].fused(clusters[j])
+        clusters = [g for k, g in enumerate(clusters) if k not in pair] + [fused]
+    by_bonds = {t.bonds: t for t in family.triangles}
+    return [Contour.of(by_bonds[b] for b in g.bonds)
+            for g in sorted(clusters, key=lambda g: g.left)]
 
 
 def verify_P1(contour_list: Sequence[Contour], c: SeparationConstant | int = 3) -> bool:
     """Certificate: every distinct pair satisfies a separation alternative."""
     cval = int(c)
-    for i, a in enumerate(contour_list):
-        for b in contour_list[i + 1:]:
+    clusters = [_Cluster.of([t.bonds for t in g.triangles]) for g in contour_list]
+    for i, a in enumerate(clusters):
+        for b in clusters[i + 1:]:
             if not _pair_separated(a, b, cval):
                 return False
     return True

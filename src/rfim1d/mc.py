@@ -1,16 +1,17 @@
 """Single-site Metropolis sampling of the finite-volume plus-boundary measure.
 
 Each chain keeps the running sums m_i = sum_j J(|i-j|) sigma_j so a flip
-proposal costs O(1) to evaluate and O(N) to commit.  The coupling table
-is precomputed for volumes up to 4096 sites and evaluated on the fly
-above that.  Incremental energies are checked against a full
-recomputation every 10^4 updates.
+proposal costs O(1) to evaluate and O(N) to commit.  The couplings are
+held as one length-(2N-1) Toeplitz vector t (row i of J is a slice of
+t), so memory stays O(N) at every volume size; an accepted flip is one
+numpy row update of m.  numba, when installed, compiles the sweep
+kernel.  Incremental energies are checked against a full recomputation
+every 10^4 updates.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -19,7 +20,7 @@ import numpy as np
 from .contours import contours
 from .disorder import b_bar
 from .model import (CouplingSpec, DisorderField, SpinConfiguration, Volume,
-                    hamiltonian)
+                    toeplitz_rows)
 from .triangles import spins_to_triangles
 
 try:
@@ -30,7 +31,6 @@ except ImportError:  # pragma: no cover - numba is an optional speedup
             return f
         return wrap if not (args and callable(args[0])) else args[0]
 
-DENSE_COUPLING_LIMIT = 4096
 DRIFT_CHECK_UPDATES = 10_000
 DRIFT_TOLERANCE = 1e-6
 
@@ -127,7 +127,8 @@ RUN_CSV_COLUMNS = ["realization", "estimate", "stderr", "occupancy", "acceptance
 
 
 @njit(cache=True, nogil=True)
-def _sweep_dense(s, m, jm, bv, hv, theta, beta, tau, order, unif, energy):
+def _sweep(s, m, t, bv, hv, theta, beta, tau, order, unif, energy):
+    """One Metropolis sweep in the given site order; returns (energy, accepted)."""
     n = s.shape[0]
     acc = 0
     for k in range(n):
@@ -135,49 +136,31 @@ def _sweep_dense(s, m, jm, bv, hv, theta, beta, tau, order, unif, energy):
         de = 2.0 * s[i] * (m[i] + tau * bv[i] + theta * hv[i])
         if de <= 0.0 or unif[k] < np.exp(-beta * de):
             s[i] = -s[i]
-            for j in range(n):
-                m[j] += 2.0 * s[i] * jm[i, j]
+            m += (2.0 * s[i]) * t[n - 1 - i:2 * n - 1 - i]
             energy += de
             acc += 1
     return energy, acc
 
 
-@njit(cache=True, nogil=True)
-def _sweep_lazy(s, m, bv, hv, theta, beta, tau, order, unif, energy, alpha, j1):
-    n = s.shape[0]
-    acc = 0
-    for k in range(n):
-        i = order[k]
-        de = 2.0 * s[i] * (m[i] + tau * bv[i] + theta * hv[i])
-        if de <= 0.0 or unif[k] < np.exp(-beta * de):
-            s[i] = -s[i]
-            for j in range(n):
-                d = abs(i - j)
-                if d == 1:
-                    m[j] += 2.0 * s[i] * j1
-                elif d > 1:
-                    m[j] += 2.0 * s[i] * float(d) ** (alpha - 2.0)
-            energy += de
-            acc += 1
-    return energy, acc
+def _coupling_sums(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """J @ s from the Toeplitz vector t, 64 rows at a time.
+
+    Blocks keep memory O(N); each row is still summed by a BLAS
+    matrix-vector product, as in a dense J @ s.
+    """
+    rows = toeplitz_rows(t)
+    return np.concatenate([np.ascontiguousarray(rows[k:k + 64]) @ s
+                           for k in range(0, s.size, 64)])
 
 
-@njit(cache=True, nogil=True)
-def _energy_lazy(s, bv, hv, theta, tau, alpha, j1):
-    n = s.shape[0]
-    pair = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = j - i
-            jv = j1 if d == 1 else float(d) ** (alpha - 2.0)
-            pair += jv * (1.0 - s[i] * s[j])
-    boundary = 0.0
-    for i in range(n):
-        boundary += bv[i] * (1.0 - tau * s[i])
-    fld = 0.0
-    for i in range(n):
-        fld -= theta * hv[i] * s[i]
-    return pair + boundary + fld
+def _chain_energy(t: np.ndarray, s: np.ndarray, bv: np.ndarray, hv: np.ndarray,
+                  theta: float, tau: float) -> float:
+    """H_0 + theta * G of a chain state in O(N) memory."""
+    n = s.size
+    # t[k] couples n - |k - (n-1)| ordered site pairs
+    pairs_per_entry = np.minimum(np.arange(1, 2 * n), np.arange(2 * n - 1, 0, -1))
+    pair = 0.5 * (t @ pairs_per_entry - s @ _coupling_sums(t, s))
+    return float(pair + bv @ (1.0 - tau * s) - theta * (hv @ s))
 
 
 def local_field(spec: CouplingSpec, sigma: SpinConfiguration,
@@ -218,23 +201,12 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     n = config.size
     tau = float(config.boundary)
     origin = vol.index(0)
-    dense = n <= DENSE_COUPLING_LIMIT
+    t = spec.coupling_toeplitz(vol)
     bv = spec.boundary_vector(vol)
     hv = h.values
     s = np.full(n, tau)
-    if dense:
-        jm = spec.coupling_matrix(vol)
-        m = jm @ s
-        energy = float(hamiltonian(spec, SpinConfiguration(
-            vol, s.astype(np.int8), config.boundary), h, config.theta))
-    else:
-        jm = None
-        m = np.zeros(n)
-        for d in range(1, n):
-            jv = spec.coupling(d)
-            m[:-d] += jv * s[d:]
-            m[d:] += jv * s[:-d]
-        energy = float(_energy_lazy(s, bv, hv, config.theta, tau, spec.alpha, spec.j1))
+    m = _coupling_sums(t, s)
+    energy = _chain_energy(t, s, bv, hv, config.theta, tau)
 
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed if chain_seed is None else chain_seed))
@@ -247,33 +219,25 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     for sweep in range(config.sweeps):
         order = rng.permutation(n)
         unif = rng.random(n)
-        if dense:
-            energy, acc = _sweep_dense(s, m, jm, bv, hv, config.theta, config.beta,
-                                       tau, order, unif, energy)
-        else:
-            energy, acc = _sweep_lazy(s, m, bv, hv, config.theta, config.beta,
-                                      tau, order, unif, energy, spec.alpha, spec.j1)
+        energy, acc = _sweep(s, m, t, bv, hv, config.theta, config.beta,
+                             tau, order, unif, energy)
         accepted += acc
         since_check += n
         if since_check >= DRIFT_CHECK_UPDATES:
             since_check = 0
-            if dense:
-                ref = float(0.5 * (jm.sum() - s @ jm @ s) + bv @ (1.0 - tau * s)
-                            - config.theta * hv @ s)
-            else:
-                ref = float(_energy_lazy(s, bv, hv, config.theta, tau, spec.alpha, spec.j1))
+            ref = _chain_energy(t, s, bv, hv, config.theta, tau)
             if abs(energy - ref) > DRIFT_TOLERANCE * max(1.0, abs(ref)):
                 raise EnergyDriftError(f"energy drift {energy - ref:g} after sweep {sweep}")
             energy = ref
-        t = sweep - config.burnin
-        if t >= 0:
-            minus[t] = s[origin] < 0
-            if t % config.occupancy_stride == 0:
-                occ_checked[t] = True
+        k = sweep - config.burnin
+        if k >= 0:
+            minus[k] = s[origin] < 0
+            if k % config.occupancy_stride == 0:
+                occ_checked[k] = True
                 # fold a minus boundary onto the plus-boundary construction
                 sigma = SpinConfiguration(vol, (tau * s).astype(np.int8))
                 fam = spins_to_triangles(sigma)
-                in_contour[t] = any(g.contains_site(0) for g in contours(fam, config.c))
+                in_contour[k] = any(g.contains_site(0) for g in contours(fam, config.c))
 
     x = minus.astype(np.float64)
     checked_minus = minus[occ_checked]
@@ -295,21 +259,31 @@ def _derived_seed(seed: int, realization: int, stream: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _realization(config: RunConfig, r: int) -> ChainResult:
+    """Chain of realization r, seeded from (config.seed, r) alone."""
+    h = DisorderField.generate(config.volume(), config.theta,
+                               seed=_derived_seed(config.seed, r, 0),
+                               distribution=config.distribution)
+    return metropolis_run(config, h, chain_seed=_derived_seed(config.seed, r, 1))
+
+
 def disorder_sweep(config: RunConfig, jobs: int = 1) -> RunReport:
-    """Average metropolis_run over independent field realizations."""
-    vol = config.volume()
+    """Average metropolis_run over independent field realizations.
 
-    def one(r: int) -> ChainResult:
-        h = DisorderField.generate(vol, config.theta, seed=_derived_seed(config.seed, r, 0),
-                                   distribution=config.distribution)
-        return metropolis_run(config, h, chain_seed=_derived_seed(config.seed, r, 1))
+    With jobs > 1 the realizations run in that many worker processes
+    (at most one per realization); results do not depend on jobs.
+    """
+    indices = range(config.realizations)
+    workers = min(jobs, config.realizations)
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    indices = list(range(config.realizations))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chains = list(pool.map(one, indices))
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            chains = list(pool.map(_realization, [config] * len(indices), indices))
     else:
-        chains = [one(r) for r in indices]
+        chains = [_realization(config, r) for r in indices]
 
     est = np.array([c.estimate for c in chains])
     # realization scatter plus mean within-chain sampling error

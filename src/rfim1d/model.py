@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # zeta(alpha) = 1 - 2(2**alpha - 1) is positive strictly below this value.
 ALPHA_PEIERLS_MAX = math.log(3, 2) - 1.0
@@ -123,17 +124,30 @@ class CouplingSpec:
         d_right = vol.hi - i + 1
         return self.tail(d_left) + self.tail(d_right)
 
+    def coupling_toeplitz(self, vol: Volume) -> np.ndarray:
+        """J(|i-j|) as one length-(2N-1) vector t, zero at the centre.
+
+        Row i of the coupling matrix is t[N-1-i : 2N-1-i].
+        """
+        n = vol.n_sites
+        right = np.arange(1, n, dtype=np.float64) ** (self.alpha - 2.0)
+        right[:1] = self.j1  # J(1); empty when N = 1
+        return np.concatenate((right[::-1], [0.0], right))
+
     def coupling_matrix(self, vol: Volume) -> np.ndarray:
         """Dense J(|i-j|) over the volume, zero diagonal."""
-        n = vol.n_sites
-        dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(np.float64)
-        with np.errstate(divide="ignore"):
-            jm = np.where(dist > 0, dist ** (self.alpha - 2.0), 0.0)
-        jm[dist == 1] = self.j1
-        return jm
+        return toeplitz_rows(self.coupling_toeplitz(vol)).copy()
 
     def boundary_vector(self, vol: Volume) -> np.ndarray:
-        return np.array([self.boundary_field(i, vol) for i in vol.sites()])
+        """boundary_field at every site, with each tail sum evaluated once."""
+        tails = np.array([self.tail(d) for d in range(1, vol.n_sites + 1)])
+        return tails + tails[::-1]
+
+
+def toeplitz_rows(t: np.ndarray) -> np.ndarray:
+    """Read-only (N, N) view whose row i is t[N-1-i : 2N-1-i]."""
+    n = (t.size + 1) // 2
+    return sliding_window_view(t, n)[::-1]
 
 
 @dataclass(frozen=True, eq=False)

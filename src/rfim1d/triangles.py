@@ -24,6 +24,9 @@ import numpy as np
 from .model import SpinConfiguration, Volume
 
 
+_MAX_OFFSET = Fraction(1, 100)
+
+
 class IncompatibleFamiliesError(ValueError):
     """Union of the given triangle families is not realizable by any configuration."""
 
@@ -36,7 +39,7 @@ class InterfacePoint:
     offset: Fraction = field(default=Fraction(0), compare=False)
 
     def __post_init__(self):
-        if abs(self.offset) > Fraction(1, 100):
+        if abs(self.offset) > _MAX_OFFSET:
             raise ValueError("interface offset exceeds 1/100")
 
     @property
@@ -180,12 +183,12 @@ def interfaces(sigma: SpinConfiguration) -> List[InterfacePoint]:
     """Interface points of a configuration in the plus-boundary class."""
     if sigma.boundary != +1:
         raise ValueError("triangle construction requires plus boundary")
-    offsets = assign_offsets(sigma.volume)
     padded = np.concatenate(([1], sigma.spins, [1]))
     change = padded[:-1] * padded[1:] == -1
     first_bond = sigma.volume.lo - 1
+    # bond first_bond + k has rank k in assign_offsets
     return [
-        InterfacePoint(int(first_bond + k), offsets[int(first_bond + k)])
+        InterfacePoint(int(first_bond + k), Fraction(1, 100 * 2 ** (int(k) + 1)))
         for k in np.flatnonzero(change)
     ]
 

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from rfim1d import mc as mc_module
 from rfim1d.cli import main
 
 
@@ -97,6 +98,12 @@ class TestEnumerationCommands:
         assert code == 0
         assert "b* =" in err
 
+    def test_capacity_error_is_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "certify-c0", "--mmax", "7", "--deterministic")
+        assert code == 1
+        assert err.startswith("error: mass 7 exceeds enumeration cap")
+        assert out == ""
+
 
 class TestSimulateCommand:
     ARGS = ("simulate", "--alpha", "0.55", "--beta", "0.1", "--theta", "0.1",
@@ -123,6 +130,15 @@ class TestSimulateCommand:
         assert code == 0
         assert out == ""
         assert json.loads(out_file.read_text())["command"] == "simulate"
+
+    def test_energy_drift_is_exit_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(mc_module, "DRIFT_TOLERANCE", -1.0)
+        code, out, err = run_cli(capsys, "simulate", "--size", "100", "--sweeps", "101",
+                                 "--burnin", "1", "--realizations", "1", "--deterministic")
+        assert code == 1
+        assert err.startswith("error: energy drift")
+        assert "Traceback" not in err
+        assert out == ""
 
 
 class TestSweepCommand:

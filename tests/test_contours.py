@@ -1,10 +1,69 @@
+import numpy as np
 import pytest
 
-from rfim1d import (Contour, SeparationConstant, SpinConfiguration, Triangle,
-                    TriangleFamily, Volume, choose_C, contour_power_mass,
-                    contours, separation_series, verify_P1, verify_P2)
+from rfim1d import (Contour, DisorderField, RunConfig, SeparationConstant,
+                    SpinConfiguration, Triangle, TriangleFamily, Volume, choose_C,
+                    contour_power_mass, contours, separation_series, verify_P1,
+                    verify_P2)
+from rfim1d import mc as mc_module
 from rfim1d.model import enumerate_spins
 from rfim1d.triangles import spins_to_triangles
+
+
+def _reference_pair_separated(a: Contour, b: Contour, c: int) -> bool:
+    """Separation rule evaluated on Contour objects, triangle pair by pair."""
+    if a.right_bond <= b.left_bond or b.right_bond <= a.left_bond:
+        return a.distance(b) > c * min(a.mass, b.mass) ** 3
+    if a.enclosing.contains_triangle(b.enclosing):
+        a, b = b, a
+    if not b.enclosing.contains_triangle(a.enclosing):
+        return False
+    inner, outer = a, b
+    for t in outer.triangles:
+        if not (t.contains_triangle(inner.enclosing)
+                or t.right_bond <= inner.left_bond
+                or inner.right_bond <= t.left_bond):
+            return False
+    return inner.distance(outer) > c * inner.mass ** 3
+
+
+def _reference_contours(family: TriangleFamily, c: int = 3):
+    """Object-based restart-from-scratch merge loop, the oracle for contours()."""
+    clusters = [Contour.of([t]) for t in family.sorted()]
+    merged = True
+    while merged:
+        merged = False
+        clusters.sort(key=lambda g: (g.left_bond, g.mass))
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                if not _reference_pair_separated(clusters[i], clusters[j], c):
+                    best = (i, j)
+                    break
+            if best:
+                break
+        if best:
+            i, j = best
+            fused = Contour.of(clusters[i].triangles + clusters[j].triangles)
+            clusters = [g for k, g in enumerate(clusters) if k not in (i, j)] + [fused]
+            merged = True
+    return sorted(clusters, key=lambda g: g.left_bond)
+
+
+def _sampled_configuration(seed: int) -> SpinConfiguration:
+    """N=512 state after three Metropolis sweeps at the sample-hot parameters."""
+    cfg = RunConfig(alpha=0.55, j1=1.5, beta=0.2, theta=1.0, size=512)
+    vol, spec = cfg.volume(), cfg.coupling_spec()
+    h = DisorderField.generate(vol, cfg.theta, seed=seed)
+    t = spec.coupling_toeplitz(vol)
+    bv = spec.boundary_vector(vol)
+    s = np.ones(cfg.size)
+    m = mc_module._coupling_sums(t, s)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        mc_module._sweep(s, m, t, bv, h.values, cfg.theta, cfg.beta, 1.0,
+                         rng.permutation(cfg.size), rng.random(cfg.size), 0.0)
+    return SpinConfiguration(vol, s.astype(np.int8))
 
 
 class TestSeparationConstant:
@@ -105,6 +164,26 @@ class TestDecomposition:
         shifted = {tuple(sorted(t.bonds for t in g.triangles))
                    for g in contours(fam.shifted(11), 3)}
         assert shifted == {tuple(sorted((l + 11, r + 11) for l, r in m)) for m in base}
+
+
+class TestReferenceOracle:
+    def _assert_agrees(self, fam):
+        got = contours(fam, 3)
+        assert got == _reference_contours(fam, 3)
+        # the contours hold the family's own triangles, offsets included
+        assert sorted(id(t) for g in got for t in g.triangles) == sorted(
+            id(t) for t in fam.triangles)
+
+    def test_all_families_of_twelve_sites(self):
+        vol = Volume.centered(12)
+        for spins in enumerate_spins(12):
+            self._assert_agrees(spins_to_triangles(SpinConfiguration(vol, spins)))
+
+    def test_sampled_configurations(self):
+        for seed in range(20):
+            fam = spins_to_triangles(_sampled_configuration(seed))
+            assert len(fam) > 10
+            self._assert_agrees(fam)
 
 
 class TestIndependence:

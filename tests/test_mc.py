@@ -97,11 +97,35 @@ class TestMetropolis:
         with pytest.raises(ValueError):
             metropolis_run(cfg, h)
 
-    def test_lazy_coupling_path_matches_exact(self, monkeypatch):
-        # force the on-the-fly coupling branch and compare to the oracle
-        monkeypatch.setattr(mc_module, "DENSE_COUPLING_LIMIT", 4)
-        cfg, h, res = run_small(0.05, 0.2)
-        exact = exact_gibbs_marginal(cfg.coupling_spec(), cfg.volume(), h, 0.2, 0.05, 0)
+    def test_single_kernel_matches_oracles(self):
+        # after a short run the running sums and energy equal dense recomputations
+        beta, theta = 0.2, 1.0
+        for n in (5, 64):
+            cfg = RunConfig(size=n, beta=beta, theta=theta, j1=1.5, sweeps=1, burnin=0)
+            vol, spec = cfg.volume(), cfg.coupling_spec()
+            h = DisorderField.generate(vol, theta, seed=n)
+            t = spec.coupling_toeplitz(vol)
+            bv = spec.boundary_vector(vol)
+            s = np.ones(n)
+            m = mc_module._coupling_sums(t, s)
+            energy = mc_module._chain_energy(t, s, bv, h.values, theta, 1.0)
+            rng = np.random.default_rng(n)
+            accepted = 0
+            for _ in range(20):
+                energy, acc = mc_module._sweep(s, m, t, bv, h.values, theta, beta, 1.0,
+                                               rng.permutation(n), rng.random(n), energy)
+                accepted += acc
+            assert accepted > 0
+            dense = spec.coupling_matrix(vol) @ s
+            assert np.allclose(m, dense, rtol=1e-9, atol=1e-9 * np.abs(t).sum())
+            exact = hamiltonian(spec, SpinConfiguration(vol, s.astype(np.int8)), h, theta)
+            assert energy == pytest.approx(exact, rel=1e-9)
+            assert mc_module._chain_energy(t, s, bv, h.values, theta, 1.0) == pytest.approx(
+                exact, rel=1e-9)
+        # the sampled marginal, here under a minus boundary, matches the oracle
+        cfg, h, res = run_small(0.05, 0.2, boundary=-1)
+        exact = exact_gibbs_marginal(cfg.coupling_spec(), cfg.volume(), h, 0.2, 0.05, 0,
+                                     boundary=-1)
         assert abs(res.estimate - exact) <= 3.0 * max(res.stderr, 0.01)
 
 
@@ -113,17 +137,17 @@ class TestStationaryDistribution:
         vol = cfg.volume()
         spec = cfg.coupling_spec()
         h = DisorderField.generate(vol, theta, seed=4)
-        jm = spec.coupling_matrix(vol)
+        t = spec.coupling_toeplitz(vol)
         bv = spec.boundary_vector(vol)
         s = np.ones(n)
-        m = jm @ s
+        m = mc_module._coupling_sums(t, s)
         energy = 0.0
         rng = np.random.default_rng(123)
         sweeps, burnin = 40_000, 2_000
         counts = np.zeros(2 ** n)
         for sweep in range(sweeps):
-            energy, _ = mc_module._sweep_dense(
-                s, m, jm, bv, h.values, theta, beta, 1.0,
+            energy, _ = mc_module._sweep(
+                s, m, t, bv, h.values, theta, beta, 1.0,
                 rng.permutation(n), rng.random(n), energy)
             if sweep >= burnin:
                 code = sum(1 << k for k in range(n) if s[k] > 0)
@@ -161,7 +185,9 @@ class TestDisorderSweep:
     def test_jobs_do_not_change_result(self):
         cfg = RunConfig(size=10, beta=0.1, theta=0.2, sweeps=300, burnin=50,
                         seed=5, realizations=4)
-        assert disorder_sweep(cfg, jobs=1) == disorder_sweep(cfg, jobs=4)
+        serial = disorder_sweep(cfg, jobs=1)
+        assert disorder_sweep(cfg, jobs=2) == serial
+        assert disorder_sweep(cfg, jobs=4) == serial
 
     def test_distinct_fields_per_realization(self):
         cfg = RunConfig(size=10, beta=0.1, theta=0.2, sweeps=300, burnin=50,

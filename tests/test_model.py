@@ -61,6 +61,13 @@ class TestCoupling:
         # edges see the boundary more strongly than the centre
         assert bf[0] > bf[3]
 
+    @pytest.mark.parametrize("n", [1, 2, 17, 512, 4096])
+    def test_boundary_vector_matches_boundary_field(self, n):
+        spec = CouplingSpec(alpha=0.55, j1=10.0)
+        vol = Volume.centered(n)
+        per_site = np.array([spec.boundary_field(i, vol) for i in vol.sites()])
+        assert np.array_equal(spec.boundary_vector(vol), per_site)
+
     def test_coupling_matrix(self):
         spec = CouplingSpec(alpha=0.55, j1=10.0)
         jm = spec.coupling_matrix(Volume(0, 3))

@@ -32,6 +32,13 @@ class TestInterfacePoints:
         for o in assign_offsets(Volume(-5, 5)).values():
             assert 0 < o <= Fraction(1, 100)
 
+    def test_interface_offsets_match_assign_offsets(self):
+        vol = Volume.centered(14)
+        offsets = assign_offsets(vol)
+        for spins in enumerate_spins(14):
+            for p in interfaces(SpinConfiguration(vol, spins)):
+                assert p.offset == offsets[p.bond]
+
 
 class TestTriangle:
     def test_mass_and_sites(self):
