@@ -18,10 +18,10 @@ from rfim1d.model import enumerate_spins
 def main():
     spec = CouplingSpec(alpha=0.55, j1=10.0)
     vol = Volume(0, 9)
-    contour = Contour.of([Triangle.from_bonds(0, 8), Triangle.from_bonds(3, 4)])
+    contour = Contour.of([Triangle(0, 8), Triangle(3, 4)])
     theta, beta = 0.3, 2.0
 
-    print("contour triangles:", [t.bonds for t in contour.triangles])
+    print("contour triangles:", [tuple(t) for t in contour.triangles])
     print("mass classes:     ", [(d, len(ts)) for d, ts in contour.classes()])
     for j in range(contour.n_classes):
         print(f"composed flip set D_{j}:", sorted(flip_composition(contour, j)))

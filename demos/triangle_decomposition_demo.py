@@ -23,20 +23,19 @@ def main():
     print("volume:        ", f"[{vol.lo}, {vol.hi}]  (plus boundary outside)")
     print("configuration: ", render(sigma))
 
-    points = interfaces(sigma)
-    print("\ninterfaces sit just off the midpoints of the sign-change bonds:")
-    for p in points:
-        print(f"  bond ({p.bond}, {p.bond + 1})  position {float(p.position):.6f}")
+    print("\ninterfaces sit on the sign-change bonds:")
+    for b in interfaces(sigma):
+        print(f"  bond ({b}, {b + 1})")
 
     family = spins_to_triangles(sigma)
     print("\ntriangles (left bond, right bond, mass):")
     for t in family.sorted():
-        print(f"  {t.bonds}  mass {t.mass}  sites {list(t.sites())}")
+        print(f"  ({t.left}, {t.right})  mass {t.mass}  sites {list(t.sites())}")
     print("pairwise distances respect the smaller mass:", family.satisfies_ma1())
 
     print("\ncontour decomposition (separation constant C = 3):")
     for k, g in enumerate(contours(family, 3)):
-        members = [t.bonds for t in g.triangles]
+        members = [tuple(t) for t in g.triangles]
         print(f"  contour {k}: mass {g.mass}, enclosing bonds "
               f"({g.left_bond}, {g.right_bond}), triangles {members}")
 

@@ -14,10 +14,9 @@ Library layout:
 
 from .bounds import (BOUND_CSV_COLUMNS, BoundReport, EnergyModel,
                      check_contour_bound, check_erase_prefix,
-                     check_erase_smallest, exhaustive_reports, minimal_j1,
-                     telescoping_error, zeta)
-from .contours import (Contour, SeparationConstant, choose_C, contour_power_mass,
-                       contours, separation_series, verify_P1, verify_P2)
+                     exhaustive_reports, minimal_j1, telescoping_error, zeta)
+from .contours import (Contour, SeparationConstant, choose_C, contours,
+                       separation_series, verify_P1, verify_P2)
 from .disorder import (BJ_CSV_COLUMNS, BjEstimate, ConstrainedEnsemble, F_j,
                        b_bar, check_antisymmetry, check_antisymmetry_sampled,
                        class_support, estimate_Bj_probability, flip_composition,
@@ -32,10 +31,10 @@ from .model import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec,
                     DisorderField, SpinConfiguration, Volume,
                     VolumeMismatchError, exact_gibbs_marginal, field_energy,
                     hamiltonian, hamiltonian_deterministic)
-from .triangles import (IncompatibleFamiliesError, InterfacePoint, Triangle,
-                        TriangleFamily, assign_offsets, energy_difference,
-                        family_volume, interfaces, is_compatible,
-                        pair_interface_bonds, spins_to_triangles,
-                        triangle_distance, triangles_to_spins)
+from .triangles import (IncompatibleFamiliesError, Triangle, TriangleFamily,
+                        energy_difference, family_volume, interfaces,
+                        is_compatible, pair_interface_bonds,
+                        spins_to_triangles, triangle_distance,
+                        triangles_to_spins)
 
 __version__ = "0.1.0"

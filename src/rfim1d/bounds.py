@@ -76,23 +76,17 @@ class EnergyModel:
         spins = np.ones(self.vol.n_sites, dtype=np.int8)
         lo = self.vol.lo
         for t in family.triangles:
-            spins[t.left_bond + 1 - lo:t.right_bond + 1 - lo] *= -1
+            spins[t.left + 1 - lo:t.right + 1 - lo] *= -1
         return spins
 
     def h0_family(self, family: TriangleFamily) -> float:
         return self.h0(self.family_image(family))
 
 
-def check_erase_smallest(spec: CouplingSpec, family: TriangleFamily, vol: Volume,
-                         instance: str = "", c: int = 3) -> BoundReport:
-    """Lower bound for erasing the smallest triangle: >= zeta * |T_1|^alpha."""
-    return check_erase_prefix(spec, family, vol, 1, instance=instance, c=c)
-
-
 def check_erase_prefix(spec: CouplingSpec, family: TriangleFamily, vol: Volume, i: int,
                        instance: str = "", c: int = 3,
                        model: Optional[EnergyModel] = None) -> BoundReport:
-    """Lower bound for erasing the i smallest triangles."""
+    """Lower bound for erasing the i smallest triangles: >= zeta * sum |T|^alpha."""
     if not 1 <= i <= len(family):
         raise ValueError(f"prefix length {i} out of range 1..{len(family)}")
     model = model or EnergyModel(spec, vol)

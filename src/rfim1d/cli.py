@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Sequence
 from .bounds import BOUND_CSV_COLUMNS, exhaustive_reports
 from .disorder import (BJ_CSV_COLUMNS, check_antisymmetry,
                        estimate_Bj_probability, thresholds)
-from .enumeration import (ENUM_CSV_COLUMNS, certify_C0, contour_shapes,
-                          enumerate_origin_contours)
+from .enumeration import (DEFAULT_MASS_CAP, ENUM_CSV_COLUMNS, _check_cap,
+                          _shape_aggregates, certify_C0, contour_shapes)
 from .mc import RUN_CSV_COLUMNS, EnergyDriftError, RunConfig, disorder_sweep
 from .model import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, SpinConfiguration, Volume,
                     enumerate_spins)
@@ -234,7 +234,7 @@ def _reference_disorder_instance():
     from .triangles import Triangle
 
     vol = Volume(0, 9)
-    contour = Contour.of([Triangle.from_bonds(0, 8), Triangle.from_bonds(3, 4)])
+    contour = Contour.of([Triangle(0, 8), Triangle(3, 4)])
     return vol, contour
 
 
@@ -273,10 +273,12 @@ def cmd_enumerate_contours(opts: Dict[str, object]) -> int:
     c = int(opts["c"])
     mmax = int(opts["mmax"])
     gamma = float(opts["gamma"])
+    _check_cap(mmax, DEFAULT_MASS_CAP)
     rows = []
     summary = []
     for m in range(1, mmax + 1):
-        n_contours = len(enumerate_origin_contours(m, c))
+        # each shape spanning bonds [0, B] gives B origin contours
+        n_contours = sum(_shape_aggregates(m, c).values())
         n_shapes = len(contour_shapes(m, c))
         summary.append({"m": m, "contours": n_contours, "shapes": n_shapes})
         rows.append([m, n_contours, n_shapes])

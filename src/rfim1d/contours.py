@@ -61,7 +61,7 @@ class Contour:
     def __post_init__(self):
         if not self.triangles:
             raise ValueError("a contour needs at least one triangle")
-        object.__setattr__(self, "triangles", tuple(sorted(self.triangles, key=lambda t: t.bonds)))
+        object.__setattr__(self, "triangles", tuple(sorted(self.triangles)))
 
     @classmethod
     def of(cls, triangles) -> "Contour":
@@ -69,16 +69,16 @@ class Contour:
 
     @property
     def left_bond(self) -> int:
-        return min(t.left_bond for t in self.triangles)
+        return min(t.left for t in self.triangles)
 
     @property
     def right_bond(self) -> int:
-        return max(t.right_bond for t in self.triangles)
+        return max(t.right for t in self.triangles)
 
     @property
     def enclosing(self) -> Triangle:
         """T(Gamma): smallest triangle containing all members."""
-        return Triangle.from_bonds(self.left_bond, self.right_bond)
+        return Triangle(self.left_bond, self.right_bond)
 
     @property
     def x_minus(self) -> int:
@@ -101,7 +101,7 @@ class Contour:
         by_mass: Dict[int, List[Triangle]] = {}
         for t in self.triangles:
             by_mass.setdefault(t.mass, []).append(t)
-        return [(mass, sorted(by_mass[mass], key=lambda t: t.bonds)) for mass in sorted(by_mass)]
+        return [(mass, by_mass[mass]) for mass in sorted(by_mass)]
 
     @property
     def n_classes(self) -> int:
@@ -121,29 +121,25 @@ class Contour:
         )
 
     def shifted(self, k: int) -> "Contour":
-        return Contour.of(Triangle.from_bonds(l + k, r + k) for l, r in (t.bonds for t in self.triangles))
-
-
-def contour_power_mass(gamma: Contour, rho: float) -> float:
-    return gamma.power_mass(rho)
+        return Contour.of(Triangle(l + k, r + k) for l, r in self.triangles)
 
 
 class _Cluster(NamedTuple):
-    """Integer view of a contour: enclosing bonds, mass and member bond pairs."""
+    """Integer view of a contour: enclosing bonds, mass and member triangles."""
 
     left: int
     right: int
     mass: int
-    bonds: Tuple[Tuple[int, int], ...]
+    triangles: Tuple[Triangle, ...]
 
     @classmethod
-    def of(cls, bonds: Sequence[Tuple[int, int]]) -> "_Cluster":
-        return cls(min(l for l, _ in bonds), max(r for _, r in bonds),
-                   sum(r - l for l, r in bonds), tuple(bonds))
+    def of(cls, triangles: Sequence[Triangle]) -> "_Cluster":
+        return cls(min(t.left for t in triangles), max(t.right for t in triangles),
+                   sum(t.mass for t in triangles), tuple(triangles))
 
     def fused(self, other: "_Cluster") -> "_Cluster":
         return _Cluster(min(self.left, other.left), max(self.right, other.right),
-                        self.mass + other.mass, self.bonds + other.bonds)
+                        self.mass + other.mass, self.triangles + other.triangles)
 
 
 def _pair_separated(a: _Cluster, b: _Cluster, c: int) -> bool:
@@ -161,7 +157,7 @@ def _pair_separated(a: _Cluster, b: _Cluster, c: int) -> bool:
     threshold = c * inner.mass ** 3
     # each outer triangle must contain or avoid the inner enclosing interval;
     # its distance to the inner contour is then fixed by the inner's ends
-    for l, r in outer.bonds:
+    for l, r in outer.triangles:
         if r <= inner.left:
             gap = inner.left - r
         elif inner.right <= l:
@@ -197,7 +193,7 @@ def contours(family: TriangleFamily, c: SeparationConstant | int = 3) -> List[Co
     endpoint.
     """
     cval = int(c)
-    clusters = [_Cluster.of([t.bonds]) for t in family.sorted()]
+    clusters = [_Cluster.of([t]) for t in family.sorted()]
     while True:
         clusters.sort(key=lambda g: (g.left, g.mass))
         pair = _first_violation(clusters, cval)
@@ -206,15 +202,13 @@ def contours(family: TriangleFamily, c: SeparationConstant | int = 3) -> List[Co
         i, j = pair
         fused = clusters[i].fused(clusters[j])
         clusters = [g for k, g in enumerate(clusters) if k not in pair] + [fused]
-    by_bonds = {t.bonds: t for t in family.triangles}
-    return [Contour.of(by_bonds[b] for b in g.bonds)
-            for g in sorted(clusters, key=lambda g: g.left)]
+    return [Contour.of(g.triangles) for g in sorted(clusters, key=lambda g: g.left)]
 
 
 def verify_P1(contour_list: Sequence[Contour], c: SeparationConstant | int = 3) -> bool:
     """Certificate: every distinct pair satisfies a separation alternative."""
     cval = int(c)
-    clusters = [_Cluster.of([t.bonds for t in g.triangles]) for g in contour_list]
+    clusters = [_Cluster.of(g.triangles) for g in contour_list]
     for i, a in enumerate(clusters):
         for b in clusters[i + 1:]:
             if not _pair_separated(a, b, cval):
@@ -235,5 +229,5 @@ def verify_P2(families: Sequence[TriangleFamily], c: SeparationConstant | int = 
     for fam in families:
         union = union.union(fam)
     joint = contours(union, cval)
-    key = lambda gs: sorted(tuple(t.bonds for t in g.triangles) for g in gs)
+    key = lambda gs: sorted(g.triangles for g in gs)
     return key(joint) == key(individual)

@@ -97,14 +97,13 @@ class ConstrainedEnsemble:
         self.vol = vol
         self.n_levels = contour.n_classes
         gamma_fam = contour.family()
-        gamma_pairs = gamma_fam.bond_pairs()
 
         compatible: List[TriangleFamily] = []
         all_spins = enumerate_spins(n)
         for code in range(2**n):
             sigma = SpinConfiguration(vol, all_spins[code])
             fam = spins_to_triangles(sigma)
-            if gamma_pairs <= fam.bond_pairs():
+            if gamma_fam.triangles <= fam.triangles:
                 compatible.append(fam.difference(gamma_fam))
         if not compatible:
             raise ValueError("contour does not fit the volume")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .contours import Contour, contours
 from .model import CapacityError, SpinConfiguration, Volume, enumerate_spins
-from .triangles import TriangleFamily, _is_realizable, spins_to_triangles
+from .triangles import Triangle, TriangleFamily, _is_realizable, spins_to_triangles
 
 DEFAULT_MASS_CAP = 6
 
@@ -90,7 +90,7 @@ def _shift(pairs: BondPairs, k: int) -> BondPairs:
 
 
 def _single_contour(pairs: BondPairs, c: int) -> bool:
-    fam = TriangleFamily.from_bond_pairs(pairs)
+    fam = TriangleFamily.of(pairs)
     return len(contours(fam, c)) == 1
 
 
@@ -150,8 +150,7 @@ def enumerate_origin_contours(m: int, c: int = 3, cap: int = DEFAULT_MASS_CAP) -
         span = max(r for _, r in shape)
         # translations t with 0 in the enclosing basis (t, t + span]
         for t in range(-span, 0):
-            fam = TriangleFamily.from_bond_pairs(_shift(shape, t))
-            out.append(Contour.of(fam.triangles))
+            out.append(Contour.of(Triangle(l, r) for l, r in _shift(shape, t)))
     return out
 
 
@@ -231,5 +230,5 @@ def spin_scan_origin_contours(m: int, c: int = 3,
             sigma = SpinConfiguration.from_minus_sites(vol, minus)
             for gamma in contours(spins_to_triangles(sigma), c):
                 if gamma.mass == m and gamma.contains_site(0):
-                    found[tuple(t.bonds for t in gamma.triangles)] = gamma
+                    found[gamma.triangles] = gamma
     return list(found.values())

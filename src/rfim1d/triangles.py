@@ -1,92 +1,64 @@
 """Triangle representation of spin configurations with plus boundary.
 
-Each sign change between neighbouring sites is an interface, placed at a
-point slightly off the bond midpoint so that all pairwise distances
-between interface points are distinct.  Growing 45-degree lines from the
-interface points collide pairwise, one collision at a time, and each
-collision freezes a triangle.  The resulting family of triangles is a
-bijective encoding of the configuration.
+Each sign change between neighbouring sites is an interface on a bond.
+In the construction the interface points sit slightly off the bond
+midpoints, so that all pairwise distances between them are distinct.
+Growing 45-degree lines from the interface points collide pairwise, one
+collision at a time, and each collision freezes a triangle.  The
+resulting family of triangles is a bijective encoding of the
+configuration; a triangle is identified by its integer bond pair.
 
-Offsets are dyadic rationals of a common sign, decreasing with the bond
-rank inside the volume.  With that choice the collision order reduces to
-an integer rule: among adjacent unpaired interfaces, the pair with the
-smallest bond distance collides first, leftmost pair on equal distances.
+The offsets only break ties, so none is stored.  Taken as dyadic
+rationals of a common sign, decreasing with the bond rank inside the
+volume, they reduce the collision order to an integer rule: among
+adjacent unpaired interfaces, the pair with the smallest bond distance
+collides first, leftmost pair on equal distances (the offset of the
+leftmost interface outweighs the sum of all offsets to its right).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .model import SpinConfiguration, Volume
 
 
-_MAX_OFFSET = Fraction(1, 100)
-
-
 class IncompatibleFamiliesError(ValueError):
     """Union of the given triangle families is not realizable by any configuration."""
 
 
-@dataclass(frozen=True)
-class InterfacePoint:
-    """Interface on bond (bond, bond+1), located at bond + 1/2 + offset."""
-
-    bond: int
-    offset: Fraction = field(default=Fraction(0), compare=False)
-
-    def __post_init__(self):
-        if abs(self.offset) > _MAX_OFFSET:
-            raise ValueError("interface offset exceeds 1/100")
-
-    @property
-    def position(self) -> Fraction:
-        return Fraction(2 * self.bond + 1, 2) + self.offset
+class _BondPair(NamedTuple):
+    left: int
+    right: int
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Coupled interface pair; mass = number of integer sites on its basis."""
+class Triangle(_BondPair):
+    """Coupled interface pair (left bond, right bond); mass = number of
+    integer sites on its basis.  Equality, hash and order are the pair's."""
 
-    left: InterfacePoint
-    right: InterfacePoint
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.left.bond >= self.right.bond:
+    def __new__(cls, left: int, right: int) -> "Triangle":
+        if left >= right:
             raise ValueError("triangle requires left bond < right bond")
-
-    @property
-    def left_bond(self) -> int:
-        return self.left.bond
-
-    @property
-    def right_bond(self) -> int:
-        return self.right.bond
+        return super().__new__(cls, left, right)
 
     @property
     def mass(self) -> int:
-        return self.right.bond - self.left.bond
+        return self.right - self.left
 
     def sites(self) -> range:
         """Integer sites covered by the basis."""
-        return range(self.left.bond + 1, self.right.bond + 1)
+        return range(self.left + 1, self.right + 1)
 
     def contains_site(self, i: int) -> bool:
-        return self.left.bond < i <= self.right.bond
+        return self.left < i <= self.right
 
     def contains_triangle(self, other: "Triangle") -> bool:
-        return self.left_bond <= other.left_bond and other.right_bond <= self.right_bond
-
-    @property
-    def bonds(self) -> Tuple[int, int]:
-        return (self.left_bond, self.right_bond)
-
-    @classmethod
-    def from_bonds(cls, left: int, right: int) -> "Triangle":
-        return cls(InterfacePoint(left), InterfacePoint(right))
+        return self.left <= other.left and other.right <= self.right
 
 
 def triangle_distance(a: Triangle, b: Triangle) -> int:
@@ -96,14 +68,14 @@ def triangle_distance(a: Triangle, b: Triangle) -> int:
     to the outer base's endpoints.  Partial overlap (never produced by
     the construction): 0.
     """
-    if a.right_bond <= b.left_bond:
-        return b.left_bond - a.right_bond
-    if b.right_bond <= a.left_bond:
-        return a.left_bond - b.right_bond
+    if a.right <= b.left:
+        return b.left - a.right
+    if b.right <= a.left:
+        return a.left - b.right
     if a.contains_triangle(b):
         a, b = b, a
     if b.contains_triangle(a):
-        return min(a.left_bond - b.left_bond, b.right_bond - a.right_bond)
+        return min(a.left - b.left, b.right - a.right)
     return 0
 
 
@@ -114,12 +86,9 @@ class TriangleFamily:
     triangles: FrozenSet[Triangle]
 
     @classmethod
-    def of(cls, triangles: Iterable[Triangle]) -> "TriangleFamily":
-        return cls(frozenset(triangles))
-
-    @classmethod
-    def from_bond_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "TriangleFamily":
-        return cls(frozenset(Triangle.from_bonds(l, r) for l, r in pairs))
+    def of(cls, triangles: Iterable[Tuple[int, int]]) -> "TriangleFamily":
+        """Family of the given triangles or (left, right) bond pairs."""
+        return cls(frozenset(t if isinstance(t, Triangle) else Triangle(*t) for t in triangles))
 
     @classmethod
     def empty(cls) -> "TriangleFamily":
@@ -132,13 +101,10 @@ class TriangleFamily:
         return iter(self.sorted())
 
     def sorted(self) -> List[Triangle]:
-        return sorted(self.triangles, key=lambda t: t.bonds)
+        return sorted(self.triangles)
 
     def sorted_by_mass(self) -> List[Triangle]:
-        return sorted(self.triangles, key=lambda t: (t.mass, t.bonds))
-
-    def bond_pairs(self) -> FrozenSet[Tuple[int, int]]:
-        return frozenset(t.bonds for t in self.triangles)
+        return sorted(self.triangles, key=lambda t: (t.mass, t))
 
     @property
     def total_mass(self) -> int:
@@ -163,34 +129,16 @@ class TriangleFamily:
         return True
 
     def shifted(self, k: int) -> "TriangleFamily":
-        return TriangleFamily.from_bond_pairs((l + k, r + k) for l, r in self.bond_pairs())
+        return TriangleFamily.of((l + k, r + k) for l, r in self.triangles)
 
 
-def assign_offsets(vol: Volume) -> Dict[int, Fraction]:
-    """Deterministic interface offsets with all pairwise distances distinct.
-
-    s_x = (1/100) * 2**-(rank+1) with rank the position of bond x among the
-    volume's bonds; distinct powers of two make any signed combination of
-    four offsets nonzero, so no two interface distances coincide.
-    """
-    return {
-        bond: Fraction(1, 100 * 2 ** (rank + 1))
-        for rank, bond in enumerate(vol.bonds())
-    }
-
-
-def interfaces(sigma: SpinConfiguration) -> List[InterfacePoint]:
-    """Interface points of a configuration in the plus-boundary class."""
+def interfaces(sigma: SpinConfiguration) -> List[int]:
+    """Sorted interface bonds of a configuration in the plus-boundary class."""
     if sigma.boundary != +1:
         raise ValueError("triangle construction requires plus boundary")
     padded = np.concatenate(([1], sigma.spins, [1]))
     change = padded[:-1] * padded[1:] == -1
-    first_bond = sigma.volume.lo - 1
-    # bond first_bond + k has rank k in assign_offsets
-    return [
-        InterfacePoint(int(first_bond + k), Fraction(1, 100 * 2 ** (int(k) + 1)))
-        for k in np.flatnonzero(change)
-    ]
+    return (np.flatnonzero(change) + (sigma.volume.lo - 1)).tolist()
 
 
 def pair_interface_bonds(bonds: List[int]) -> List[Tuple[int, int]]:
@@ -212,19 +160,16 @@ def pair_interface_bonds(bonds: List[int]) -> List[Tuple[int, int]]:
 
 def spins_to_triangles(sigma: SpinConfiguration) -> TriangleFamily:
     """Map a plus-boundary configuration to its triangle family."""
-    points = interfaces(sigma)
-    by_bond = {p.bond: p for p in points}
-    pairs = pair_interface_bonds([p.bond for p in points])
-    return TriangleFamily.of(Triangle(by_bond[l], by_bond[r]) for l, r in pairs)
+    return TriangleFamily.of(pair_interface_bonds(interfaces(sigma)))
 
 
 def triangles_to_spins(family: TriangleFamily, vol: Volume) -> SpinConfiguration:
     """Inverse map: sigma_i = (-1)**(number of triangles covering site i)."""
     spins = np.ones(vol.n_sites, dtype=np.int8)
     for t in family.triangles:
-        if t.left_bond < vol.lo - 1 or t.right_bond > vol.hi:
-            raise ValueError(f"triangle {t.bonds} outside volume [{vol.lo}, {vol.hi}]")
-        spins[t.left_bond + 1 - vol.lo:t.right_bond + 1 - vol.lo] *= -1
+        if t.left < vol.lo - 1 or t.right > vol.hi:
+            raise ValueError(f"triangle ({t.left}, {t.right}) outside volume [{vol.lo}, {vol.hi}]")
+        spins[t.left + 1 - vol.lo:t.right + 1 - vol.lo] *= -1
     return SpinConfiguration(vol, spins, boundary=+1)
 
 
@@ -246,16 +191,15 @@ def is_compatible(a: TriangleFamily, b: TriangleFamily) -> bool:
     """
     if a.triangles & b.triangles:
         return False
-    return _is_realizable(a.union(b).bond_pairs())
+    return _is_realizable(a.union(b).triangles)
 
 
 def family_volume(family: TriangleFamily, pad: int = 1) -> Volume:
     """Smallest volume containing the family, padded on both sides."""
-    pairs = family.bond_pairs()
-    if not pairs:
+    if not family.triangles:
         return Volume(0, 0)
-    lo = min(l for l, _ in pairs) + 1 - pad
-    hi = max(r for _, r in pairs) + pad
+    lo = min(t.left for t in family.triangles) + 1 - pad
+    hi = max(t.right for t in family.triangles) + pad
     return Volume(lo, hi)
 
 

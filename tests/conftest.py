@@ -16,4 +16,4 @@ def ten_site_volume():
 @pytest.fixture
 def nested_contour():
     """Two-class contour (masses 1 and 8) realizable on a 10-site volume."""
-    return Contour.of([Triangle.from_bonds(0, 8), Triangle.from_bonds(3, 4)])
+    return Contour.of([Triangle(0, 8), Triangle(3, 4)])

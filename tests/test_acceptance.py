@@ -34,7 +34,7 @@ def report(num, description, ok):
 def nested_instance():
     spec = CouplingSpec(alpha=0.55, j1=10.0)
     vol = Volume(0, 9)
-    contour = Contour.of([Triangle.from_bonds(0, 8), Triangle.from_bonds(3, 4)])
+    contour = Contour.of([Triangle(0, 8), Triangle(3, 4)])
     return spec, vol, contour, ConstrainedEnsemble(spec, contour, vol)
 
 
@@ -107,10 +107,8 @@ def test_criterion_05_separation_constant_certificate():
 def test_criterion_06_enumeration_oracle():
     ok = True
     for m in (1, 2, 3):
-        fast = sorted(tuple(t.bonds for t in g.triangles)
-                      for g in enumerate_origin_contours(m))
-        scan = sorted(tuple(t.bonds for t in g.triangles)
-                      for g in spin_scan_origin_contours(m))
+        fast = sorted(g.triangles for g in enumerate_origin_contours(m))
+        scan = sorted(g.triangles for g in spin_scan_origin_contours(m))
         if fast != scan:
             ok = False
     report(6, "origin-contour enumeration matches spin-window scan, m <= 3", ok)

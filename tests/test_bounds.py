@@ -4,9 +4,8 @@ import pytest
 
 from rfim1d import (ALPHA_PEIERLS_MAX, BOUND_CSV_COLUMNS, CouplingSpec,
                     EnergyModel, SpinConfiguration, TriangleFamily, Volume,
-                    check_contour_bound, check_erase_prefix,
-                    check_erase_smallest, exhaustive_reports, minimal_j1,
-                    telescoping_error, zeta)
+                    check_contour_bound, check_erase_prefix, exhaustive_reports,
+                    minimal_j1, telescoping_error, zeta)
 from rfim1d.model import enumerate_spins
 from rfim1d.triangles import spins_to_triangles
 
@@ -36,7 +35,7 @@ class TestEnergyModel:
     def test_family_image_roundtrip(self, spec):
         vol = Volume(0, 9)
         model = EnergyModel(spec, vol)
-        fam = TriangleFamily.from_bond_pairs([(0, 8), (3, 4)])
+        fam = TriangleFamily.of([(0, 8), (3, 4)])
         image = model.family_image(fam)
         assert list(image) == [1, -1, -1, -1, 1, -1, -1, -1, -1, 1]
 
@@ -48,8 +47,8 @@ class TestEnergyModel:
 class TestEraseBounds:
     def test_single_triangle(self, spec):
         vol = Volume(0, 9)
-        fam = TriangleFamily.from_bond_pairs([(4, 5)])
-        report = check_erase_smallest(spec, fam, vol)
+        fam = TriangleFamily.of([(4, 5)])
+        report = check_erase_prefix(spec, fam, vol, 1)
         assert report.passed
         assert report.rhs == pytest.approx(zeta(0.55))
         # erasing the only triangle costs its full creation energy
@@ -58,19 +57,19 @@ class TestEraseBounds:
 
     def test_two_distant_unit_triangles(self, spec):
         vol = Volume(0, 11)
-        fam = TriangleFamily.from_bond_pairs([(1, 2), (8, 9)])
+        fam = TriangleFamily.of([(1, 2), (8, 9)])
         report = check_erase_prefix(spec, fam, vol, 2)
         assert report.passed
         assert report.rhs == pytest.approx(2.0 * zeta(0.55))
 
     def test_prefix_range_validated(self, spec):
-        fam = TriangleFamily.from_bond_pairs([(1, 2)])
+        fam = TriangleFamily.of([(1, 2)])
         with pytest.raises(ValueError):
             check_erase_prefix(spec, fam, Volume(0, 5), 2)
 
     def test_margin_and_pass_fields(self, spec):
         vol = Volume(0, 7)
-        report = check_erase_smallest(spec, TriangleFamily.from_bond_pairs([(2, 4)]), vol)
+        report = check_erase_prefix(spec, TriangleFamily.of([(2, 4)]), vol, 1)
         assert report.margin == pytest.approx(report.lhs - report.rhs)
         assert len(report.csv_row()) == len(BOUND_CSV_COLUMNS)
 
@@ -78,7 +77,7 @@ class TestEraseBounds:
 class TestContourBound:
     def test_single_contour_configuration(self, spec):
         vol = Volume(0, 9)
-        fam = TriangleFamily.from_bond_pairs([(0, 8), (3, 4)])
+        fam = TriangleFamily.of([(0, 8), (3, 4)])
         reports = check_contour_bound(spec, fam, vol)
         assert len(reports) == 1
         assert reports[0].passed
@@ -86,7 +85,7 @@ class TestContourBound:
 
     def test_two_contours_give_two_reports(self, spec):
         vol = Volume(0, 13)
-        fam = TriangleFamily.from_bond_pairs([(1, 2), (8, 9)])
+        fam = TriangleFamily.of([(1, 2), (8, 9)])
         reports = check_contour_bound(spec, fam, vol)
         assert len(reports) == 2
         assert all(r.passed for r in reports)
@@ -101,7 +100,7 @@ class TestTelescoping:
     ])
     def test_sequential_erasure_sums_to_total(self, spec, pairs):
         vol = Volume(0, 9)
-        fam = TriangleFamily.from_bond_pairs(pairs)
+        fam = TriangleFamily.of(pairs)
         assert telescoping_error(spec, fam, vol) < 1e-9
 
 

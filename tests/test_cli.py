@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from rfim1d import cli, enumeration, enumerate_origin_contours
 from rfim1d import mc as mc_module
 from rfim1d.cli import main
 
@@ -91,6 +92,26 @@ class TestEnumerationCommands:
         assert rows[0] == "m,contours,shapes"
         assert rows[1].startswith("1,1,")
         assert rows[2].startswith("2,14,")
+
+    def test_enumerate_counts_match_materialized_contours(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate-contours", "--mmax", "4",
+                               "--deterministic")
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines()[3:]]
+        assert [int(r[1]) for r in rows] == [len(enumerate_origin_contours(m))
+                                             for m in range(1, 5)]
+
+    def test_enumerate_cap_checked_before_work(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("contour_shapes called before the cap check")
+
+        monkeypatch.setattr(enumeration, "contour_shapes", no_work)
+        monkeypatch.setattr(cli, "contour_shapes", no_work)
+        code, out, err = run_cli(capsys, "enumerate-contours", "--mmax", "7",
+                                 "--deterministic")
+        assert code == 1
+        assert err.startswith("error: mass 7 exceeds enumeration cap")
+        assert out == ""
 
     def test_certify_reports_b_star(self, capsys):
         code, out, err = run_cli(capsys, "certify-c0", "--gamma", "0.1",

@@ -3,7 +3,7 @@ import pytest
 
 from rfim1d import (Contour, DisorderField, RunConfig, SeparationConstant,
                     SpinConfiguration, Triangle, TriangleFamily, Volume, choose_C,
-                    contour_power_mass, contours, separation_series, verify_P1,
+                    contours, separation_series, verify_P1,
                     verify_P2)
 from rfim1d import mc as mc_module
 from rfim1d.model import enumerate_spins
@@ -21,8 +21,8 @@ def _reference_pair_separated(a: Contour, b: Contour, c: int) -> bool:
     inner, outer = a, b
     for t in outer.triangles:
         if not (t.contains_triangle(inner.enclosing)
-                or t.right_bond <= inner.left_bond
-                or inner.right_bond <= t.left_bond):
+                or t.right <= inner.left_bond
+                or inner.right_bond <= t.left):
             return False
     return inner.distance(outer) > c * inner.mass ** 3
 
@@ -88,7 +88,7 @@ class TestContour:
         assert nested_contour.left_bond == 0
         assert nested_contour.right_bond == 8
         assert nested_contour.mass == 9
-        assert nested_contour.enclosing.bonds == (0, 8)
+        assert nested_contour.enclosing == (0, 8)
         assert nested_contour.x_minus == 1 and nested_contour.x_plus == 8
 
     def test_classes_sorted_by_mass(self, nested_contour):
@@ -98,7 +98,7 @@ class TestContour:
 
     def test_power_mass(self, nested_contour):
         assert nested_contour.power_mass(1.0) == pytest.approx(9.0)
-        assert contour_power_mass(nested_contour, 0.5) == pytest.approx(1.0 + 8.0 ** 0.5)
+        assert nested_contour.power_mass(0.5) == pytest.approx(1.0 + 8.0 ** 0.5)
 
     def test_contains_site(self, nested_contour):
         assert nested_contour.contains_site(1)
@@ -108,7 +108,7 @@ class TestContour:
 
     def test_shift(self, nested_contour):
         shifted = nested_contour.shifted(5)
-        assert {t.bonds for t in shifted.triangles} == {(5, 13), (8, 9)}
+        assert set(shifted.triangles) == {(5, 13), (8, 9)}
 
     def test_needs_triangles(self):
         with pytest.raises(ValueError):
@@ -117,17 +117,17 @@ class TestContour:
 
 class TestDecomposition:
     def test_single_triangle(self):
-        fam = TriangleFamily.from_bond_pairs([(0, 3)])
+        fam = TriangleFamily.of([(0, 3)])
         [g] = contours(fam)
         assert g.mass == 3
 
     def test_close_pair_merges(self):
         # two mass-1 triangles at distance 2 <= C merge into one contour
-        fam = TriangleFamily.from_bond_pairs([(0, 1), (3, 4)])
+        fam = TriangleFamily.of([(0, 1), (3, 4)])
         assert len(contours(fam, 3)) == 1
 
     def test_distant_pair_stays_separate(self):
-        fam = TriangleFamily.from_bond_pairs([(0, 1), (10, 11)])
+        fam = TriangleFamily.of([(0, 1), (10, 11)])
         gs = contours(fam, 3)
         assert len(gs) == 2
         assert verify_P1(gs, 3)
@@ -139,16 +139,16 @@ class TestDecomposition:
 
     def test_merge_threshold_is_strict(self):
         # distance exactly C*min(m,m')^3 still merges; one more bond separates
-        at_threshold = TriangleFamily.from_bond_pairs([(0, 1), (4, 5)])
-        beyond = TriangleFamily.from_bond_pairs([(0, 1), (5, 6)])
+        at_threshold = TriangleFamily.of([(0, 1), (4, 5)])
+        beyond = TriangleFamily.of([(0, 1), (5, 6)])
         assert len(contours(at_threshold, 3)) == 1
         assert len(contours(beyond, 3)) == 2
 
     def test_mass_conserved(self):
-        fam = TriangleFamily.from_bond_pairs([(0, 1), (3, 4), (20, 26), (40, 41)])
+        fam = TriangleFamily.of([(0, 1), (3, 4), (20, 26), (40, 41)])
         gs = contours(fam, 3)
         assert sum(g.mass for g in gs) == fam.total_mass
-        assert sorted(t.bonds for g in gs for t in g.triangles) == sorted(fam.bond_pairs())
+        assert sorted(t for g in gs for t in g.triangles) == sorted(fam.triangles)
 
     def test_output_always_satisfies_separation(self):
         vol = Volume.centered(12)
@@ -159,18 +159,17 @@ class TestDecomposition:
                 assert verify_P1(contours(fam, 3), 3)
 
     def test_translation_covariant(self):
-        fam = TriangleFamily.from_bond_pairs([(0, 1), (3, 4), (9, 15)])
-        base = {tuple(sorted(t.bonds for t in g.triangles)) for g in contours(fam, 3)}
-        shifted = {tuple(sorted(t.bonds for t in g.triangles))
-                   for g in contours(fam.shifted(11), 3)}
-        assert shifted == {tuple(sorted((l + 11, r + 11) for l, r in m)) for m in base}
+        fam = TriangleFamily.of([(0, 1), (3, 4), (9, 15)])
+        base = {g.triangles for g in contours(fam, 3)}
+        shifted = {g.triangles for g in contours(fam.shifted(11), 3)}
+        assert shifted == {tuple((l + 11, r + 11) for l, r in m) for m in base}
 
 
 class TestReferenceOracle:
     def _assert_agrees(self, fam):
         got = contours(fam, 3)
         assert got == _reference_contours(fam, 3)
-        # the contours hold the family's own triangles, offsets included
+        # the contours hold the family's own triangle objects
         assert sorted(id(t) for g in got for t in g.triangles) == sorted(
             id(t) for t in fam.triangles)
 
@@ -188,12 +187,12 @@ class TestReferenceOracle:
 
 class TestIndependence:
     def test_union_of_distant_families(self):
-        a = TriangleFamily.from_bond_pairs([(0, 1), (3, 4)])
-        b = TriangleFamily.from_bond_pairs([(100, 101), (104, 106)])
+        a = TriangleFamily.of([(0, 1), (3, 4)])
+        b = TriangleFamily.of([(100, 101), (104, 106)])
         assert verify_P2([a, b], 3)
 
     def test_precondition_violation_raises(self):
-        a = TriangleFamily.from_bond_pairs([(0, 1)])
-        b = TriangleFamily.from_bond_pairs([(3, 4)])  # too close: would merge
+        a = TriangleFamily.of([(0, 1)])
+        b = TriangleFamily.of([(3, 4)])  # too close: would merge
         with pytest.raises(ValueError):
             verify_P2([a, b], 3)

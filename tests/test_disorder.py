@@ -12,7 +12,7 @@ from rfim1d.model import enumerate_spins
 
 @pytest.fixture
 def single_class_contour():
-    return Contour.of([Triangle.from_bonds(3, 5)])
+    return Contour.of([Triangle(3, 5)])
 
 
 class TestFlipField:
@@ -95,9 +95,9 @@ class TestEnsemble:
     def test_compatible_families_exclude_contour(self, spec, nested_contour,
                                                  ten_site_volume):
         ens = ConstrainedEnsemble(spec, nested_contour, ten_site_volume)
-        gamma_pairs = nested_contour.family().bond_pairs()
+        gamma_pairs = nested_contour.family().triangles
         for fam in ens.families:
-            assert not (fam.bond_pairs() & gamma_pairs)
+            assert not (fam.triangles & gamma_pairs)
 
     def test_capacity_guard(self, spec, nested_contour):
         big = Volume(-10, 10)
@@ -105,7 +105,7 @@ class TestEnsemble:
             ConstrainedEnsemble(spec, nested_contour, big)
 
     def test_contour_must_fit(self, spec):
-        contour = Contour.of([Triangle.from_bonds(0, 8)])
+        contour = Contour.of([Triangle(0, 8)])
         with pytest.raises(ValueError):
             ConstrainedEnsemble(spec, contour, Volume(0, 4))
 

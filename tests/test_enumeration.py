@@ -9,7 +9,7 @@ from rfim1d import (CapacityError, WeightSpec, certify_C0,
 
 
 def contour_keys(contour_list):
-    return sorted(tuple(t.bonds for t in g.triangles) for g in contour_list)
+    return sorted(g.triangles for g in contour_list)
 
 
 class TestWeightSpec:

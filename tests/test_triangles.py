@@ -4,63 +4,69 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rfim1d import (IncompatibleFamiliesError, InterfacePoint, SpinConfiguration,
-                    Triangle, TriangleFamily, Volume, assign_offsets,
-                    energy_difference, family_volume, hamiltonian,
-                    interfaces, is_compatible, pair_interface_bonds,
+from rfim1d import (IncompatibleFamiliesError, SpinConfiguration, Triangle,
+                    TriangleFamily, Volume, energy_difference, family_volume,
+                    hamiltonian, interfaces, is_compatible, pair_interface_bonds,
                     spins_to_triangles, triangle_distance, triangles_to_spins)
 from rfim1d.model import enumerate_spins
 
 
-class TestInterfacePoints:
-    def test_position(self):
-        p = InterfacePoint(3, Fraction(1, 400))
-        assert p.position == Fraction(7, 2) + Fraction(1, 400)
+def _reference_pairing(bonds, vol):
+    """Collision pairing by the exact event order of the offset construction.
 
-    def test_offset_cap(self):
-        with pytest.raises(ValueError):
-            InterfacePoint(0, Fraction(1, 50))
-
-    def test_offsets_make_distances_distinct(self):
-        vol = Volume(0, 9)
-        offsets = assign_offsets(vol)
-        points = [Fraction(2 * b + 1, 2) + o for b, o in offsets.items()]
-        dists = [q - p for p, q in combinations(sorted(points), 2)]
-        assert len(set(dists)) == len(dists)
-
-    def test_offsets_within_bound(self):
-        for o in assign_offsets(Volume(-5, 5)).values():
-            assert 0 < o <= Fraction(1, 100)
-
-    def test_interface_offsets_match_assign_offsets(self):
-        vol = Volume.centered(14)
-        offsets = assign_offsets(vol)
-        for spins in enumerate_spins(14):
-            for p in interfaces(SpinConfiguration(vol, spins)):
-                assert p.offset == offsets[p.bond]
+    The interface on bond b sits at b + 1/2 + 2**-(rank+1) / 100, with rank
+    the position of b among the volume's bonds; the adjacent unpaired pair
+    at the smallest exact distance collides first.
+    """
+    rank = {b: k for k, b in enumerate(vol.bonds())}
+    position = {b: Fraction(2 * b + 1, 2) + Fraction(1, 100 * 2 ** (rank[b] + 1))
+                for b in bonds}
+    dists = [position[b] - position[a] for a, b in combinations(sorted(bonds), 2)]
+    assert len(set(dists)) == len(dists)
+    active = sorted(bonds)
+    pairs = []
+    while active:
+        k = min(range(len(active) - 1),
+                key=lambda k: position[active[k + 1]] - position[active[k]])
+        pairs.append((active[k], active[k + 1]))
+        del active[k:k + 2]
+    return pairs
 
 
 class TestTriangle:
     def test_mass_and_sites(self):
-        t = Triangle.from_bonds(2, 5)
+        t = Triangle(2, 5)
         assert t.mass == 3
         assert list(t.sites()) == [3, 4, 5]
         assert t.contains_site(3) and not t.contains_site(2)
 
     def test_orientation_required(self):
         with pytest.raises(ValueError):
-            Triangle.from_bonds(4, 4)
+            Triangle(4, 4)
+        with pytest.raises(ValueError):
+            TriangleFamily.of([(5, 2)])
+
+    def test_is_its_bond_pair(self):
+        t = Triangle(0, 8)
+        assert t == (0, 8) and hash(t) == hash((0, 8))
+        assert (t.left, t.right) == (0, 8)
+        assert sorted([Triangle(3, 4), Triangle(0, 8), Triangle(0, 2)]) == [(0, 2), (0, 8), (3, 4)]
+        with pytest.raises(AttributeError):
+            t.left = 1
+        fam = TriangleFamily.of([(0, 8), Triangle(3, 4)])
+        assert fam == TriangleFamily.of([Triangle(0, 8), (3, 4)])
+        assert all(type(m) is Triangle for m in fam.triangles)
 
     def test_distance_disjoint(self):
-        assert triangle_distance(Triangle.from_bonds(0, 2), Triangle.from_bonds(5, 6)) == 3
+        assert triangle_distance(Triangle(0, 2), Triangle(5, 6)) == 3
 
     def test_distance_nested(self):
-        outer, inner = Triangle.from_bonds(0, 8), Triangle.from_bonds(3, 4)
+        outer, inner = Triangle(0, 8), Triangle(3, 4)
         assert triangle_distance(outer, inner) == 3
         assert triangle_distance(inner, outer) == 3
 
     def test_distance_shared_endpoint(self):
-        assert triangle_distance(Triangle.from_bonds(0, 2), Triangle.from_bonds(2, 4)) == 0
+        assert triangle_distance(Triangle(0, 2), Triangle(2, 4)) == 0
 
 
 class TestPairing:
@@ -82,6 +88,12 @@ class TestPairing:
             shifted = pair_interface_bonds([b + k for b in bonds])
             assert shifted == [(l + k, r + k) for l, r in base]
 
+    def test_matches_exact_offset_collision_order(self):
+        vol = Volume.centered(12)
+        for spins in enumerate_spins(12):
+            bonds = interfaces(SpinConfiguration(vol, spins))
+            assert pair_interface_bonds(bonds) == _reference_pairing(bonds, vol)
+
     def test_odd_count_rejected(self):
         with pytest.raises(RuntimeError):
             pair_interface_bonds([0, 1, 2])
@@ -94,15 +106,16 @@ class TestSpinTriangleBijection:
 
     def test_single_minus_site(self):
         sigma = SpinConfiguration.from_minus_sites(Volume(0, 5), [2])
+        assert interfaces(sigma) == [1, 2]
         fam = spins_to_triangles(sigma)
-        assert fam.bond_pairs() == frozenset({(1, 2)})
+        assert fam.triangles == frozenset({(1, 2)})
 
     def test_nested_block(self):
         # minus sites 1,2,3,5,6,7,8 with site 4 plus: one big triangle, one island
         vol = Volume(0, 9)
         sigma = SpinConfiguration.from_minus_sites(vol, [1, 2, 3, 5, 6, 7, 8])
         fam = spins_to_triangles(sigma)
-        assert fam.bond_pairs() == frozenset({(0, 8), (3, 4)})
+        assert fam.triangles == frozenset({(0, 8), (3, 4)})
 
     def test_minus_boundary_rejected(self):
         sigma = SpinConfiguration.homogeneous(Volume(0, 3), +1, boundary=-1)
@@ -124,7 +137,7 @@ class TestSpinTriangleBijection:
         fam = spins_to_triangles(sigma)
         shifted_vol = Volume(5, 14)
         shifted = SpinConfiguration.from_minus_sites(shifted_vol, [6, 8, 9, 10])
-        assert spins_to_triangles(shifted).bond_pairs() == fam.shifted(5).bond_pairs()
+        assert spins_to_triangles(shifted).triangles == fam.shifted(5).triangles
 
     def test_pairwise_distance_compatibility_exhaustive(self):
         # every produced family keeps pair distances >= the smaller mass
@@ -137,41 +150,41 @@ class TestSpinTriangleBijection:
 
 class TestFamilies:
     def test_coverage_parity(self):
-        fam = TriangleFamily.from_bond_pairs([(0, 8), (3, 4)])
+        fam = TriangleFamily.of([(0, 8), (3, 4)])
         assert fam.coverage_parity(4) == 0
         assert fam.coverage_parity(3) == 1
         assert fam.coverage_parity(9) == 0
 
     def test_total_mass(self):
-        fam = TriangleFamily.from_bond_pairs([(0, 2), (5, 6)])
+        fam = TriangleFamily.of([(0, 2), (5, 6)])
         assert fam.total_mass == 3
 
     def test_family_volume(self):
-        vol = family_volume(TriangleFamily.from_bond_pairs([(0, 2), (5, 6)]))
+        vol = family_volume(TriangleFamily.of([(0, 2), (5, 6)]))
         assert vol == Volume(0, 7)
 
 
 class TestCompatibility:
     def test_disjoint_families_compatible(self):
-        a = TriangleFamily.from_bond_pairs([(0, 1)])
-        b = TriangleFamily.from_bond_pairs([(10, 12)])
+        a = TriangleFamily.of([(0, 1)])
+        b = TriangleFamily.of([(10, 12)])
         assert is_compatible(a, b)
 
     def test_repairing_union_incompatible(self):
         # interfaces 2,3,4,5 would re-pair as (2,3),(4,5)
-        a = TriangleFamily.from_bond_pairs([(2, 5)])
-        b = TriangleFamily.from_bond_pairs([(3, 4)])
+        a = TriangleFamily.of([(2, 5)])
+        b = TriangleFamily.of([(3, 4)])
         assert not is_compatible(a, b)
 
     def test_shared_bond_incompatible(self):
-        a = TriangleFamily.from_bond_pairs([(0, 2)])
-        b = TriangleFamily.from_bond_pairs([(2, 4)])
+        a = TriangleFamily.of([(0, 2)])
+        b = TriangleFamily.of([(2, 4)])
         assert not is_compatible(a, b)
 
     def test_energy_difference_matches_direct(self, spec):
         vol = Volume(0, 9)
-        s = TriangleFamily.from_bond_pairs([(1, 2)])
-        rest = TriangleFamily.from_bond_pairs([(6, 8)])
+        s = TriangleFamily.of([(1, 2)])
+        rest = TriangleFamily.of([(6, 8)])
         expected = (hamiltonian(spec, triangles_to_spins(s.union(rest), vol))
                     - hamiltonian(spec, triangles_to_spins(rest, vol)))
         assert energy_difference(spec, s, rest, vol) == pytest.approx(expected, abs=1e-12)
@@ -179,5 +192,5 @@ class TestCompatibility:
     def test_energy_difference_rejects_incompatible(self, spec):
         vol = Volume(0, 9)
         with pytest.raises(IncompatibleFamiliesError):
-            energy_difference(spec, TriangleFamily.from_bond_pairs([(2, 5)]),
-                              TriangleFamily.from_bond_pairs([(3, 4)]), vol)
+            energy_difference(spec, TriangleFamily.of([(2, 5)]),
+                              TriangleFamily.of([(3, 4)]), vol)
