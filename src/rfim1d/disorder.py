@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import zeta
 from .contours import Contour
 from .model import (CapacityError, CouplingSpec, DisorderField,
-                    SpinConfiguration, Volume, enumerate_spins)
+                    SpinConfiguration, Volume, _logsumexp, enumerate_spins)
 from .triangles import TriangleFamily, spins_to_triangles
 
 EXHAUSTIVE_SITE_CAP = 12
@@ -139,7 +138,7 @@ class ConstrainedEnsemble:
             base = -beta * self.h0_erased[j][None, :]
             num = base + beta * theta * m_full
             den = base + beta * theta * (fields @ self.sigma_erased[j].T)
-            out[:, j] = (logsumexp(num, axis=1) - logsumexp(den, axis=1)) / beta
+            out[:, j] = (_logsumexp(num, axis=1) - _logsumexp(den, axis=1)) / beta
         return out
 
 

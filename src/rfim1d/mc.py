@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -169,10 +170,21 @@ def local_field(spec: CouplingSpec, sigma: SpinConfiguration,
     vol = sigma.volume
     idx = vol.index(i)
     s = sigma.spins.astype(np.float64)
-    m = spec.coupling_matrix(vol) @ s
+    m_i = toeplitz_rows(spec.coupling_toeplitz(vol))[idx] @ s
     hv = 0.0 if h is None else h.value(i)
-    return float(2.0 * s[idx] * (m[idx] + sigma.boundary * spec.boundary_field(i, vol)
+    return float(2.0 * s[idx] * (m_i + sigma.boundary * spec.boundary_field(i, vol)
                                  + theta * hv))
+
+
+@lru_cache(maxsize=8)
+def _coupling_tables(spec: CouplingSpec, vol: Volume) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only Toeplitz vector and boundary vector, built once per (spec, vol)
+    and shared by every chain of a run."""
+    t = spec.coupling_toeplitz(vol)
+    bv = spec.boundary_vector(vol)
+    t.flags.writeable = False
+    bv.flags.writeable = False
+    return t, bv
 
 
 def _batch_means_stderr(x: np.ndarray, n_batches: int = 32) -> float:
@@ -201,8 +213,7 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     n = config.size
     tau = float(config.boundary)
     origin = vol.index(0)
-    t = spec.coupling_toeplitz(vol)
-    bv = spec.boundary_vector(vol)
+    t, bv = _coupling_tables(spec, vol)
     hv = h.values
     s = np.full(n, tau)
     m = _coupling_sums(t, s)

@@ -196,11 +196,123 @@ class SpinConfiguration:
         return cls(vol, spins, boundary)
 
 
-def _site_rng(seed: int, site: int) -> np.random.Generator:
-    # zigzag map keeps spawn keys non-negative; the field at a site is then
-    # independent of the enclosing volume and of generation order
-    key = 2 * site if site >= 0 else -2 * site - 1
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(key,)))
+# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx) and of
+# its PCG64 (pcg64.h); numpy keeps both streams stable across versions.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 2**64 - 1
+
+# The arithmetic below works on Python ints and on uint64 arrays holding
+# 32-bit words alike: every product of two words fits in 64 bits.
+
+
+def _hashmix(value, hash_const: int, mult: int):
+    """SeedSequence's hashmix; returns (mixed value, next hash constant)."""
+    hash_const_next = (hash_const * mult) & _MASK32
+    value = ((value ^ hash_const) * hash_const_next) & _MASK32
+    return value ^ (value >> 16), hash_const_next
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word with a hashed word."""
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """One PCG64 LCG step state * M + inc on 128-bit (hi, lo) uint64 pairs."""
+    m_hi, m_lo = _PCG_MULT >> 64, _PCG_MULT & _MASK64
+    hi = hi * m_lo + lo * m_hi + _mulhi64(lo, m_lo)
+    lo = lo * m_lo
+    lo_sum = lo + inc_lo
+    return hi + inc_hi + (lo_sum < lo), lo_sum
+
+
+def _site_words(seed: int, vol: Volume) -> np.ndarray:
+    """First PCG64 output of SeedSequence(seed, spawn_key=(zigzag(i),)) per site i.
+
+    Equals ``PCG64(SeedSequence(entropy=seed & (2**64 - 1),
+    spawn_key=(key,))).random_raw()`` site by site, computed for the whole
+    volume at once.  The zigzag key keeps spawn keys non-negative; the
+    field at a site is then independent of the enclosing volume and of
+    generation order.
+    """
+    for end in (vol.lo, vol.hi):
+        key = 2 * end if end >= 0 else -2 * end - 1
+        if key > _MASK32:
+            raise ValueError(f"site {end} has spawn key {key} >= 2**32; "
+                             f"fields are defined on sites [-2**31, 2**31 - 1]")
+    sites = vol.sites()
+    keys = np.where(sites >= 0, 2 * sites, -2 * sites - 1).astype(np.uint64)
+
+    # entropy: little-endian 32-bit words of the seed, zero-padded to the
+    # pool size 4 because a spawn key follows; the key word is mixed last
+    entropy = seed & _MASK64
+    words = [entropy & _MASK32, entropy >> 32, 0, 0]
+    hash_const = _INIT_A
+    pool = []
+    for w in words:
+        h, hash_const = _hashmix(w, hash_const, _MULT_A)
+        pool.append(h)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+    for dst in range(4):
+        h, hash_const = _hashmix(keys, hash_const, _MULT_A)
+        pool[dst] = _mix(pool[dst], h)
+
+    # generate_state(4, uint64): eight 32-bit words paired little-endian
+    hash_const = _INIT_B
+    state = []
+    for k in range(8):
+        h, hash_const = _hashmix(pool[k % 4], hash_const, _MULT_B)
+        state.append(h)
+    w0, w1, w2, w3 = (state[2 * k] | (state[2 * k + 1] << 32) for k in range(4))
+
+    # PCG64 seeding: inc = (w2:w3) << 1 | 1; s = inc + (w0:w1); s = s*M + inc;
+    # one more step gives the first output
+    inc_hi, inc_lo = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
+    lo = inc_lo + w1
+    hi = inc_hi + w0 + (lo < inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    # XSL-RR output: rotate hi ^ lo right by the top 6 bits
+    x, rot = hi ^ lo, hi >> 58
+    return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+def _word_values(raw: np.ndarray, distribution: str) -> np.ndarray:
+    """Field values from each site's first PCG64 word.
+
+    bernoulli and uniform values equal numpy's ``Generator.integers(0, 2)``
+    and ``Generator.uniform(-1, 1)`` draws from that stream; gaussian
+    values are the inverse normal CDF at the midpoint of the word's top
+    52 bits.
+    """
+    if distribution == "bernoulli":
+        # Lemire's bounded draw on the low 32-bit half keeps its top bit
+        return 2.0 * ((raw >> 31) & 1) - 1.0
+    if distribution == "gaussian":
+        from scipy.special import ndtri
+
+        # midpoints (k + 1/2) / 2**52 are exact, below 1 and symmetric about 1/2
+        return ndtri(((raw >> 12) + 0.5) * 2.0**-52)
+    # uniform on [-1, 1], a convenient subgaussian example
+    return -1.0 + 2.0 * ((raw >> 11) * 2.0**-53)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,15 +349,7 @@ class DisorderField:
         distribution: str = "bernoulli",
     ) -> "DisorderField":
         """Draw one realization, keyed per (seed, site) for order-independence."""
-        values = np.empty(vol.n_sites)
-        for k, i in enumerate(vol.sites()):
-            rng = _site_rng(seed, int(i))
-            if distribution == "bernoulli":
-                values[k] = 2.0 * rng.integers(0, 2) - 1.0
-            elif distribution == "gaussian":
-                values[k] = rng.standard_normal()
-            else:  # uniform on [-1, 1], a convenient subgaussian example
-                values[k] = rng.uniform(-1.0, 1.0)
+        values = _word_values(_site_words(seed, vol), distribution)
         return cls(vol, values, theta, distribution, seed)
 
 
@@ -284,12 +388,18 @@ def hamiltonian(
     return e
 
 
-def _logsumexp(a: np.ndarray) -> float:
+def _logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
+    """log(sum(exp(a))) along axis, shifted by a finite maximum.
+
+    A non-finite maximum is not subtracted: the sum is then 0 (all -inf),
+    inf or nan, and the result is that maximum.
+    """
     a = np.asarray(a, dtype=np.float64)
-    m = np.max(a)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(a - m))))
+    m = np.max(a, axis=axis, keepdims=True)
+    with np.errstate(divide="ignore", over="ignore"):
+        s = np.log(np.sum(np.exp(a - np.where(np.isfinite(m), m, 0.0)),
+                          axis=axis, keepdims=True))
+    return np.squeeze(m + s, axis=axis)
 
 
 def enumerate_spins(n: int) -> np.ndarray:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rfim1d import (DisorderField, RunConfig, SpinConfiguration, Volume,
-                    disorder_sweep, exact_gibbs_marginal, hamiltonian,
+from rfim1d import (CouplingSpec, DisorderField, RunConfig, SpinConfiguration,
+                    Volume, disorder_sweep, exact_gibbs_marginal, hamiltonian,
                     local_field, metropolis_run, peierls_decomposition_check)
 from rfim1d import mc as mc_module
 from rfim1d.model import batch_h0, enumerate_spins
@@ -212,3 +212,25 @@ class TestDecompositionCheck:
         check = peierls_decomposition_check(samples)
         assert check.violations == 0
         assert check.minus_frequency <= check.contour_frequency
+
+
+class TestCouplingTables:
+    def test_built_once_per_run_and_read_only(self, monkeypatch):
+        calls = []
+        original = CouplingSpec.boundary_vector
+
+        def counting(self, vol):
+            calls.append(vol)
+            return original(self, vol)
+
+        monkeypatch.setattr(CouplingSpec, "boundary_vector", counting)
+        mc_module._coupling_tables.cache_clear()
+        cfg = RunConfig(size=10, beta=0.1, theta=0.2, sweeps=30, burnin=5,
+                        seed=5, realizations=4)
+        disorder_sweep(cfg)
+        assert calls == [cfg.volume()]
+        t, bv = mc_module._coupling_tables(cfg.coupling_spec(), cfg.volume())
+        assert not t.flags.writeable and not bv.flags.writeable
+        assert np.array_equal(t, cfg.coupling_spec().coupling_toeplitz(cfg.volume()))
+        assert np.array_equal(bv, original(cfg.coupling_spec(), cfg.volume()))
+        mc_module._coupling_tables.cache_clear()

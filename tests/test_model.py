@@ -1,14 +1,53 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import zeta as hurwitz_zeta
 
+import rfim1d
 from rfim1d import (CapacityError, CouplingSpec, DisorderField,
                     SpinConfiguration, Volume, VolumeMismatchError,
                     exact_gibbs_marginal, field_energy, hamiltonian,
                     hamiltonian_deterministic)
-from rfim1d.model import batch_h0, enumerate_spins
+from rfim1d.model import (_logsumexp, _site_words, _word_values, batch_h0,
+                          enumerate_spins)
+
+FIELD_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 123456789012345, 2**64 - 1, 2**70 + 5, -3]
+
+
+def _spawn_key(site: int) -> int:
+    return 2 * site if site >= 0 else -2 * site - 1
+
+
+def _site_rng(seed: int, site: int) -> np.random.Generator:
+    """One numpy generator per (seed, site): the per-site reference stream."""
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=seed & (2**64 - 1), spawn_key=(_spawn_key(site),)))
+
+
+def _reference_value(seed: int, site: int, distribution: str) -> float:
+    rng = _site_rng(seed, site)
+    if distribution == "bernoulli":
+        return 2.0 * rng.integers(0, 2) - 1.0
+    return rng.uniform(-1.0, 1.0)
+
+
+_REFERENCE_VOLUME = Volume.centered(4096)
+_reference_cache: dict = {}
+
+
+def _reference_field(seed: int, vol: Volume, distribution: str) -> np.ndarray:
+    """Per-site reference draws on vol, a window of Volume.centered(4096)."""
+    key = (seed, distribution)
+    if key not in _reference_cache:
+        _reference_cache[key] = np.array([_reference_value(seed, int(i), distribution)
+                                          for i in _REFERENCE_VOLUME.sites()])
+    lo = vol.lo - _REFERENCE_VOLUME.lo
+    return _reference_cache[key][lo:lo + vol.n_sites]
 
 
 class TestVolume:
@@ -167,3 +206,95 @@ class TestExactMarginal:
     def test_capacity_guard(self, spec):
         with pytest.raises(CapacityError):
             exact_gibbs_marginal(spec, Volume.centered(25), None, 0.0, 1.0, 0)
+
+
+class TestFieldStream:
+    """The vectorized draw against numpy's per-site SeedSequence -> PCG64 stream."""
+
+    @pytest.mark.parametrize("seed", FIELD_SEEDS)
+    def test_words_equal_pcg64_random_raw(self, seed):
+        vol = Volume(-256, 255)
+        expected = [np.random.PCG64(np.random.SeedSequence(
+            entropy=seed & (2**64 - 1), spawn_key=(_spawn_key(int(i)),))).random_raw()
+            for i in vol.sites()]
+        assert np.array_equal(_site_words(seed, vol), np.array(expected, dtype=np.uint64))
+
+    @pytest.mark.parametrize("distribution", ["bernoulli", "uniform"])
+    @pytest.mark.parametrize("seed", FIELD_SEEDS)
+    def test_values_equal_per_site_generators(self, seed, distribution):
+        windows = [Volume.centered(n) for n in (1, 2, 17, 512, 4096)]
+        windows += [Volume(-2048, -2048), Volume(-300, -200), Volume(-2048, -1)]
+        for vol in windows:
+            h = DisorderField.generate(vol, 0.1, seed=seed, distribution=distribution)
+            assert np.array_equal(h.values, _reference_field(seed, vol, distribution)), vol
+
+    def test_extreme_sites(self):
+        # keys 2**32 - 1 and 2**32 - 2 are the largest a spawn key word holds
+        vol = Volume(-2**31, -2**31 + 1)
+        expected = [_reference_value(5, int(i), "uniform") for i in vol.sites()]
+        assert np.array_equal(DisorderField.generate(vol, 0.1, 5, "uniform").values, expected)
+        top = DisorderField.generate(Volume(2**31 - 1, 2**31 - 1), 0.1, 5, "uniform")
+        assert top.values[0] == _reference_value(5, 2**31 - 1, "uniform")
+
+    @pytest.mark.parametrize("vol", [Volume(2**31 - 1, 2**31), Volume(-2**31 - 1, 0),
+                                     Volume(2**40, 2**40 + 3)])
+    def test_too_large_site_key_rejected(self, vol):
+        with pytest.raises(ValueError, match="spawn key"):
+            DisorderField.generate(vol, 0.1, seed=0)
+
+    def test_gaussian_volume_independent_and_seed_dependent(self):
+        big = DisorderField.generate(Volume.centered(512), 0.1, 9, "gaussian")
+        window = DisorderField.generate(Volume(-40, 13), 0.1, 9, "gaussian")
+        assert np.array_equal(window.values, big.values[256 - 40:256 + 14])
+        other = DisorderField.generate(Volume.centered(512), 0.1, 10, "gaussian")
+        assert not np.any(other.values == big.values)
+
+    def test_extreme_words(self):
+        raw = np.array([0, 2**64 - 1, 2**63 - 1, 2**63], dtype=np.uint64)
+        g = _word_values(raw, "gaussian")
+        assert np.all(np.isfinite(g))
+        assert g[0] == -g[1] and g[2] == -g[3] and g[0] < g[2] < 0.0
+        u = _word_values(raw, "uniform")
+        assert u[0] == -1.0 and u[1] < 1.0
+        assert list(_word_values(np.array([2**31 - 1, 2**31], dtype=np.uint64),
+                                 "bernoulli")) == [-1.0, 1.0]
+
+    @pytest.mark.parametrize("seed", [0, 2**32, -3])
+    def test_gaussian_moments(self, seed):
+        n = 20_000
+        h = DisorderField.generate(Volume.centered(n), 0.1, seed, "gaussian")
+        assert np.all(np.isfinite(h.values))
+        assert abs(h.values.mean()) < 5.0 / math.sqrt(n)
+        # the sample variance of n standard normals has standard deviation sqrt(2/n)
+        assert abs(h.values.var() - 1.0) < 5.0 * math.sqrt(2.0 / n)
+
+
+class TestLogsumexp:
+    def test_rows_match_scipy(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(scale=50.0, size=(6, 40))
+        a[1, ::3] = -np.inf
+        a[2, :] = -np.inf
+        a[3, 7] = 700.0
+        ours = _logsumexp(a, axis=1)
+        ref = scipy_logsumexp(a, axis=1)
+        assert ours.shape == (6,)
+        assert ours[2] == -np.inf and ref[2] == -np.inf
+        finite = np.isfinite(ref)
+        assert np.allclose(ours[finite], ref[finite], rtol=1e-14, atol=0.0)
+
+    def test_non_finite_maximum(self):
+        assert _logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
+        assert _logsumexp(np.array([1.0, np.inf])) == np.inf
+        assert np.isnan(_logsumexp(np.array([1.0, np.nan])))
+        assert np.isnan(_logsumexp(np.array([[0.0, np.nan], [0.0, 0.0]]), axis=1)[0])
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, rfim1d.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(rfim1d.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
