@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``model``: volumes, couplings, fields, Hamiltonians, exact marginals
+- ``model``: volumes, couplings, fields, the one energy function, exact marginals
 - ``triangles``: interface pairing and the triangle encoding of spins
 - ``contours``: separation rules and the contour decomposition
 - ``bounds``: exhaustive verification of the deterministic energy bounds
@@ -12,9 +12,9 @@ Library layout:
 - ``cli``: command-line entry point
 """
 
-from .bounds import (BOUND_CSV_COLUMNS, BoundReport, EnergyModel,
-                     check_contour_bound, check_erase_prefix,
-                     exhaustive_reports, minimal_j1, telescoping_error, zeta)
+from .bounds import (BOUND_CSV_COLUMNS, BoundReport, check_contour_bound,
+                     check_erase_prefix, exhaustive_reports, minimal_j1,
+                     telescoping_error, zeta)
 from .contours import (Contour, SeparationConstant, choose_C, contours,
                        separation_series, verify_P1, verify_P2)
 from .disorder import (BJ_CSV_COLUMNS, BjEstimate, ConstrainedEnsemble, F_j,
@@ -29,10 +29,10 @@ from .mc import (RUN_CSV_COLUMNS, ChainResult, DecompositionCheck, RunConfig,
                  peierls_decomposition_check)
 from .model import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec,
                     DisorderField, SpinConfiguration, Volume,
-                    VolumeMismatchError, exact_gibbs_marginal, field_energy,
-                    hamiltonian, hamiltonian_deterministic)
+                    VolumeMismatchError, energy, exact_gibbs_marginal,
+                    hamiltonian)
 from .triangles import (IncompatibleFamiliesError, Triangle, TriangleFamily,
-                        energy_difference, family_volume, interfaces,
+                        energy_difference, family_code, family_volume, interfaces,
                         is_compatible, pair_interface_bonds,
                         spins_to_triangles, triangle_distance,
                         triangles_to_spins)

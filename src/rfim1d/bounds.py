@@ -8,15 +8,14 @@ configurations of a small volume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
-import numpy as np
-
-from .contours import Contour, contours
-from .model import ALPHA_PEIERLS_MAX, CouplingSpec, Volume, enumerate_spins
-from .triangles import TriangleFamily, spins_to_triangles
+from .contours import contours
+from .model import (ALPHA_PEIERLS_MAX, CouplingSpec, SpinConfiguration, Volume,
+                    energy, enumerate_spins, hamiltonian)
+from .triangles import (Triangle, TriangleFamily, family_code, spins_to_triangles,
+                        triangles_to_spins)
 
 TOLERANCE = 1e-9
 
@@ -58,73 +57,55 @@ class BoundReport:
 BOUND_CSV_COLUMNS = ["alpha", "j1", "C", "N", "instance", "lhs", "rhs", "margin", "pass"]
 
 
-class EnergyModel:
-    """Precomputed couplings over one volume for fast plus-boundary energies."""
-
-    def __init__(self, spec: CouplingSpec, vol: Volume):
-        self.spec = spec
-        self.vol = vol
-        self.jm = spec.coupling_matrix(vol)
-        self.bv = spec.boundary_vector(vol)
-        self.jsum = float(self.jm.sum())
-
-    def h0(self, spins: np.ndarray) -> float:
-        s = spins.astype(np.float64)
-        return float(0.5 * (self.jsum - s @ self.jm @ s) + self.bv @ (1.0 - s))
-
-    def family_image(self, family: TriangleFamily) -> np.ndarray:
-        spins = np.ones(self.vol.n_sites, dtype=np.int8)
-        lo = self.vol.lo
-        for t in family.triangles:
-            spins[t.left + 1 - lo:t.right + 1 - lo] *= -1
-        return spins
-
-    def h0_family(self, family: TriangleFamily) -> float:
-        return self.h0(self.family_image(family))
+H0 = Callable[[Iterable[Triangle]], float]
 
 
-def check_erase_prefix(spec: CouplingSpec, family: TriangleFamily, vol: Volume, i: int,
-                       instance: str = "", c: int = 3,
-                       model: Optional[EnergyModel] = None) -> BoundReport:
-    """Lower bound for erasing the i smallest triangles: >= zeta * sum |T|^alpha."""
-    if not 1 <= i <= len(family):
-        raise ValueError(f"prefix length {i} out of range 1..{len(family)}")
-    model = model or EnergyModel(spec, vol)
+def _image_h0(spec: CouplingSpec, vol: Volume) -> H0:
+    """H_0 of the spin image of a set of triangles on vol."""
+    return lambda tris: hamiltonian(spec, triangles_to_spins(TriangleFamily.of(tris), vol))
+
+
+def _contour_reports(spec: CouplingSpec, family: TriangleFamily, vol: Volume, c: int,
+                     instance: str, h0: H0) -> List[BoundReport]:
+    """Per-contour bound reports, with H_0 of a set of triangles taken from h0."""
     z = zeta(spec.alpha)
-    tris = family.sorted_by_mass()
-    lhs = model.h0_family(family) - model.h0_family(TriangleFamily.of(tris[i:]))
-    rhs = z * sum(t.mass**spec.alpha for t in tris[:i])
-    return BoundReport(spec.alpha, spec.j1, c, vol.n_sites, instance or f"prefix{i}", lhs, rhs)
-
-
-def check_contour_bound(spec: CouplingSpec, family: TriangleFamily, vol: Volume,
-                        c: int = 3, instance: str = "",
-                        model: Optional[EnergyModel] = None) -> List[BoundReport]:
-    """Per-contour bound: erasing a contour costs >= (zeta/2) * sum |T|^alpha."""
-    model = model or EnergyModel(spec, vol)
-    z = zeta(spec.alpha)
-    full = model.h0_family(family)
+    full = h0(family)
     reports = []
     for k, gamma in enumerate(contours(family, c)):
-        rest = family.difference(gamma.family())
-        lhs = full - model.h0_family(rest)
+        lhs = full - h0(family.difference(gamma.family()))
         rhs = 0.5 * z * gamma.power_mass(spec.alpha)
         reports.append(BoundReport(spec.alpha, spec.j1, c, vol.n_sites,
                                    f"{instance or 'contour'}:{k}", lhs, rhs))
     return reports
 
 
-def telescoping_error(spec: CouplingSpec, family: TriangleFamily, vol: Volume,
-                      model: Optional[EnergyModel] = None) -> float:
+def check_erase_prefix(spec: CouplingSpec, family: TriangleFamily, vol: Volume, i: int,
+                       instance: str = "", c: int = 3) -> BoundReport:
+    """Lower bound for erasing the i smallest triangles: >= zeta * sum |T|^alpha."""
+    if not 1 <= i <= len(family):
+        raise ValueError(f"prefix length {i} out of range 1..{len(family)}")
+    h0 = _image_h0(spec, vol)
+    z = zeta(spec.alpha)
+    tris = family.sorted_by_mass()
+    lhs = h0(family) - h0(tris[i:])
+    rhs = z * sum(t.mass**spec.alpha for t in tris[:i])
+    return BoundReport(spec.alpha, spec.j1, c, vol.n_sites, instance or f"prefix{i}", lhs, rhs)
+
+
+def check_contour_bound(spec: CouplingSpec, family: TriangleFamily, vol: Volume,
+                        c: int = 3, instance: str = "") -> List[BoundReport]:
+    """Per-contour bound: erasing a contour costs >= (zeta/2) * sum |T|^alpha."""
+    return _contour_reports(spec, family, vol, c, instance, _image_h0(spec, vol))
+
+
+def telescoping_error(spec: CouplingSpec, family: TriangleFamily, vol: Volume) -> float:
     """|H0(family) - sum of sequential erasure costs| for smallest-first erasure."""
-    model = model or EnergyModel(spec, vol)
-    empty = model.h0_family(TriangleFamily.empty())
-    total = model.h0_family(family) - empty
+    h0 = _image_h0(spec, vol)
+    total = h0(family) - h0([])
     tris = family.sorted_by_mass()
     acc = 0.0
     for i in range(len(tris)):
-        acc += (model.h0_family(TriangleFamily.of(tris[i:]))
-                - model.h0_family(TriangleFamily.of(tris[i + 1:])))
+        acc += h0(tris[i:]) - h0(tris[i + 1:])
     return abs(total - acc)
 
 
@@ -133,28 +114,30 @@ def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,
     """Bound reports over every configuration of an n-site volume.
 
     Instance ids are "<config index>:<check>"; configurations are indexed
-    by their bit code (bit k set means spin +1 at site k).
+    by their bit code (bit k set means spin +1 at site k).  The energies
+    of all 2**n configurations come from one batched call; an erased
+    family is looked up by the bit code of its image.
     """
     vol = Volume(0, n - 1)
-    model = EnergyModel(spec, vol)
     z = zeta(spec.alpha)
     all_spins = enumerate_spins(n)
-    from .model import SpinConfiguration
+    table = energy(spec, vol, all_spins).tolist()
+
+    def h0(tris: Iterable[Triangle]) -> float:
+        return table[family_code(tris, vol)]
 
     for code in range(2**n):
-        sigma = SpinConfiguration(vol, all_spins[code])
-        family = spins_to_triangles(sigma)
+        family = spins_to_triangles(SpinConfiguration(vol, all_spins[code]))
         tris = family.sorted_by_mass()
         if "prefix" in kinds:
-            full = model.h0_family(family)
+            full = table[code]
             rhs = 0.0
             for i in range(1, len(tris) + 1):
-                rest = TriangleFamily.of(tris[i:])
-                lhs = full - model.h0_family(rest)
+                lhs = full - h0(tris[i:])
                 rhs += z * tris[i - 1].mass**spec.alpha
                 yield BoundReport(spec.alpha, spec.j1, c, n, f"{code}:prefix{i}", lhs, rhs)
         if "contour" in kinds:
-            yield from check_contour_bound(spec, family, vol, c, instance=str(code), model=model)
+            yield from _contour_reports(spec, family, vol, c, str(code), h0)
 
 
 def minimal_j1(alpha: float, n: int = 8, c: int = 3,

@@ -164,16 +164,20 @@ def _base_payload(command: str, opts: Dict[str, object]) -> dict:
     return {"command": command, "schema": SCHEMA_VERSION, "options": echo}
 
 
-def cmd_simulate(opts: Dict[str, object]) -> int:
-    beta = _one_float(opts["beta"], "beta")
-    theta = _one_float(opts["theta"], "theta")
-    _require_peierls_alpha(float(opts["alpha"]))
-    config = RunConfig(
+def _run_config(opts: Dict[str, object], beta: float, theta: float) -> RunConfig:
+    return RunConfig(
         alpha=float(opts["alpha"]), beta=beta, theta=theta, j1=float(opts["j1"]),
         size=int(opts["size"]), sweeps=int(opts["sweeps"]), burnin=int(opts["burnin"]),
         seed=int(opts["seed"]), boundary=+1 if opts["boundary"] == "+" else -1,
         realizations=int(opts["realizations"]), distribution=str(opts["distribution"]),
         c=int(opts["c"]))
+
+
+def cmd_simulate(opts: Dict[str, object]) -> int:
+    beta = _one_float(opts["beta"], "beta")
+    theta = _one_float(opts["theta"], "theta")
+    _require_peierls_alpha(float(opts["alpha"]))
+    config = _run_config(opts, beta, theta)
     report = disorder_sweep(config, jobs=int(opts["jobs"]))
     payload = _base_payload("simulate", opts)
     payload["report"] = report.to_dict()
@@ -190,13 +194,7 @@ def cmd_sweep(opts: Dict[str, object]) -> int:
     reports = []
     for beta in betas:
         for theta in thetas:
-            config = RunConfig(
-                alpha=float(opts["alpha"]), beta=beta, theta=theta, j1=float(opts["j1"]),
-                size=int(opts["size"]), sweeps=int(opts["sweeps"]), burnin=int(opts["burnin"]),
-                seed=int(opts["seed"]), boundary=+1 if opts["boundary"] == "+" else -1,
-                realizations=int(opts["realizations"]),
-                distribution=str(opts["distribution"]), c=int(opts["c"]))
-            report = disorder_sweep(config, jobs=int(opts["jobs"]))
+            report = disorder_sweep(_run_config(opts, beta, theta), jobs=int(opts["jobs"]))
             reports.append(report.to_dict())
             rows.append([beta, theta, report.estimate, report.stderr,
                          report.occupancy, report.b_bar, report.reference_100])

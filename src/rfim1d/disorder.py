@@ -19,8 +19,9 @@ import numpy as np
 from .bounds import zeta
 from .contours import Contour
 from .model import (CapacityError, CouplingSpec, DisorderField,
-                    SpinConfiguration, Volume, _logsumexp, enumerate_spins)
-from .triangles import TriangleFamily, spins_to_triangles
+                    SpinConfiguration, Volume, _logsumexp, _site_words,
+                    _word_values, energy, enumerate_spins)
+from .triangles import TriangleFamily, family_code, spins_to_triangles
 
 EXHAUSTIVE_SITE_CAP = 12
 ANTISYMMETRY_TOL = 1e-9
@@ -83,7 +84,9 @@ class ConstrainedEnsemble:
 
     Precomputes, for every compatible family T and every level j, the
     deterministic energy of the configuration with classes 0..j erased and
-    the spin images entering the two field terms of F_j.
+    the spin images entering the two field terms of F_j.  Configurations
+    are indexed by the bit code of ``enumerate_spins``; the energies of
+    all of them come from one batched call.
     """
 
     def __init__(self, spec: CouplingSpec, contour: Contour, vol: Volume,
@@ -97,37 +100,29 @@ class ConstrainedEnsemble:
         self.n_levels = contour.n_classes
         gamma_fam = contour.family()
 
-        compatible: List[TriangleFamily] = []
         all_spins = enumerate_spins(n)
+        codes: List[int] = []
+        compatible: List[TriangleFamily] = []
         for code in range(2**n):
-            sigma = SpinConfiguration(vol, all_spins[code])
-            fam = spins_to_triangles(sigma)
+            fam = spins_to_triangles(SpinConfiguration(vol, all_spins[code]))
             if gamma_fam.triangles <= fam.triangles:
+                codes.append(code)
                 compatible.append(fam.difference(gamma_fam))
         if not compatible:
             raise ValueError("contour does not fit the volume")
         self.families = compatible
 
-        from .bounds import EnergyModel
-
-        model = EnergyModel(spec, vol)
+        # erasing classes 0..j undoes their flips: XOR their bits into the code
         classes = contour.classes()
-        prefixes = [
-            TriangleFamily.of(t for _, ts in classes[: j + 1] for t in ts)
+        all_plus = 2**n - 1
+        erase_bits = np.array([
+            family_code([t for _, ts in classes[: j + 1] for t in ts], vol) ^ all_plus
             for j in range(self.n_levels)
-        ]
-        t_count = len(compatible)
-        self.sigma_full = np.empty((t_count, n))
-        self.h0_erased = np.empty((self.n_levels, t_count))
-        self.sigma_erased = np.empty((self.n_levels, t_count, n))
-        for t_idx, tbar in enumerate(compatible):
-            full_fam = tbar.union(gamma_fam)
-            self.sigma_full[t_idx] = model.family_image(full_fam)
-            for j in range(self.n_levels):
-                erased = full_fam.difference(prefixes[j])
-                img = model.family_image(erased)
-                self.sigma_erased[j, t_idx] = img
-                self.h0_erased[j, t_idx] = model.h0(img)
+        ])
+        erased = np.array(codes)[None, :] ^ erase_bits[:, None]  # (levels, T)
+        self.sigma_full = all_spins[codes].astype(np.float64)
+        self.sigma_erased = all_spins[erased].astype(np.float64)
+        self.h0_erased = energy(spec, vol, all_spins)[erased]
 
     def f_values(self, fields: np.ndarray, theta: float, beta: float) -> np.ndarray:
         """F_j for a batch of field rows; shape (n_fields, n_levels)."""
@@ -172,6 +167,12 @@ def check_antisymmetry(spec: CouplingSpec, contour: Contour, j: int, vol: Volume
     return bool(np.all(np.abs(f + f[codes ^ mask]) <= tol))
 
 
+def _sampled_fields(vol: Volume, n_samples: int, seed: int, distribution: str) -> np.ndarray:
+    """Row r: the values of DisorderField.generate(vol, ., seed + r, distribution),
+    all rows drawn in one pass."""
+    return _word_values(_site_words(range(seed, seed + n_samples), vol), distribution)
+
+
 def check_antisymmetry_sampled(spec: CouplingSpec, contour: Contour, j: int, vol: Volume,
                                theta: float, beta: float,
                                n_samples: int = 1000, seed: int = 0,
@@ -184,10 +185,7 @@ def check_antisymmetry_sampled(spec: CouplingSpec, contour: Contour, j: int, vol
     """
     ens = ConstrainedEnsemble(spec, contour, vol)
     d_j = flip_composition(contour, j)
-    fields = np.stack([
-        DisorderField.generate(vol, theta, seed=seed + r, distribution=distribution).values
-        for r in range(n_samples)
-    ])
+    fields = _sampled_fields(vol, n_samples, seed, distribution)
     flipped = fields.copy()
     for i in d_j:
         flipped[:, vol.index(i)] *= -1.0
@@ -268,10 +266,7 @@ def estimate_Bj_probability(spec: CouplingSpec, contour: Contour, vol: Volume,
         probs = ind.mean(axis=0)
         errs = np.zeros_like(probs)
     else:
-        fields = np.stack([
-            DisorderField.generate(vol, theta, seed=seed + r, distribution=distribution).values
-            for r in range(n_samples)
-        ])
+        fields = _sampled_fields(vol, n_samples, seed, distribution)
         ind = _bj_indicators(ens.f_values(fields, theta, beta), a)
         probs = ind.mean(axis=0)
         errs = np.sqrt(probs * (1.0 - probs) / n_samples)

@@ -3,17 +3,16 @@
 Each chain keeps the running sums m_i = sum_j J(|i-j|) sigma_j so a flip
 proposal costs O(1) to evaluate and O(N) to commit.  The couplings are
 held as one length-(2N-1) Toeplitz vector t (row i of J is a slice of
-t), so memory stays O(N) at every volume size; an accepted flip is one
-numpy row update of m.  numba, when installed, compiles the sweep
-kernel.  Incremental energies are checked against a full recomputation
-every 10^4 updates.
+t), read from the model's per-(spec, volume) cache, so memory stays O(N)
+at every volume size; an accepted flip is one numpy row update of m.
+numba, when installed, compiles the sweep kernel.  The running energy
+starts from, and is checked every 10^4 updates against, ``model.energy``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .contours import contours
 from .disorder import b_bar
 from .model import (CouplingSpec, DisorderField, SpinConfiguration, Volume,
-                    toeplitz_rows)
+                    _coupling_sums, _coupling_tables, energy, toeplitz_rows)
 from .triangles import spins_to_triangles
 
 try:
@@ -128,7 +127,7 @@ RUN_CSV_COLUMNS = ["realization", "estimate", "stderr", "occupancy", "acceptance
 
 
 @njit(cache=True, nogil=True)
-def _sweep(s, m, t, bv, hv, theta, beta, tau, order, unif, energy):
+def _sweep(s, m, t, bv, hv, theta, beta, tau, order, unif, e):
     """One Metropolis sweep in the given site order; returns (energy, accepted)."""
     n = s.shape[0]
     acc = 0
@@ -138,30 +137,9 @@ def _sweep(s, m, t, bv, hv, theta, beta, tau, order, unif, energy):
         if de <= 0.0 or unif[k] < np.exp(-beta * de):
             s[i] = -s[i]
             m += (2.0 * s[i]) * t[n - 1 - i:2 * n - 1 - i]
-            energy += de
+            e += de
             acc += 1
-    return energy, acc
-
-
-def _coupling_sums(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """J @ s from the Toeplitz vector t, 64 rows at a time.
-
-    Blocks keep memory O(N); each row is still summed by a BLAS
-    matrix-vector product, as in a dense J @ s.
-    """
-    rows = toeplitz_rows(t)
-    return np.concatenate([np.ascontiguousarray(rows[k:k + 64]) @ s
-                           for k in range(0, s.size, 64)])
-
-
-def _chain_energy(t: np.ndarray, s: np.ndarray, bv: np.ndarray, hv: np.ndarray,
-                  theta: float, tau: float) -> float:
-    """H_0 + theta * G of a chain state in O(N) memory."""
-    n = s.size
-    # t[k] couples n - |k - (n-1)| ordered site pairs
-    pairs_per_entry = np.minimum(np.arange(1, 2 * n), np.arange(2 * n - 1, 0, -1))
-    pair = 0.5 * (t @ pairs_per_entry - s @ _coupling_sums(t, s))
-    return float(pair + bv @ (1.0 - tau * s) - theta * (hv @ s))
+    return e, acc
 
 
 def local_field(spec: CouplingSpec, sigma: SpinConfiguration,
@@ -169,22 +147,11 @@ def local_field(spec: CouplingSpec, sigma: SpinConfiguration,
     """Energy change of flipping sigma_i, from the running coupling sum."""
     vol = sigma.volume
     idx = vol.index(i)
+    t, bv = _coupling_tables(spec, vol)
     s = sigma.spins.astype(np.float64)
-    m_i = toeplitz_rows(spec.coupling_toeplitz(vol))[idx] @ s
+    m_i = toeplitz_rows(t)[idx] @ s
     hv = 0.0 if h is None else h.value(i)
-    return float(2.0 * s[idx] * (m_i + sigma.boundary * spec.boundary_field(i, vol)
-                                 + theta * hv))
-
-
-@lru_cache(maxsize=8)
-def _coupling_tables(spec: CouplingSpec, vol: Volume) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only Toeplitz vector and boundary vector, built once per (spec, vol)
-    and shared by every chain of a run."""
-    t = spec.coupling_toeplitz(vol)
-    bv = spec.boundary_vector(vol)
-    t.flags.writeable = False
-    bv.flags.writeable = False
-    return t, bv
+    return float(2.0 * s[idx] * (m_i + sigma.boundary * bv[idx] + theta * hv))
 
 
 def _batch_means_stderr(x: np.ndarray, n_batches: int = 32) -> float:
@@ -217,7 +184,7 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     hv = h.values
     s = np.full(n, tau)
     m = _coupling_sums(t, s)
-    energy = _chain_energy(t, s, bv, hv, config.theta, tau)
+    e = energy(spec, vol, s, config.boundary, h, config.theta)
 
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed if chain_seed is None else chain_seed))
@@ -230,16 +197,16 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     for sweep in range(config.sweeps):
         order = rng.permutation(n)
         unif = rng.random(n)
-        energy, acc = _sweep(s, m, t, bv, hv, config.theta, config.beta,
-                             tau, order, unif, energy)
+        e, acc = _sweep(s, m, t, bv, hv, config.theta, config.beta,
+                        tau, order, unif, e)
         accepted += acc
         since_check += n
         if since_check >= DRIFT_CHECK_UPDATES:
             since_check = 0
-            ref = _chain_energy(t, s, bv, hv, config.theta, tau)
-            if abs(energy - ref) > DRIFT_TOLERANCE * max(1.0, abs(ref)):
-                raise EnergyDriftError(f"energy drift {energy - ref:g} after sweep {sweep}")
-            energy = ref
+            ref = energy(spec, vol, s, config.boundary, h, config.theta)
+            if abs(e - ref) > DRIFT_TOLERANCE * max(1.0, abs(ref)):
+                raise EnergyDriftError(f"energy drift {e - ref:g} after sweep {sweep}")
+            e = ref
         k = sweep - config.burnin
         if k >= 0:
             minus[k] = s[origin] < 0

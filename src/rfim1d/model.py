@@ -6,13 +6,21 @@ theta, and homogeneous +/-1 boundary conditions outside a finite
 interval.  Exterior sums reduce to power-law tails, evaluated by a
 truncated sum with an Euler-Maclaurin correction whose remainder is kept
 below ``tail_tolerance``.
+
+All energies come from one function, ``energy``: H_0 + theta * G of a
+spin row or of a batch of rows, under either boundary sign, in O(N)
+memory per row.  It reads the couplings as one length-(2N-1) Toeplitz
+vector plus the boundary vector, cached per (spec, volume) and shared
+with the Metropolis chains.  ``hamiltonian`` is its entry point for a
+``SpinConfiguration``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -240,14 +248,14 @@ def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.nda
     return hi + inc_hi + (lo_sum < lo), lo_sum
 
 
-def _site_words(seed: int, vol: Volume) -> np.ndarray:
+def _site_words(seed, vol: Volume) -> np.ndarray:
     """First PCG64 output of SeedSequence(seed, spawn_key=(zigzag(i),)) per site i.
 
     Equals ``PCG64(SeedSequence(entropy=seed & (2**64 - 1),
     spawn_key=(key,))).random_raw()`` site by site, computed for the whole
     volume at once.  The zigzag key keeps spawn keys non-negative; the
     field at a site is then independent of the enclosing volume and of
-    generation order.
+    generation order.  A sequence of seeds gives one row per seed.
     """
     for end in (vol.lo, vol.hi):
         key = 2 * end if end >= 0 else -2 * end - 1
@@ -259,7 +267,8 @@ def _site_words(seed: int, vol: Volume) -> np.ndarray:
 
     # entropy: little-endian 32-bit words of the seed, zero-padded to the
     # pool size 4 because a spawn key follows; the key word is mixed last
-    entropy = seed & _MASK64
+    entropy = (int(seed) & _MASK64 if np.ndim(seed) == 0
+               else np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)[:, None])
     words = [entropy & _MASK32, entropy >> 32, 0, 0]
     hash_const = _INIT_A
     pool = []
@@ -358,34 +367,76 @@ def _check_same_volume(a_vol: Volume, b_vol: Volume) -> None:
         raise VolumeMismatchError(f"volumes differ: {a_vol} vs {b_vol}")
 
 
-def hamiltonian_deterministic(spec: CouplingSpec, sigma: SpinConfiguration) -> float:
-    """H_0 with homogeneous boundary: pair term plus boundary term; >= 0."""
-    jm = spec.coupling_matrix(sigma.volume)
-    bv = spec.boundary_vector(sigma.volume)
-    s = sigma.spins.astype(np.float64)
-    pair = 0.5 * (jm.sum() - s @ jm @ s)
-    boundary = bv @ (1.0 - sigma.boundary * s)
-    return float(pair + boundary)
-
-
-def field_energy(sigma: SpinConfiguration, h: DisorderField) -> float:
-    """G = -sum_i h_i sigma_i (theta not included)."""
-    _check_same_volume(sigma.volume, h.volume)
-    return float(-(h.values @ sigma.spins.astype(np.float64)))
-
-
 def hamiltonian(
     spec: CouplingSpec,
     sigma: SpinConfiguration,
     h: Optional[DisorderField] = None,
     theta: Optional[float] = None,
 ) -> float:
-    """Full random Hamiltonian H_0 + theta * G."""
-    e = hamiltonian_deterministic(spec, sigma)
+    """Full random Hamiltonian H_0 + theta * G; theta defaults to h.theta."""
+    th = 0.0 if h is None else (h.theta if theta is None else theta)
+    return energy(spec, sigma.volume, sigma.spins, sigma.boundary, h, th)
+
+
+@lru_cache(maxsize=8)
+def _coupling_tables(spec: CouplingSpec, vol: Volume) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only Toeplitz vector and boundary vector, built once per (spec, vol)
+    and shared by every energy evaluation and chain on that volume."""
+    t = spec.coupling_toeplitz(vol)
+    bv = spec.boundary_vector(vol)
+    t.flags.writeable = False
+    bv.flags.writeable = False
+    return t, bv
+
+
+def _coupling_sums(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """J @ s from the Toeplitz vector t, 64 rows at a time.
+
+    Blocks keep memory O(N); each row is still summed by a BLAS
+    matrix-vector product, as in a dense J @ s.
+    """
+    rows = toeplitz_rows(t)
+    return np.concatenate([np.ascontiguousarray(rows[k:k + 64]) @ s
+                           for k in range(0, s.size, 64)])
+
+
+def energy(
+    spec: CouplingSpec,
+    vol: Volume,
+    spins: np.ndarray,
+    boundary: int = +1,
+    h: Optional[DisorderField] = None,
+    theta: float = 0.0,
+):
+    """H_0 + theta * G of one +-1 spin row (a float) or of each row of a (K, N) batch.
+
+    H_0 = sum_{i<j} J(|i-j|) (1 - s_i s_j) + sum_i b_i (1 - boundary * s_i)
+    is >= 0, with b the boundary field; G = -sum_i h_i s_i.  Rows go in
+    blocks of about 4096 spins, so temporaries stay O(N); time is
+    O(K N log N).  A row gives the same bits alone or in a batch.
+    """
+    t, bv = _coupling_tables(spec, vol)
+    rows = np.atleast_2d(spins)
+    n = vol.n_sites
+    if rows.shape[1] != n:
+        raise VolumeMismatchError(f"{rows.shape[1]} spins on a {n}-site volume")
     if h is not None:
-        th = h.theta if theta is None else theta
-        e += th * field_energy(sigma, h)
-    return e
+        _check_same_volume(vol, h.volume)
+    e = np.empty(len(rows))
+    step = max(1, 4096 // n)
+    for k in range(0, len(rows), step):
+        s = rows[k:k + step].astype(np.float64)
+        # autocorrelations c_d = sum_i s_i s_{i+d}, d = 1..N-1, are integers,
+        # so rounding the FFT values (error far below 1/2) makes them exact
+        f = np.fft.rfft(s, 2 * n)
+        corr = np.rint(np.fft.irfft(f * f.conj(), 2 * n)[:, 1:n])
+        # the N - d pairs at distance d contribute J(d) (N - d - c_d)
+        block = np.sum((np.arange(n - 1, 0, -1) - corr) * t[n:], axis=1)
+        block += np.sum((1.0 - boundary * s) * bv, axis=1)
+        if h is not None:
+            block -= theta * np.sum(s * h.values, axis=1)
+        e[k:k + step] = block
+    return float(e[0]) if np.ndim(spins) == 1 else e
 
 
 def _logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
@@ -409,16 +460,6 @@ def enumerate_spins(n: int) -> np.ndarray:
     return (2 * bits.astype(np.int8) - 1).astype(np.int8)
 
 
-def batch_h0(spec: CouplingSpec, vol: Volume, spins: np.ndarray, boundary: int = +1) -> np.ndarray:
-    """Deterministic energies for a batch of spin rows on one volume."""
-    jm = spec.coupling_matrix(vol)
-    bv = spec.boundary_vector(vol)
-    s = spins.astype(np.float64)
-    pair = 0.5 * (jm.sum() - np.einsum("ki,ij,kj->k", s, jm, s, optimize=True))
-    bnd = (1.0 - boundary * s) @ bv
-    return pair + bnd
-
-
 def exact_gibbs_marginal(
     spec: CouplingSpec,
     vol: Volume,
@@ -435,10 +476,6 @@ def exact_gibbs_marginal(
         raise CapacityError(f"{n} sites exceeds exhaustive limit {exhaustive_limit}")
     idx = vol.index(site)
     spins = enumerate_spins(n)
-    energies = batch_h0(spec, vol, spins, boundary)
-    if h is not None and theta != 0.0:
-        _check_same_volume(vol, h.volume)
-        energies = energies - theta * (spins.astype(np.float64) @ h.values)
-    log_w = -beta * energies
+    log_w = -beta * energy(spec, vol, spins, boundary, h, theta)
     minus = spins[:, idx] == -1
     return float(np.exp(_logsumexp(log_w[minus]) - _logsumexp(log_w)))

@@ -173,6 +173,20 @@ def triangles_to_spins(family: TriangleFamily, vol: Volume) -> SpinConfiguration
     return SpinConfiguration(vol, spins, boundary=+1)
 
 
+def family_code(triangles: Iterable[Tuple[int, int]], vol: Volume) -> int:
+    """Bit code of the spin image of the given triangles on vol.
+
+    Uses the encoding of ``model.enumerate_spins``: bit k is set when the
+    spin at site vol.lo + k is +1, so the image equals
+    ``enumerate_spins(vol.n_sites)[code]``.  A triangle (l, r) flips the
+    bits of sites l + 1..r.
+    """
+    code = (1 << vol.n_sites) - 1
+    for left, right in triangles:
+        code ^= ((1 << (right - left)) - 1) << (left + 1 - vol.lo)
+    return code
+
+
 def _is_realizable(pairs: FrozenSet[Tuple[int, int]]) -> bool:
     bonds: List[int] = []
     for l, r in pairs:

@@ -17,3 +17,23 @@ def ten_site_volume():
 def nested_contour():
     """Two-class contour (masses 1 and 8) realizable on a 10-site volume."""
     return Contour.of([Triangle(0, 8), Triangle(3, 4)])
+
+
+def double_sum_energy(spec, vol, spins, boundary=+1, field=None, theta=0.0):
+    """H_0 + theta * G summed pair by pair from spec.coupling and
+    spec.boundary_field: the test oracle for ``rfim1d.model.energy``."""
+    s = [int(x) for x in spins]
+    sites = list(vol.sites())
+    e = 0.0
+    for a in range(len(s)):
+        for b in range(a + 1, len(s)):
+            e += spec.coupling(b - a) * (1 - s[a] * s[b])
+        e += spec.boundary_field(sites[a], vol) * (1 - boundary * s[a])
+        if field is not None:
+            e -= theta * field[a] * s[a]
+    return e
+
+
+@pytest.fixture
+def energy_oracle():
+    return double_sum_energy

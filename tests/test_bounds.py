@@ -3,9 +3,10 @@ import math
 import pytest
 
 from rfim1d import (ALPHA_PEIERLS_MAX, BOUND_CSV_COLUMNS, CouplingSpec,
-                    EnergyModel, SpinConfiguration, TriangleFamily, Volume,
-                    check_contour_bound, check_erase_prefix, exhaustive_reports,
-                    minimal_j1, telescoping_error, zeta)
+                    SpinConfiguration, TriangleFamily, Volume,
+                    check_contour_bound, check_erase_prefix, energy,
+                    exhaustive_reports, family_code, hamiltonian, minimal_j1,
+                    telescoping_error, triangles_to_spins, zeta)
 from rfim1d.model import enumerate_spins
 from rfim1d.triangles import spins_to_triangles
 
@@ -34,14 +35,14 @@ class TestZeta:
 class TestEnergyModel:
     def test_family_image_roundtrip(self, spec):
         vol = Volume(0, 9)
-        model = EnergyModel(spec, vol)
         fam = TriangleFamily.of([(0, 8), (3, 4)])
-        image = model.family_image(fam)
+        image = enumerate_spins(10)[family_code(fam, vol)]
         assert list(image) == [1, -1, -1, -1, 1, -1, -1, -1, -1, 1]
 
     def test_empty_family_has_zero_energy(self, spec):
-        model = EnergyModel(spec, Volume(0, 7))
-        assert model.h0_family(TriangleFamily.empty()) == pytest.approx(0.0, abs=1e-12)
+        vol = Volume(0, 7)
+        table = energy(spec, vol, enumerate_spins(8))
+        assert table[family_code(TriangleFamily.empty(), vol)] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEraseBounds:
@@ -52,8 +53,8 @@ class TestEraseBounds:
         assert report.passed
         assert report.rhs == pytest.approx(zeta(0.55))
         # erasing the only triangle costs its full creation energy
-        model = EnergyModel(spec, vol)
-        assert report.lhs == pytest.approx(model.h0_family(fam), abs=1e-9)
+        assert report.lhs == pytest.approx(hamiltonian(spec, triangles_to_spins(fam, vol)),
+                                           abs=1e-9)
 
     def test_two_distant_unit_triangles(self, spec):
         vol = Volume(0, 11)
@@ -117,3 +118,15 @@ class TestExhaustive:
     def test_minimal_j1_on_grid(self):
         assert minimal_j1(0.55, n=6, grid=(1.5, 2.0, 10.0)) == 1.5
         assert minimal_j1(0.55, n=6, grid=(1.01,)) is None
+
+    def test_code_lookups_match_per_family_energies(self, spec):
+        n = 6
+        vol = Volume(0, n - 1)
+        reports = {r.instance: r for r in exhaustive_reports(spec, n)}
+        for code, row in enumerate(enumerate_spins(n)):
+            fam = spins_to_triangles(SpinConfiguration(vol, row))
+            for i in range(1, len(fam) + 1):
+                direct = check_erase_prefix(spec, fam, vol, i)
+                assert reports[f"{code}:prefix{i}"].lhs == pytest.approx(direct.lhs, abs=1e-9)
+            for direct in check_contour_bound(spec, fam, vol, instance=str(code)):
+                assert reports[direct.instance].lhs == pytest.approx(direct.lhs, abs=1e-9)

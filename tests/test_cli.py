@@ -173,6 +173,17 @@ class TestSweepCommand:
         assert rows[0].startswith("beta,theta,")
         assert len(rows) == 3
 
+    def test_one_point_grid_matches_simulate(self, capsys):
+        # both commands build their run configuration from the same options
+        args = ("--beta", "0.2", "--theta", "0.3", "--size", "8", "--sweeps", "60",
+                "--burnin", "10", "--seed", "5", "--realizations", "2", "--boundary", "-",
+                "--distribution", "uniform", "--format", "json", "--deterministic")
+        _, sim, _ = run_cli(capsys, "simulate", *args)
+        _, grid, _ = run_cli(capsys, "sweep", *args)
+        report = json.loads(sim)["report"]
+        assert report["config"]["boundary"] == -1
+        assert json.loads(grid)["reports"] == [report]
+
 
 class TestConfiguration:
     def test_env_seed_fallback(self, capsys, monkeypatch):

@@ -6,7 +6,7 @@ from rfim1d import (Contour, DisorderField, RunConfig, SeparationConstant,
                     contours, separation_series, verify_P1,
                     verify_P2)
 from rfim1d import mc as mc_module
-from rfim1d.model import enumerate_spins
+from rfim1d.model import _coupling_sums, enumerate_spins
 from rfim1d.triangles import spins_to_triangles
 
 
@@ -58,7 +58,7 @@ def _sampled_configuration(seed: int) -> SpinConfiguration:
     t = spec.coupling_toeplitz(vol)
     bv = spec.boundary_vector(vol)
     s = np.ones(cfg.size)
-    m = mc_module._coupling_sums(t, s)
+    m = _coupling_sums(t, s)
     rng = np.random.default_rng(seed)
     for _ in range(3):
         mc_module._sweep(s, m, t, bv, h.values, cfg.theta, cfg.beta, 1.0,

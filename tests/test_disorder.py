@@ -6,7 +6,7 @@ from rfim1d import (CapacityError, ConstrainedEnsemble, Contour, DisorderField,
                     check_antisymmetry_sampled, class_support,
                     estimate_Bj_probability, flip_composition, flip_field,
                     thresholds, zeta)
-from rfim1d.disorder import BJ_CSV_COLUMNS
+from rfim1d.disorder import BJ_CSV_COLUMNS, _sampled_fields
 from rfim1d.model import enumerate_spins
 
 
@@ -141,6 +141,18 @@ class TestAntisymmetry:
     def test_sampled_gaussian_pairs(self, spec, nested_contour, ten_site_volume):
         assert check_antisymmetry_sampled(spec, nested_contour, 1, ten_site_volume,
                                           theta=0.25, beta=2.0, n_samples=64)
+
+
+class TestSampledFields:
+    @pytest.mark.parametrize("distribution", ["bernoulli", "gaussian"])
+    def test_equal_to_per_sample_draws(self, ten_site_volume, distribution):
+        fields = _sampled_fields(ten_site_volume, 64, 9, distribution)
+        stacked = np.stack([
+            DisorderField.generate(ten_site_volume, 0.3, seed=9 + r,
+                                   distribution=distribution).values
+            for r in range(64)
+        ])
+        assert np.array_equal(fields, stacked)
 
 
 class TestBjEvents:

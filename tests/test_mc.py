@@ -7,7 +7,8 @@ from rfim1d import (CouplingSpec, DisorderField, RunConfig, SpinConfiguration,
                     Volume, disorder_sweep, exact_gibbs_marginal, hamiltonian,
                     local_field, metropolis_run, peierls_decomposition_check)
 from rfim1d import mc as mc_module
-from rfim1d.model import batch_h0, enumerate_spins
+from rfim1d import model as model_module
+from rfim1d.model import energy, enumerate_spins
 
 
 class TestRunConfig:
@@ -97,8 +98,8 @@ class TestMetropolis:
         with pytest.raises(ValueError):
             metropolis_run(cfg, h)
 
-    def test_single_kernel_matches_oracles(self):
-        # after a short run the running sums and energy equal dense recomputations
+    def test_single_kernel_matches_oracles(self, energy_oracle):
+        # after a short run the running sums and energy equal independent recomputations
         beta, theta = 0.2, 1.0
         for n in (5, 64):
             cfg = RunConfig(size=n, beta=beta, theta=theta, j1=1.5, sweeps=1, burnin=0)
@@ -107,21 +108,22 @@ class TestMetropolis:
             t = spec.coupling_toeplitz(vol)
             bv = spec.boundary_vector(vol)
             s = np.ones(n)
-            m = mc_module._coupling_sums(t, s)
-            energy = mc_module._chain_energy(t, s, bv, h.values, theta, 1.0)
+            m = model_module._coupling_sums(t, s)
+            e = energy(spec, vol, s, +1, h, theta)
             rng = np.random.default_rng(n)
             accepted = 0
             for _ in range(20):
-                energy, acc = mc_module._sweep(s, m, t, bv, h.values, theta, beta, 1.0,
-                                               rng.permutation(n), rng.random(n), energy)
+                e, acc = mc_module._sweep(s, m, t, bv, h.values, theta, beta, 1.0,
+                                          rng.permutation(n), rng.random(n), e)
                 accepted += acc
             assert accepted > 0
             dense = spec.coupling_matrix(vol) @ s
             assert np.allclose(m, dense, rtol=1e-9, atol=1e-9 * np.abs(t).sum())
-            exact = hamiltonian(spec, SpinConfiguration(vol, s.astype(np.int8)), h, theta)
-            assert energy == pytest.approx(exact, rel=1e-9)
-            assert mc_module._chain_energy(t, s, bv, h.values, theta, 1.0) == pytest.approx(
-                exact, rel=1e-9)
+            exact = energy_oracle(spec, vol, s, +1, h.values, theta)
+            assert e == pytest.approx(exact, rel=1e-9)
+            assert energy(spec, vol, s, +1, h, theta) == pytest.approx(exact, rel=1e-9)
+            assert hamiltonian(spec, SpinConfiguration(vol, s.astype(np.int8)), h,
+                               theta) == pytest.approx(exact, rel=1e-9)
         # the sampled marginal, here under a minus boundary, matches the oracle
         cfg, h, res = run_small(0.05, 0.2, boundary=-1)
         exact = exact_gibbs_marginal(cfg.coupling_spec(), cfg.volume(), h, 0.2, 0.05, 0,
@@ -140,21 +142,19 @@ class TestStationaryDistribution:
         t = spec.coupling_toeplitz(vol)
         bv = spec.boundary_vector(vol)
         s = np.ones(n)
-        m = mc_module._coupling_sums(t, s)
-        energy = 0.0
+        m = model_module._coupling_sums(t, s)
+        e = 0.0
         rng = np.random.default_rng(123)
         sweeps, burnin = 40_000, 2_000
         counts = np.zeros(2 ** n)
         for sweep in range(sweeps):
-            energy, _ = mc_module._sweep(
+            e, _ = mc_module._sweep(
                 s, m, t, bv, h.values, theta, beta, 1.0,
-                rng.permutation(n), rng.random(n), energy)
+                rng.permutation(n), rng.random(n), e)
             if sweep >= burnin:
                 code = sum(1 << k for k in range(n) if s[k] > 0)
                 counts[code] += 1
-        energies = batch_h0(spec, vol, enumerate_spins(n))
-        energies -= theta * (enumerate_spins(n).astype(float) @ h.values)
-        log_w = -beta * energies
+        log_w = -beta * energy(spec, vol, enumerate_spins(n), +1, h, theta)
         probs = np.exp(log_w - log_w.max())
         probs /= probs.sum()
         expected = probs * counts.sum()
@@ -224,13 +224,13 @@ class TestCouplingTables:
             return original(self, vol)
 
         monkeypatch.setattr(CouplingSpec, "boundary_vector", counting)
-        mc_module._coupling_tables.cache_clear()
+        model_module._coupling_tables.cache_clear()
         cfg = RunConfig(size=10, beta=0.1, theta=0.2, sweeps=30, burnin=5,
                         seed=5, realizations=4)
         disorder_sweep(cfg)
         assert calls == [cfg.volume()]
-        t, bv = mc_module._coupling_tables(cfg.coupling_spec(), cfg.volume())
+        t, bv = model_module._coupling_tables(cfg.coupling_spec(), cfg.volume())
         assert not t.flags.writeable and not bv.flags.writeable
         assert np.array_equal(t, cfg.coupling_spec().coupling_toeplitz(cfg.volume()))
         assert np.array_equal(bv, original(cfg.coupling_spec(), cfg.volume()))
-        mc_module._coupling_tables.cache_clear()
+        model_module._coupling_tables.cache_clear()

@@ -10,10 +10,9 @@ from scipy.special import zeta as hurwitz_zeta
 
 import rfim1d
 from rfim1d import (CapacityError, CouplingSpec, DisorderField,
-                    SpinConfiguration, Volume, VolumeMismatchError,
-                    exact_gibbs_marginal, field_energy, hamiltonian,
-                    hamiltonian_deterministic)
-from rfim1d.model import (_logsumexp, _site_words, _word_values, batch_h0,
+                    SpinConfiguration, Volume, VolumeMismatchError, energy,
+                    exact_gibbs_marginal, hamiltonian)
+from rfim1d.model import (_logsumexp, _site_words, _word_values,
                           enumerate_spins)
 
 FIELD_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 123456789012345, 2**64 - 1, 2**70 + 5, -3]
@@ -120,13 +119,13 @@ class TestHamiltonian:
     def test_all_plus_ground_state_energy_zero(self, spec):
         vol = Volume(-4, 4)
         sigma = SpinConfiguration.homogeneous(vol, +1)
-        assert hamiltonian_deterministic(spec, sigma) == pytest.approx(0.0, abs=1e-12)
+        assert hamiltonian(spec, sigma) == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_energy_nonnegative(self, spec):
         vol = Volume(0, 7)
         for code in range(2 ** 8):
             sigma = SpinConfiguration(vol, enumerate_spins(8)[code])
-            assert hamiltonian_deterministic(spec, sigma) >= -1e-12
+            assert hamiltonian(spec, sigma) >= -1e-12
 
     def test_single_flip_cost(self, spec):
         # flipping one spin in the all-plus state costs 2 * sum_j J(|i-j|)
@@ -134,13 +133,16 @@ class TestHamiltonian:
         sigma = SpinConfiguration.homogeneous(vol, +1).flipped(0)
         expected = 2.0 * (sum(spec.coupling(abs(j)) for j in vol.sites() if j != 0)
                           + spec.boundary_field(0, vol))
-        assert hamiltonian_deterministic(spec, sigma) == pytest.approx(expected, abs=1e-9)
+        assert hamiltonian(spec, sigma) == pytest.approx(expected, abs=1e-9)
 
-    def test_field_energy_sign(self):
+    def test_field_energy_sign(self, spec):
+        # G = -sum_i h_i sigma_i, scaled by theta (h.theta unless given)
         vol = Volume(0, 3)
         sigma = SpinConfiguration.homogeneous(vol, +1)
         h = DisorderField(vol, np.array([1.0, -1.0, 1.0, 1.0]), theta=0.5)
-        assert field_energy(sigma, h) == pytest.approx(-2.0)
+        assert hamiltonian(spec, sigma, h, theta=1.0) - hamiltonian(spec, sigma) == \
+            pytest.approx(-2.0)
+        assert hamiltonian(spec, sigma, h) - hamiltonian(spec, sigma) == pytest.approx(-1.0)
 
     def test_field_volume_mismatch(self, spec):
         sigma = SpinConfiguration.homogeneous(Volume(0, 3), +1)
@@ -151,11 +153,61 @@ class TestHamiltonian:
     def test_batch_matches_scalar(self, spec):
         vol = Volume(0, 5)
         spins = enumerate_spins(6)
-        energies = batch_h0(spec, vol, spins)
+        energies = energy(spec, vol, spins)
         for code in (0, 1, 17, 63):
             sigma = SpinConfiguration(vol, spins[code])
-            assert energies[code] == pytest.approx(
-                hamiltonian_deterministic(spec, sigma), abs=1e-9)
+            assert energies[code] == pytest.approx(hamiltonian(spec, sigma), abs=1e-9)
+
+
+class TestEnergy:
+    @pytest.mark.parametrize("vol", [Volume(0, 7), Volume(-4, 3)])
+    @pytest.mark.parametrize("boundary", [+1, -1])
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_matches_double_sum_oracle(self, vol, boundary, theta, energy_oracle):
+        spec = CouplingSpec(alpha=0.55, j1=1.5)
+        spins = enumerate_spins(8)
+        h = DisorderField.generate(vol, theta, seed=11, distribution="gaussian")
+        batch = energy(spec, vol, spins, boundary, h, theta)
+        assert batch.shape == (2 ** 8,)
+        for code, row in enumerate(spins):
+            single = energy(spec, vol, row, boundary, h, theta)
+            assert isinstance(single, float)
+            assert single == batch[code]  # bit for bit
+            expected = energy_oracle(spec, vol, row, boundary, h.values, theta)
+            assert single == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_homogeneous_boundary_state_has_zero_energy(self, spec):
+        vol = Volume.centered(33)
+        for boundary in (+1, -1):
+            row = np.full(vol.n_sites, boundary)
+            assert energy(spec, vol, row, boundary) == pytest.approx(0.0, abs=1e-12)
+
+    def test_large_volume_matches_dense_form(self, spec):
+        # the rounded FFT autocorrelations stay exact far beyond the oracle's sizes
+        vol = Volume.centered(1024)
+        rng = np.random.default_rng(5)
+        s = np.where(rng.random(vol.n_sites) < 0.3, -1.0, 1.0)
+        jm = spec.coupling_matrix(vol)
+        bv = spec.boundary_vector(vol)
+        dense = 0.5 * (jm.sum() - s @ jm @ s) + bv @ (1.0 - s)
+        assert energy(spec, vol, s) == pytest.approx(dense, rel=1e-12)
+
+    def test_memory_is_linear_in_volume(self, spec):
+        import tracemalloc
+
+        vol = Volume.centered(4096)
+        energy(spec, vol, np.ones(vol.n_sites))  # fill the coupling cache
+        s = np.where(np.arange(vol.n_sites) % 3 == 0, -1.0, 1.0)
+        tracemalloc.start()
+        energy(spec, vol, s)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # an N x N float64 table would take 134 MB
+        assert peak < 4 * 2**20
+
+    def test_spin_count_must_match_volume(self, spec):
+        with pytest.raises(VolumeMismatchError):
+            energy(spec, Volume(0, 3), np.ones(5))
 
 
 class TestDisorderField:

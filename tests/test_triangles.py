@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rfim1d import (IncompatibleFamiliesError, SpinConfiguration, Triangle,
-                    TriangleFamily, Volume, energy_difference, family_volume,
+                    TriangleFamily, Volume, energy_difference, family_code, family_volume,
                     hamiltonian, interfaces, is_compatible, pair_interface_bonds,
                     spins_to_triangles, triangle_distance, triangles_to_spins)
 from rfim1d.model import enumerate_spins
@@ -130,6 +130,17 @@ class TestSpinTriangleBijection:
             sigma = SpinConfiguration(vol, spins[code])
             fam = spins_to_triangles(sigma)
             assert triangles_to_spins(fam, vol) == sigma
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_family_code_inverts_enumeration(self, n):
+        # the bit code of a configuration's family is its enumerate_spins index
+        vol = Volume.centered(n)
+        spins = enumerate_spins(n)
+        for code in range(2 ** n):
+            fam = spins_to_triangles(SpinConfiguration(vol, spins[code]))
+            assert family_code(fam, vol) == code
+            assert np.array_equal(spins[family_code(fam, vol)],
+                                  triangles_to_spins(fam, vol).spins)
 
     def test_decomposition_translation_covariant(self):
         vol = Volume(0, 9)
