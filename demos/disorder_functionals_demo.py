@@ -35,13 +35,13 @@ def main():
     print(f"\nF_j over all {fields.shape[0]} Bernoulli fields "
           f"(theta = {theta}, beta = {beta}):")
     for j in range(contour.n_classes):
-        anti = check_antisymmetry(spec, contour, j, vol, theta, beta, ensemble=ens)
+        anti = check_antisymmetry(ens, j, theta, beta)
         print(f"  j = {j}: mean {f[:, j].mean():+.2e}  std {f[:, j].std():.4f}  "
               f"range [{f[:, j].min():+.4f}, {f[:, j].max():+.4f}]  "
               f"antisymmetric: {anti}")
 
     print("\nthreshold-crossing event probabilities (exact):")
-    for e in estimate_Bj_probability(spec, contour, vol, theta, beta):
+    for e in estimate_Bj_probability(ens, theta, beta):
         print(f"  level {e.j:+d}: P = {e.estimate:.4f}  bound {e.bound:.6f}  "
               f"within bound: {e.passed}")
 

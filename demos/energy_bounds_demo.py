@@ -15,7 +15,7 @@ from rfim1d import (CouplingSpec, certify_C0, choose_C, exhaustive_reports,
 
 
 def main():
-    c = int(choose_C())
+    c = choose_C()
     p2, t2 = separation_series(2)
     p3, t3 = separation_series(3)
     print(f"separation constant C = {c}")

@@ -7,32 +7,28 @@ Library layout:
 - ``contours``: separation rules and the contour decomposition
 - ``bounds``: exhaustive verification of the deterministic energy bounds
 - ``enumeration``: origin contours of fixed mass and the entropy certificate
-- ``disorder``: the random functionals F_j, flip operators, event probabilities
+- ``disorder``: the random functionals F_j, their antisymmetry and event probabilities
 - ``mc``: Metropolis sampling and disorder-averaged estimates
 - ``cli``: command-line entry point
 """
 
-from .bounds import (BOUND_CSV_COLUMNS, BoundReport, check_contour_bound,
-                     check_erase_prefix, exhaustive_reports, minimal_j1,
-                     telescoping_error, zeta)
-from .contours import (Contour, SeparationConstant, choose_C, contours,
-                       separation_series, verify_P1, verify_P2)
-from .disorder import (BJ_CSV_COLUMNS, BjEstimate, ConstrainedEnsemble, F_j,
-                       b_bar, check_antisymmetry, check_antisymmetry_sampled,
-                       class_support, estimate_Bj_probability, flip_composition,
-                       flip_field, thresholds)
+from .bounds import (BOUND_CSV_COLUMNS, BoundReport, exhaustive_reports,
+                     minimal_j1, zeta)
+from .contours import (Contour, choose_C, contours, separation_series,
+                       verify_P1, verify_P2)
+from .disorder import (BJ_CSV_COLUMNS, BjEstimate, ConstrainedEnsemble, b_bar,
+                       check_antisymmetry, class_support,
+                       estimate_Bj_probability, flip_composition, thresholds)
 from .enumeration import (ENUM_CSV_COLUMNS, CertifyResult, WeightSpec,
                           certify_C0, enumerate_origin_contours, max_span,
                           spin_scan_origin_contours, weight_bound, weight_sum)
-from .mc import (RUN_CSV_COLUMNS, ChainResult, DecompositionCheck, RunConfig,
-                 RunReport, disorder_sweep, local_field, metropolis_run,
-                 peierls_decomposition_check)
+from .mc import (RUN_CSV_COLUMNS, ChainResult, RunConfig, RunReport,
+                 disorder_sweep, metropolis_run)
 from .model import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec,
                     DisorderField, SpinConfiguration, Volume,
                     VolumeMismatchError, energy, exact_gibbs_marginal,
                     hamiltonian)
-from .triangles import (IncompatibleFamiliesError, Triangle, TriangleFamily,
-                        energy_difference, family_code, family_volume, interfaces,
+from .triangles import (Triangle, TriangleFamily, family_code, interfaces,
                         is_compatible, pair_interface_bonds,
                         spins_to_triangles, triangle_distance,
                         triangles_to_spins)

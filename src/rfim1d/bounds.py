@@ -9,13 +9,12 @@ configurations of a small volume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from .contours import contours
 from .model import (ALPHA_PEIERLS_MAX, CouplingSpec, SpinConfiguration, Volume,
-                    energy, enumerate_spins, hamiltonian)
-from .triangles import (Triangle, TriangleFamily, family_code, spins_to_triangles,
-                        triangles_to_spins)
+                    energy, enumerate_spins)
+from .triangles import family_code, spins_to_triangles
 
 TOLERANCE = 1e-9
 
@@ -57,58 +56,6 @@ class BoundReport:
 BOUND_CSV_COLUMNS = ["alpha", "j1", "C", "N", "instance", "lhs", "rhs", "margin", "pass"]
 
 
-H0 = Callable[[Iterable[Triangle]], float]
-
-
-def _image_h0(spec: CouplingSpec, vol: Volume) -> H0:
-    """H_0 of the spin image of a set of triangles on vol."""
-    return lambda tris: hamiltonian(spec, triangles_to_spins(TriangleFamily.of(tris), vol))
-
-
-def _contour_reports(spec: CouplingSpec, family: TriangleFamily, vol: Volume, c: int,
-                     instance: str, h0: H0) -> List[BoundReport]:
-    """Per-contour bound reports, with H_0 of a set of triangles taken from h0."""
-    z = zeta(spec.alpha)
-    full = h0(family)
-    reports = []
-    for k, gamma in enumerate(contours(family, c)):
-        lhs = full - h0(family.difference(gamma.family()))
-        rhs = 0.5 * z * gamma.power_mass(spec.alpha)
-        reports.append(BoundReport(spec.alpha, spec.j1, c, vol.n_sites,
-                                   f"{instance or 'contour'}:{k}", lhs, rhs))
-    return reports
-
-
-def check_erase_prefix(spec: CouplingSpec, family: TriangleFamily, vol: Volume, i: int,
-                       instance: str = "", c: int = 3) -> BoundReport:
-    """Lower bound for erasing the i smallest triangles: >= zeta * sum |T|^alpha."""
-    if not 1 <= i <= len(family):
-        raise ValueError(f"prefix length {i} out of range 1..{len(family)}")
-    h0 = _image_h0(spec, vol)
-    z = zeta(spec.alpha)
-    tris = family.sorted_by_mass()
-    lhs = h0(family) - h0(tris[i:])
-    rhs = z * sum(t.mass**spec.alpha for t in tris[:i])
-    return BoundReport(spec.alpha, spec.j1, c, vol.n_sites, instance or f"prefix{i}", lhs, rhs)
-
-
-def check_contour_bound(spec: CouplingSpec, family: TriangleFamily, vol: Volume,
-                        c: int = 3, instance: str = "") -> List[BoundReport]:
-    """Per-contour bound: erasing a contour costs >= (zeta/2) * sum |T|^alpha."""
-    return _contour_reports(spec, family, vol, c, instance, _image_h0(spec, vol))
-
-
-def telescoping_error(spec: CouplingSpec, family: TriangleFamily, vol: Volume) -> float:
-    """|H0(family) - sum of sequential erasure costs| for smallest-first erasure."""
-    h0 = _image_h0(spec, vol)
-    total = h0(family) - h0([])
-    tris = family.sorted_by_mass()
-    acc = 0.0
-    for i in range(len(tris)):
-        acc += h0(tris[i:]) - h0(tris[i + 1:])
-    return abs(total - acc)
-
-
 def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,
                        kinds: Sequence[str] = ("prefix", "contour")) -> Iterator[BoundReport]:
     """Bound reports over every configuration of an n-site volume.
@@ -123,21 +70,21 @@ def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,
     all_spins = enumerate_spins(n)
     table = energy(spec, vol, all_spins).tolist()
 
-    def h0(tris: Iterable[Triangle]) -> float:
-        return table[family_code(tris, vol)]
-
     for code in range(2**n):
         family = spins_to_triangles(SpinConfiguration(vol, all_spins[code]))
-        tris = family.sorted_by_mass()
+        full = table[code]
         if "prefix" in kinds:
-            full = table[code]
+            tris = family.sorted_by_mass()
             rhs = 0.0
             for i in range(1, len(tris) + 1):
-                lhs = full - h0(tris[i:])
+                lhs = full - table[family_code(tris[i:], vol)]
                 rhs += z * tris[i - 1].mass**spec.alpha
                 yield BoundReport(spec.alpha, spec.j1, c, n, f"{code}:prefix{i}", lhs, rhs)
         if "contour" in kinds:
-            yield from _contour_reports(spec, family, vol, c, str(code), h0)
+            for k, gamma in enumerate(contours(family, c)):
+                lhs = full - table[family_code(family.difference(gamma.family()), vol)]
+                rhs = 0.5 * z * gamma.power_mass(spec.alpha)
+                yield BoundReport(spec.alpha, spec.j1, c, n, f"{code}:{k}", lhs, rhs)
 
 
 def minimal_j1(alpha: float, n: int = 8, c: int = 3,

@@ -20,7 +20,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from .bounds import BOUND_CSV_COLUMNS, exhaustive_reports
-from .disorder import (BJ_CSV_COLUMNS, check_antisymmetry,
+from .disorder import (BJ_CSV_COLUMNS, ConstrainedEnsemble, check_antisymmetry,
                        estimate_Bj_probability, thresholds)
 from .enumeration import (DEFAULT_MASS_CAP, ENUM_CSV_COLUMNS, _check_cap,
                           _shape_aggregates, certify_C0, contour_shapes)
@@ -105,6 +105,8 @@ def _merge_options(args: argparse.Namespace) -> Dict[str, object]:
             merged[key] = val
     if merged["seed"] is None:
         merged["seed"] = int(os.environ.get("RFIM_SEED", "0"))
+    if int(merged["c"]) < 1:
+        raise CliError(f"--c must be >= 1 (separation constant), got {merged['c']}")
     return merged
 
 
@@ -132,26 +134,23 @@ def _require_peierls_alpha(alpha: float) -> None:
         )
 
 
-def _emit(opts: Dict[str, object], payload: dict,
-          columns: Optional[List[str]] = None, rows: Optional[List[List]] = None) -> None:
+def _emit(opts: Dict[str, object], payload: dict, columns: List[str],
+          rows: List[List]) -> None:
     """Write JSON or CSV to --out (stdout when absent)."""
     if not opts["deterministic"]:
         payload = dict(payload, timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"))
     if opts["format"] == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        if columns is None or rows is None:
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        else:
-            buf = io.StringIO()
-            buf.write(f"# schema={SCHEMA_VERSION}\n")
-            meta = {k: v for k, v in sorted(payload.items())
-                    if k == "options" or not isinstance(v, (list, dict))}
-            buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(rows)
-            text = buf.getvalue()
+        buf = io.StringIO()
+        buf.write(f"# schema={SCHEMA_VERSION}\n")
+        meta = {k: v for k, v in sorted(payload.items())
+                if k == "options" or not isinstance(v, (list, dict))}
+        buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        text = buf.getvalue()
     if opts["out"]:
         with open(opts["out"], "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -243,12 +242,10 @@ def cmd_verify_disorder(opts: Dict[str, object]) -> int:
     theta = _one_float(opts["theta"], "theta")
     spec = CouplingSpec(alpha=alpha, j1=float(opts["j1"]))
     vol, contour = _reference_disorder_instance()
-    anti_ok = all(
-        check_antisymmetry(spec, contour, j, vol, theta, beta)
-        for j in range(contour.n_classes)
-    )
+    ens = ConstrainedEnsemble(spec, contour, vol)
+    anti_ok = all(check_antisymmetry(ens, j, theta, beta) for j in range(ens.n_levels))
     try:
-        estimates = estimate_Bj_probability(spec, contour, vol, theta, beta, exhaustive=True)
+        estimates = estimate_Bj_probability(ens, theta, beta, exhaustive=True)
         partition_ok = True
     except AssertionError:
         estimates = []

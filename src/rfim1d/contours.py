@@ -15,23 +15,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .triangles import Triangle, TriangleFamily, triangle_distance
+from .triangles import Triangle, TriangleFamily
 
 DEFAULT_SEPARATION_TERMS = 2_000_000
-
-
-@dataclass(frozen=True)
-class SeparationConstant:
-    """Constant C controlling contour separation."""
-
-    c: int
-
-    def __post_init__(self):
-        if self.c < 1:
-            raise ValueError("separation constant must be >= 1")
-
-    def __int__(self) -> int:
-        return self.c
 
 
 def separation_series(c: int, terms: int = DEFAULT_SEPARATION_TERMS) -> Tuple[float, float]:
@@ -43,12 +29,12 @@ def separation_series(c: int, terms: int = DEFAULT_SEPARATION_TERMS) -> Tuple[fl
     return partial, tail
 
 
-def choose_C(terms: int = DEFAULT_SEPARATION_TERMS) -> SeparationConstant:
+def choose_C(terms: int = DEFAULT_SEPARATION_TERMS) -> int:
     """Smallest integer C with sum_m 4m / floor(C*m)**3 <= 1/2."""
     for c in range(1, 64):
         partial, tail = separation_series(c, terms)
         if partial + tail <= 0.5:
-            return SeparationConstant(c)
+            return c
     raise RuntimeError("no admissible separation constant found")
 
 
@@ -76,20 +62,6 @@ class Contour:
         return max(t.right for t in self.triangles)
 
     @property
-    def enclosing(self) -> Triangle:
-        """T(Gamma): smallest triangle containing all members."""
-        return Triangle(self.left_bond, self.right_bond)
-
-    @property
-    def x_minus(self) -> int:
-        """Leftmost integer site of the enclosing basis."""
-        return self.left_bond + 1
-
-    @property
-    def x_plus(self) -> int:
-        return self.right_bond
-
-    @property
     def mass(self) -> int:
         return sum(t.mass for t in self.triangles)
 
@@ -114,14 +86,6 @@ class Contour:
     def contains_site(self, i: int) -> bool:
         """Site inside the enclosing basis."""
         return self.left_bond < i <= self.right_bond
-
-    def distance(self, other: "Contour") -> int:
-        return min(
-            triangle_distance(a, b) for a in self.triangles for b in other.triangles
-        )
-
-    def shifted(self, k: int) -> "Contour":
-        return Contour.of(Triangle(l + k, r + k) for l, r in self.triangles)
 
 
 class _Cluster(NamedTuple):
@@ -185,18 +149,17 @@ def _first_violation(clusters: Sequence[_Cluster], c: int) -> Optional[Tuple[int
     return None
 
 
-def contours(family: TriangleFamily, c: SeparationConstant | int = 3) -> List[Contour]:
+def contours(family: TriangleFamily, c: int = 3) -> List[Contour]:
     """Partition a family into contours by merging to a fixed point.
 
     Deterministic: among violating pairs, the one with the smallest
     (left endpoint, mass) keys merges first.  Output ordered by left
     endpoint.
     """
-    cval = int(c)
     clusters = [_Cluster.of([t]) for t in family.sorted()]
     while True:
         clusters.sort(key=lambda g: (g.left, g.mass))
-        pair = _first_violation(clusters, cval)
+        pair = _first_violation(clusters, c)
         if pair is None:
             break
         i, j = pair
@@ -205,29 +168,27 @@ def contours(family: TriangleFamily, c: SeparationConstant | int = 3) -> List[Co
     return [Contour.of(g.triangles) for g in sorted(clusters, key=lambda g: g.left)]
 
 
-def verify_P1(contour_list: Sequence[Contour], c: SeparationConstant | int = 3) -> bool:
+def verify_P1(contour_list: Sequence[Contour], c: int = 3) -> bool:
     """Certificate: every distinct pair satisfies a separation alternative."""
-    cval = int(c)
     clusters = [_Cluster.of(g.triangles) for g in contour_list]
     for i, a in enumerate(clusters):
         for b in clusters[i + 1:]:
-            if not _pair_separated(a, b, cval):
+            if not _pair_separated(a, b, c):
                 return False
     return True
 
 
-def verify_P2(families: Sequence[TriangleFamily], c: SeparationConstant | int = 3) -> bool:
+def verify_P2(families: Sequence[TriangleFamily], c: int = 3) -> bool:
     """Independence: the decomposition of a union of pre-separated families
     is the union of the individual decompositions."""
-    cval = int(c)
     individual: List[Contour] = []
     for fam in families:
-        individual.extend(contours(fam, cval))
-    if not verify_P1(individual, cval):
+        individual.extend(contours(fam, c))
+    if not verify_P1(individual, c):
         raise ValueError("families' contours do not pairwise satisfy the separation rules")
     union = TriangleFamily.empty()
     for fam in families:
         union = union.union(fam)
-    joint = contours(union, cval)
+    joint = contours(union, c)
     key = lambda gs: sorted(g.triangles for g in gs)
     return key(joint) == key(individual)

@@ -12,29 +12,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence
+from typing import FrozenSet, List
 
 import numpy as np
 
 from .bounds import zeta
 from .contours import Contour
-from .model import (CapacityError, CouplingSpec, DisorderField,
-                    SpinConfiguration, Volume, _logsumexp, _site_words,
-                    _word_values, energy, enumerate_spins)
+from .model import (CapacityError, CouplingSpec, SpinConfiguration, Volume,
+                    _logsumexp, _site_words, _word_values, energy,
+                    enumerate_spins)
 from .triangles import TriangleFamily, family_code, spins_to_triangles
 
 EXHAUSTIVE_SITE_CAP = 12
 ANTISYMMETRY_TOL = 1e-9
 # constant in the exponent of the class-level probability bound
 PROBABILITY_CONSTANT = 2.0**10
-
-
-def flip_field(h: DisorderField, sites: FrozenSet[int] | Sequence[int]) -> DisorderField:
-    """Negate the field on the given sites (an involution)."""
-    values = h.values.copy()
-    for i in sites:
-        values[h.volume.index(i)] *= -1.0
-    return DisorderField(h.volume, values, h.theta, h.distribution, h.seed)
 
 
 def class_support(contour: Contour, ell: int) -> FrozenSet[int]:
@@ -137,31 +129,20 @@ class ConstrainedEnsemble:
         return out
 
 
-def F_j(spec: CouplingSpec, contour: Contour, j: int, vol: Volume,
-        h: DisorderField, theta: float, beta: float) -> float:
-    """The level-j log-ratio functional for one field realization."""
-    ens = ConstrainedEnsemble(spec, contour, vol)
-    if not 0 <= j < ens.n_levels:
-        raise ValueError(f"level {j} out of range")
-    return float(ens.f_values(h.values[None, :], theta, beta)[0, j])
-
-
 def _all_bernoulli_fields(n: int) -> np.ndarray:
     if n > 20:
         raise CapacityError("too many sites for exhaustive field enumeration")
     return enumerate_spins(n).astype(np.float64)
 
 
-def check_antisymmetry(spec: CouplingSpec, contour: Contour, j: int, vol: Volume,
-                       theta: float, beta: float,
-                       tol: float = ANTISYMMETRY_TOL,
-                       ensemble: Optional[ConstrainedEnsemble] = None) -> bool:
+def check_antisymmetry(ens: ConstrainedEnsemble, j: int, theta: float, beta: float,
+                       tol: float = ANTISYMMETRY_TOL) -> bool:
     """F_j(h) = -F_j(h flipped on D_j) over all Bernoulli realizations."""
-    ens = ensemble or ConstrainedEnsemble(spec, contour, vol)
+    vol = ens.vol
     fields = _all_bernoulli_fields(vol.n_sites)
     f = ens.f_values(fields, theta, beta)[:, j]
     mask = 0
-    for i in flip_composition(contour, j):
+    for i in flip_composition(ens.contour, j):
         mask |= 1 << vol.index(i)
     codes = np.arange(fields.shape[0])
     return bool(np.all(np.abs(f + f[codes ^ mask]) <= tol))
@@ -171,27 +152,6 @@ def _sampled_fields(vol: Volume, n_samples: int, seed: int, distribution: str) -
     """Row r: the values of DisorderField.generate(vol, ., seed + r, distribution),
     all rows drawn in one pass."""
     return _word_values(_site_words(range(seed, seed + n_samples), vol), distribution)
-
-
-def check_antisymmetry_sampled(spec: CouplingSpec, contour: Contour, j: int, vol: Volume,
-                               theta: float, beta: float,
-                               n_samples: int = 1000, seed: int = 0,
-                               distribution: str = "gaussian",
-                               tol: float = ANTISYMMETRY_TOL) -> bool:
-    """Antisymmetry on antithetic pairs (h, h flipped on D_j) of sampled fields.
-
-    Continuous distributions cannot be enumerated, so each sampled field is
-    paired with its flipped partner and the two F_j values must cancel.
-    """
-    ens = ConstrainedEnsemble(spec, contour, vol)
-    d_j = flip_composition(contour, j)
-    fields = _sampled_fields(vol, n_samples, seed, distribution)
-    flipped = fields.copy()
-    for i in d_j:
-        flipped[:, vol.index(i)] *= -1.0
-    f = ens.f_values(fields, theta, beta)[:, j]
-    g = ens.f_values(flipped, theta, beta)[:, j]
-    return bool(np.all(np.abs(f + g) <= tol))
 
 
 @dataclass(frozen=True)
@@ -245,8 +205,7 @@ def _bj_bounds(contour: Contour, alpha: float, theta: float) -> np.ndarray:
     return out
 
 
-def estimate_Bj_probability(spec: CouplingSpec, contour: Contour, vol: Volume,
-                            theta: float, beta: float,
+def estimate_Bj_probability(ens: ConstrainedEnsemble, theta: float, beta: float,
                             exhaustive: bool = True,
                             n_samples: int = 100_000,
                             seed: int = 0,
@@ -255,9 +214,9 @@ def estimate_Bj_probability(spec: CouplingSpec, contour: Contour, vol: Volume,
 
     The exact indicators are verified to partition field space.
     """
-    ens = ConstrainedEnsemble(spec, contour, vol)
-    a = thresholds(contour, spec.alpha)
-    bounds = _bj_bounds(contour, spec.alpha, theta)
+    alpha, contour, vol = ens.spec.alpha, ens.contour, ens.vol
+    a = thresholds(contour, alpha)
+    bounds = _bj_bounds(contour, alpha, theta)
     if exhaustive:
         fields = _all_bernoulli_fields(vol.n_sites)
         ind = _bj_indicators(ens.f_values(fields, theta, beta), a)

@@ -12,15 +12,15 @@ starts from, and is checked every 10^4 updates against, ``model.energy``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .contours import contours
 from .disorder import b_bar
 from .model import (CouplingSpec, DisorderField, SpinConfiguration, Volume,
-                    _coupling_sums, _coupling_tables, energy, toeplitz_rows)
+                    _coupling_sums, _coupling_tables, energy)
 from .triangles import spins_to_triangles
 
 try:
@@ -68,6 +68,8 @@ class RunConfig:
             raise ValueError("boundary must be +-1")
         if self.occupancy_stride < 1:
             raise ValueError("occupancy_stride must be >= 1")
+        if self.c < 1:
+            raise ValueError("separation constant c must be >= 1")
 
     def volume(self) -> Volume:
         return Volume.centered(self.size)
@@ -140,18 +142,6 @@ def _sweep(s, m, t, bv, hv, theta, beta, tau, order, unif, e):
             e += de
             acc += 1
     return e, acc
-
-
-def local_field(spec: CouplingSpec, sigma: SpinConfiguration,
-                h: Optional[DisorderField], theta: float, i: int) -> float:
-    """Energy change of flipping sigma_i, from the running coupling sum."""
-    vol = sigma.volume
-    idx = vol.index(i)
-    t, bv = _coupling_tables(spec, vol)
-    s = sigma.spins.astype(np.float64)
-    m_i = toeplitz_rows(t)[idx] @ s
-    hv = 0.0 if h is None else h.value(i)
-    return float(2.0 * s[idx] * (m_i + sigma.boundary * bv[idx] + theta * hv))
 
 
 def _batch_means_stderr(x: np.ndarray, n_batches: int = 32) -> float:
@@ -278,34 +268,3 @@ def disorder_sweep(config: RunConfig, jobs: int = 1) -> RunReport:
         reference_100=math.exp(-bb / 100.0),
         reference_200=math.exp(-bb / 200.0),
     )
-
-
-@dataclass(frozen=True)
-class DecompositionCheck:
-    """Empirical frequencies of {sigma_0 = -1} and {some contour through 0}."""
-
-    minus_frequency: float
-    contour_frequency: float
-    violations: int
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0 and self.minus_frequency <= self.contour_frequency
-
-
-def peierls_decomposition_check(samples: Sequence[SpinConfiguration],
-                                c: int = 3) -> DecompositionCheck:
-    """Per-sample implication: a minus origin spin lies inside some contour."""
-    minus = 0
-    covered = 0
-    violations = 0
-    for sigma in samples:
-        is_minus = sigma.spin(0) == -1
-        fam = spins_to_triangles(sigma)
-        in_contour = any(g.contains_site(0) for g in contours(fam, c))
-        minus += is_minus
-        covered += in_contour
-        if is_minus and not in_contour:
-            violations += 1
-    n = max(1, len(samples))
-    return DecompositionCheck(minus / n, covered / n, violations)

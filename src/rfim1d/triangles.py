@@ -19,15 +19,11 @@ leftmost interface outweighs the sum of all offsets to its right).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
 from .model import SpinConfiguration, Volume
-
-
-class IncompatibleFamiliesError(ValueError):
-    """Union of the given triangle families is not realizable by any configuration."""
 
 
 class _BondPair(NamedTuple):
@@ -116,9 +112,6 @@ class TriangleFamily:
     def difference(self, other: "TriangleFamily") -> "TriangleFamily":
         return TriangleFamily(self.triangles - other.triangles)
 
-    def coverage_parity(self, i: int) -> int:
-        return sum(1 for t in self.triangles if t.contains_site(i)) % 2
-
     def satisfies_ma1(self) -> bool:
         """dist(T, T') >= min(|T|, |T'|) for every pair (nested pairs included)."""
         tris = self.sorted()
@@ -127,9 +120,6 @@ class TriangleFamily:
                 if triangle_distance(a, b) < min(a.mass, b.mass):
                     return False
         return True
-
-    def shifted(self, k: int) -> "TriangleFamily":
-        return TriangleFamily.of((l + k, r + k) for l, r in self.triangles)
 
 
 def interfaces(sigma: SpinConfiguration) -> List[int]:
@@ -207,29 +197,3 @@ def is_compatible(a: TriangleFamily, b: TriangleFamily) -> bool:
         return False
     return _is_realizable(a.union(b).triangles)
 
-
-def family_volume(family: TriangleFamily, pad: int = 1) -> Volume:
-    """Smallest volume containing the family, padded on both sides."""
-    if not family.triangles:
-        return Volume(0, 0)
-    lo = min(t.left for t in family.triangles) + 1 - pad
-    hi = max(t.right for t in family.triangles) + pad
-    return Volume(lo, hi)
-
-
-def energy_difference(
-    spec,
-    s: TriangleFamily,
-    rest: TriangleFamily,
-    vol: Volume,
-    h=None,
-    theta: Optional[float] = None,
-) -> float:
-    """H^+(s | rest) = H^+(s u rest) - H^+(rest)."""
-    from .model import hamiltonian
-
-    if not is_compatible(s, rest):
-        raise IncompatibleFamiliesError("families are not compatible")
-    full = hamiltonian(spec, triangles_to_spins(s.union(rest), vol), h, theta)
-    base = hamiltonian(spec, triangles_to_spins(rest, vol), h, theta)
-    return full - base

@@ -16,7 +16,7 @@ from rfim1d import (Contour, CouplingSpec, DisorderField, RunConfig,
                     enumerate_origin_contours, exact_gibbs_marginal,
                     exhaustive_reports, metropolis_run, separation_series,
                     spin_scan_origin_contours, spins_to_triangles,
-                    telescoping_error, triangles_to_spins)
+                    triangles_to_spins)
 from rfim1d.cli import main
 from rfim1d.disorder import (ConstrainedEnsemble, check_antisymmetry,
                              estimate_Bj_probability, thresholds)
@@ -66,26 +66,31 @@ def test_criterion_02_family_compatibility(exhaustive_14):
     report(2, "pair distances >= smaller mass in all 2^14 families", ok)
 
 
-def test_criterion_03_erasure_bounds_and_telescoping():
+def test_criterion_03_erasure_bounds_and_telescoping(energy_oracle):
     n = 12
+    vol = Volume(0, n - 1)
+    spins = enumerate_spins(n)
     ok = True
     for alpha in ALPHA_GRID:
         spec = CouplingSpec(alpha=alpha, j1=10.0)
+        erase_all = {}
         for rep in exhaustive_reports(spec, n, kinds=("prefix",)):
             if not rep.passed:
                 ok = False
-    vol = Volume(0, n - 1)
-    spec = CouplingSpec(alpha=0.55, j1=10.0)
-    spins = enumerate_spins(n)
-    for code in range(2 ** n):
-        fam = spins_to_triangles(SpinConfiguration(vol, spins[code]))
-        if len(fam) and telescoping_error(spec, fam, vol) > 1e-9:
+            code = int(rep.instance.split(":")[0])
+            erase_all[code] = rep  # prefixes come in increasing length
+        # erasing every triangle leaves all plus, so the cost telescopes to H_0
+        if sorted(erase_all) != list(range(2 ** n - 1)):
             ok = False
-    report(3, "erasure lower bounds and telescoping identity, N=12, 4 alphas", ok)
+        for code, rep in erase_all.items():
+            ref = energy_oracle(spec, vol, spins[code])
+            if abs(rep.lhs - ref) > 1e-9 * abs(ref):
+                ok = False
+    report(3, "erasure lower bounds; full erasure telescopes to H_0, N=12, 4 alphas", ok)
 
 
 def test_criterion_04_contour_bounds():
-    c = int(choose_C())
+    c = choose_C()
     ok = c == 3
     for alpha in ALPHA_GRID:
         spec = CouplingSpec(alpha=alpha, j1=10.0)
@@ -98,7 +103,7 @@ def test_criterion_04_contour_bounds():
 def test_criterion_05_separation_constant_certificate():
     p2, t2 = separation_series(2)
     p3, t3 = separation_series(3)
-    ok = (int(choose_C()) == 3
+    ok = (choose_C() == 3
           and t2 < 1e-6 and t3 < 1e-6
           and p2 - t2 > 0.5 and p3 + t3 <= 0.5)
     report(5, f"series certificate: C=2 gives {p2:.3f} > 1/2, C=3 gives {p3:.3f} <= 1/2", ok)
@@ -126,8 +131,7 @@ def test_criterion_07_entropy_certificate():
 def test_criterion_08_antisymmetry(nested_instance):
     spec, vol, contour, ens = nested_instance
     theta, beta = 0.3, 2.0
-    ok = all(check_antisymmetry(spec, contour, j, vol, theta, beta, ensemble=ens)
-             for j in range(contour.n_classes))
+    ok = all(check_antisymmetry(ens, j, theta, beta) for j in range(ens.n_levels))
     fields = enumerate_spins(10).astype(np.float64)
     means = ens.f_values(fields, theta, beta).mean(axis=0)
     ok = ok and float(np.abs(means).max()) < 1e-9
@@ -143,9 +147,8 @@ def test_criterion_09_theta_zero_degeneracy(nested_instance):
 
 
 def test_criterion_10_event_partition(nested_instance):
-    spec, vol, contour, _ = nested_instance
-    ests = estimate_Bj_probability(spec, contour, vol, theta=0.3, beta=2.0,
-                                   exhaustive=True)
+    spec, vol, contour, ens = nested_instance
+    ests = estimate_Bj_probability(ens, theta=0.3, beta=2.0, exhaustive=True)
     total = sum(e.estimate for e in ests)
     a = thresholds(contour, spec.alpha)
     ok = abs(total - 1.0) < 1e-12 and bool(np.all(np.diff(a) > 0))

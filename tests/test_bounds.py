@@ -3,12 +3,22 @@ import math
 import pytest
 
 from rfim1d import (ALPHA_PEIERLS_MAX, BOUND_CSV_COLUMNS, CouplingSpec,
-                    SpinConfiguration, TriangleFamily, Volume,
-                    check_contour_bound, check_erase_prefix, energy,
+                    SpinConfiguration, TriangleFamily, Volume, contours, energy,
                     exhaustive_reports, family_code, hamiltonian, minimal_j1,
-                    telescoping_error, triangles_to_spins, zeta)
+                    triangles_to_spins, zeta)
 from rfim1d.model import enumerate_spins
 from rfim1d.triangles import spins_to_triangles
+
+
+@pytest.fixture(scope="module")
+def reports_10():
+    """Every bound report on Volume(0, 9) at alpha = 0.55, j1 = 10, by instance id."""
+    spec = CouplingSpec(alpha=0.55, j1=10.0)
+    return {r.instance: r for r in exhaustive_reports(spec, 10)}
+
+
+def _code(pairs):
+    return family_code(TriangleFamily.of(pairs), Volume(0, 9))
 
 
 class TestZeta:
@@ -46,50 +56,49 @@ class TestEnergyModel:
 
 
 class TestEraseBounds:
-    def test_single_triangle(self, spec):
+    def test_single_triangle(self, spec, reports_10):
         vol = Volume(0, 9)
         fam = TriangleFamily.of([(4, 5)])
-        report = check_erase_prefix(spec, fam, vol, 1)
+        report = reports_10[f"{_code(fam)}:prefix1"]
         assert report.passed
         assert report.rhs == pytest.approx(zeta(0.55))
         # erasing the only triangle costs its full creation energy
         assert report.lhs == pytest.approx(hamiltonian(spec, triangles_to_spins(fam, vol)),
                                            abs=1e-9)
 
-    def test_two_distant_unit_triangles(self, spec):
-        vol = Volume(0, 11)
-        fam = TriangleFamily.of([(1, 2), (8, 9)])
-        report = check_erase_prefix(spec, fam, vol, 2)
+    def test_two_distant_unit_triangles(self, reports_10):
+        report = reports_10[f"{_code([(1, 2), (8, 9)])}:prefix2"]
         assert report.passed
         assert report.rhs == pytest.approx(2.0 * zeta(0.55))
 
-    def test_prefix_range_validated(self, spec):
-        fam = TriangleFamily.of([(1, 2)])
-        with pytest.raises(ValueError):
-            check_erase_prefix(spec, fam, Volume(0, 5), 2)
+    def test_prefix_range_validated(self, reports_10):
+        # one prefix report per triangle of the family, and no more
+        code = _code([(1, 2)])
+        assert f"{code}:prefix1" in reports_10
+        assert f"{code}:prefix2" not in reports_10
+        assert not any(k.startswith(f"{_code([])}:") for k in reports_10)
 
-    def test_margin_and_pass_fields(self, spec):
-        vol = Volume(0, 7)
-        report = check_erase_prefix(spec, TriangleFamily.of([(2, 4)]), vol, 1)
+    def test_margin_and_pass_fields(self, reports_10):
+        report = reports_10[f"{_code([(2, 4)])}:prefix1"]
         assert report.margin == pytest.approx(report.lhs - report.rhs)
         assert len(report.csv_row()) == len(BOUND_CSV_COLUMNS)
+        assert (report.alpha, report.j1, report.c, report.n) == (0.55, 10.0, 3, 10)
 
 
 class TestContourBound:
-    def test_single_contour_configuration(self, spec):
-        vol = Volume(0, 9)
-        fam = TriangleFamily.of([(0, 8), (3, 4)])
-        reports = check_contour_bound(spec, fam, vol)
-        assert len(reports) == 1
-        assert reports[0].passed
-        assert reports[0].rhs == pytest.approx(0.5 * zeta(0.55) * (1.0 + 8.0 ** 0.55))
+    def test_single_contour_configuration(self, reports_10):
+        code = _code([(0, 8), (3, 4)])
+        report = reports_10[f"{code}:0"]
+        assert f"{code}:1" not in reports_10
+        assert report.passed
+        assert report.rhs == pytest.approx(0.5 * zeta(0.55) * (1.0 + 8.0 ** 0.55))
 
-    def test_two_contours_give_two_reports(self, spec):
-        vol = Volume(0, 13)
-        fam = TriangleFamily.of([(1, 2), (8, 9)])
-        reports = check_contour_bound(spec, fam, vol)
-        assert len(reports) == 2
+    def test_two_contours_give_two_reports(self, reports_10):
+        code = _code([(1, 2), (8, 9)])
+        reports = [reports_10[f"{code}:{k}"] for k in (0, 1)]
+        assert f"{code}:2" not in reports_10
         assert all(r.passed for r in reports)
+        assert all(r.rhs == pytest.approx(0.5 * zeta(0.55)) for r in reports)
 
 
 class TestTelescoping:
@@ -99,10 +108,12 @@ class TestTelescoping:
         [(0, 8), (3, 4)],
         [(0, 1), (2, 3), (6, 9)],
     ])
-    def test_sequential_erasure_sums_to_total(self, spec, pairs):
+    def test_sequential_erasure_sums_to_total(self, spec, reports_10, energy_oracle, pairs):
+        # erasing every triangle, smallest first, costs H_0 of the configuration
         vol = Volume(0, 9)
-        fam = TriangleFamily.of(pairs)
-        assert telescoping_error(spec, fam, vol) < 1e-9
+        report = reports_10[f"{_code(pairs)}:prefix{len(pairs)}"]
+        image = triangles_to_spins(TriangleFamily.of(pairs), vol).spins
+        assert report.lhs == pytest.approx(energy_oracle(spec, vol, image), rel=1e-9)
 
 
 class TestExhaustive:
@@ -123,10 +134,17 @@ class TestExhaustive:
         n = 6
         vol = Volume(0, n - 1)
         reports = {r.instance: r for r in exhaustive_reports(spec, n)}
+
+        def h0(tris):
+            return hamiltonian(spec, triangles_to_spins(TriangleFamily.of(tris), vol))
+
         for code, row in enumerate(enumerate_spins(n)):
             fam = spins_to_triangles(SpinConfiguration(vol, row))
-            for i in range(1, len(fam) + 1):
-                direct = check_erase_prefix(spec, fam, vol, i)
-                assert reports[f"{code}:prefix{i}"].lhs == pytest.approx(direct.lhs, abs=1e-9)
-            for direct in check_contour_bound(spec, fam, vol, instance=str(code)):
-                assert reports[direct.instance].lhs == pytest.approx(direct.lhs, abs=1e-9)
+            tris = fam.sorted_by_mass()
+            for i in range(1, len(tris) + 1):
+                direct = h0(tris) - h0(tris[i:])
+                assert reports[f"{code}:prefix{i}"].lhs == pytest.approx(direct, abs=1e-9)
+            for k, gamma in enumerate(contours(fam, 3)):
+                direct = h0(tris) - h0(fam.difference(gamma.family()))
+                assert reports[f"{code}:{k}"].lhs == pytest.approx(direct, abs=1e-9)
+            assert f"{code}:{len(contours(fam, 3))}" not in reports

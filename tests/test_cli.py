@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from rfim1d import cli, enumeration, enumerate_origin_contours
+from rfim1d import ConstrainedEnsemble, cli, enumeration, enumerate_origin_contours
 from rfim1d import mc as mc_module
 from rfim1d.cli import main
 
@@ -32,6 +32,23 @@ class TestParsing:
         code, _, err = run_cli(capsys, "verify-energy", "--alpha", "0.7", "--n", "4")
         assert code == 1
         assert "alpha" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-energy",
+                                         "enumerate-contours", "certify-c0"])
+    @pytest.mark.parametrize("c", ["0", "-2"])
+    def test_separation_constant_below_one(self, capsys, monkeypatch, command, c):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} started work with --c {c}")
+
+        for name in ("disorder_sweep", "exhaustive_reports", "contour_shapes",
+                     "_shape_aggregates", "certify_C0"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run_cli(capsys, command, "--c", c, "--mmax", "3", "--n", "4",
+                                 "--size", "8", "--sweeps", "20", "--burnin", "2",
+                                 "--realizations", "1", "--deterministic")
+        assert code == 1
+        assert err.startswith("error: --c must be >= 1")
+        assert out == ""
 
     def test_bad_numeric_value(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--beta", "abc", "--size", "4",
@@ -81,6 +98,19 @@ class TestVerifyDisorderCommand:
         assert payload["antisymmetry"] is True
         assert payload["partition"] is True
         assert [e["j"] for e in payload["estimates"]] == [-1, 0, 1]
+
+    def test_one_ensemble_per_run(self, capsys, monkeypatch):
+        calls = []
+        original = ConstrainedEnsemble.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConstrainedEnsemble, "__init__", counting)
+        code, _, _ = run_cli(capsys, "verify-disorder", "--deterministic")
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestEnumerationCommands:

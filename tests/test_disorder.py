@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from rfim1d import (CapacityError, ConstrainedEnsemble, Contour, DisorderField,
-                    F_j, Triangle, Volume, b_bar, check_antisymmetry,
-                    check_antisymmetry_sampled, class_support,
-                    estimate_Bj_probability, flip_composition, flip_field,
-                    thresholds, zeta)
-from rfim1d.disorder import BJ_CSV_COLUMNS, _sampled_fields
+                    Triangle, Volume, b_bar, check_antisymmetry, class_support,
+                    estimate_Bj_probability, flip_composition, thresholds, zeta)
+from rfim1d.disorder import ANTISYMMETRY_TOL, BJ_CSV_COLUMNS, _sampled_fields
 from rfim1d.model import enumerate_spins
 
 
@@ -15,33 +13,9 @@ def single_class_contour():
     return Contour.of([Triangle(3, 5)])
 
 
-class TestFlipField:
-    def test_empty_set_is_identity(self):
-        h = DisorderField.generate(Volume(0, 5), 0.2, seed=1)
-        assert np.array_equal(flip_field(h, []).values, h.values)
-
-    def test_involution(self):
-        h = DisorderField.generate(Volume(0, 5), 0.2, seed=1, distribution="gaussian")
-        twice = flip_field(flip_field(h, [1, 3]), [1, 3])
-        assert np.array_equal(twice.values, h.values)
-
-    def test_flips_only_listed_sites(self):
-        h = DisorderField.generate(Volume(0, 5), 0.2, seed=1)
-        flipped = flip_field(h, [2])
-        assert flipped.value(2) == -h.value(2)
-        for i in (0, 1, 3, 4, 5):
-            assert flipped.value(i) == h.value(i)
-
-    def test_disjoint_flips_commute(self):
-        h = DisorderField.generate(Volume(0, 5), 0.2, seed=1)
-        a = flip_field(flip_field(h, [0, 1]), [4])
-        b = flip_field(flip_field(h, [4]), [0, 1])
-        assert np.array_equal(a.values, b.values)
-
-    def test_site_outside_volume(self):
-        h = DisorderField.generate(Volume(0, 5), 0.2, seed=1)
-        with pytest.raises(ValueError):
-            flip_field(h, [9])
+@pytest.fixture
+def nested_ensemble(spec, nested_contour, ten_site_volume):
+    return ConstrainedEnsemble(spec, nested_contour, ten_site_volume)
 
 
 class TestFlipComposition:
@@ -111,36 +85,43 @@ class TestEnsemble:
 
 
 class TestFj:
-    def test_theta_zero_vanishes(self, spec, nested_contour, ten_site_volume):
+    def test_theta_zero_vanishes(self, nested_ensemble, ten_site_volume):
         h = DisorderField.generate(ten_site_volume, 0.0, seed=5)
-        for j in range(nested_contour.n_classes):
-            assert F_j(spec, nested_contour, j, ten_site_volume, h, 0.0, 2.0) == 0.0
+        assert np.all(nested_ensemble.f_values(h.values, 0.0, 2.0) == 0.0)
 
-    def test_exact_mean_is_zero(self, spec, nested_contour, ten_site_volume):
-        ens = ConstrainedEnsemble(spec, nested_contour, ten_site_volume)
+    def test_exact_mean_is_zero(self, nested_ensemble):
         fields = enumerate_spins(10).astype(np.float64)
-        f = ens.f_values(fields, theta=0.3, beta=2.0)
+        f = nested_ensemble.f_values(fields, theta=0.3, beta=2.0)
         assert np.abs(f.mean(axis=0)).max() < 1e-9
 
-    def test_level_range(self, spec, nested_contour, ten_site_volume):
+    def test_level_range(self, nested_ensemble, nested_contour, ten_site_volume):
+        # one column per equal-mass class of the contour
         h = DisorderField.generate(ten_site_volume, 0.1, seed=0)
-        with pytest.raises(ValueError):
-            F_j(spec, nested_contour, 5, ten_site_volume, h, 0.1, 2.0)
+        f = nested_ensemble.f_values(h.values, 0.1, 2.0)
+        assert f.shape == (1, nested_contour.n_classes) == (1, nested_ensemble.n_levels)
 
 
 class TestAntisymmetry:
     @pytest.mark.parametrize("j", [0, 1])
-    def test_nested_two_class(self, spec, nested_contour, ten_site_volume, j):
-        assert check_antisymmetry(spec, nested_contour, j, ten_site_volume,
-                                  theta=0.3, beta=2.0)
+    def test_nested_two_class(self, nested_ensemble, j):
+        assert check_antisymmetry(nested_ensemble, j, theta=0.3, beta=2.0)
 
     def test_single_class(self, spec, single_class_contour, ten_site_volume):
-        assert check_antisymmetry(spec, single_class_contour, 0, ten_site_volume,
-                                  theta=0.4, beta=1.5)
+        ens = ConstrainedEnsemble(spec, single_class_contour, ten_site_volume)
+        assert check_antisymmetry(ens, 0, theta=0.4, beta=1.5)
 
-    def test_sampled_gaussian_pairs(self, spec, nested_contour, ten_site_volume):
-        assert check_antisymmetry_sampled(spec, nested_contour, 1, ten_site_volume,
-                                          theta=0.25, beta=2.0, n_samples=64)
+    def test_sampled_gaussian_pairs(self, nested_ensemble, nested_contour, ten_site_volume):
+        # continuous fields cannot be enumerated: pair each sampled field with
+        # its flip on D_j, and the two values of F_j must cancel
+        j, theta, beta = 1, 0.25, 2.0
+        fields = _sampled_fields(ten_site_volume, 64, 0, "gaussian")
+        flipped = fields.copy()
+        for i in flip_composition(nested_contour, j):
+            flipped[:, ten_site_volume.index(i)] *= -1.0
+        f = nested_ensemble.f_values(fields, theta, beta)[:, j]
+        g = nested_ensemble.f_values(flipped, theta, beta)[:, j]
+        assert not np.allclose(f, 0.0)
+        assert np.all(np.abs(f + g) <= ANTISYMMETRY_TOL)
 
 
 class TestSampledFields:
@@ -156,33 +137,27 @@ class TestSampledFields:
 
 
 class TestBjEvents:
-    def test_partition_and_bounds(self, spec, nested_contour, ten_site_volume):
-        ests = estimate_Bj_probability(spec, nested_contour, ten_site_volume,
-                                       theta=0.3, beta=2.0)
+    def test_partition_and_bounds(self, nested_ensemble):
+        ests = estimate_Bj_probability(nested_ensemble, theta=0.3, beta=2.0)
         assert [e.j for e in ests] == [-1, 0, 1]
         assert sum(e.estimate for e in ests) == pytest.approx(1.0, abs=1e-12)
         assert ests[-1].bound == 1.0  # top level: empty tail sum
 
-    def test_theta_zero_concentrates_on_top_level(self, spec, nested_contour,
-                                                  ten_site_volume):
-        ests = estimate_Bj_probability(spec, nested_contour, ten_site_volume,
-                                       theta=0.0, beta=2.0)
+    def test_theta_zero_concentrates_on_top_level(self, nested_ensemble):
+        ests = estimate_Bj_probability(nested_ensemble, theta=0.0, beta=2.0)
         assert ests[-1].estimate == 1.0
         assert all(e.estimate == 0.0 for e in ests[:-1])
 
-    def test_monte_carlo_close_to_exact(self, spec, nested_contour, ten_site_volume):
-        exact = estimate_Bj_probability(spec, nested_contour, ten_site_volume,
-                                        theta=0.3, beta=2.0, exhaustive=True)
-        mc = estimate_Bj_probability(spec, nested_contour, ten_site_volume,
-                                     theta=0.3, beta=2.0, exhaustive=False,
+    def test_monte_carlo_close_to_exact(self, nested_ensemble):
+        exact = estimate_Bj_probability(nested_ensemble, theta=0.3, beta=2.0, exhaustive=True)
+        mc = estimate_Bj_probability(nested_ensemble, theta=0.3, beta=2.0, exhaustive=False,
                                      n_samples=2000, seed=9,
                                      distribution="bernoulli")
         for e_exact, e_mc in zip(exact, mc):
             assert e_mc.stderr >= 0.0
             assert abs(e_mc.estimate - e_exact.estimate) <= 4.0 * max(e_mc.stderr, 1e-3)
 
-    def test_csv_rows(self, spec, nested_contour, ten_site_volume):
-        ests = estimate_Bj_probability(spec, nested_contour, ten_site_volume,
-                                       theta=0.3, beta=2.0)
+    def test_csv_rows(self, nested_ensemble):
+        ests = estimate_Bj_probability(nested_ensemble, theta=0.3, beta=2.0)
         for e in ests:
             assert len(e.csv_row("x")) == len(BJ_CSV_COLUMNS)

@@ -60,9 +60,9 @@ class TestEnumeration:
         through_k = sorted(
             tuple((l + k, r + k) for l, r in key) for key in origin
         )
-        scanned = [g for g in spin_scan_origin_contours(2, half_width=14)]
+        scanned = contour_keys(spin_scan_origin_contours(2, half_width=14))
         # rebuild the site-k scan by shifting the window result
-        shifted = contour_keys([g.shifted(k) for g in scanned])
+        shifted = sorted(tuple((l + k, r + k) for l, r in key) for key in scanned)
         assert shifted == through_k
 
     def test_capacity_guard(self):

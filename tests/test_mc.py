@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rfim1d import (CouplingSpec, DisorderField, RunConfig, SpinConfiguration,
-                    Volume, disorder_sweep, exact_gibbs_marginal, hamiltonian,
-                    local_field, metropolis_run, peierls_decomposition_check)
+                    Volume, contours, disorder_sweep, exact_gibbs_marginal,
+                    hamiltonian, metropolis_run, spins_to_triangles)
 from rfim1d import mc as mc_module
 from rfim1d import model as model_module
 from rfim1d.model import energy, enumerate_spins
@@ -23,10 +23,31 @@ class TestRunConfig:
         {"realizations": 0},
         {"boundary": 2},
         {"occupancy_stride": 0},
+        {"c": 0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+
+def kernel_flip_energy(spec, sigma, h, theta, i):
+    """Energy change the sweep kernel books for flipping site i.
+
+    An odd number of proposals at i, all accepted at beta = 0, leaves
+    exactly that one flip; the returned energy starts from 0.
+    """
+    vol = sigma.volume
+    n = vol.n_sites
+    assert n % 2 == 1
+    t = spec.coupling_toeplitz(vol)
+    s = sigma.spins.astype(np.float64)
+    m = model_module._coupling_sums(t, s)
+    hv = np.zeros(n) if h is None else h.values
+    e, acc = mc_module._sweep(s, m, t, spec.boundary_vector(vol), hv, theta, 0.0, 1.0,
+                              np.full(n, vol.index(i)), np.zeros(n), 0.0)
+    assert acc == n
+    assert np.array_equal(s, sigma.flipped(i).spins)
+    return e
 
 
 class TestLocalField:
@@ -37,7 +58,7 @@ class TestLocalField:
         for _ in range(5):
             sigma = SpinConfiguration(vol, rng.choice([-1, 1], size=9).astype(np.int8))
             for i in (vol.lo, -1, 0, vol.hi):
-                de = local_field(spec, sigma, h, 0.3, i)
+                de = kernel_flip_energy(spec, sigma, h, 0.3, i)
                 direct = (hamiltonian(spec, sigma.flipped(i), h, 0.3)
                           - hamiltonian(spec, sigma, h, 0.3))
                 assert de == pytest.approx(direct, abs=1e-9)
@@ -45,8 +66,8 @@ class TestLocalField:
     def test_flip_back_negates(self, spec):
         vol = Volume.centered(7)
         sigma = SpinConfiguration.from_minus_sites(vol, [0, 2])
-        de = local_field(spec, sigma, None, 0.0, 2)
-        back = local_field(spec, sigma.flipped(2), None, 0.0, 2)
+        de = kernel_flip_energy(spec, sigma, None, 0.0, 2)
+        back = kernel_flip_energy(spec, sigma.flipped(2), None, 0.0, 2)
         assert de == pytest.approx(-back, abs=1e-12)
 
     def test_all_plus_closed_form(self, spec):
@@ -54,7 +75,8 @@ class TestLocalField:
         sigma = SpinConfiguration.homogeneous(vol, +1)
         expected = 2.0 * (sum(spec.coupling(abs(j)) for j in vol.sites() if j != 0)
                           + spec.boundary_field(0, vol))
-        assert local_field(spec, sigma, None, 0.0, 0) == pytest.approx(expected, abs=1e-9)
+        assert kernel_flip_energy(spec, sigma, None, 0.0, 0) == pytest.approx(expected,
+                                                                             abs=1e-9)
 
 
 def run_small(beta, theta, seed=11, sweeps=6000, **kwargs):
@@ -196,22 +218,23 @@ class TestDisorderSweep:
         assert len({c.field_seed for c in rep.chains}) == 4
 
 
+def origin_in_contour(sigma):
+    return any(g.contains_site(0) for g in contours(spins_to_triangles(sigma), 3))
+
+
 class TestDecompositionCheck:
     def test_all_plus_sample(self):
         vol = Volume.centered(8)
-        check = peierls_decomposition_check([SpinConfiguration.homogeneous(vol, +1)])
-        assert check.minus_frequency == 0.0
-        assert check.contour_frequency == 0.0
-        assert check.passed
+        assert not origin_in_contour(SpinConfiguration.homogeneous(vol, +1))
 
     def test_minus_origin_is_covered(self):
         vol = Volume.centered(8)
         samples = [SpinConfiguration.from_minus_sites(vol, [0]),
                    SpinConfiguration.from_minus_sites(vol, [0, 1]),
                    SpinConfiguration.from_minus_sites(vol, [-2, 0, 3])]
-        check = peierls_decomposition_check(samples)
-        assert check.violations == 0
-        assert check.minus_frequency <= check.contour_frequency
+        for sigma in samples:
+            assert sigma.spin(0) == -1
+            assert origin_in_contour(sigma)
 
 
 class TestCouplingTables:

@@ -4,10 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rfim1d import (IncompatibleFamiliesError, SpinConfiguration, Triangle,
-                    TriangleFamily, Volume, energy_difference, family_code, family_volume,
-                    hamiltonian, interfaces, is_compatible, pair_interface_bonds,
-                    spins_to_triangles, triangle_distance, triangles_to_spins)
+from rfim1d import (SpinConfiguration, Triangle, TriangleFamily, Volume, energy,
+                    family_code, hamiltonian, interfaces, is_compatible,
+                    pair_interface_bonds, spins_to_triangles, triangle_distance,
+                    triangles_to_spins)
 from rfim1d.model import enumerate_spins
 
 
@@ -148,7 +148,7 @@ class TestSpinTriangleBijection:
         fam = spins_to_triangles(sigma)
         shifted_vol = Volume(5, 14)
         shifted = SpinConfiguration.from_minus_sites(shifted_vol, [6, 8, 9, 10])
-        assert spins_to_triangles(shifted).triangles == fam.shifted(5).triangles
+        assert spins_to_triangles(shifted).triangles == {(l + 5, r + 5) for l, r in fam}
 
     def test_pairwise_distance_compatibility_exhaustive(self):
         # every produced family keeps pair distances >= the smaller mass
@@ -161,18 +161,16 @@ class TestSpinTriangleBijection:
 
 class TestFamilies:
     def test_coverage_parity(self):
+        # a site's spin is -1 to the number of triangles covering it
         fam = TriangleFamily.of([(0, 8), (3, 4)])
-        assert fam.coverage_parity(4) == 0
-        assert fam.coverage_parity(3) == 1
-        assert fam.coverage_parity(9) == 0
+        sigma = triangles_to_spins(fam, Volume(0, 9))
+        assert sigma.spin(4) == 1
+        assert sigma.spin(3) == -1
+        assert sigma.spin(9) == 1
 
     def test_total_mass(self):
         fam = TriangleFamily.of([(0, 2), (5, 6)])
         assert fam.total_mass == 3
-
-    def test_family_volume(self):
-        vol = family_volume(TriangleFamily.of([(0, 2), (5, 6)]))
-        assert vol == Volume(0, 7)
 
 
 class TestCompatibility:
@@ -193,15 +191,13 @@ class TestCompatibility:
         assert not is_compatible(a, b)
 
     def test_energy_difference_matches_direct(self, spec):
+        # H(s | rest) read from the energy table by bit code, as the bound checks do
         vol = Volume(0, 9)
         s = TriangleFamily.of([(1, 2)])
         rest = TriangleFamily.of([(6, 8)])
+        assert is_compatible(s, rest)
         expected = (hamiltonian(spec, triangles_to_spins(s.union(rest), vol))
                     - hamiltonian(spec, triangles_to_spins(rest, vol)))
-        assert energy_difference(spec, s, rest, vol) == pytest.approx(expected, abs=1e-12)
-
-    def test_energy_difference_rejects_incompatible(self, spec):
-        vol = Volume(0, 9)
-        with pytest.raises(IncompatibleFamiliesError):
-            energy_difference(spec, TriangleFamily.of([(2, 5)]),
-                              TriangleFamily.of([(3, 4)]), vol)
+        table = energy(spec, vol, enumerate_spins(10))
+        looked_up = table[family_code(s.union(rest), vol)] - table[family_code(rest, vol)]
+        assert looked_up == pytest.approx(expected, abs=1e-12)
