@@ -18,12 +18,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contours import Contour, contours
-from .model import CapacityError, SpinConfiguration, Volume, enumerate_spins
+from .model import CapacityError, SpinConfiguration, Volume
 from .triangles import Triangle, TriangleFamily, _is_realizable, spins_to_triangles
 
 DEFAULT_MASS_CAP = 6

@@ -5,8 +5,22 @@ proposal costs O(1) to evaluate and O(N) to commit.  The couplings are
 held as one length-(2N-1) Toeplitz vector t (row i of J is a slice of
 t), read from the model's per-(spec, volume) cache, so memory stays O(N)
 at every volume size; an accepted flip is one numpy row update of m.
-numba, when installed, compiles the sweep kernel.  The running energy
-starts from, and is checked every 10^4 updates against, ``model.energy``.
+The running energy starts from, and is checked every 10^4 updates
+against, ``model.energy``.
+
+The sweep kernel has two paths over the same draws.  ``_sweep`` is the
+scalar loop; numba, when installed, compiles it and it runs every sweep.
+Without numba each proposal costs microseconds of interpreted Python, so
+after a sweep whose acceptance fell below ``SKIP_BELOW_ACCEPTANCE`` (for
+the first sweep: the acceptance expected from the start state)
+``_skip_sweep`` runs instead: it evaluates a window of upcoming
+proposals in one numpy expression, commits the first accepted one and
+skips the rejected run before it (the rejection-skipping idea of Bortz,
+Kalos & Lebowitz, J. Comput. Phys. 17 (1975) 10, here without changing
+the chain).  Both paths apply the same elementwise float operations to
+the same ``order``/``unif`` draws, so the path choice cannot change a
+chain: spins, running sums, energy and accept counts are bit-identical,
+and the threshold is a speed setting only.
 """
 
 from __future__ import annotations
@@ -25,7 +39,10 @@ from .triangles import spins_to_triangles
 
 try:
     from numba import njit
+    COMPILED = True
 except ImportError:  # pragma: no cover - numba is an optional speedup
+    COMPILED = False
+
     def njit(*args, **kwargs):
         def wrap(f):
             return f
@@ -33,6 +50,8 @@ except ImportError:  # pragma: no cover - numba is an optional speedup
 
 DRIFT_CHECK_UPDATES = 10_000
 DRIFT_TOLERANCE = 1e-6
+SKIP_BELOW_ACCEPTANCE = 0.05  # previous sweep's acceptance below which _skip_sweep runs
+SKIP_WINDOW = 64  # fewest proposals in the first window after a start or a commit
 
 
 class EnergyDriftError(RuntimeError):
@@ -144,6 +163,39 @@ def _sweep(s, m, t, bv, hv, theta, beta, tau, order, unif, e):
     return e, acc
 
 
+def _skip_sweep(s, m, t, bv, hv, theta, beta, tau, order, unif, e, w0=SKIP_WINDOW):
+    """``_sweep`` on the same draws, skipping runs of rejected proposals.
+
+    The flip energies and accept tests of a window of upcoming proposals
+    are one numpy expression with the scalar loop's float operations; the
+    first accepted proposal is committed as there and the scan resumes
+    right after it.  Windows start at w0 proposals, after each commit
+    too, and a window without an accept doubles the next one.
+    """
+    n = s.shape[0]
+    acc = 0
+    k = 0
+    w = w0
+    while k < n:
+        idx = order[k:k + w]
+        de = 2.0 * s[idx] * (m[idx] + tau * bv[idx] + theta * hv[idx])
+        # de <= 0 is accepted without the exponential, which could overflow there
+        hit = (de <= 0.0) | (unif[k:k + w] < np.exp(-beta * np.maximum(de, 0.0)))
+        j = int(hit.argmax())
+        if not hit[j]:
+            k += w
+            w *= 2
+            continue
+        i = idx[j]
+        s[i] = -s[i]
+        m += (2.0 * s[i]) * t[n - 1 - i:2 * n - 1 - i]
+        e += de[j]
+        acc += 1
+        k += j + 1
+        w = w0
+    return e, acc
+
+
 def _batch_means_stderr(x: np.ndarray, n_batches: int = 32) -> float:
     """Standard error of the mean of a correlated series via batch means."""
     n = x.size
@@ -184,11 +236,19 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     occ_checked = np.zeros(n_measured, dtype=bool)
     accepted = 0
     since_check = 0
+    # before the first sweep, the acceptance the start state predicts stands in
+    # for the previous sweep's
+    de = 2.0 * s * (m + tau * bv + config.theta * hv)
+    acc = float(np.exp(-config.beta * np.maximum(de, 0.0)).sum())
     for sweep in range(config.sweeps):
         order = rng.permutation(n)
         unif = rng.random(n)
-        e, acc = _sweep(s, m, t, bv, hv, config.theta, config.beta,
-                        tau, order, unif, e)
+        if COMPILED or acc >= SKIP_BELOW_ACCEPTANCE * n:
+            e, acc = _sweep(s, m, t, bv, hv, config.theta, config.beta, tau, order, unif, e)
+        else:
+            # a first window as long as the run of rejections acc predicts
+            e, acc = _skip_sweep(s, m, t, bv, hv, config.theta, config.beta, tau, order,
+                                 unif, e, max(SKIP_WINDOW, int(n / (acc + 1.0))))
         accepted += acc
         since_check += n
         if since_check >= DRIFT_CHECK_UPDATES:

@@ -50,9 +50,6 @@ class Triangle(_BondPair):
         """Integer sites covered by the basis."""
         return range(self.left + 1, self.right + 1)
 
-    def contains_site(self, i: int) -> bool:
-        return self.left < i <= self.right
-
     def contains_triangle(self, other: "Triangle") -> bool:
         return self.left <= other.left and other.right <= self.right
 
@@ -101,10 +98,6 @@ class TriangleFamily:
 
     def sorted_by_mass(self) -> List[Triangle]:
         return sorted(self.triangles, key=lambda t: (t.mass, t))
-
-    @property
-    def total_mass(self) -> int:
-        return sum(t.mass for t in self.triangles)
 
     def union(self, other: "TriangleFamily") -> "TriangleFamily":
         return TriangleFamily(self.triangles | other.triangles)

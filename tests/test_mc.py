@@ -1,4 +1,6 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +185,76 @@ class TestStationaryDistribution:
         # generous chi-square threshold; sweeps are correlated samples
         chi2 = float(np.sum((counts - expected) ** 2 / np.maximum(expected, 1.0)))
         assert chi2 < 40.0 * (2 ** n - 1)
+
+
+def kernel_run(kernel, n, beta, theta, j1, sweeps=20, seed=0):
+    """Final (s, m, e, accepted) of `sweeps` kernel sweeps on seeded draws."""
+    cfg = RunConfig(size=n, alpha=0.55, beta=beta, theta=theta, j1=j1, sweeps=1, burnin=0)
+    vol, spec = cfg.volume(), cfg.coupling_spec()
+    h = DisorderField.generate(vol, theta, seed=seed)
+    t = spec.coupling_toeplitz(vol)
+    s = np.ones(n)
+    m = model_module._coupling_sums(t, s)
+    e = energy(spec, vol, s, +1, h, theta)
+    rng = np.random.default_rng(seed + 1)
+    accepted = 0
+    for _ in range(sweeps):
+        e, acc = kernel(s, m, t, spec.boundary_vector(vol), h.values, theta, beta, 1.0,
+                        rng.permutation(n), rng.random(n), e)
+        accepted += acc
+    return s, m, e, accepted
+
+
+class TestSkipPath:
+    @pytest.mark.parametrize("n, beta, theta, j1, acceptance", [
+        (4096, 5.0, 0.05, 10.0, (0.0, 0.0)),  # sample-cold parameters
+        (512, 0.2, 1.0, 1.5, (0.2, 0.45)),  # sample-hot parameters
+        (512, 0.4, 1.0, 1.5, (0.005, 0.05)),  # rare accepts inside windows
+        (512, 0.0, 1.0, 1.5, (1.0, 1.0)),  # beta = 0 accepts everything
+        (1, 0.3, 1.0, 1.5, (0.0, 1.0)),
+    ], ids=["cold", "hot", "rare", "beta0", "n1"])
+    @pytest.mark.parametrize("w0", [mc_module.SKIP_WINDOW, 1000])
+    def test_same_chain_as_scalar_loop(self, n, beta, theta, j1, acceptance, w0):
+        s, m, e, acc = kernel_run(mc_module._sweep, n, beta, theta, j1)
+        s2, m2, e2, acc2 = kernel_run(functools.partial(mc_module._skip_sweep, w0=w0),
+                                      n, beta, theta, j1)
+        assert np.array_equal(s, s2) and np.array_equal(m, m2)
+        assert e == e2 and acc == acc2
+        lo, hi = acceptance
+        assert lo <= acc / (20 * n) <= hi
+
+    def test_large_negative_flip_energy_does_not_overflow(self):
+        # a field of strength 1000 gives de near -2000 at every site it opposes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, m, e, acc = kernel_run(mc_module._skip_sweep, 64, 5.0, 1000.0, 1.5, sweeps=2)
+        ref = kernel_run(mc_module._sweep, 64, 5.0, 1000.0, 1.5, sweeps=2)
+        assert np.array_equal(s, ref[0]) and e == ref[2] and acc == ref[3] > 0
+
+    def test_threshold_is_a_speed_setting(self, monkeypatch):
+        calls = []
+        skip = mc_module._skip_sweep
+
+        def counting(*args):
+            calls.append(1)
+            return skip(*args)
+
+        monkeypatch.setattr(mc_module, "_skip_sweep", counting)
+        monkeypatch.setattr(mc_module, "COMPILED", False)
+        cfg = RunConfig(alpha=0.55, beta=0.3, theta=0.5, j1=1.5, size=16, sweeps=600,
+                        burnin=100, seed=3, realizations=1)
+        h = DisorderField.generate(cfg.volume(), cfg.theta, seed=4)
+        results, ran = [], []
+        for threshold in (mc_module.SKIP_BELOW_ACCEPTANCE, 0.0, 1.0):
+            monkeypatch.setattr(mc_module, "SKIP_BELOW_ACCEPTANCE", threshold)
+            calls.clear()
+            results.append(metropolis_run(cfg, h, chain_seed=5))
+            ran.append(len(calls))
+        assert results[0] == results[1] == results[2]
+        assert 0.0 < results[0].acceptance < 1.0
+        # the default switches paths; 0 keeps the scalar loop; 1 skips every sweep
+        assert 0 < ran[0] < cfg.sweeps
+        assert ran[1] == 0 and ran[2] == cfg.sweeps
 
 
 class TestDisorderSweep:

@@ -38,7 +38,6 @@ class TestTriangle:
         t = Triangle(2, 5)
         assert t.mass == 3
         assert list(t.sites()) == [3, 4, 5]
-        assert t.contains_site(3) and not t.contains_site(2)
 
     def test_orientation_required(self):
         with pytest.raises(ValueError):
@@ -167,10 +166,6 @@ class TestFamilies:
         assert sigma.spin(4) == 1
         assert sigma.spin(3) == -1
         assert sigma.spin(9) == 1
-
-    def test_total_mass(self):
-        fam = TriangleFamily.of([(0, 2), (5, 6)])
-        assert fam.total_mass == 3
 
 
 class TestCompatibility:
