@@ -6,11 +6,17 @@ or be nested, with the inner one at distance > C * |inner|^3 from the
 outer and each outer triangle containing or avoiding the inner's
 enclosing interval.  The decomposition is computed by merging violating
 pairs to a fixed point.
+
+The merge runs on integer clusters built straight from sorted bond
+pairs, so the shape enumerator shares it without building triangle
+objects; ``Contour`` objects are built only at the API boundary, by
+``contours()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,21 +95,12 @@ class Contour:
 
 
 class _Cluster(NamedTuple):
-    """Integer view of a contour: enclosing bonds, mass and member triangles."""
+    """Integer view of a contour: enclosing bonds, mass and member bond pairs."""
 
     left: int
     right: int
     mass: int
-    triangles: Tuple[Triangle, ...]
-
-    @classmethod
-    def of(cls, triangles: Sequence[Triangle]) -> "_Cluster":
-        return cls(min(t.left for t in triangles), max(t.right for t in triangles),
-                   sum(t.mass for t in triangles), tuple(triangles))
-
-    def fused(self, other: "_Cluster") -> "_Cluster":
-        return _Cluster(min(self.left, other.left), max(self.right, other.right),
-                        self.mass + other.mass, self.triangles + other.triangles)
+    members: Tuple[Tuple[int, int], ...]
 
 
 def _pair_separated(a: _Cluster, b: _Cluster, c: int) -> bool:
@@ -121,7 +118,7 @@ def _pair_separated(a: _Cluster, b: _Cluster, c: int) -> bool:
     threshold = c * inner.mass ** 3
     # each outer triangle must contain or avoid the inner enclosing interval;
     # its distance to the inner contour is then fixed by the inner's ends
-    for l, r in outer.triangles:
+    for l, r in outer.members:
         if r <= inner.left:
             gap = inner.left - r
         elif inner.right <= l:
@@ -149,28 +146,42 @@ def _first_violation(clusters: Sequence[_Cluster], c: int) -> Optional[Tuple[int
     return None
 
 
-def contours(family: TriangleFamily, c: int = 3) -> List[Contour]:
-    """Partition a family into contours by merging to a fixed point.
+_merge_order = itemgetter(0, 2)  # a cluster's (left, mass)
+
+
+def _merge(pairs: Sequence[Tuple[int, int]], c: int) -> List[_Cluster]:
+    """Merge sorted bond pairs to a fixed point of the separation rules.
 
     Deterministic: among violating pairs, the one with the smallest
-    (left endpoint, mass) keys merges first.  Output ordered by left
-    endpoint.
+    (left endpoint, mass) keys merges first, and the fused cluster goes
+    to the end of the list before the next stable sort.  Returns the
+    clusters in (left, mass) order.
     """
-    clusters = [_Cluster.of([t]) for t in family.sorted()]
+    clusters = [_Cluster(p[0], p[1], p[1] - p[0], (p,)) for p in pairs]
     while True:
-        clusters.sort(key=lambda g: (g.left, g.mass))
+        clusters.sort(key=_merge_order)
         pair = _first_violation(clusters, c)
         if pair is None:
-            break
+            return clusters
         i, j = pair
-        fused = clusters[i].fused(clusters[j])
-        clusters = [g for k, g in enumerate(clusters) if k not in pair] + [fused]
-    return [Contour.of(g.triangles) for g in sorted(clusters, key=lambda g: g.left)]
+        a, b = clusters[i], clusters[j]
+        del clusters[j]
+        del clusters[i]
+        clusters.append(_Cluster(min(a.left, b.left), max(a.right, b.right),
+                                 a.mass + b.mass, a.members + b.members))
+
+
+def contours(family: TriangleFamily, c: int = 3) -> List[Contour]:
+    """Partition a family into contours, ordered by left endpoint.
+
+    The contours hold the family's own triangle objects.
+    """
+    return [Contour.of(g.members) for g in _merge(family.sorted(), c)]
 
 
 def verify_P1(contour_list: Sequence[Contour], c: int = 3) -> bool:
     """Certificate: every distinct pair satisfies a separation alternative."""
-    clusters = [_Cluster.of(g.triangles) for g in contour_list]
+    clusters = [_Cluster(g.left_bond, g.right_bond, g.mass, g.triangles) for g in contour_list]
     for i, a in enumerate(clusters):
         for b in clusters[i + 1:]:
             if not _pair_separated(a, b, c):

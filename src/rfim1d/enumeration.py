@@ -7,6 +7,11 @@ realizable families that the separation algorithm maps to a single
 contour.  Each shape then contributes one contour per translation whose
 enclosing basis covers the origin.
 
+Candidates stay sorted tuples of integer bond pairs: the separation
+merge (``contours._merge``) and the realizability check run on them
+directly.  ``Contour`` objects are built only at the API boundary, by
+``enumerate_origin_contours`` and ``spin_scan_origin_contours``.
+
 Gap soundness: a merge bridging the gap after prefix mass p joins
 clusters of masses at most p and m - p, so the gap is at most
 C * min(p, m - p)**3.
@@ -20,9 +25,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .contours import Contour, contours
+from .contours import Contour, _merge, contours
 from .model import CapacityError, SpinConfiguration, Volume
-from .triangles import Triangle, TriangleFamily, _is_realizable, spins_to_triangles
+from .triangles import Triangle, _is_realizable, spins_to_triangles
 
 DEFAULT_MASS_CAP = 6
 
@@ -88,8 +93,8 @@ def _shift(pairs: BondPairs, k: int) -> BondPairs:
 
 
 def _single_contour(pairs: BondPairs, c: int) -> bool:
-    fam = TriangleFamily.of(pairs)
-    return len(contours(fam, c)) == 1
+    """True iff the separation merge of the sorted pairs leaves one cluster."""
+    return len(_merge(pairs, c)) == 1
 
 
 @lru_cache(maxsize=None)
@@ -102,8 +107,9 @@ def contour_shapes(m: int, c: int = 3) -> Tuple[BondPairs, ...]:
     def extend(prefix: BondPairs, used: int, right: int) -> None:
         remaining = m - used
         if remaining == 0:
-            if _is_realizable(frozenset(prefix)) and _single_contour(prefix, c):
-                results.append(tuple(sorted(prefix)))
+            pairs = tuple(sorted(prefix))
+            if _single_contour(pairs, c) and _is_realizable(pairs):
+                results.append(pairs)
             return
         gap_cap = c * min(used, remaining) ** 3 if used else 0
         gaps = range(1, gap_cap + 1) if used else (0,)

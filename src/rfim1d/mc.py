@@ -6,7 +6,8 @@ held as one length-(2N-1) Toeplitz vector t (row i of J is a slice of
 t), read from the model's per-(spec, volume) cache, so memory stays O(N)
 at every volume size; an accepted flip is one numpy row update of m.
 The running energy starts from, and is checked every 10^4 updates
-against, ``model.energy``.
+against, ``model.energy``; the recomputation is skipped when no flip was
+accepted since the last one, as it would return the same value.
 
 The sweep kernel has two paths over the same draws.  ``_sweep`` is the
 scalar loop; numba, when installed, compiles it and it runs every sweep.
@@ -226,7 +227,7 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     hv = h.values
     s = np.full(n, tau)
     m = _coupling_sums(t, s)
-    e = energy(spec, vol, s, config.boundary, h, config.theta)
+    e = ref = energy(spec, vol, s, config.boundary, h, config.theta)
 
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed if chain_seed is None else chain_seed))
@@ -235,7 +236,7 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     in_contour = np.zeros(n_measured, dtype=bool)
     occ_checked = np.zeros(n_measured, dtype=bool)
     accepted = 0
-    since_check = 0
+    since_check = flips_since_check = 0
     # before the first sweep, the acceptance the start state predicts stands in
     # for the previous sweep's
     de = 2.0 * s * (m + tau * bv + config.theta * hv)
@@ -250,10 +251,15 @@ def metropolis_run(config: RunConfig, h: DisorderField,
             e, acc = _skip_sweep(s, m, t, bv, hv, config.theta, config.beta, tau, order,
                                  unif, e, max(SKIP_WINDOW, int(n / (acc + 1.0))))
         accepted += acc
+        flips_since_check += acc
         since_check += n
         if since_check >= DRIFT_CHECK_UPDATES:
             since_check = 0
-            ref = energy(spec, vol, s, config.boundary, h, config.theta)
+            # with no flip since the last recomputation (or the start), s and e
+            # are exactly those it saw, so its value stands
+            if flips_since_check:
+                flips_since_check = 0
+                ref = energy(spec, vol, s, config.boundary, h, config.theta)
             if abs(e - ref) > DRIFT_TOLERANCE * max(1.0, abs(ref)):
                 raise EnergyDriftError(f"energy drift {e - ref:g} after sweep {sweep}")
             e = ref

@@ -135,7 +135,11 @@ def pair_interface_bonds(bonds: List[int]) -> List[Tuple[int, int]]:
     active = sorted(bonds)
     pairs: List[Tuple[int, int]] = []
     while active:
-        best = min(range(len(active) - 1), key=lambda k: (active[k + 1] - active[k], k))
+        best, best_gap = 0, active[1] - active[0]
+        for k in range(1, len(active) - 1):
+            gap = active[k + 1] - active[k]
+            if gap < best_gap:  # strict: the leftmost pair wins ties
+                best, best_gap = k, gap
         pairs.append((active[best], active[best + 1]))
         del active[best:best + 2]
     return pairs
@@ -170,14 +174,13 @@ def family_code(triangles: Iterable[Tuple[int, int]], vol: Volume) -> int:
     return code
 
 
-def _is_realizable(pairs: FrozenSet[Tuple[int, int]]) -> bool:
-    bonds: List[int] = []
-    for l, r in pairs:
-        bonds.append(l)
-        bonds.append(r)
+def _is_realizable(pairs: Iterable[Tuple[int, int]]) -> bool:
+    """True iff the pairs are the triangle family of some configuration."""
+    pairs = set(pairs)
+    bonds = [b for pair in pairs for b in pair]
     if len(set(bonds)) != len(bonds):
         return False
-    return set(pair_interface_bonds(bonds)) == set(pairs)
+    return set(pair_interface_bonds(bonds)) == pairs
 
 
 def is_compatible(a: TriangleFamily, b: TriangleFamily) -> bool:

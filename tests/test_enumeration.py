@@ -2,14 +2,41 @@ import math
 
 import pytest
 
-from rfim1d import (CapacityError, WeightSpec, certify_C0,
-                    enumerate_origin_contours, max_span,
+from rfim1d import (CapacityError, TriangleFamily, WeightSpec, certify_C0,
+                    contours, enumerate_origin_contours, max_span,
                     spin_scan_origin_contours, verify_P1, weight_bound,
                     weight_sum)
+from rfim1d.enumeration import _block_shapes, _shift, contour_shapes
+from rfim1d.triangles import _is_realizable
 
 
 def contour_keys(contour_list):
     return sorted(g.triangles for g in contour_list)
+
+
+def _reference_contour_shapes(m, c=3):
+    """Object-based shape generator, the oracle for contour_shapes():
+    every candidate becomes a TriangleFamily, is decomposed by contours()
+    and is checked for realizability on a frozenset of its triangles."""
+    results = []
+
+    def extend(prefix, used, right):
+        remaining = m - used
+        if remaining == 0:
+            fam = TriangleFamily.of(prefix)
+            if _is_realizable(fam.triangles) and len(contours(fam, c)) == 1:
+                results.append(tuple(sorted(prefix)))
+            return
+        gaps = range(1, c * min(used, remaining) ** 3 + 1) if used else (0,)
+        for block_mass in range(1, remaining + 1):
+            for shape in _block_shapes(block_mass):
+                width = max(r for _, r in shape)
+                for gap in gaps:
+                    left = right + gap
+                    extend(prefix + _shift(shape, left), used + block_mass, left + width)
+
+    extend((), 0, 0)
+    return tuple(sorted(set(results)))
 
 
 class TestWeightSpec:
@@ -70,6 +97,17 @@ class TestEnumeration:
             enumerate_origin_contours(7)
         with pytest.raises(ValueError):
             enumerate_origin_contours(0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_shapes_match_object_oracle(self, m):
+        assert contour_shapes(m) == _reference_contour_shapes(m)
+
+    def test_mass_six_counts(self):
+        # enumerate-contours --mmax 6 at the object-based generator: 2,306,048
+        # origin contours from 55,962 shapes; the cache is shared with criterion 7
+        shapes = contour_shapes(6, 3)
+        assert len(shapes) == 55_962
+        assert sum(max(r for _, r in shape) for shape in shapes) == 2_306_048
 
     def test_max_span_growth(self):
         assert max_span(1) == 1

@@ -257,6 +257,50 @@ class TestSkipPath:
         assert ran[1] == 0 and ran[2] == cfg.sweeps
 
 
+class TestDriftCheck:
+    @staticmethod
+    def _counting_energy(monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return energy(*args)
+
+        monkeypatch.setattr(mc_module, "energy", counting)
+        return calls
+
+    def test_frozen_chain_computes_energy_once(self, monkeypatch):
+        calls = self._counting_energy(monkeypatch)
+        # 400 sweeps of 64 updates pass two drift checks with no flip since the start
+        cfg = RunConfig(alpha=0.55, beta=5.0, theta=0.05, j1=10.0, size=64, sweeps=400,
+                        burnin=10, seed=1, realizations=1)
+        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), cfg.theta, seed=2))
+        assert res.acceptance == 0.0
+        assert len(calls) == 1
+
+    def test_corrupted_running_energy_raises(self, monkeypatch):
+        calls = self._counting_energy(monkeypatch)
+        accepted = []
+
+        def drifting(sweep):
+            def run(*args, **kwargs):
+                e, acc = sweep(*args, **kwargs)
+                accepted.append(acc)
+                return e + 1.0, acc
+            return run
+
+        monkeypatch.setattr(mc_module, "_sweep", drifting(mc_module._sweep))
+        monkeypatch.setattr(mc_module, "_skip_sweep", drifting(mc_module._skip_sweep))
+        cfg = RunConfig(alpha=0.55, beta=0.2, theta=1.0, j1=1.5, size=64, sweeps=400,
+                        burnin=10, seed=1, realizations=1)
+        h = DisorderField.generate(cfg.volume(), cfg.theta, seed=2)
+        with pytest.raises(mc_module.EnergyDriftError):
+            metropolis_run(cfg, h)
+        # the first check, after 157 sweeps of 64 updates, caught the drift
+        assert len(accepted) == 157 and sum(accepted) > 0
+        assert len(calls) == 2
+
+
 class TestDisorderSweep:
     def test_report_fields(self):
         cfg = RunConfig(size=10, beta=0.1, theta=0.2, sweeps=400, burnin=100,
