@@ -8,7 +8,7 @@ into contours, and confirms the encoding inverts exactly.
 import numpy as np
 
 from rfim1d import (SpinConfiguration, Volume, contours, interfaces,
-                    spins_to_triangles, triangles_to_spins)
+                    satisfies_ma1, spins_to_triangles, triangles_to_spins)
 
 
 def render(sigma):
@@ -29,15 +29,15 @@ def main():
 
     family = spins_to_triangles(sigma)
     print("\ntriangles (left bond, right bond, mass):")
-    for t in family.sorted():
+    for t in family:
         print(f"  ({t.left}, {t.right})  mass {t.mass}  sites {list(t.sites())}")
-    print("pairwise distances respect the smaller mass:", family.satisfies_ma1())
+    print("pairwise distances respect the smaller mass:", satisfies_ma1(family))
 
     print("\ncontour decomposition (separation constant C = 3):")
     for k, g in enumerate(contours(family, 3)):
         members = [tuple(t) for t in g.triangles]
         print(f"  contour {k}: mass {g.mass}, enclosing bonds "
-              f"({g.left_bond}, {g.right_bond}), triangles {members}")
+              f"({g.left}, {g.right}), triangles {members}")
 
     back = triangles_to_spins(family, vol)
     print("\nreconstructed:  ", render(back))

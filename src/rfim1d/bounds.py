@@ -74,7 +74,7 @@ def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,
         family = spins_to_triangles(SpinConfiguration(vol, all_spins[code]))
         full = table[code]
         if "prefix" in kinds:
-            tris = family.sorted_by_mass()
+            tris = sorted(family, key=lambda t: (t.mass, t))
             rhs = 0.0
             for i in range(1, len(tris) + 1):
                 lhs = full - table[family_code(tris[i:], vol)]
@@ -82,7 +82,7 @@ def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,
                 yield BoundReport(spec.alpha, spec.j1, c, n, f"{code}:prefix{i}", lhs, rhs)
         if "contour" in kinds:
             for k, gamma in enumerate(contours(family, c)):
-                lhs = full - table[family_code(family.difference(gamma.family()), vol)]
+                lhs = full - table[family_code(set(family).difference(gamma.triangles), vol)]
                 rhs = 0.5 * z * gamma.power_mass(spec.alpha)
                 yield BoundReport(spec.alpha, spec.j1, c, n, f"{code}:{k}", lhs, rhs)
 

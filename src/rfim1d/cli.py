@@ -20,6 +20,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from .bounds import BOUND_CSV_COLUMNS, exhaustive_reports
+from .contours import Contour
 from .disorder import (BJ_CSV_COLUMNS, ConstrainedEnsemble, check_antisymmetry,
                        estimate_Bj_probability, thresholds)
 from .enumeration import (DEFAULT_MASS_CAP, ENUM_CSV_COLUMNS, _check_cap,
@@ -27,7 +28,8 @@ from .enumeration import (DEFAULT_MASS_CAP, ENUM_CSV_COLUMNS, _check_cap,
 from .mc import RUN_CSV_COLUMNS, EnergyDriftError, RunConfig, disorder_sweep
 from .model import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, SpinConfiguration, Volume,
                     enumerate_spins)
-from .triangles import spins_to_triangles, triangles_to_spins
+from .triangles import (Triangle, satisfies_ma1, spins_to_triangles,
+                        triangles_to_spins)
 
 SCHEMA_VERSION = 1
 
@@ -227,9 +229,6 @@ def cmd_verify_energy(opts: Dict[str, object]) -> int:
 
 def _reference_disorder_instance():
     """A two-class nested contour on a 10-site volume for disorder checks."""
-    from .contours import Contour
-    from .triangles import Triangle
-
     vol = Volume(0, 9)
     contour = Contour.of([Triangle(0, 8), Triangle(3, 4)])
     return vol, contour
@@ -313,7 +312,7 @@ def cmd_roundtrip_test(opts: Dict[str, object]) -> int:
         fam = spins_to_triangles(sigma)
         if triangles_to_spins(fam, vol) != sigma:
             failures += 1
-        if not fam.satisfies_ma1():
+        if not satisfies_ma1(fam):
             ma1_failures += 1
     payload = _base_payload("roundtrip-test", opts)
     payload["configurations"] = 2**n

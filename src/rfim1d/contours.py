@@ -7,21 +7,20 @@ outer and each outer triangle containing or avoiding the inner's
 enclosing interval.  The decomposition is computed by merging violating
 pairs to a fixed point.
 
-The merge runs on integer clusters built straight from sorted bond
-pairs, so the shape enumerator shares it without building triangle
-objects; ``Contour`` objects are built only at the API boundary, by
-``contours()``.
+A ``Contour`` is the cluster the merge builds: its enclosing bonds, its
+mass and its members.  The merge runs on any sorted bond pairs, so the
+shape enumerator shares it on plain int tuples while ``contours()``
+hands it a family's own triangles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .triangles import Triangle, TriangleFamily
+from .triangles import Triangle
 
 DEFAULT_SEPARATION_TERMS = 2_000_000
 
@@ -44,46 +43,37 @@ def choose_C(terms: int = DEFAULT_SEPARATION_TERMS) -> int:
     raise RuntimeError("no admissible separation constant found")
 
 
-@dataclass(frozen=True)
-class Contour:
-    """A cluster of triangles with its equal-mass class decomposition."""
+class Contour(NamedTuple):
+    """A cluster of triangles: enclosing bonds, total mass and members.
 
-    triangles: Tuple[Triangle, ...]
+    The members are triangles or plain (left, right) bond pairs; ``of``
+    and ``contours()`` list them in bond order.
+    """
 
-    def __post_init__(self):
-        if not self.triangles:
-            raise ValueError("a contour needs at least one triangle")
-        object.__setattr__(self, "triangles", tuple(sorted(self.triangles)))
+    left: int
+    right: int
+    mass: int
+    triangles: Tuple[Tuple[int, int], ...]
 
     @classmethod
-    def of(cls, triangles) -> "Contour":
-        return cls(tuple(triangles))
+    def of(cls, triangles: Iterable[Tuple[int, int]]) -> "Contour":
+        """The contour of the given members, with its bonds and mass."""
+        members = tuple(sorted(triangles))
+        if not members:
+            raise ValueError("a contour needs at least one triangle")
+        return cls(members[0][0], max(r for _, r in members),
+                   sum(r - l for l, r in members), members)
 
-    @property
-    def left_bond(self) -> int:
-        return min(t.left for t in self.triangles)
-
-    @property
-    def right_bond(self) -> int:
-        return max(t.right for t in self.triangles)
-
-    @property
-    def mass(self) -> int:
-        return sum(t.mass for t in self.triangles)
-
-    def family(self) -> TriangleFamily:
-        return TriangleFamily.of(self.triangles)
-
-    def classes(self) -> List[Tuple[int, List[Triangle]]]:
+    def classes(self) -> List[Tuple[int, List[Tuple[int, int]]]]:
         """Equal-mass classes (Delta_l, members), strictly increasing in mass."""
-        by_mass: Dict[int, List[Triangle]] = {}
+        by_mass: Dict[int, List[Tuple[int, int]]] = {}
         for t in self.triangles:
-            by_mass.setdefault(t.mass, []).append(t)
+            by_mass.setdefault(t[1] - t[0], []).append(t)
         return [(mass, by_mass[mass]) for mass in sorted(by_mass)]
 
     @property
     def n_classes(self) -> int:
-        return len({t.mass for t in self.triangles})
+        return len({r - l for l, r in self.triangles})
 
     def power_mass(self, rho: float) -> float:
         """sum_l n_l * Delta_l**rho."""
@@ -91,19 +81,10 @@ class Contour:
 
     def contains_site(self, i: int) -> bool:
         """Site inside the enclosing basis."""
-        return self.left_bond < i <= self.right_bond
+        return self.left < i <= self.right
 
 
-class _Cluster(NamedTuple):
-    """Integer view of a contour: enclosing bonds, mass and member bond pairs."""
-
-    left: int
-    right: int
-    mass: int
-    members: Tuple[Tuple[int, int], ...]
-
-
-def _pair_separated(a: _Cluster, b: _Cluster, c: int) -> bool:
+def _pair_separated(a: Contour, b: Contour, c: int) -> bool:
     """True iff the pair satisfies one of the separation alternatives."""
     # disjoint enclosing intervals: the closest triangles are the facing ends
     if a.right <= b.left:
@@ -118,7 +99,7 @@ def _pair_separated(a: _Cluster, b: _Cluster, c: int) -> bool:
     threshold = c * inner.mass ** 3
     # each outer triangle must contain or avoid the inner enclosing interval;
     # its distance to the inner contour is then fixed by the inner's ends
-    for l, r in outer.members:
+    for l, r in outer.triangles:
         if r <= inner.left:
             gap = inner.left - r
         elif inner.right <= l:
@@ -132,7 +113,7 @@ def _pair_separated(a: _Cluster, b: _Cluster, c: int) -> bool:
     return True
 
 
-def _first_violation(clusters: Sequence[_Cluster], c: int) -> Optional[Tuple[int, int]]:
+def _first_violation(clusters: Sequence[Contour], c: int) -> Optional[Tuple[int, int]]:
     """Lexicographically first pair (i, j), i < j, that is not separated."""
     for i, a in enumerate(clusters):
         reach = a.right + c * a.mass ** 3
@@ -149,15 +130,16 @@ def _first_violation(clusters: Sequence[_Cluster], c: int) -> Optional[Tuple[int
 _merge_order = itemgetter(0, 2)  # a cluster's (left, mass)
 
 
-def _merge(pairs: Sequence[Tuple[int, int]], c: int) -> List[_Cluster]:
+def _merge(pairs: Sequence[Tuple[int, int]], c: int) -> List[Contour]:
     """Merge sorted bond pairs to a fixed point of the separation rules.
 
     Deterministic: among violating pairs, the one with the smallest
     (left endpoint, mass) keys merges first, and the fused cluster goes
     to the end of the list before the next stable sort.  Returns the
-    clusters in (left, mass) order.
+    clusters in (left, mass) order; the members of a fused cluster are in
+    merge order, not bond order.
     """
-    clusters = [_Cluster(p[0], p[1], p[1] - p[0], (p,)) for p in pairs]
+    clusters = [Contour(p[0], p[1], p[1] - p[0], (p,)) for p in pairs]
     while True:
         clusters.sort(key=_merge_order)
         pair = _first_violation(clusters, c)
@@ -167,39 +149,34 @@ def _merge(pairs: Sequence[Tuple[int, int]], c: int) -> List[_Cluster]:
         a, b = clusters[i], clusters[j]
         del clusters[j]
         del clusters[i]
-        clusters.append(_Cluster(min(a.left, b.left), max(a.right, b.right),
-                                 a.mass + b.mass, a.members + b.members))
+        clusters.append(Contour(min(a.left, b.left), max(a.right, b.right),
+                                a.mass + b.mass, a.triangles + b.triangles))
 
 
-def contours(family: TriangleFamily, c: int = 3) -> List[Contour]:
+def contours(family: Sequence[Triangle], c: int = 3) -> List[Contour]:
     """Partition a family into contours, ordered by left endpoint.
 
-    The contours hold the family's own triangle objects.
+    The contours hold the family's own triangle objects, in bond order.
     """
-    return [Contour.of(g.members) for g in _merge(family.sorted(), c)]
+    return [g if len(g.triangles) == 1 else g._replace(triangles=tuple(sorted(g.triangles)))
+            for g in _merge(family, c)]
 
 
 def verify_P1(contour_list: Sequence[Contour], c: int = 3) -> bool:
     """Certificate: every distinct pair satisfies a separation alternative."""
-    clusters = [_Cluster(g.left_bond, g.right_bond, g.mass, g.triangles) for g in contour_list]
-    for i, a in enumerate(clusters):
-        for b in clusters[i + 1:]:
+    for i, a in enumerate(contour_list):
+        for b in contour_list[i + 1:]:
             if not _pair_separated(a, b, c):
                 return False
     return True
 
 
-def verify_P2(families: Sequence[TriangleFamily], c: int = 3) -> bool:
+def verify_P2(families: Sequence[Sequence[Triangle]], c: int = 3) -> bool:
     """Independence: the decomposition of a union of pre-separated families
     is the union of the individual decompositions."""
-    individual: List[Contour] = []
-    for fam in families:
-        individual.extend(contours(fam, c))
+    individual = [g for fam in families for g in contours(fam, c)]
     if not verify_P1(individual, c):
         raise ValueError("families' contours do not pairwise satisfy the separation rules")
-    union = TriangleFamily.empty()
-    for fam in families:
-        union = union.union(fam)
-    joint = contours(union, c)
+    joint = contours(sorted(set().union(*families)), c)
     key = lambda gs: sorted(g.triangles for g in gs)
     return key(joint) == key(individual)

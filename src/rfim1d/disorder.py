@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, List
+from typing import FrozenSet, List, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .contours import Contour
 from .model import (CapacityError, CouplingSpec, SpinConfiguration, Volume,
                     _logsumexp, _site_words, _word_values, energy,
                     enumerate_spins)
-from .triangles import TriangleFamily, family_code, spins_to_triangles
+from .triangles import Triangle, family_code, spins_to_triangles
 
 EXHAUSTIVE_SITE_CAP = 12
 ANTISYMMETRY_TOL = 1e-9
@@ -90,16 +90,16 @@ class ConstrainedEnsemble:
         self.contour = contour
         self.vol = vol
         self.n_levels = contour.n_classes
-        gamma_fam = contour.family()
+        members = set(contour.triangles)
 
         all_spins = enumerate_spins(n)
         codes: List[int] = []
-        compatible: List[TriangleFamily] = []
+        compatible: List[Tuple[Triangle, ...]] = []
         for code in range(2**n):
             fam = spins_to_triangles(SpinConfiguration(vol, all_spins[code]))
-            if gamma_fam.triangles <= fam.triangles:
+            if members.issubset(fam):
                 codes.append(code)
-                compatible.append(fam.difference(gamma_fam))
+                compatible.append(tuple(t for t in fam if t not in members))
         if not compatible:
             raise ValueError("contour does not fit the volume")
         self.families = compatible

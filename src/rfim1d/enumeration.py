@@ -9,8 +9,9 @@ enclosing basis covers the origin.
 
 Candidates stay sorted tuples of integer bond pairs: the separation
 merge (``contours._merge``) and the realizability check run on them
-directly.  ``Contour`` objects are built only at the API boundary, by
-``enumerate_origin_contours`` and ``spin_scan_origin_contours``.
+directly, and a candidate is kept when the merge leaves one cluster.
+``enumerate_origin_contours`` turns the kept shapes into ``Contour``s of
+``Triangle``s.
 
 Gap soundness: a merge bridging the gap after prefix mass p joins
 clusters of masses at most p and m - p, so the gap is at most
@@ -92,14 +93,12 @@ def _shift(pairs: BondPairs, k: int) -> BondPairs:
     return tuple((l + k, r + k) for l, r in pairs)
 
 
-def _single_contour(pairs: BondPairs, c: int) -> bool:
-    """True iff the separation merge of the sorted pairs leaves one cluster."""
-    return len(_merge(pairs, c)) == 1
-
-
 @lru_cache(maxsize=None)
-def contour_shapes(m: int, c: int = 3) -> Tuple[BondPairs, ...]:
-    """Canonical (leftmost bond 0) single-contour families of total mass m."""
+def contour_shapes(m: int, c: int, /) -> Tuple[BondPairs, ...]:
+    """Canonical (leftmost bond 0) single-contour families of total mass m.
+
+    Both arguments are positional, so each (m, c) is one cache entry.
+    """
     if m < 1:
         raise ValueError("mass must be >= 1")
     results: List[BondPairs] = []
@@ -108,7 +107,7 @@ def contour_shapes(m: int, c: int = 3) -> Tuple[BondPairs, ...]:
         remaining = m - used
         if remaining == 0:
             pairs = tuple(sorted(prefix))
-            if _single_contour(pairs, c) and _is_realizable(pairs):
+            if len(_merge(pairs, c)) == 1 and _is_realizable(pairs):
                 results.append(pairs)
             return
         gap_cap = c * min(used, remaining) ** 3 if used else 0
@@ -154,7 +153,8 @@ def enumerate_origin_contours(m: int, c: int = 3, cap: int = DEFAULT_MASS_CAP) -
         span = max(r for _, r in shape)
         # translations t with 0 in the enclosing basis (t, t + span]
         for t in range(-span, 0):
-            out.append(Contour.of(Triangle(l, r) for l, r in _shift(shape, t)))
+            members = tuple(Triangle(l, r) for l, r in _shift(shape, t))
+            out.append(Contour(t, t + span, m, members))
     return out
 
 

@@ -6,7 +6,8 @@ midpoints, so that all pairwise distances between them are distinct.
 Growing 45-degree lines from the interface points collide pairwise, one
 collision at a time, and each collision freezes a triangle.  The
 resulting family of triangles is a bijective encoding of the
-configuration; a triangle is identified by its integer bond pair.
+configuration.  A triangle is its integer bond pair, and a family is the
+sorted tuple of its triangles.
 
 The offsets only break ties, so none is stored.  Taken as dyadic
 rationals of a common sign, decreasing with the bond rank inside the
@@ -18,8 +19,7 @@ leftmost interface outweighs the sum of all offsets to its right).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, NamedTuple, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -72,47 +72,13 @@ def triangle_distance(a: Triangle, b: Triangle) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class TriangleFamily:
-    """Finite set of triangles."""
-
-    triangles: FrozenSet[Triangle]
-
-    @classmethod
-    def of(cls, triangles: Iterable[Tuple[int, int]]) -> "TriangleFamily":
-        """Family of the given triangles or (left, right) bond pairs."""
-        return cls(frozenset(t if isinstance(t, Triangle) else Triangle(*t) for t in triangles))
-
-    @classmethod
-    def empty(cls) -> "TriangleFamily":
-        return cls(frozenset())
-
-    def __len__(self) -> int:
-        return len(self.triangles)
-
-    def __iter__(self):
-        return iter(self.sorted())
-
-    def sorted(self) -> List[Triangle]:
-        return sorted(self.triangles)
-
-    def sorted_by_mass(self) -> List[Triangle]:
-        return sorted(self.triangles, key=lambda t: (t.mass, t))
-
-    def union(self, other: "TriangleFamily") -> "TriangleFamily":
-        return TriangleFamily(self.triangles | other.triangles)
-
-    def difference(self, other: "TriangleFamily") -> "TriangleFamily":
-        return TriangleFamily(self.triangles - other.triangles)
-
-    def satisfies_ma1(self) -> bool:
-        """dist(T, T') >= min(|T|, |T'|) for every pair (nested pairs included)."""
-        tris = self.sorted()
-        for i, a in enumerate(tris):
-            for b in tris[i + 1:]:
-                if triangle_distance(a, b) < min(a.mass, b.mass):
-                    return False
-        return True
+def satisfies_ma1(family: Sequence[Triangle]) -> bool:
+    """dist(T, T') >= min(|T|, |T'|) for every pair (nested pairs included)."""
+    for i, a in enumerate(family):
+        for b in family[i + 1:]:
+            if triangle_distance(a, b) < min(a.mass, b.mass):
+                return False
+    return True
 
 
 def interfaces(sigma: SpinConfiguration) -> List[int]:
@@ -145,18 +111,18 @@ def pair_interface_bonds(bonds: List[int]) -> List[Tuple[int, int]]:
     return pairs
 
 
-def spins_to_triangles(sigma: SpinConfiguration) -> TriangleFamily:
-    """Map a plus-boundary configuration to its triangle family."""
-    return TriangleFamily.of(pair_interface_bonds(interfaces(sigma)))
+def spins_to_triangles(sigma: SpinConfiguration) -> Tuple[Triangle, ...]:
+    """Map a plus-boundary configuration to its triangle family, in bond order."""
+    return tuple(Triangle(l, r) for l, r in sorted(pair_interface_bonds(interfaces(sigma))))
 
 
-def triangles_to_spins(family: TriangleFamily, vol: Volume) -> SpinConfiguration:
+def triangles_to_spins(family: Iterable[Tuple[int, int]], vol: Volume) -> SpinConfiguration:
     """Inverse map: sigma_i = (-1)**(number of triangles covering site i)."""
     spins = np.ones(vol.n_sites, dtype=np.int8)
-    for t in family.triangles:
-        if t.left < vol.lo - 1 or t.right > vol.hi:
-            raise ValueError(f"triangle ({t.left}, {t.right}) outside volume [{vol.lo}, {vol.hi}]")
-        spins[t.left + 1 - vol.lo:t.right + 1 - vol.lo] *= -1
+    for left, right in family:
+        if left < vol.lo - 1 or right > vol.hi:
+            raise ValueError(f"triangle ({left}, {right}) outside volume [{vol.lo}, {vol.hi}]")
+        spins[left + 1 - vol.lo:right + 1 - vol.lo] *= -1
     return SpinConfiguration(vol, spins, boundary=+1)
 
 
@@ -183,13 +149,14 @@ def _is_realizable(pairs: Iterable[Tuple[int, int]]) -> bool:
     return set(pair_interface_bonds(bonds)) == pairs
 
 
-def is_compatible(a: TriangleFamily, b: TriangleFamily) -> bool:
+def is_compatible(a: Iterable[Tuple[int, int]], b: Iterable[Tuple[int, int]]) -> bool:
     """True iff the union is realizable by some plus-boundary configuration.
 
     Decided by regeneration: the union's spin image must decompose back
     into exactly the union.
     """
-    if a.triangles & b.triangles:
+    a, b = set(a), set(b)
+    if a & b:
         return False
-    return _is_realizable(a.union(b).triangles)
+    return _is_realizable(a | b)
 

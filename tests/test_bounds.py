@@ -3,7 +3,7 @@ import math
 import pytest
 
 from rfim1d import (ALPHA_PEIERLS_MAX, BOUND_CSV_COLUMNS, CouplingSpec,
-                    SpinConfiguration, TriangleFamily, Volume, contours, energy,
+                    SpinConfiguration, Triangle, Volume, contours, energy,
                     exhaustive_reports, family_code, hamiltonian, minimal_j1,
                     triangles_to_spins, zeta)
 from rfim1d.model import enumerate_spins
@@ -18,7 +18,7 @@ def reports_10():
 
 
 def _code(pairs):
-    return family_code(TriangleFamily.of(pairs), Volume(0, 9))
+    return family_code(pairs, Volume(0, 9))
 
 
 class TestZeta:
@@ -45,20 +45,20 @@ class TestZeta:
 class TestEnergyModel:
     def test_family_image_roundtrip(self, spec):
         vol = Volume(0, 9)
-        fam = TriangleFamily.of([(0, 8), (3, 4)])
+        fam = (Triangle(0, 8), Triangle(3, 4))
         image = enumerate_spins(10)[family_code(fam, vol)]
         assert list(image) == [1, -1, -1, -1, 1, -1, -1, -1, -1, 1]
 
     def test_empty_family_has_zero_energy(self, spec):
         vol = Volume(0, 7)
         table = energy(spec, vol, enumerate_spins(8))
-        assert table[family_code(TriangleFamily.empty(), vol)] == pytest.approx(0.0, abs=1e-12)
+        assert table[family_code((), vol)] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEraseBounds:
     def test_single_triangle(self, spec, reports_10):
         vol = Volume(0, 9)
-        fam = TriangleFamily.of([(4, 5)])
+        fam = (Triangle(4, 5),)
         report = reports_10[f"{_code(fam)}:prefix1"]
         assert report.passed
         assert report.rhs == pytest.approx(zeta(0.55))
@@ -86,7 +86,7 @@ class TestEraseBounds:
 
 
 class TestContourBound:
-    def test_single_contour_configuration(self, reports_10):
+    def test_one_contour_configuration(self, reports_10):
         code = _code([(0, 8), (3, 4)])
         report = reports_10[f"{code}:0"]
         assert f"{code}:1" not in reports_10
@@ -112,7 +112,7 @@ class TestTelescoping:
         # erasing every triangle, smallest first, costs H_0 of the configuration
         vol = Volume(0, 9)
         report = reports_10[f"{_code(pairs)}:prefix{len(pairs)}"]
-        image = triangles_to_spins(TriangleFamily.of(pairs), vol).spins
+        image = triangles_to_spins(pairs, vol).spins
         assert report.lhs == pytest.approx(energy_oracle(spec, vol, image), rel=1e-9)
 
 
@@ -136,15 +136,15 @@ class TestExhaustive:
         reports = {r.instance: r for r in exhaustive_reports(spec, n)}
 
         def h0(tris):
-            return hamiltonian(spec, triangles_to_spins(TriangleFamily.of(tris), vol))
+            return hamiltonian(spec, triangles_to_spins(tris, vol))
 
         for code, row in enumerate(enumerate_spins(n)):
             fam = spins_to_triangles(SpinConfiguration(vol, row))
-            tris = fam.sorted_by_mass()
+            tris = sorted(fam, key=lambda t: (t.mass, t))
             for i in range(1, len(tris) + 1):
                 direct = h0(tris) - h0(tris[i:])
                 assert reports[f"{code}:prefix{i}"].lhs == pytest.approx(direct, abs=1e-9)
             for k, gamma in enumerate(contours(fam, 3)):
-                direct = h0(tris) - h0(fam.difference(gamma.family()))
+                direct = h0(tris) - h0(set(fam) - set(gamma.triangles))
                 assert reports[f"{code}:{k}"].lhs == pytest.approx(direct, abs=1e-9)
             assert f"{code}:{len(contours(fam, 3))}" not in reports

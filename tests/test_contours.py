@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rfim1d import (Contour, DisorderField, RunConfig, SpinConfiguration,
-                    Triangle, TriangleFamily, Volume, choose_C, contours,
+                    Triangle, Volume, choose_C, contours,
                     separation_series, triangle_distance, verify_P1, verify_P2)
 from rfim1d import mc as mc_module
 from rfim1d.model import _coupling_sums, enumerate_spins
@@ -14,12 +14,12 @@ def _distance(a: Contour, b: Contour) -> int:
 
 
 def _enclosing(g: Contour) -> Triangle:
-    return Triangle(g.left_bond, g.right_bond)
+    return Triangle(g.left, g.right)
 
 
 def _reference_pair_separated(a: Contour, b: Contour, c: int) -> bool:
     """Separation rule evaluated on Contour objects, triangle pair by pair."""
-    if a.right_bond <= b.left_bond or b.right_bond <= a.left_bond:
+    if a.right <= b.left or b.right <= a.left:
         return _distance(a, b) > c * min(a.mass, b.mass) ** 3
     if _enclosing(a).contains_triangle(_enclosing(b)):
         a, b = b, a
@@ -28,19 +28,19 @@ def _reference_pair_separated(a: Contour, b: Contour, c: int) -> bool:
     inner, outer = a, b
     for t in outer.triangles:
         if not (t.contains_triangle(_enclosing(inner))
-                or t.right <= inner.left_bond
-                or inner.right_bond <= t.left):
+                or t.right <= inner.left
+                or inner.right <= t.left):
             return False
     return _distance(inner, outer) > c * inner.mass ** 3
 
 
-def _reference_contours(family: TriangleFamily, c: int = 3):
+def _reference_contours(family, c: int = 3):
     """Object-based restart-from-scratch merge loop, the oracle for contours()."""
-    clusters = [Contour.of([t]) for t in family.sorted()]
+    clusters = [Contour.of([t]) for t in family]
     merged = True
     while merged:
         merged = False
-        clusters.sort(key=lambda g: (g.left_bond, g.mass))
+        clusters.sort(key=lambda g: (g.left, g.mass))
         best = None
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
@@ -54,7 +54,7 @@ def _reference_contours(family: TriangleFamily, c: int = 3):
             fused = Contour.of(clusters[i].triangles + clusters[j].triangles)
             clusters = [g for k, g in enumerate(clusters) if k not in (i, j)] + [fused]
             merged = True
-    return sorted(clusters, key=lambda g: g.left_bond)
+    return sorted(clusters, key=lambda g: g.left)
 
 
 def _sampled_configuration(seed: int) -> SpinConfiguration:
@@ -89,8 +89,8 @@ class TestSeparationConstant:
 
 class TestContour:
     def test_enclosing_and_mass(self, nested_contour):
-        assert nested_contour.left_bond == 0
-        assert nested_contour.right_bond == 8
+        assert nested_contour.left == 0
+        assert nested_contour.right == 8
         assert nested_contour.mass == 9
 
     def test_classes_sorted_by_mass(self, nested_contour):
@@ -115,38 +115,38 @@ class TestContour:
 
 class TestDecomposition:
     def test_single_triangle(self):
-        fam = TriangleFamily.of([(0, 3)])
+        fam = (Triangle(0, 3),)
         [g] = contours(fam)
         assert g.mass == 3
 
     def test_close_pair_merges(self):
         # two mass-1 triangles at distance 2 <= C merge into one contour
-        fam = TriangleFamily.of([(0, 1), (3, 4)])
+        fam = (Triangle(0, 1), Triangle(3, 4))
         assert len(contours(fam, 3)) == 1
 
     def test_distant_pair_stays_separate(self):
-        fam = TriangleFamily.of([(0, 1), (10, 11)])
+        fam = (Triangle(0, 1), Triangle(10, 11))
         gs = contours(fam, 3)
         assert len(gs) == 2
         assert verify_P1(gs, 3)
 
     def test_nested_inner_merges(self, nested_contour):
         # inner mass-1 triangle at distance 3 = C*1^3 is not separated
-        fam = nested_contour.family()
+        fam = nested_contour.triangles
         assert len(contours(fam, 3)) == 1
 
     def test_merge_threshold_is_strict(self):
         # distance exactly C*min(m,m')^3 still merges; one more bond separates
-        at_threshold = TriangleFamily.of([(0, 1), (4, 5)])
-        beyond = TriangleFamily.of([(0, 1), (5, 6)])
+        at_threshold = (Triangle(0, 1), Triangle(4, 5))
+        beyond = (Triangle(0, 1), Triangle(5, 6))
         assert len(contours(at_threshold, 3)) == 1
         assert len(contours(beyond, 3)) == 2
 
     def test_mass_conserved(self):
-        fam = TriangleFamily.of([(0, 1), (3, 4), (20, 26), (40, 41)])
+        fam = (Triangle(0, 1), Triangle(3, 4), Triangle(20, 26), Triangle(40, 41))
         gs = contours(fam, 3)
         assert sum(g.mass for g in gs) == sum(t.mass for t in fam)
-        assert sorted(t for g in gs for t in g.triangles) == sorted(fam.triangles)
+        assert sorted(t for g in gs for t in g.triangles) == sorted(fam)
 
     def test_output_always_satisfies_separation(self):
         vol = Volume.centered(12)
@@ -157,9 +157,9 @@ class TestDecomposition:
                 assert verify_P1(contours(fam, 3), 3)
 
     def test_translation_covariant(self):
-        fam = TriangleFamily.of([(0, 1), (3, 4), (9, 15)])
+        fam = (Triangle(0, 1), Triangle(3, 4), Triangle(9, 15))
         base = {g.triangles for g in contours(fam, 3)}
-        moved = TriangleFamily.of((l + 11, r + 11) for l, r in fam.triangles)
+        moved = tuple(Triangle(l + 11, r + 11) for l, r in fam)
         shifted = {g.triangles for g in contours(moved, 3)}
         assert shifted == {tuple((l + 11, r + 11) for l, r in m) for m in base}
 
@@ -170,7 +170,7 @@ class TestReferenceOracle:
         assert got == _reference_contours(fam, 3)
         # the contours hold the family's own triangle objects
         assert sorted(id(t) for g in got for t in g.triangles) == sorted(
-            id(t) for t in fam.triangles)
+            id(t) for t in fam)
 
     def test_all_families_of_twelve_sites(self):
         vol = Volume.centered(12)
@@ -186,12 +186,12 @@ class TestReferenceOracle:
 
 class TestIndependence:
     def test_union_of_distant_families(self):
-        a = TriangleFamily.of([(0, 1), (3, 4)])
-        b = TriangleFamily.of([(100, 101), (104, 106)])
+        a = (Triangle(0, 1), Triangle(3, 4))
+        b = (Triangle(100, 101), Triangle(104, 106))
         assert verify_P2([a, b], 3)
 
     def test_precondition_violation_raises(self):
-        a = TriangleFamily.of([(0, 1)])
-        b = TriangleFamily.of([(3, 4)])  # too close: would merge
+        a = (Triangle(0, 1),)
+        b = (Triangle(3, 4),)  # too close: would merge
         with pytest.raises(ValueError):
             verify_P2([a, b], 3)

@@ -2,11 +2,12 @@ import math
 
 import pytest
 
-from rfim1d import (CapacityError, TriangleFamily, WeightSpec, certify_C0,
+from rfim1d import (CapacityError, Triangle, WeightSpec, certify_C0,
                     contours, enumerate_origin_contours, max_span,
                     spin_scan_origin_contours, verify_P1, weight_bound,
                     weight_sum)
-from rfim1d.enumeration import _block_shapes, _shift, contour_shapes
+from rfim1d.enumeration import (_block_shapes, _shape_aggregates, _shift,
+                                contour_shapes)
 from rfim1d.triangles import _is_realizable
 
 
@@ -16,15 +17,16 @@ def contour_keys(contour_list):
 
 def _reference_contour_shapes(m, c=3):
     """Object-based shape generator, the oracle for contour_shapes():
-    every candidate becomes a TriangleFamily, is decomposed by contours()
-    and is checked for realizability on a frozenset of its triangles."""
+    every candidate becomes a sorted tuple of Triangles, is decomposed by
+    contours() and is checked for realizability on a frozenset of its
+    triangles."""
     results = []
 
     def extend(prefix, used, right):
         remaining = m - used
         if remaining == 0:
-            fam = TriangleFamily.of(prefix)
-            if _is_realizable(fam.triangles) and len(contours(fam, c)) == 1:
+            fam = tuple(sorted(Triangle(l, r) for l, r in prefix))
+            if _is_realizable(frozenset(fam)) and len(contours(fam, c)) == 1:
                 results.append(tuple(sorted(prefix)))
             return
         gaps = range(1, c * min(used, remaining) ** 3 + 1) if used else (0,)
@@ -100,7 +102,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_shapes_match_object_oracle(self, m):
-        assert contour_shapes(m) == _reference_contour_shapes(m)
+        assert contour_shapes(m, 3) == _reference_contour_shapes(m)
 
     def test_mass_six_counts(self):
         # enumerate-contours --mmax 6 at the object-based generator: 2,306,048
@@ -108,6 +110,22 @@ class TestEnumeration:
         shapes = contour_shapes(6, 3)
         assert len(shapes) == 55_962
         assert sum(max(r for _, r in shape) for shape in shapes) == 2_306_048
+
+    def test_each_mass_is_enumerated_once(self):
+        # (2, 5) is a pair no other test enumerates, so its first call is the one miss
+        m, c = 2, 5
+        before = contour_shapes.cache_info()
+        shapes = contour_shapes(m, c)
+        aggregates = _shape_aggregates(m, c)
+        origin = enumerate_origin_contours(m, c)
+        after = contour_shapes.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+        assert sum(aggregates.values()) == len(origin) == sum(max(r for _, r in s) for s in shapes)
+        # a second spelling of the same call would be a second cache entry
+        with pytest.raises(TypeError):
+            contour_shapes(m)
+        with pytest.raises(TypeError):
+            contour_shapes(m, c=c)
 
     def test_max_span_growth(self):
         assert max_span(1) == 1

@@ -4,9 +4,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rfim1d import (SpinConfiguration, Triangle, TriangleFamily, Volume, energy,
-                    family_code, hamiltonian, interfaces, is_compatible,
-                    pair_interface_bonds, spins_to_triangles, triangle_distance,
+from rfim1d import (SpinConfiguration, Triangle, Volume, energy, family_code,
+                    hamiltonian, interfaces, is_compatible, pair_interface_bonds,
+                    satisfies_ma1, spins_to_triangles, triangle_distance,
                     triangles_to_spins)
 from rfim1d.model import enumerate_spins
 
@@ -43,7 +43,7 @@ class TestTriangle:
         with pytest.raises(ValueError):
             Triangle(4, 4)
         with pytest.raises(ValueError):
-            TriangleFamily.of([(5, 2)])
+            Triangle(5, 2)
 
     def test_is_its_bond_pair(self):
         t = Triangle(0, 8)
@@ -52,9 +52,6 @@ class TestTriangle:
         assert sorted([Triangle(3, 4), Triangle(0, 8), Triangle(0, 2)]) == [(0, 2), (0, 8), (3, 4)]
         with pytest.raises(AttributeError):
             t.left = 1
-        fam = TriangleFamily.of([(0, 8), Triangle(3, 4)])
-        assert fam == TriangleFamily.of([Triangle(0, 8), (3, 4)])
-        assert all(type(m) is Triangle for m in fam.triangles)
 
     def test_distance_disjoint(self):
         assert triangle_distance(Triangle(0, 2), Triangle(5, 6)) == 3
@@ -107,14 +104,15 @@ class TestSpinTriangleBijection:
         sigma = SpinConfiguration.from_minus_sites(Volume(0, 5), [2])
         assert interfaces(sigma) == [1, 2]
         fam = spins_to_triangles(sigma)
-        assert fam.triangles == frozenset({(1, 2)})
+        assert fam == ((1, 2),)
+        assert all(type(t) is Triangle for t in fam)
 
     def test_nested_block(self):
         # minus sites 1,2,3,5,6,7,8 with site 4 plus: one big triangle, one island
         vol = Volume(0, 9)
         sigma = SpinConfiguration.from_minus_sites(vol, [1, 2, 3, 5, 6, 7, 8])
         fam = spins_to_triangles(sigma)
-        assert fam.triangles == frozenset({(0, 8), (3, 4)})
+        assert fam == ((0, 8), (3, 4))
 
     def test_minus_boundary_rejected(self):
         sigma = SpinConfiguration.homogeneous(Volume(0, 3), +1, boundary=-1)
@@ -147,7 +145,7 @@ class TestSpinTriangleBijection:
         fam = spins_to_triangles(sigma)
         shifted_vol = Volume(5, 14)
         shifted = SpinConfiguration.from_minus_sites(shifted_vol, [6, 8, 9, 10])
-        assert spins_to_triangles(shifted).triangles == {(l + 5, r + 5) for l, r in fam}
+        assert spins_to_triangles(shifted) == tuple((l + 5, r + 5) for l, r in fam)
 
     def test_pairwise_distance_compatibility_exhaustive(self):
         # every produced family keeps pair distances >= the smaller mass
@@ -155,13 +153,13 @@ class TestSpinTriangleBijection:
         spins = enumerate_spins(10)
         for code in range(2 ** 10):
             fam = spins_to_triangles(SpinConfiguration(vol, spins[code]))
-            assert fam.satisfies_ma1()
+            assert satisfies_ma1(fam)
 
 
 class TestFamilies:
     def test_coverage_parity(self):
         # a site's spin is -1 to the number of triangles covering it
-        fam = TriangleFamily.of([(0, 8), (3, 4)])
+        fam = (Triangle(0, 8), Triangle(3, 4))
         sigma = triangles_to_spins(fam, Volume(0, 9))
         assert sigma.spin(4) == 1
         assert sigma.spin(3) == -1
@@ -170,29 +168,29 @@ class TestFamilies:
 
 class TestCompatibility:
     def test_disjoint_families_compatible(self):
-        a = TriangleFamily.of([(0, 1)])
-        b = TriangleFamily.of([(10, 12)])
+        a = (Triangle(0, 1),)
+        b = (Triangle(10, 12),)
         assert is_compatible(a, b)
 
     def test_repairing_union_incompatible(self):
         # interfaces 2,3,4,5 would re-pair as (2,3),(4,5)
-        a = TriangleFamily.of([(2, 5)])
-        b = TriangleFamily.of([(3, 4)])
+        a = (Triangle(2, 5),)
+        b = (Triangle(3, 4),)
         assert not is_compatible(a, b)
 
     def test_shared_bond_incompatible(self):
-        a = TriangleFamily.of([(0, 2)])
-        b = TriangleFamily.of([(2, 4)])
+        a = (Triangle(0, 2),)
+        b = (Triangle(2, 4),)
         assert not is_compatible(a, b)
 
     def test_energy_difference_matches_direct(self, spec):
         # H(s | rest) read from the energy table by bit code, as the bound checks do
         vol = Volume(0, 9)
-        s = TriangleFamily.of([(1, 2)])
-        rest = TriangleFamily.of([(6, 8)])
+        s = (Triangle(1, 2),)
+        rest = (Triangle(6, 8),)
         assert is_compatible(s, rest)
-        expected = (hamiltonian(spec, triangles_to_spins(s.union(rest), vol))
+        expected = (hamiltonian(spec, triangles_to_spins(s + rest, vol))
                     - hamiltonian(spec, triangles_to_spins(rest, vol)))
         table = energy(spec, vol, enumerate_spins(10))
-        looked_up = table[family_code(s.union(rest), vol)] - table[family_code(rest, vol)]
+        looked_up = table[family_code(s + rest, vol)] - table[family_code(rest, vol)]
         assert looked_up == pytest.approx(expected, abs=1e-12)
