@@ -4,7 +4,8 @@ Library layout:
 
 - ``model``: volumes, couplings, fields, the one energy function, exact marginals
 - ``triangles``: interface pairing and the triangle encoding of spins; a
-  family is a sorted tuple of ``Triangle`` bond pairs
+  family is a sorted tuple of ``Triangle`` bond pairs, and ``families``
+  streams those of every configuration of a volume
 - ``contours``: separation rules and the contour decomposition; a ``Contour``
   is a named tuple (left, right, mass, triangles)
 - ``bounds``: exhaustive verification of the deterministic energy bounds
@@ -30,8 +31,8 @@ from .model import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec,
                     DisorderField, SpinConfiguration, Volume,
                     VolumeMismatchError, energy, exact_gibbs_marginal,
                     hamiltonian)
-from .triangles import (Triangle, family_code, interfaces, is_compatible,
-                        pair_interface_bonds, satisfies_ma1,
+from .triangles import (Triangle, families, family_code, interfaces,
+                        is_compatible, pair_interface_bonds, satisfies_ma1,
                         spins_to_triangles, triangle_distance,
                         triangles_to_spins)
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
 from .contours import contours
-from .model import (ALPHA_PEIERLS_MAX, CouplingSpec, SpinConfiguration, Volume,
-                    energy, enumerate_spins)
-from .triangles import family_code, spins_to_triangles
+from .model import ALPHA_PEIERLS_MAX, CouplingSpec, Volume, energy, enumerate_spins
+from .triangles import families, family_code
 
 TOLERANCE = 1e-9
 
@@ -67,11 +66,9 @@ def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,
     """
     vol = Volume(0, n - 1)
     z = zeta(spec.alpha)
-    all_spins = enumerate_spins(n)
-    table = energy(spec, vol, all_spins).tolist()
+    table = energy(spec, vol, enumerate_spins(n)).tolist()
 
-    for code in range(2**n):
-        family = spins_to_triangles(SpinConfiguration(vol, all_spins[code]))
+    for code, family in enumerate(families(vol)):
         full = table[code]
         if "prefix" in kinds:
             tris = sorted(family, key=lambda t: (t.mass, t))

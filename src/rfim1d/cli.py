@@ -26,10 +26,8 @@ from .disorder import (BJ_CSV_COLUMNS, ConstrainedEnsemble, check_antisymmetry,
 from .enumeration import (DEFAULT_MASS_CAP, ENUM_CSV_COLUMNS, _check_cap,
                           _shape_aggregates, certify_C0, contour_shapes)
 from .mc import RUN_CSV_COLUMNS, EnergyDriftError, RunConfig, disorder_sweep
-from .model import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, SpinConfiguration, Volume,
-                    enumerate_spins)
-from .triangles import (Triangle, satisfies_ma1, spins_to_triangles,
-                        triangles_to_spins)
+from .model import ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, Volume
+from .triangles import Triangle, families, family_code, satisfies_ma1
 
 SCHEMA_VERSION = 1
 
@@ -304,13 +302,10 @@ def cmd_roundtrip_test(opts: Dict[str, object]) -> int:
     if not 1 <= n <= 16:
         raise CliError("--n must lie in 1..16 for the exhaustive roundtrip")
     vol = Volume.centered(n)
-    spins = enumerate_spins(n)
     failures = 0
     ma1_failures = 0
-    for code in range(2**n):
-        sigma = SpinConfiguration(vol, spins[code])
-        fam = spins_to_triangles(sigma)
-        if triangles_to_spins(fam, vol) != sigma:
+    for code, fam in enumerate(families(vol)):
+        if family_code(fam, vol) != code:
             failures += 1
         if not satisfies_ma1(fam):
             ma1_failures += 1

@@ -18,10 +18,9 @@ import numpy as np
 
 from .bounds import zeta
 from .contours import Contour
-from .model import (CapacityError, CouplingSpec, SpinConfiguration, Volume,
-                    _logsumexp, _site_words, _word_values, energy,
-                    enumerate_spins)
-from .triangles import Triangle, family_code, spins_to_triangles
+from .model import (CapacityError, CouplingSpec, Volume, _logsumexp, _site_words,
+                    _word_values, energy, enumerate_spins)
+from .triangles import Triangle, families, family_code
 
 EXHAUSTIVE_SITE_CAP = 12
 ANTISYMMETRY_TOL = 1e-9
@@ -35,8 +34,8 @@ def class_support(contour: Contour, ell: int) -> FrozenSet[int]:
     if not 0 <= ell < len(classes):
         raise ValueError(f"class index {ell} out of range")
     sites = set()
-    for t in classes[ell][1]:
-        sites.update(t.sites())
+    for left, right in classes[ell][1]:
+        sites.update(range(left + 1, right + 1))
     return frozenset(sites)
 
 
@@ -95,8 +94,7 @@ class ConstrainedEnsemble:
         all_spins = enumerate_spins(n)
         codes: List[int] = []
         compatible: List[Tuple[Triangle, ...]] = []
-        for code in range(2**n):
-            fam = spins_to_triangles(SpinConfiguration(vol, all_spins[code]))
+        for code, fam in enumerate(families(vol)):
             if members.issubset(fam):
                 codes.append(code)
                 compatible.append(tuple(t for t in fam if t not in members))

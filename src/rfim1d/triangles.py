@@ -7,7 +7,9 @@ Growing 45-degree lines from the interface points collide pairwise, one
 collision at a time, and each collision freezes a triangle.  The
 resulting family of triangles is a bijective encoding of the
 configuration.  A triangle is its integer bond pair, and a family is the
-sorted tuple of its triangles.
+sorted tuple of its triangles.  ``families(vol)`` streams the families
+of all 2**n configurations of a volume, in the bit-code order of
+``model.enumerate_spins``, from one batched interface scan.
 
 The offsets only break ties, so none is stored.  Taken as dyadic
 rationals of a common sign, decreasing with the bond rank inside the
@@ -19,11 +21,11 @@ leftmost interface outweighs the sum of all offsets to its right).
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .model import SpinConfiguration, Volume
+from .model import SpinConfiguration, Volume, enumerate_spins
 
 
 class _BondPair(NamedTuple):
@@ -81,13 +83,24 @@ def satisfies_ma1(family: Sequence[Triangle]) -> bool:
     return True
 
 
+def _interface_bonds(spins: np.ndarray, first_bond: int) -> Iterator[List[int]]:
+    """Sorted interface bonds of each row of a (rows, n) spin table with
+    plus boundary, row by row; bond first_bond lies left of column 0."""
+    padded = np.ones((spins.shape[0], spins.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = spins
+    change = padded[:, :-1] != padded[:, 1:]
+    bonds = (np.flatnonzero(change) % change.shape[1] + first_bond).tolist()
+    start = 0
+    for count in change.sum(axis=1).tolist():
+        yield bonds[start:start + count]
+        start += count
+
+
 def interfaces(sigma: SpinConfiguration) -> List[int]:
     """Sorted interface bonds of a configuration in the plus-boundary class."""
     if sigma.boundary != +1:
         raise ValueError("triangle construction requires plus boundary")
-    padded = np.concatenate(([1], sigma.spins, [1]))
-    change = padded[:-1] * padded[1:] == -1
-    return (np.flatnonzero(change) + (sigma.volume.lo - 1)).tolist()
+    return next(_interface_bonds(sigma.spins[None, :], sigma.volume.lo - 1))
 
 
 def pair_interface_bonds(bonds: List[int]) -> List[Tuple[int, int]]:
@@ -111,9 +124,23 @@ def pair_interface_bonds(bonds: List[int]) -> List[Tuple[int, int]]:
     return pairs
 
 
+def _family(bonds: List[int]) -> Tuple[Triangle, ...]:
+    return tuple(Triangle(l, r) for l, r in sorted(pair_interface_bonds(bonds)))
+
+
 def spins_to_triangles(sigma: SpinConfiguration) -> Tuple[Triangle, ...]:
     """Map a plus-boundary configuration to its triangle family, in bond order."""
-    return tuple(Triangle(l, r) for l, r in sorted(pair_interface_bonds(interfaces(sigma))))
+    return _family(interfaces(sigma))
+
+
+def families(vol: Volume) -> Iterator[Tuple[Triangle, ...]]:
+    """Triangle families of all plus-boundary configurations on vol, lazily.
+
+    Item ``code`` is the family of ``enumerate_spins(vol.n_sites)[code]``:
+    bit k of the code is set when the spin at site vol.lo + k is +1.
+    """
+    for bonds in _interface_bonds(enumerate_spins(vol.n_sites), vol.lo - 1):
+        yield _family(bonds)
 
 
 def triangles_to_spins(family: Iterable[Tuple[int, int]], vol: Volume) -> SpinConfiguration:

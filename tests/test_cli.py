@@ -5,6 +5,7 @@ import pytest
 
 from rfim1d import ConstrainedEnsemble, cli, enumeration, enumerate_origin_contours
 from rfim1d import mc as mc_module
+from rfim1d import triangles
 from rfim1d.cli import main
 
 
@@ -70,6 +71,21 @@ class TestRoundtripCommand:
         payload = json.loads(out)
         assert payload["all_pass"] is True
         assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_lost_triangle_fails(self, capsys, monkeypatch):
+        real = triangles.pair_interface_bonds
+        monkeypatch.setattr(triangles, "pair_interface_bonds", lambda bonds: real(bonds)[:-1])
+        code, out, _ = run_cli(capsys, "roundtrip-test", "--n", "6",
+                               "--format", "json", "--deterministic")
+        assert code == 2
+        assert json.loads(out)["roundtrip_failures"] > 0
+
+    def test_ma1_violation_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "satisfies_ma1", lambda family: False)
+        code, out, _ = run_cli(capsys, "roundtrip-test", "--n", "6",
+                               "--format", "json", "--deterministic")
+        assert code == 2
+        assert json.loads(out)["compatibility_failures"] == 2**6
 
 
 class TestVerifyEnergyCommand:

@@ -36,6 +36,12 @@ class TestFlipComposition:
         with pytest.raises(ValueError):
             flip_composition(nested_contour, 2)
 
+    def test_plain_bond_pairs(self, nested_contour):
+        plain = Contour.of([(0, 8), (3, 4)])
+        for ell in range(nested_contour.n_classes):
+            assert class_support(plain, ell) == class_support(nested_contour, ell)
+            assert flip_composition(plain, ell) == flip_composition(nested_contour, ell)
+
 
 class TestThresholds:
     def test_values(self, nested_contour):

@@ -4,10 +4,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rfim1d import (SpinConfiguration, Triangle, Volume, energy, family_code,
-                    hamiltonian, interfaces, is_compatible, pair_interface_bonds,
-                    satisfies_ma1, spins_to_triangles, triangle_distance,
-                    triangles_to_spins)
+from rfim1d import (SpinConfiguration, Triangle, Volume, energy, families,
+                    family_code, hamiltonian, interfaces, is_compatible,
+                    pair_interface_bonds, satisfies_ma1, spins_to_triangles,
+                    triangle_distance, triangles_to_spins)
+from rfim1d import triangles
 from rfim1d.model import enumerate_spins
 
 
@@ -164,6 +165,23 @@ class TestFamilies:
         assert sigma.spin(4) == 1
         assert sigma.spin(3) == -1
         assert sigma.spin(9) == 1
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_families_match_per_configuration_map(self, n):
+        for vol in (Volume(0, n - 1), Volume.centered(n), Volume(-20, -20 + n - 1)):
+            expected = [spins_to_triangles(SpinConfiguration(vol, row))
+                        for row in enumerate_spins(n)]
+            assert list(families(vol)) == expected
+
+    def test_families_is_lazy(self, monkeypatch):
+        paired = []
+        real = triangles.pair_interface_bonds
+        monkeypatch.setattr(triangles, "pair_interface_bonds",
+                            lambda bonds: paired.append(bonds) or real(bonds))
+        fams = families(Volume.centered(16))
+        assert iter(fams) is fams
+        assert next(fams) == ((-9, 7),)  # code 0: all 16 spins minus
+        assert len(paired) == 1
 
 
 class TestCompatibility:
