@@ -63,7 +63,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_flags(p: _Parser) -> None:
+def _shared_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, built once and shared as a parent parser."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=str, help="inverse temperature (comma list for sweep)")
     p.add_argument("--theta", type=str, help="field strength (comma list for sweep)")
@@ -84,6 +86,7 @@ def _add_flags(p: _Parser) -> None:
     p.add_argument("--deterministic", action="store_true", default=None)
     p.add_argument("--distribution", choices=["bernoulli", "gaussian", "uniform"])
     p.add_argument("--config", type=str, help="JSON file with default option values")
+    return p
 
 
 def _merge_options(args: argparse.Namespace) -> Dict[str, object]:
@@ -189,14 +192,15 @@ def cmd_sweep(opts: Dict[str, object]) -> int:
     betas = _floats(opts["beta"], "beta")
     thetas = _floats(opts["theta"], "theta")
     _require_peierls_alpha(float(opts["alpha"]))
+    # every grid point is validated before the first one runs
+    configs = [_run_config(opts, beta, theta) for beta in betas for theta in thetas]
     rows = []
     reports = []
-    for beta in betas:
-        for theta in thetas:
-            report = disorder_sweep(_run_config(opts, beta, theta), jobs=int(opts["jobs"]))
-            reports.append(report.to_dict())
-            rows.append([beta, theta, report.estimate, report.stderr,
-                         report.occupancy, report.b_bar, report.reference_100])
+    for config in configs:
+        report = disorder_sweep(config, jobs=int(opts["jobs"]))
+        reports.append(report.to_dict())
+        rows.append([config.beta, config.theta, report.estimate, report.stderr,
+                     report.occupancy, report.b_bar, report.reference_100])
     payload = _base_payload("sweep", opts)
     payload["reports"] = reports
     _emit(opts, payload,
@@ -334,9 +338,9 @@ COMMANDS = {
 def build_parser() -> _Parser:
     parser = _Parser(prog="rfim1d", description=__doc__)
     sub = parser.add_subparsers(dest="command")
+    shared = _shared_flags()
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        _add_flags(p)
+        sub.add_parser(name, parents=[shared])
     return parser
 
 

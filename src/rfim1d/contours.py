@@ -11,10 +11,16 @@ A ``Contour`` is the cluster the merge builds: its enclosing bonds, its
 mass and its members.  The merge runs on any sorted bond pairs, so the
 shape enumerator shares it on plain int tuples while ``contours()``
 hands it a family's own triangles.
+
+The nested test is one bisection on the outer cluster's sorted bonds
+(see ``_pair_separated``), not a walk over its members; a fused
+cluster's sorted bonds are computed once per merge, when a nested test
+first needs them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -84,8 +90,35 @@ class Contour(NamedTuple):
         return self.left < i <= self.right
 
 
-def _pair_separated(a: Contour, b: Contour, c: int) -> bool:
-    """True iff the pair satisfies one of the separation alternatives."""
+def _sorted_bonds(g: Contour, cache: Dict[int, tuple]) -> Sequence[int]:
+    """The bonds of g's members in increasing order.
+
+    A one-member cluster's pair already is its sorted bonds; a fused
+    cluster's are sorted once per cache.  An entry holds its cluster, so
+    the id it is keyed by cannot be reused while the cache lives.
+    """
+    if len(g.triangles) == 1:
+        return g.triangles[0]
+    hit = cache.get(id(g))
+    if hit is None:
+        hit = cache[id(g)] = (g, sorted([b for t in g.triangles for b in t]))
+    return hit[1]
+
+
+def _pair_separated(a: Contour, b: Contour, c: int, cache: Dict[int, tuple]) -> bool:
+    """True iff the pair satisfies one of the separation alternatives.
+
+    In the nested case, with inner enclosing bonds [L, R] and threshold
+    d = c * |inner|^3, each outer member (l, r), l < r, must lie below or
+    above [L, R] at a gap > d, or contain it with both gaps > d.  That
+    holds iff neither l nor r lies in the window [L - d, R + d]: a member
+    below or above [L, R] has its facing bond in the window iff its gap
+    is <= d, a containing member has l or r in it iff a gap is <= d, and
+    any other member crosses L or R and so has a bond inside [L, R].  So
+    the pair is separated iff no outer bond lies in the window, which
+    one bisection of the outer's sorted bonds decides.  ``cache`` keeps
+    the sorted bonds of fused clusters between calls.
+    """
     # disjoint enclosing intervals: the closest triangles are the facing ends
     if a.right <= b.left:
         return b.left - a.right > c * min(a.mass, b.mass) ** 3
@@ -97,23 +130,13 @@ def _pair_separated(a: Contour, b: Contour, c: int) -> bool:
         return False  # partial overlap of enclosing intervals
     inner, outer = a, b
     threshold = c * inner.mass ** 3
-    # each outer triangle must contain or avoid the inner enclosing interval;
-    # its distance to the inner contour is then fixed by the inner's ends
-    for l, r in outer.triangles:
-        if r <= inner.left:
-            gap = inner.left - r
-        elif inner.right <= l:
-            gap = l - inner.right
-        elif l <= inner.left and inner.right <= r:
-            gap = min(inner.left - l, r - inner.right)
-        else:
-            return False
-        if gap <= threshold:
-            return False
-    return True
+    bonds = _sorted_bonds(outer, cache)
+    k = bisect_left(bonds, inner.left - threshold)
+    return k == len(bonds) or bonds[k] > inner.right + threshold
 
 
-def _first_violation(clusters: Sequence[Contour], c: int) -> Optional[Tuple[int, int]]:
+def _first_violation(clusters: Sequence[Contour], c: int,
+                     cache: Dict[int, tuple]) -> Optional[Tuple[int, int]]:
     """Lexicographically first pair (i, j), i < j, that is not separated."""
     for i, a in enumerate(clusters):
         reach = a.right + c * a.mass ** 3
@@ -122,7 +145,7 @@ def _first_violation(clusters: Sequence[Contour], c: int) -> Optional[Tuple[int,
             if b.left > reach:
                 # b and every later cluster lie beyond a's largest threshold
                 break
-            if not _pair_separated(a, b, c):
+            if not _pair_separated(a, b, c, cache):
                 return i, j
     return None
 
@@ -140,9 +163,10 @@ def _merge(pairs: Sequence[Tuple[int, int]], c: int) -> List[Contour]:
     merge order, not bond order.
     """
     clusters = [Contour(p[0], p[1], p[1] - p[0], (p,)) for p in pairs]
+    cache: Dict[int, tuple] = {}
     while True:
         clusters.sort(key=_merge_order)
-        pair = _first_violation(clusters, c)
+        pair = _first_violation(clusters, c, cache)
         if pair is None:
             return clusters
         i, j = pair
@@ -164,9 +188,10 @@ def contours(family: Sequence[Triangle], c: int = 3) -> List[Contour]:
 
 def verify_P1(contour_list: Sequence[Contour], c: int = 3) -> bool:
     """Certificate: every distinct pair satisfies a separation alternative."""
+    cache: Dict[int, tuple] = {}
     for i, a in enumerate(contour_list):
         for b in contour_list[i + 1:]:
-            if not _pair_separated(a, b, c):
+            if not _pair_separated(a, b, c, cache):
                 return False
     return True
 

@@ -4,24 +4,30 @@ Each chain keeps the running sums m_i = sum_j J(|i-j|) sigma_j so a flip
 proposal costs O(1) to evaluate and O(N) to commit.  The couplings are
 held as one length-(2N-1) Toeplitz vector t (row i of J is a slice of
 t), read from the model's per-(spec, volume) cache, so memory stays O(N)
-at every volume size; an accepted flip is one numpy row update of m.
+at every volume size.
 The running energy starts from, and is checked every 10^4 updates
 against, ``model.energy``; the recomputation is skipped when no flip was
 accepted since the last one, as it would return the same value.
 
 The sweep kernel has two paths over the same draws.  ``_sweep`` is the
-scalar loop; numba, when installed, compiles it and it runs every sweep.
-Without numba each proposal costs microseconds of interpreted Python, so
-after a sweep whose acceptance fell below ``SKIP_BELOW_ACCEPTANCE`` (for
-the first sweep: the acceptance expected from the start state)
-``_skip_sweep`` runs instead: it evaluates a window of upcoming
-proposals in one numpy expression, commits the first accepted one and
-skips the rejected run before it (the rejection-skipping idea of Bortz,
-Kalos & Lebowitz, J. Comput. Phys. 17 (1975) 10, here without changing
-the chain).  Both paths apply the same elementwise float operations to
-the same ``order``/``unif`` draws, so the path choice cannot change a
-chain: spins, running sums, energy and accept counts are bit-identical,
-and the threshold is a speed setting only.
+scalar loop, run on Python floats: it reads the draws, spins and fields
+as lists and m one element at a time, and commits an accepted flip as
+one in-place numpy subtract or add of a row of the doubled couplings.
+It decides uphill moves with ``math.exp`` and hands the rare draw that
+lies within a rounding band of it to ``np.exp``, so every decision is
+the one ``np.exp`` makes.  Each proposal still costs about a
+microsecond of interpreted Python, so after a sweep whose acceptance
+fell below ``SKIP_BELOW_ACCEPTANCE`` (for the first sweep: the
+acceptance expected from the start state) ``_skip_sweep`` runs instead:
+it evaluates a window of upcoming proposals in one numpy expression,
+commits the first accepted one and skips the rejected run before it (the
+rejection-skipping idea of Bortz, Kalos & Lebowitz, J. Comput. Phys. 17
+(1975) 10, here without changing the chain).  Both paths apply the same
+elementwise float operations to the same ``order``/``unif`` draws (a
+row doubled once and added or subtracted equals the row times the new
+spin's +-2, as doubling and negation are exact), so the path choice
+cannot change a chain: spins, running sums, energy and accept counts are
+bit-identical, and the threshold is a speed setting only.
 """
 
 from __future__ import annotations
@@ -35,19 +41,8 @@ import numpy as np
 from .contours import contours
 from .disorder import b_bar
 from .model import (CouplingSpec, DisorderField, SpinConfiguration, Volume,
-                    _coupling_sums, _coupling_tables, energy)
+                    _coupling_sums, _coupling_tables, energy, toeplitz_rows)
 from .triangles import spins_to_triangles
-
-try:
-    from numba import njit
-    COMPILED = True
-except ImportError:  # pragma: no cover - numba is an optional speedup
-    COMPILED = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        return wrap if not (args and callable(args[0])) else args[0]
 
 DRIFT_CHECK_UPDATES = 10_000
 DRIFT_TOLERANCE = 1e-6
@@ -78,6 +73,10 @@ class RunConfig:
     occupancy_stride: int = 1
 
     def __post_init__(self):
+        if not self.beta >= 0.0:  # also rejects NaN
+            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if math.isnan(self.theta):
+            raise ValueError("theta must be a number, got nan")
         if self.size < 1:
             raise ValueError("size must be >= 1")
         if not 0 <= self.burnin < self.sweeps:
@@ -148,19 +147,41 @@ RUN_CSV_COLUMNS = ["realization", "estimate", "stderr", "occupancy", "acceptance
                    "violations", "mean_estimate", "mean_stderr", "b_bar", "reference_100"]
 
 
-@njit(cache=True, nogil=True)
 def _sweep(s, m, t, bv, hv, theta, beta, tau, order, unif, e):
-    """One Metropolis sweep in the given site order; returns (energy, accepted)."""
-    n = s.shape[0]
+    """One Metropolis sweep in the given site order; returns (energy, accepted).
+
+    Proposal k flips site order[k] iff its flip energy de is <= 0 or
+    unif[k] < np.exp(-beta * de).  The loop runs on Python floats with the
+    float operations of that rule; ``math.exp`` may differ from ``np.exp``
+    by an ulp, so a draw within a band around it (relative, with an
+    absolute floor for subnormal and zero exponentials) is decided by
+    ``np.exp``.  A NaN de fails every comparison and is rejected.
+    """
+    exp, np_exp = math.exp, np.exp
+    rows = toeplitz_rows(2.0 * t)  # doubling is exact: row i is 2 * t[n-1-i : 2n-1-i]
+    sl = s.tolist()
+    tb = (tau * bv).tolist()
+    th = (theta * hv).tolist()
+    m_at = m.item
     acc = 0
-    for k in range(n):
-        i = order[k]
-        de = 2.0 * s[i] * (m[i] + tau * bv[i] + theta * hv[i])
-        if de <= 0.0 or unif[k] < np.exp(-beta * de):
-            s[i] = -s[i]
-            m += (2.0 * s[i]) * t[n - 1 - i:2 * n - 1 - i]
-            e += de
-            acc += 1
+    for i, u in zip(order.tolist(), unif.tolist()):
+        si = sl[i]
+        de = 2.0 * si * (m_at(i) + tb[i] + th[i])
+        if not de <= 0.0:
+            x = -beta * de
+            ex = exp(x)
+            band = 1e-12 * ex + 1e-300
+            if not (u < ex - band or u < ex + band and u < np_exp(x)):
+                continue
+        # m += (2 * new spin) * row, as one in-place subtract or add
+        if si > 0.0:
+            m -= rows[i]
+        else:
+            m += rows[i]
+        sl[i] = -si
+        e += de
+        acc += 1
+    s[:] = sl
     return e, acc
 
 
@@ -244,7 +265,7 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     for sweep in range(config.sweeps):
         order = rng.permutation(n)
         unif = rng.random(n)
-        if COMPILED or acc >= SKIP_BELOW_ACCEPTANCE * n:
+        if acc >= SKIP_BELOW_ACCEPTANCE * n:
             e, acc = _sweep(s, m, t, bv, hv, config.theta, config.beta, tau, order, unif, e)
         else:
             # a first window as long as the run of rejections acc predicts

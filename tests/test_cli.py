@@ -56,6 +56,42 @@ class TestParsing:
                                "--sweeps", "20", "--burnin", "2", "--realizations", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("command, beta, theta", [
+        ("simulate", "-0.5", "1000"),
+        ("simulate", "nan", "0.05"),
+        ("simulate", "0.2", "nan"),
+        ("sweep", "0.2,-1", "0.05"),  # a later grid point stops the run before the first
+        ("sweep", "0.2", "0.05,nan"),
+    ])
+    def test_meaningless_temperature_rejected_before_work(self, capsys, monkeypatch,
+                                                          command, beta, theta):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} started work at beta {beta}, theta {theta}")
+
+        monkeypatch.setattr(cli, "disorder_sweep", no_work)
+        code, out, err = run_cli(capsys, command, "--beta", beta, "--theta", theta,
+                                 "--size", "16", "--sweeps", "3", "--burnin", "1",
+                                 "--realizations", "1")
+        assert code == 1
+        assert err.startswith("error: ") and ("beta" in err or "theta" in err)
+        assert out == ""
+
+    # one value per shared flag, none of them a default
+    EVERY_FLAG = {"alpha": 0.4, "beta": "0.3", "theta": "0.2", "j1": 2.5, "size": 9,
+                  "sweeps": 7, "burnin": 3, "seed": 5, "realizations": 2, "boundary": "-",
+                  "c": 4, "gamma": 0.2, "mmax": 3, "n": 5, "out": "o.csv", "format": "json",
+                  "jobs": 2, "deterministic": True, "distribution": "gaussian",
+                  "config": "c.json"}
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_subcommand_parses_every_flag(self, command):
+        argv = [command]
+        for key, value in self.EVERY_FLAG.items():
+            argv += [f"--{key}"] if value is True else [f"--{key}", str(value)]
+        args = cli.build_parser().parse_args(argv)
+        assert vars(args) == dict(self.EVERY_FLAG, command=command)
+        assert set(self.EVERY_FLAG) == set(cli.DEFAULTS) | {"config"}
+
 
 class TestRoundtripCommand:
     def test_small_volume_passes(self, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from rfim1d import (Contour, DisorderField, RunConfig, SpinConfiguration,
                     Triangle, Volume, choose_C, contours,
                     separation_series, triangle_distance, verify_P1, verify_P2)
 from rfim1d import mc as mc_module
+from rfim1d.contours import _merge, _pair_separated
 from rfim1d.model import _coupling_sums, enumerate_spins
 from rfim1d.triangles import spins_to_triangles
 
@@ -32,6 +35,35 @@ def _reference_pair_separated(a: Contour, b: Contour, c: int) -> bool:
                 or inner.right <= t.left):
             return False
     return _distance(inner, outer) > c * inner.mass ** 3
+
+
+def _reference_member_loop(a: Contour, b: Contour, c: int) -> bool:
+    """Separation rule with the nested case walked outer member by member."""
+    # disjoint enclosing intervals: the closest triangles are the facing ends
+    if a.right <= b.left:
+        return b.left - a.right > c * min(a.mass, b.mass) ** 3
+    if b.right <= a.left:
+        return a.left - b.right > c * min(a.mass, b.mass) ** 3
+    if a.left <= b.left and b.right <= a.right:
+        a, b = b, a
+    if not (b.left <= a.left and a.right <= b.right):
+        return False  # partial overlap of enclosing intervals
+    inner, outer = a, b
+    threshold = c * inner.mass ** 3
+    # each outer triangle must contain or avoid the inner enclosing interval;
+    # its distance to the inner contour is then fixed by the inner's ends
+    for l, r in outer.triangles:
+        if r <= inner.left:
+            gap = inner.left - r
+        elif inner.right <= l:
+            gap = l - inner.right
+        elif l <= inner.left and inner.right <= r:
+            gap = min(inner.left - l, r - inner.right)
+        else:
+            return False
+        if gap <= threshold:
+            return False
+    return True
 
 
 def _reference_contours(family, c: int = 3):
@@ -182,6 +214,75 @@ class TestReferenceOracle:
             fam = spins_to_triangles(_sampled_configuration(seed))
             assert len(fam) > 10
             self._assert_agrees(fam)
+
+
+class TestPairPredicate:
+    """``_pair_separated`` bisects the outer's sorted bonds; the member loop
+    and the triangle-distance rule are its oracles."""
+
+    @staticmethod
+    def _clusters(span, size):
+        """Every cluster of at most ``size`` distinct bond pairs within [0, span],
+        crossing (unrealizable) member pairs included."""
+        pairs = list(itertools.combinations(range(span + 1), 2))
+        return [Contour.of(members) for k in range(1, size + 1)
+                for members in itertools.combinations(pairs, k)]
+
+    def test_agrees_with_member_loop_on_all_small_pairs(self):
+        clusters = self._clusters(7, 2)
+        cache = {}
+        edges = {"left": 0, "right": 0, "equal": 0, "crossing": 0}
+        for a in clusters:
+            for b in clusters:
+                got = _pair_separated(a, b, 1, cache)
+                assert got is _reference_member_loop(a, b, 1), (a, b)
+                if b.left <= a.left and a.right <= b.right:
+                    thr = a.mass ** 3
+                    bonds = {x for t in b.triangles for x in t}
+                    edges["left"] += a.left - thr in bonds
+                    edges["right"] += a.right + thr in bonds
+                    edges["equal"] += (a.left, a.right) == (b.left, b.right)
+                    edges["crossing"] += any(l < a.left < r < a.right or a.left < l < a.right < r
+                                             for l, r in b.triangles)
+        # the set reaches both window ends, equal intervals and crossing members
+        assert all(edges.values()), edges
+
+    def test_window_ends_are_closed(self):
+        inner = Contour.of([(10, 11)])  # threshold c * 1 = 2 at c = 2
+        for outer, separated in [
+            ([(7, 14)], True), ([(8, 14)], False), ([(7, 13)], False),  # containing
+            ([(0, 7), (14, 20)], True), ([(0, 8), (14, 20)], False),  # avoiding
+            ([(0, 7), (13, 20)], False), ([(0, 7), (10, 11), (14, 20)], False),
+        ]:
+            b = Contour.of(outer)
+            assert _reference_member_loop(inner, b, 2) is separated
+            assert _pair_separated(inner, b, 2, {}) is separated
+            assert _pair_separated(b, inner, 2, {}) is separated
+
+    def test_agrees_with_triangle_distance_rule(self):
+        clusters = [Contour.of([Triangle(*t) for t in g.triangles])
+                    for g in self._clusters(6, 2)]
+        cache = {}
+        for a in clusters:
+            for b in clusters:
+                assert _pair_separated(a, b, 1, cache) is _reference_pair_separated(a, b, 1)
+
+    def test_fused_bonds_sorted_once_per_merge(self, monkeypatch):
+        calls = []
+
+        def counting(items):
+            calls.append(len(items))
+            return sorted(items)
+
+        monkeypatch.setitem(_merge.__globals__, "sorted", counting)
+        # one-member clusters never sort: (50, 51) sits far inside (0, 100)
+        assert len(_merge([(0, 100), (50, 51)], 3)) == 2
+        assert calls == []
+        fam = spins_to_triangles(_sampled_configuration(3))
+        merged = _merge(fam, 3)
+        # each fused cluster sorts its bonds at most once, and only fused ones sort
+        assert 0 < len(calls) <= len(fam) - len(merged)
+        assert min(calls) >= 4
 
 
 class TestIndependence:

@@ -1,9 +1,12 @@
-"""Golden outputs: small ``--deterministic`` runs of every subcommand,
-compared with the fixtures under ``tests/golden/``.
+"""Golden outputs: small ``--deterministic`` runs of every subcommand and
+one invocation of each sampling benchmark workload, compared with the
+fixtures under ``tests/golden/``, and the ``--help`` text of the top
+level and of every subcommand.
 
 Integers, booleans and strings must match exactly and floats to a
 relative error of 1e-12, so a different numpy or libm cannot fail the
-test while any change in what the program computes does.  A change that
+test while any change in what the program computes does.  Help texts
+must match byte for byte at 80 columns.  A change that
 is meant to alter outputs regenerates the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -11,14 +14,17 @@ is meant to alter outputs regenerates the fixtures with
 and says why they moved.
 """
 
+import contextlib
 import csv
+import io
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
 
-from rfim1d.cli import main
+from rfim1d.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 REL_TOL = 1e-12
@@ -33,6 +39,11 @@ CASES = {
     "simulate-plus": f"simulate {HOT} --beta 0.2 --size 64 --sweeps 40 --burnin 10 --boundary +",
     "simulate-minus": f"simulate {HOT} --beta 0.2 --size 64 --sweeps 40 --burnin 10 --boundary -",
     "sweep": f"sweep {HOT} --beta 0.2,0.4 --size 32 --sweeps 30 --burnin 5",
+    # one invocation of each sampling workload in perfbench/workloads.py, at benchmark seed 42
+    "sample-hot": "simulate --alpha 0.55 --j1 1.5 --beta 0.2 --theta 1.0 --size 512"
+                  " --sweeps 3 --burnin 2 --realizations 5 --seed 4200",
+    "sample-cold": "simulate --alpha 0.55 --beta 5 --theta 0.05 --j1 10 --size 4096"
+                   " --sweeps 40 --burnin 10 --realizations 1 --seed 4200",
 }
 # the JSON of verify-energy repeats its CSV rows at three times the size
 FILES = [(name, fmt) for name in CASES for fmt in ("csv", "json")
@@ -41,6 +52,20 @@ FILES = [(name, fmt) for name in CASES for fmt in ("csv", "json")
 
 def _run(name: str, fmt: str, out: Path) -> int:
     return main(CASES[name].split() + ["--format", fmt, "--deterministic", "--out", str(out)])
+
+
+def _help(command: str) -> str:
+    """``rfim1d [command] --help`` as printed; its width follows ``COLUMNS``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            main(([command] if command else []) + ["--help"])
+        except SystemExit as exc:
+            assert exc.code == 0
+    return out.getvalue()
+
+
+HELP = {"help": ""} | {f"help-{name}": name for name in COMMANDS}
 
 
 def _cell(text: str):
@@ -86,6 +111,12 @@ def test_matches_golden(tmp_path, capsys, name, fmt):
     _assert_same(_parse(out.read_text(encoding="utf-8"), fmt), _parse(want, fmt), f"{name}.{fmt}")
 
 
+@pytest.mark.parametrize("name", HELP)
+def test_help_matches_golden(monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _help(HELP[name]) == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
 def test_comparison_can_fail():
     want = _parse((GOLDEN / "simulate-plus.csv").read_text(encoding="utf-8"), "csv")
     got = json.loads(json.dumps(want))
@@ -98,3 +129,6 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, fmt in FILES:
         _run(name, fmt, GOLDEN / f"{name}.{fmt}")
+    os.environ["COLUMNS"] = "80"
+    for name, command in HELP.items():
+        (GOLDEN / f"{name}.txt").write_text(_help(command), encoding="utf-8")

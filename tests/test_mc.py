@@ -31,6 +31,20 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"beta": -0.5},
+        {"beta": -1e-300},
+        {"beta": math.nan},
+        {"theta": math.nan},
+    ])
+    def test_meaningless_temperature(self, kwargs):
+        with pytest.raises(ValueError, match="beta|theta"):
+            RunConfig(**kwargs)
+
+    def test_edge_temperatures_accepted(self):
+        assert RunConfig(beta=0.0).beta == 0.0
+        assert RunConfig(beta=-0.0, theta=-1.0).theta == -1.0
+
 
 def kernel_flip_energy(spec, sigma, h, theta, i):
     """Energy change the sweep kernel books for flipping site i.
@@ -187,22 +201,137 @@ class TestStationaryDistribution:
         assert chi2 < 40.0 * (2 ** n - 1)
 
 
-def kernel_run(kernel, n, beta, theta, j1, sweeps=20, seed=0):
-    """Final (s, m, e, accepted) of `sweeps` kernel sweeps on seeded draws."""
+def kernel_run(kernel, n, beta, theta, j1, sweeps=20, seed=0, boundary=+1,
+               distribution="bernoulli"):
+    """Final (s, m, e, accepted) of `sweeps` kernel sweeps on seeded draws,
+    from the all-boundary state."""
     cfg = RunConfig(size=n, alpha=0.55, beta=beta, theta=theta, j1=j1, sweeps=1, burnin=0)
     vol, spec = cfg.volume(), cfg.coupling_spec()
-    h = DisorderField.generate(vol, theta, seed=seed)
+    h = DisorderField.generate(vol, theta, seed=seed, distribution=distribution)
     t = spec.coupling_toeplitz(vol)
-    s = np.ones(n)
+    s = np.full(n, float(boundary))
     m = model_module._coupling_sums(t, s)
-    e = energy(spec, vol, s, +1, h, theta)
+    e = energy(spec, vol, s, boundary, h, theta)
     rng = np.random.default_rng(seed + 1)
     accepted = 0
     for _ in range(sweeps):
-        e, acc = kernel(s, m, t, spec.boundary_vector(vol), h.values, theta, beta, 1.0,
-                        rng.permutation(n), rng.random(n), e)
+        e, acc = kernel(s, m, t, spec.boundary_vector(vol), h.values, theta, beta,
+                        float(boundary), rng.permutation(n), rng.random(n), e)
         accepted += acc
     return s, m, e, accepted
+
+
+def _reference_sweep(s, m, t, bv, hv, theta, beta, tau, order, unif, e):
+    """One Metropolis sweep in the given site order; returns (energy, accepted)."""
+    n = s.shape[0]
+    acc = 0
+    for k in range(n):
+        i = order[k]
+        de = 2.0 * s[i] * (m[i] + tau * bv[i] + theta * hv[i])
+        if de <= 0.0 or unif[k] < np.exp(-beta * de):
+            s[i] = -s[i]
+            m += (2.0 * s[i]) * t[n - 1 - i:2 * n - 1 - i]
+            e += de
+            acc += 1
+    return e, acc
+
+
+def uphill_decisions(kernel, x, u):
+    """Whether kernel accepts, for each k, an uphill move with -beta * de = x[k]
+    against the draw u[k].
+
+    Every site sees only its own field (the couplings are zero), so the
+    sites are independent proposals with de = 2 b_k and beta = 1; the
+    halving and doubling of x are exact.
+    """
+    n = x.size
+    s, m = np.ones(n), np.zeros(n)
+    kernel(s, m, np.zeros(2 * n - 1), -x / 2.0, np.zeros(n), 0.0, 1.0, 1.0,
+           np.arange(n), np.asarray(u, dtype=np.float64), 0.0)
+    return s < 0
+
+
+def exp_disagreements(lo, hi, points):
+    """Grid points of [lo, hi] where math.exp and np.exp round differently."""
+    x = np.linspace(lo, hi, points)
+    return x[np.exp(x) != np.frompyfunc(math.exp, 1, 1)(x).astype(np.float64)]
+
+
+class TestScalarKernel:
+    """The Python-float ``_sweep`` against the numpy-scalar loop it replaced."""
+
+    @pytest.mark.parametrize("n, beta, theta, j1, boundary, distribution", [
+        (512, 0.2, 1.0, 1.5, +1, "bernoulli"),  # sample-hot parameters
+        (512, 0.0, 1.0, 1.5, +1, "bernoulli"),
+        (512, 0.4, 1.0, 1.5, +1, "bernoulli"),
+        (1, 0.3, 1.0, 1.5, +1, "bernoulli"),
+        (128, 0.2, 1.0, 1.5, -1, "bernoulli"),
+        (128, 0.2, 1.0, 1.5, +1, "gaussian"),
+        (4096, 5.0, 0.05, 10.0, +1, "bernoulli"),  # sample-cold parameters
+    ], ids=["hot", "beta0", "beta0.4", "n1", "minus", "gaussian", "cold"])
+    def test_bit_identical_to_reference(self, n, beta, theta, j1, boundary, distribution):
+        sweeps = 3 if n == 4096 else 20
+        s, m, e, acc = kernel_run(mc_module._sweep, n, beta, theta, j1, sweeps,
+                                  boundary=boundary, distribution=distribution)
+        s2, m2, e2, acc2 = kernel_run(_reference_sweep, n, beta, theta, j1, sweeps,
+                                      boundary=boundary, distribution=distribution)
+        assert np.array_equal(s, s2) and np.array_equal(m, m2)
+        assert e == e2 and acc == acc2
+        if n > 1 and 0.0 < beta < 1.0:
+            assert 0 < acc < sweeps * n
+
+    @staticmethod
+    def _assert_decides_as_numpy(x):
+        ex = np.exp(x)
+        ties = [ex, np.nextafter(ex, 0.0), np.nextafter(ex, 1.0),
+                np.frompyfunc(math.exp, 1, 1)(x).astype(np.float64), np.zeros_like(x)]
+        for u in ties:
+            want = u < ex
+            assert np.array_equal(uphill_decisions(_reference_sweep, x, u), want)
+            assert np.array_equal(uphill_decisions(mc_module._sweep, x, u), want)
+
+    def test_exp_ties_decide_as_numpy(self):
+        # math.exp and np.exp may round to neighbouring doubles (they do for a few
+        # percent of x with an AVX-512 np.exp); a draw equal to either must still
+        # decide as np.exp does
+        x = exp_disagreements(-60.0, -1e-9, 200_001)
+        self._assert_decides_as_numpy(np.concatenate([x, np.linspace(-60.0, 0.0, 1001)[:-1]]))
+
+    def test_subnormal_and_zero_exponentials_decide_as_numpy(self):
+        # below 2.2e-308 the exponential is subnormal and below -745.13 it is 0: a
+        # band relative to it alone vanishes there, while the draw can be 0.0
+        x = exp_disagreements(-745.2, -708.4, 400_001)
+        edge = np.nextafter(-745.1332191019, -np.inf) + np.arange(-5, 6) * 1e-11
+        x = np.concatenate([x, edge, [-800.0, -745.2, -1e308, -np.inf]])
+        assert (np.exp(x) == 0.0).any() and (np.exp(x) == 5e-324).any()
+        self._assert_decides_as_numpy(x)
+
+    def test_nan_flip_energy_is_rejected(self):
+        n = 8
+        for kernel in (_reference_sweep, mc_module._sweep):
+            s, m = np.ones(n), np.zeros(n)
+            hv = np.full(n, np.nan)
+            e, acc = kernel(s, m, np.zeros(2 * n - 1), np.zeros(n), hv, 1.0, 0.5, 1.0,
+                            np.arange(n), np.zeros(n), 0.0)
+            assert acc == 0 and e == 0.0 and np.array_equal(s, np.ones(n))
+
+    def test_commit_signs(self):
+        # a plus spin flips to minus and subtracts its doubled coupling row; a
+        # minus spin flips to plus and adds it
+        spec = CouplingSpec(alpha=0.55, j1=1.5)
+        vol = Volume.centered(5)
+        t = spec.coupling_toeplitz(vol)
+        s = np.array([1.0, 1.0, -1.0, 1.0, 1.0])
+        m = model_module._coupling_sums(t, s)
+        want = m.copy()
+        rows = model_module.toeplitz_rows(t)
+        order = [1, 2, 0, 3, 3]
+        mc_module._sweep(s, m, t, np.zeros(5), np.zeros(5), 0.0, 0.0, 1.0,
+                         np.array(order), np.zeros(5), 0.0)
+        assert np.array_equal(s, [-1.0, -1.0, 1.0, 1.0, 1.0])
+        for i, sign in zip(order, [-1, +1, -1, -1, +1]):
+            want += sign * (2.0 * rows[i])
+        assert np.array_equal(m, want)
 
 
 class TestSkipPath:
@@ -240,7 +369,6 @@ class TestSkipPath:
             return skip(*args)
 
         monkeypatch.setattr(mc_module, "_skip_sweep", counting)
-        monkeypatch.setattr(mc_module, "COMPILED", False)
         cfg = RunConfig(alpha=0.55, beta=0.3, theta=0.5, j1=1.5, size=16, sweeps=600,
                         burnin=100, seed=3, realizations=1)
         h = DisorderField.generate(cfg.volume(), cfg.theta, seed=4)
