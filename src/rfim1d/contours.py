@@ -14,8 +14,7 @@ hands it a family's own triangles.
 
 The nested test is one bisection on the outer cluster's sorted bonds
 (see ``_pair_separated``), not a walk over its members; a fused
-cluster's sorted bonds are computed once per merge, when a nested test
-first needs them.
+cluster's sorted bonds are merged from its parents' when it is built.
 """
 
 from __future__ import annotations
@@ -93,9 +92,9 @@ class Contour(NamedTuple):
 def _sorted_bonds(g: Contour, cache: Dict[int, tuple]) -> Sequence[int]:
     """The bonds of g's members in increasing order.
 
-    A one-member cluster's pair already is its sorted bonds; a fused
-    cluster's are sorted once per cache.  An entry holds its cluster, so
-    the id it is keyed by cannot be reused while the cache lives.
+    A one-member cluster's pair already is its sorted bonds; ``_merge``
+    caches a fused one's, and a starting one's are sorted once per cache.
+    An entry holds its cluster, so its id cannot be reused.
     """
     if len(g.triangles) == 1:
         return g.triangles[0]
@@ -153,16 +152,18 @@ def _first_violation(clusters: Sequence[Contour], c: int,
 _merge_order = itemgetter(0, 2)  # a cluster's (left, mass)
 
 
-def _merge(pairs: Sequence[Tuple[int, int]], c: int) -> List[Contour]:
-    """Merge sorted bond pairs to a fixed point of the separation rules.
+def _merge(pairs: Sequence[Tuple[int, int]], c: int,
+           clusters: Sequence[Contour] = ()) -> List[Contour]:
+    """Merge clusters to a fixed point of the separation rules.
 
+    The starting clusters are the given ones plus one per bond pair.
     Deterministic: among violating pairs, the one with the smallest
     (left endpoint, mass) keys merges first, and the fused cluster goes
     to the end of the list before the next stable sort.  Returns the
     clusters in (left, mass) order; the members of a fused cluster are in
     merge order, not bond order.
     """
-    clusters = [Contour(p[0], p[1], p[1] - p[0], (p,)) for p in pairs]
+    clusters = [*clusters, *(Contour(p[0], p[1], p[1] - p[0], (p,)) for p in pairs)]
     cache: Dict[int, tuple] = {}
     while True:
         clusters.sort(key=_merge_order)
@@ -173,8 +174,14 @@ def _merge(pairs: Sequence[Tuple[int, int]], c: int) -> List[Contour]:
         a, b = clusters[i], clusters[j]
         del clusters[j]
         del clusters[i]
-        clusters.append(Contour(min(a.left, b.left), max(a.right, b.right),
-                                a.mass + b.mass, a.triangles + b.triangles))
+        g = Contour(min(a.left, b.left), max(a.right, b.right), a.mass + b.mass,
+                    a.triangles + b.triangles)
+        # the parents' sorted bonds are two runs, which sorted() merges in linear
+        # time; no merge sees the parents again
+        cache[id(g)] = (g, sorted([*_sorted_bonds(a, cache), *_sorted_bonds(b, cache)]))
+        cache.pop(id(a), None)
+        cache.pop(id(b), None)
+        clusters.append(g)
 
 
 def contours(family: Sequence[Triangle], c: int = 3) -> List[Contour]:

@@ -7,15 +7,34 @@ realizable families that the separation algorithm maps to a single
 contour.  Each shape then contributes one contour per translation whose
 enclosing basis covers the origin.
 
-Candidates stay sorted tuples of integer bond pairs: the separation
-merge (``contours._merge``) and the realizability check run on them
-directly, and a candidate is kept when the merge leaves one cluster.
-``enumerate_origin_contours`` turns the kept shapes into ``Contour``s of
-``Triangle``s.
+A depth-first search places blocks (a top-level triangle with its nested
+content) left to right and carries the clusters of the prefix placed so
+far.  Each block shape is merged (``contours._merge``) once; placing it
+merges its shifted clusters into the prefix's.  A candidate is kept when its last
+block leaves one cluster and its bond pairs are realizable.  The top-
+level triangles fix the blocks, so no family is built twice.
 
-Gap soundness: a merge bridging the gap after prefix mass p joins
-clusters of masses at most p and m - p, so the gap is at most
-C * min(p, m - p)**3.
+Merge order: if clusters A and B violate the separation rules, so do
+any disjoint A' >= A and B' >= B, since intervals, masses and windows
+only grow.  A disjoint pair within reach stays within reach, or comes
+to nest with the facing end bond in the inner's window.  A partially
+overlapping pair cannot come apart, and if it nests, the outer has an
+end bond inside the inner's interval.  A nested pair with an outer bond
+in the inner's window keeps it there, or nests the other way round with
+the former inner's end bonds inside the new inner's interval.  So, by
+induction, every cluster a merge builds lies inside one contour of any
+separated partition coarser than the start, and the fixed point is the
+finest such partition whatever the merge order.  The prefix's clusters
+and a block's clusters each lie inside the contours of the whole
+candidate, so merging them gives the candidate's contours.
+
+Gap soundness: a candidate's clusters merge into one only if some merge
+bridges each gap.  Merge the prefix first, as the order does not
+matter; its clusters are separated, so the first merge across the gap
+after it joins a prefix cluster X with a cluster right of the gap of
+mass at most r = m - used.  Their intervals are disjoint, so the gap is
+at most X.right + C * min(|X|, r)**3 - right, maximized over X.  As
+X.right <= right and |X| <= used, this is at most C * min(used, r)**3.
 """
 
 from __future__ import annotations
@@ -101,26 +120,34 @@ def contour_shapes(m: int, c: int, /) -> Tuple[BondPairs, ...]:
     """
     if m < 1:
         raise ValueError("mass must be >= 1")
+    # per block mass: each block shape's width and its own clusters, merged once
+    blocks = [[(max(r for _, r in shape), _merge(shape, c)) for shape in _block_shapes(mass)]
+              for mass in range(m + 1)]
     results: List[BondPairs] = []
 
-    def extend(prefix: BondPairs, used: int, right: int) -> None:
+    def extend(clusters: List[Contour], used: int, right: int) -> None:
         remaining = m - used
         if remaining == 0:
-            pairs = tuple(sorted(prefix))
-            if len(_merge(pairs, c)) == 1 and _is_realizable(pairs):
-                results.append(pairs)
+            if len(clusters) == 1:
+                pairs = tuple(sorted(clusters[0].triangles))
+                if _is_realizable(pairs):
+                    results.append(pairs)
             return
-        gap_cap = c * min(used, remaining) ** 3 if used else 0
-        gaps = range(1, gap_cap + 1) if used else (0,)
+        if used:
+            reach = max(x.right + c * min(x.mass, remaining) ** 3 for x in clusters)
+            gaps = range(1, reach - right + 1)
+        else:
+            gaps = (0,)
         for block_mass in range(1, remaining + 1):
-            for shape in _block_shapes(block_mass):
-                width = max(r for _, r in shape)
+            for width, block in blocks[block_mass]:
                 for gap in gaps:
                     left = right + gap
-                    extend(prefix + _shift(shape, left), used + block_mass, left + width)
+                    moved = [Contour(x.left + left, x.right + left, x.mass,
+                                     _shift(x.triangles, left)) for x in block]
+                    extend(_merge((), c, clusters + moved), used + block_mass, left + width)
 
-    extend((), 0, 0)
-    return tuple(sorted(set(results)))
+    extend([], 0, 0)
+    return tuple(sorted(results))
 
 
 def _shape_aggregates(m: int, c: int) -> Dict[Tuple[int, ...], int]:

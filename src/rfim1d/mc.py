@@ -75,8 +75,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.beta >= 0.0:  # also rejects NaN
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if math.isnan(self.theta):
-            raise ValueError("theta must be a number, got nan")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         if self.size < 1:
             raise ValueError("size must be >= 1")
         if not 0 <= self.burnin < self.sweeps:

@@ -76,6 +76,20 @@ class TestParsing:
         assert err.startswith("error: ") and ("beta" in err or "theta" in err)
         assert out == ""
 
+    @pytest.mark.parametrize("theta", ["inf", "-inf"])
+    def test_infinite_theta_rejected(self, capsys, monkeypatch, theta):
+        # every flip energy would be +-inf and the drift check cannot flag it
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"simulate started work at theta {theta}")
+
+        monkeypatch.setattr(cli, "disorder_sweep", no_work)
+        # "--theta=-inf": argparse reads a bare "-inf" as an option, not a number
+        code, out, err = run_cli(capsys, "simulate", f"--theta={theta}", "--size", "16",
+                                 "--sweeps", "3", "--burnin", "1", "--realizations", "1")
+        assert code == 1
+        assert err == f"error: theta must be finite, got {theta}\n"
+        assert out == ""
+
     # one value per shared flag, none of them a default
     EVERY_FLAG = {"alpha": 0.4, "beta": "0.3", "theta": "0.2", "j1": 2.5, "size": 9,
                   "sweeps": 7, "burnin": 3, "seed": 5, "realizations": 2, "boundary": "-",

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from rfim1d import (Contour, DisorderField, RunConfig, SpinConfiguration,
 from rfim1d import mc as mc_module
 from rfim1d.contours import _merge, _pair_separated
 from rfim1d.model import _coupling_sums, enumerate_spins
-from rfim1d.triangles import spins_to_triangles
+from rfim1d.triangles import families, spins_to_triangles
 
 
 def _distance(a: Contour, b: Contour) -> int:
@@ -87,6 +88,24 @@ def _reference_contours(family, c: int = 3):
             clusters = [g for k, g in enumerate(clusters) if k not in (i, j)] + [fused]
             merged = True
     return sorted(clusters, key=lambda g: g.left)
+
+
+def _merge_in_order(family, c: int, pick):
+    """Merge to a fixed point, fusing the violating pair ``pick`` chooses
+    from the list of all of them; the partition as sorted member tuples."""
+    clusters = [Contour.of([t]) for t in family]
+    while True:
+        violating = [(a, b) for a, b in itertools.combinations(clusters, 2)
+                     if not _reference_pair_separated(a, b, c)]
+        if not violating:
+            return sorted(g.triangles for g in clusters)
+        a, b = pick(violating)
+        clusters = [g for g in clusters if g is not a and g is not b]
+        clusters.append(Contour.of(a.triangles + b.triangles))
+
+
+def _partition(clusters):
+    return sorted(tuple(sorted(g.triangles)) for g in clusters)
 
 
 def _sampled_configuration(seed: int) -> SpinConfiguration:
@@ -216,6 +235,29 @@ class TestReferenceOracle:
             self._assert_agrees(fam)
 
 
+class TestMergeOrder:
+    """The fixed point does not depend on which violating pair merges first
+    (the argument is in the ``enumeration`` docstring), so clusters merged
+    on their own can be merged further, as the shape enumerator does."""
+
+    def test_reversed_and_random_order_on_all_families_of_twelve_sites(self):
+        rng = random.Random(12)
+        merged = 0
+        for fam in families(Volume(0, 11)):
+            got = _partition(_merge(fam, 3))
+            assert _merge_in_order(fam, 3, lambda pairs: pairs[-1]) == got, fam
+            assert _merge_in_order(fam, 3, rng.choice) == got, fam
+            merged += len(got) < len(fam)
+        assert merged > 1000
+
+    def test_prefix_then_rest_equals_whole_family(self):
+        for fam in families(Volume(0, 11)):
+            whole = _partition(_merge(fam, 3))
+            for k in range(1, len(fam)):
+                start = _merge(fam[:k], 3) + _merge(fam[k:], 3)
+                assert _partition(_merge((), 3, start)) == whole, (fam, k)
+
+
 class TestPairPredicate:
     """``_pair_separated`` bisects the outer's sorted bonds; the member loop
     and the triangle-distance rule are its oracles."""
@@ -271,7 +313,7 @@ class TestPairPredicate:
         calls = []
 
         def counting(items):
-            calls.append(len(items))
+            calls.append(list(items))
             return sorted(items)
 
         monkeypatch.setitem(_merge.__globals__, "sorted", counting)
@@ -282,7 +324,25 @@ class TestPairPredicate:
         merged = _merge(fam, 3)
         # each fused cluster sorts its bonds at most once, and only fused ones sort
         assert 0 < len(calls) <= len(fam) - len(merged)
-        assert min(calls) >= 4
+        assert min(map(len, calls)) >= 4
+        # from its parents' sorted bonds: two sorted runs, merged in linear time
+        for items in calls:
+            assert sum(x > y for x, y in zip(items, items[1:])) <= 1, items
+
+    def test_starting_cluster_sorted_once(self, monkeypatch):
+        calls = []
+
+        def counting(items):
+            calls.append(list(items))
+            return sorted(items)
+
+        # a fused starting cluster, its members in merge order
+        outer = Contour.of([(40, 60), (0, 10)])._replace(triangles=((40, 60), (0, 10)))
+        monkeypatch.setitem(_merge.__globals__, "sorted", counting)
+        # (62, 63) joins it; (20, 21) and (30, 31) stay nested inside before and after
+        got = _merge([(20, 21), (30, 31), (62, 63)], 3, [outer])
+        assert _partition(got) == [((0, 10), (40, 60), (62, 63)), ((20, 21),), ((30, 31),)]
+        assert calls == [[40, 60, 0, 10], [0, 10, 40, 60, 62, 63]]
 
 
 class TestIndependence:

@@ -6,6 +6,7 @@ from rfim1d import (CapacityError, Triangle, WeightSpec, certify_C0,
                     contours, enumerate_origin_contours, max_span,
                     spin_scan_origin_contours, verify_P1, weight_bound,
                     weight_sum)
+from rfim1d.contours import _merge
 from rfim1d.enumeration import (_block_shapes, _shape_aggregates, _shift,
                                 contour_shapes)
 from rfim1d.triangles import _is_realizable
@@ -110,6 +111,36 @@ class TestEnumeration:
         shapes = contour_shapes(6, 3)
         assert len(shapes) == 55_962
         assert sum(max(r for _, r in shape) for shape in shapes) == 2_306_048
+
+    def test_mirror_images(self):
+        # a mirror image is a shape unless unrealizable: the separation rules are
+        # mirror-symmetric, only the pairing of interface bonds is not
+        missing = []
+        for m in range(1, 7):
+            shapes = contour_shapes(m, 3)
+            known = set(shapes)
+            mirrors = [tuple(sorted((span - r, span - l) for l, r in shape))
+                       for shape, span in ((s, max(r for _, r in s)) for s in shapes)]
+            absent = [mirror for mirror in mirrors if mirror not in known]
+            assert not any(_is_realizable(mirror) for mirror in absent)
+            missing.append(len(absent))
+        assert missing == [0, 0, 1, 6, 201, 3_426]
+
+    def test_search_size(self, monkeypatch):
+        # merges and fusions of one uncached mass-5 search: each block shape is
+        # merged once, and the reach-bounded gaps leave 5,128 finished
+        # candidates, where merging each candidate from scratch took 10,008
+        work = [0, 0]
+
+        def counting(pairs, c, clusters=()):
+            out = _merge(pairs, c, clusters)
+            work[0] += 1
+            work[1] += len(pairs) + len(clusters) - len(out)
+            return out
+
+        monkeypatch.setitem(contour_shapes.__wrapped__.__globals__, "_merge", counting)
+        assert contour_shapes.__wrapped__(5, 3) == contour_shapes(5, 3)
+        assert work == [6_522, 8_689]
 
     def test_each_mass_is_enumerated_once(self):
         # (2, 5) is a pair no other test enumerates, so its first call is the one miss

@@ -36,6 +36,8 @@ class TestRunConfig:
         {"beta": -1e-300},
         {"beta": math.nan},
         {"theta": math.nan},
+        {"theta": math.inf},
+        {"theta": -math.inf},
     ])
     def test_meaningless_temperature(self, kwargs):
         with pytest.raises(ValueError, match="beta|theta"):
