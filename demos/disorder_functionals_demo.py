@@ -9,19 +9,19 @@ against their exponential bounds.
 
 import numpy as np
 
-from rfim1d import (ConstrainedEnsemble, Contour, CouplingSpec, Triangle,
-                    Volume, b_bar, check_antisymmetry, estimate_Bj_probability,
-                    flip_composition, thresholds)
+from rfim1d import (ConstrainedEnsemble, Contour, CouplingSpec, Volume, b_bar,
+                    check_antisymmetry, estimate_Bj_probability, flip_composition,
+                    thresholds)
 from rfim1d.model import enumerate_spins
 
 
 def main():
     spec = CouplingSpec(alpha=0.55, j1=10.0)
     vol = Volume(0, 9)
-    contour = Contour.of([Triangle(0, 8), Triangle(3, 4)])
+    contour = Contour.of([(0, 8), (3, 4)])
     theta, beta = 0.3, 2.0
 
-    print("contour triangles:", [tuple(t) for t in contour.triangles])
+    print("contour triangles:", list(contour.triangles))
     print("mass classes:     ", [(d, len(ts)) for d, ts in contour.classes()])
     for j in range(contour.n_classes):
         print(f"composed flip set D_{j}:", sorted(flip_composition(contour, j)))

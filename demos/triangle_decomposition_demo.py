@@ -5,10 +5,9 @@ interfaces, shows how they pair into triangles, groups the triangles
 into contours, and confirms the encoding inverts exactly.
 """
 
-import numpy as np
-
-from rfim1d import (SpinConfiguration, Volume, contours, interfaces,
-                    satisfies_ma1, spins_to_triangles, triangles_to_spins)
+from rfim1d import (SpinConfiguration, Volume, interfaces, satisfies_ma1,
+                    spins_to_triangles, triangles_to_spins)
+from rfim1d.contours import contours
 
 
 def render(sigma):
@@ -29,15 +28,14 @@ def main():
 
     family = spins_to_triangles(sigma)
     print("\ntriangles (left bond, right bond, mass):")
-    for t in family:
-        print(f"  ({t.left}, {t.right})  mass {t.mass}  sites {list(t.sites())}")
+    for l, r in family:
+        print(f"  ({l}, {r})  mass {r - l}  sites {list(range(l + 1, r + 1))}")
     print("pairwise distances respect the smaller mass:", satisfies_ma1(family))
 
     print("\ncontour decomposition (separation constant C = 3):")
     for k, g in enumerate(contours(family, 3)):
-        members = [tuple(t) for t in g.triangles]
         print(f"  contour {k}: mass {g.mass}, enclosing bonds "
-              f"({g.left}, {g.right}), triangles {members}")
+              f"({g.left}, {g.right}), triangles {list(g.triangles)}")
 
     back = triangles_to_spins(family, vol)
     print("\nreconstructed:  ", render(back))

@@ -4,36 +4,38 @@ Library layout:
 
 - ``model``: volumes, couplings, fields, the one energy function, exact marginals
 - ``triangles``: interface pairing and the triangle encoding of spins; a
-  family is a sorted tuple of ``Triangle`` bond pairs, and ``families``
-  streams those of every configuration of a volume
+  triangle is a ``(left, right)`` int bond pair, a family is a sorted tuple
+  of them, and ``families`` streams those of every configuration of a volume
 - ``contours``: separation rules and the contour decomposition; a ``Contour``
-  is a named tuple (left, right, mass, triangles)
+  is a named tuple (left, right, mass, triangles), and the decomposition
+  itself is ``rfim1d.contours.contours``
 - ``bounds``: exhaustive verification of the deterministic energy bounds
 - ``enumeration``: origin contours of fixed mass and the entropy certificate
 - ``disorder``: the random functionals F_j, their antisymmetry and event probabilities
 - ``mc``: Metropolis sampling and disorder-averaged estimates
 - ``cli``: command-line entry point
+
+The reference oracles that check these layers (the spin-window scan of
+origin contours, the P1/P2 separation certificates and the compatibility
+test) live with the tests, in ``tests/oracles.py``.
 """
 
 from .bounds import (BOUND_CSV_COLUMNS, BoundReport, exhaustive_reports,
                      minimal_j1, zeta)
-from .contours import (Contour, choose_C, contours, separation_series,
-                       verify_P1, verify_P2)
+from .contours import Contour, choose_C, separation_series
 from .disorder import (BJ_CSV_COLUMNS, BjEstimate, ConstrainedEnsemble, b_bar,
                        check_antisymmetry, class_support,
                        estimate_Bj_probability, flip_composition, thresholds)
 from .enumeration import (ENUM_CSV_COLUMNS, CertifyResult, WeightSpec,
-                          certify_C0, enumerate_origin_contours, max_span,
-                          spin_scan_origin_contours, weight_bound, weight_sum)
+                          certify_C0, enumerate_origin_contours, weight_bound)
 from .mc import (RUN_CSV_COLUMNS, ChainResult, RunConfig, RunReport,
                  disorder_sweep, metropolis_run)
 from .model import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec,
                     DisorderField, SpinConfiguration, Volume,
                     VolumeMismatchError, energy, exact_gibbs_marginal,
                     hamiltonian)
-from .triangles import (Triangle, families, family_code, interfaces,
-                        is_compatible, pair_interface_bonds, satisfies_ma1,
-                        spins_to_triangles, triangle_distance,
+from .triangles import (families, family_code, interfaces, pair_interface_bonds,
+                        satisfies_ma1, spins_to_triangles, triangle_distance,
                         triangles_to_spins)
 
 __version__ = "0.1.0"

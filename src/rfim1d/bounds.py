@@ -71,11 +71,11 @@ def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,
     for code, family in enumerate(families(vol)):
         full = table[code]
         if "prefix" in kinds:
-            tris = sorted(family, key=lambda t: (t.mass, t))
+            tris = sorted(family, key=lambda t: (t[1] - t[0], t))
             rhs = 0.0
-            for i in range(1, len(tris) + 1):
+            for i, (l, r) in enumerate(tris, 1):
                 lhs = full - table[family_code(tris[i:], vol)]
-                rhs += z * tris[i - 1].mass**spec.alpha
+                rhs += z * (r - l)**spec.alpha
                 yield BoundReport(spec.alpha, spec.j1, c, n, f"{code}:prefix{i}", lhs, rhs)
         if "contour" in kinds:
             for k, gamma in enumerate(contours(family, c)):

@@ -27,7 +27,7 @@ from .enumeration import (DEFAULT_MASS_CAP, ENUM_CSV_COLUMNS, _check_cap,
                           _shape_aggregates, certify_C0, contour_shapes)
 from .mc import RUN_CSV_COLUMNS, EnergyDriftError, RunConfig, disorder_sweep
 from .model import ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, Volume
-from .triangles import Triangle, families, family_code, satisfies_ma1
+from .triangles import families, family_code, satisfies_ma1
 
 SCHEMA_VERSION = 1
 
@@ -232,7 +232,7 @@ def cmd_verify_energy(opts: Dict[str, object]) -> int:
 def _reference_disorder_instance():
     """A two-class nested contour on a 10-site volume for disorder checks."""
     vol = Volume(0, 9)
-    contour = Contour.of([Triangle(0, 8), Triangle(3, 4)])
+    contour = Contour.of([(0, 8), (3, 4)])
     return vol, contour
 
 

@@ -8,9 +8,8 @@ enclosing interval.  The decomposition is computed by merging violating
 pairs to a fixed point.
 
 A ``Contour`` is the cluster the merge builds: its enclosing bonds, its
-mass and its members.  The merge runs on any sorted bond pairs, so the
-shape enumerator shares it on plain int tuples while ``contours()``
-hands it a family's own triangles.
+mass and its member triangles, each a ``(left, right)`` bond pair.  The
+shape enumerator and ``contours()`` share the merge.
 
 The nested test is one bisection on the outer cluster's sorted bonds
 (see ``_pair_separated``), not a walk over its members; a fused
@@ -24,8 +23,6 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .triangles import Triangle
 
 DEFAULT_SEPARATION_TERMS = 2_000_000
 
@@ -51,8 +48,8 @@ def choose_C(terms: int = DEFAULT_SEPARATION_TERMS) -> int:
 class Contour(NamedTuple):
     """A cluster of triangles: enclosing bonds, total mass and members.
 
-    The members are triangles or plain (left, right) bond pairs; ``of``
-    and ``contours()`` list them in bond order.
+    The members are (left, right) bond pairs; ``of`` and ``contours()``
+    list them in bond order.
     """
 
     left: int
@@ -66,6 +63,8 @@ class Contour(NamedTuple):
         members = tuple(sorted(triangles))
         if not members:
             raise ValueError("a contour needs at least one triangle")
+        if any(l >= r for l, r in members):
+            raise ValueError("each triangle requires left bond < right bond")
         return cls(members[0][0], max(r for _, r in members),
                    sum(r - l for l, r in members), members)
 
@@ -184,31 +183,10 @@ def _merge(pairs: Sequence[Tuple[int, int]], c: int,
         clusters.append(g)
 
 
-def contours(family: Sequence[Triangle], c: int = 3) -> List[Contour]:
+def contours(family: Sequence[Tuple[int, int]], c: int = 3) -> List[Contour]:
     """Partition a family into contours, ordered by left endpoint.
 
-    The contours hold the family's own triangle objects, in bond order.
+    Each contour lists its bond pairs in bond order.
     """
     return [g if len(g.triangles) == 1 else g._replace(triangles=tuple(sorted(g.triangles)))
             for g in _merge(family, c)]
-
-
-def verify_P1(contour_list: Sequence[Contour], c: int = 3) -> bool:
-    """Certificate: every distinct pair satisfies a separation alternative."""
-    cache: Dict[int, tuple] = {}
-    for i, a in enumerate(contour_list):
-        for b in contour_list[i + 1:]:
-            if not _pair_separated(a, b, c, cache):
-                return False
-    return True
-
-
-def verify_P2(families: Sequence[Sequence[Triangle]], c: int = 3) -> bool:
-    """Independence: the decomposition of a union of pre-separated families
-    is the union of the individual decompositions."""
-    individual = [g for fam in families for g in contours(fam, c)]
-    if not verify_P1(individual, c):
-        raise ValueError("families' contours do not pairwise satisfy the separation rules")
-    joint = contours(sorted(set().union(*families)), c)
-    key = lambda gs: sorted(g.triangles for g in gs)
-    return key(joint) == key(individual)

@@ -20,7 +20,7 @@ from .bounds import zeta
 from .contours import Contour
 from .model import (CapacityError, CouplingSpec, Volume, _logsumexp, _site_words,
                     _word_values, energy, enumerate_spins)
-from .triangles import Triangle, families, family_code
+from .triangles import families, family_code
 
 EXHAUSTIVE_SITE_CAP = 12
 ANTISYMMETRY_TOL = 1e-9
@@ -93,7 +93,7 @@ class ConstrainedEnsemble:
 
         all_spins = enumerate_spins(n)
         codes: List[int] = []
-        compatible: List[Tuple[Triangle, ...]] = []
+        compatible: List[Tuple[Tuple[int, int], ...]] = []
         for code, fam in enumerate(families(vol)):
             if members.issubset(fam):
                 codes.append(code)

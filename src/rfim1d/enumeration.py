@@ -45,9 +45,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .contours import Contour, _merge, contours
-from .model import CapacityError, SpinConfiguration, Volume
-from .triangles import Triangle, _is_realizable, spins_to_triangles
+from .contours import Contour, _merge
+from .model import CapacityError
+from .triangles import _is_realizable
 
 DEFAULT_MASS_CAP = 6
 
@@ -69,11 +69,6 @@ class WeightSpec:
 
     def log_weight(self, masses: Sequence[int]) -> float:
         return -self.b * sum(float(m)**self.gamma for m in masses)
-
-
-def max_span(m: int, c: int = 3) -> int:
-    """Upper bound on the bond span of a mass-m contour."""
-    return m + c * sum(min(p, m - p) ** 3 for p in range(1, m))
 
 
 @lru_cache(maxsize=None)
@@ -180,16 +175,8 @@ def enumerate_origin_contours(m: int, c: int = 3, cap: int = DEFAULT_MASS_CAP) -
         span = max(r for _, r in shape)
         # translations t with 0 in the enclosing basis (t, t + span]
         for t in range(-span, 0):
-            members = tuple(Triangle(l, r) for l, r in _shift(shape, t))
-            out.append(Contour(t, t + span, m, members))
+            out.append(Contour(t, t + span, m, _shift(shape, t)))
     return out
-
-
-def weight_sum(m: int, spec: WeightSpec, c: int = 3, cap: int = DEFAULT_MASS_CAP) -> float:
-    """sum over origin contours of mass m of prod_T exp(-b |T|**gamma)."""
-    _check_cap(m, cap)
-    return float(sum(count * math.exp(spec.log_weight(masses))
-                     for masses, count in _shape_aggregates(m, c).items()))
 
 
 def weight_bound(m: int, spec: WeightSpec) -> float:
@@ -241,25 +228,3 @@ def certify_C0(gamma: float, m_max: int = DEFAULT_MASS_CAP,
             b_star = b
             break
     return CertifyResult(gamma, m_max, c, grid, b_star, tuple(rows))
-
-
-def spin_scan_origin_contours(m: int, c: int = 3,
-                              half_width: Optional[int] = None) -> List[Contour]:
-    """Independent oracle: origin contours of mass m found by scanning spin
-    configurations with at most m minus sites on a window.
-
-    A family of total mass m flips at most m sites, so the restricted scan
-    is exhaustive for mass-m contours fitting the window.
-    """
-    if half_width is None:
-        half_width = max_span(m, c) + 2
-    vol = Volume(-half_width, half_width)
-    sites = list(vol.sites())
-    found = {}
-    for k in range(1, m + 1):
-        for minus in itertools.combinations(sites, k):
-            sigma = SpinConfiguration.from_minus_sites(vol, minus)
-            for gamma in contours(spins_to_triangles(sigma), c):
-                if gamma.mass == m and gamma.contains_site(0):
-                    found[gamma.triangles] = gamma
-    return list(found.values())

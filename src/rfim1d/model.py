@@ -57,10 +57,6 @@ class Volume:
     def sites(self) -> np.ndarray:
         return np.arange(self.lo, self.hi + 1)
 
-    def bonds(self) -> range:
-        """Bonds (x, x+1) touching the volume, boundary bonds included."""
-        return range(self.lo - 1, self.hi + 1)
-
     def __contains__(self, i) -> bool:
         return self.lo <= i <= self.hi
 
@@ -183,14 +179,6 @@ class SpinConfiguration:
             and self.boundary == other.boundary
             and np.array_equal(self.spins, other.spins)
         )
-
-    def spin(self, i: int) -> int:
-        return int(self.spins[self.volume.index(i)])
-
-    def flipped(self, i: int) -> "SpinConfiguration":
-        spins = self.spins.copy()
-        spins[self.volume.index(i)] *= -1
-        return SpinConfiguration(self.volume, spins, self.boundary)
 
     @classmethod
     def homogeneous(cls, vol: Volume, value: int = +1, boundary: int = +1) -> "SpinConfiguration":
@@ -345,9 +333,6 @@ class DisorderField:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.distribution == "bernoulli" and not np.all(np.abs(values) == 1.0):
             raise ValueError("bernoulli field values must be exactly +-1")
-
-    def value(self, i: int) -> float:
-        return float(self.values[self.volume.index(i)])
 
     @classmethod
     def generate(

@@ -6,10 +6,12 @@ midpoints, so that all pairwise distances between them are distinct.
 Growing 45-degree lines from the interface points collide pairwise, one
 collision at a time, and each collision freezes a triangle.  The
 resulting family of triangles is a bijective encoding of the
-configuration.  A triangle is its integer bond pair, and a family is the
-sorted tuple of its triangles.  ``families(vol)`` streams the families
-of all 2**n configurations of a volume, in the bit-code order of
-``model.enumerate_spins``, from one batched interface scan.
+configuration.  A triangle is a plain ``(left, right)`` tuple of int
+bonds with left < right; its mass, the number of sites it flips, is
+``right - left``.  A family is the sorted tuple of such bond pairs.
+``families(vol)`` streams the families of all 2**n configurations of a
+volume, in the bit-code order of ``model.enumerate_spins``, from one
+batched interface scan.
 
 The offsets only break ties, so none is stored.  Taken as dyadic
 rationals of a common sign, decreasing with the bond rank inside the
@@ -21,64 +23,37 @@ leftmost interface outweighs the sum of all offsets to its right).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .model import SpinConfiguration, Volume, enumerate_spins
 
 
-class _BondPair(NamedTuple):
-    left: int
-    right: int
-
-
-class Triangle(_BondPair):
-    """Coupled interface pair (left bond, right bond); mass = number of
-    integer sites on its basis.  Equality, hash and order are the pair's."""
-
-    __slots__ = ()
-
-    def __new__(cls, left: int, right: int) -> "Triangle":
-        if left >= right:
-            raise ValueError("triangle requires left bond < right bond")
-        return super().__new__(cls, left, right)
-
-    @property
-    def mass(self) -> int:
-        return self.right - self.left
-
-    def sites(self) -> range:
-        """Integer sites covered by the basis."""
-        return range(self.left + 1, self.right + 1)
-
-    def contains_triangle(self, other: "Triangle") -> bool:
-        return self.left <= other.left and other.right <= self.right
-
-
-def triangle_distance(a: Triangle, b: Triangle) -> int:
+def triangle_distance(a: Tuple[int, int], b: Tuple[int, int]) -> int:
     """Distance between triangle bases (bond units).
 
     Disjoint bases: the gap.  Nested bases: distance from the inner base
     to the outer base's endpoints.  Partial overlap (never produced by
     the construction): 0.
     """
-    if a.right <= b.left:
-        return b.left - a.right
-    if b.right <= a.left:
-        return a.left - b.right
-    if a.contains_triangle(b):
-        a, b = b, a
-    if b.contains_triangle(a):
-        return min(a.left - b.left, b.right - a.right)
+    (al, ar), (bl, br) = a, b
+    if ar <= bl:
+        return bl - ar
+    if br <= al:
+        return al - br
+    if al <= bl and br <= ar:
+        (al, ar), (bl, br) = b, a
+    if bl <= al and ar <= br:
+        return min(al - bl, br - ar)
     return 0
 
 
-def satisfies_ma1(family: Sequence[Triangle]) -> bool:
+def satisfies_ma1(family: Sequence[Tuple[int, int]]) -> bool:
     """dist(T, T') >= min(|T|, |T'|) for every pair (nested pairs included)."""
     for i, a in enumerate(family):
         for b in family[i + 1:]:
-            if triangle_distance(a, b) < min(a.mass, b.mass):
+            if triangle_distance(a, b) < min(a[1] - a[0], b[1] - b[0]):
                 return False
     return True
 
@@ -124,16 +99,16 @@ def pair_interface_bonds(bonds: List[int]) -> List[Tuple[int, int]]:
     return pairs
 
 
-def _family(bonds: List[int]) -> Tuple[Triangle, ...]:
-    return tuple(Triangle(l, r) for l, r in sorted(pair_interface_bonds(bonds)))
+def _family(bonds: List[int]) -> Tuple[Tuple[int, int], ...]:
+    return tuple(sorted(pair_interface_bonds(bonds)))
 
 
-def spins_to_triangles(sigma: SpinConfiguration) -> Tuple[Triangle, ...]:
+def spins_to_triangles(sigma: SpinConfiguration) -> Tuple[Tuple[int, int], ...]:
     """Map a plus-boundary configuration to its triangle family, in bond order."""
     return _family(interfaces(sigma))
 
 
-def families(vol: Volume) -> Iterator[Tuple[Triangle, ...]]:
+def families(vol: Volume) -> Iterator[Tuple[Tuple[int, int], ...]]:
     """Triangle families of all plus-boundary configurations on vol, lazily.
 
     Item ``code`` is the family of ``enumerate_spins(vol.n_sites)[code]``:
@@ -147,8 +122,9 @@ def triangles_to_spins(family: Iterable[Tuple[int, int]], vol: Volume) -> SpinCo
     """Inverse map: sigma_i = (-1)**(number of triangles covering site i)."""
     spins = np.ones(vol.n_sites, dtype=np.int8)
     for left, right in family:
-        if left < vol.lo - 1 or right > vol.hi:
-            raise ValueError(f"triangle ({left}, {right}) outside volume [{vol.lo}, {vol.hi}]")
+        if not vol.lo - 1 <= left < right <= vol.hi:
+            raise ValueError(f"triangle ({left}, {right}) is not a bond pair left < right "
+                             f"inside volume [{vol.lo}, {vol.hi}]")
         spins[left + 1 - vol.lo:right + 1 - vol.lo] *= -1
     return SpinConfiguration(vol, spins, boundary=+1)
 
@@ -174,16 +150,3 @@ def _is_realizable(pairs: Iterable[Tuple[int, int]]) -> bool:
     if len(set(bonds)) != len(bonds):
         return False
     return set(pair_interface_bonds(bonds)) == pairs
-
-
-def is_compatible(a: Iterable[Tuple[int, int]], b: Iterable[Tuple[int, int]]) -> bool:
-    """True iff the union is realizable by some plus-boundary configuration.
-
-    Decided by regeneration: the union's spin image must decompose back
-    into exactly the union.
-    """
-    a, b = set(a), set(b)
-    if a & b:
-        return False
-    return _is_realizable(a | b)
-

@@ -1,6 +1,6 @@
 import pytest
 
-from rfim1d import Contour, CouplingSpec, Triangle, Volume
+from rfim1d import Contour, CouplingSpec, Volume
 
 
 @pytest.fixture
@@ -16,7 +16,7 @@ def ten_site_volume():
 @pytest.fixture
 def nested_contour():
     """Two-class contour (masses 1 and 8) realizable on a 10-site volume."""
-    return Contour.of([Triangle(0, 8), Triangle(3, 4)])
+    return Contour.of([(0, 8), (3, 4)])
 
 
 def double_sum_energy(spec, vol, spins, boundary=+1, field=None, theta=0.0):

@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
+from oracles import spin_scan_origin_contours
 from rfim1d import (Contour, CouplingSpec, DisorderField, RunConfig,
-                    SpinConfiguration, Triangle, Volume, certify_C0,
-                    choose_C, disorder_sweep, enumerate_origin_contours,
+                    SpinConfiguration, Volume, certify_C0, choose_C,
+                    disorder_sweep, enumerate_origin_contours,
                     exact_gibbs_marginal, exhaustive_reports, metropolis_run,
-                    satisfies_ma1, separation_series,
-                    spin_scan_origin_contours, spins_to_triangles,
+                    satisfies_ma1, separation_series, spins_to_triangles,
                     triangles_to_spins)
 from rfim1d.cli import main
 from rfim1d.disorder import (ConstrainedEnsemble, check_antisymmetry,
@@ -34,7 +34,7 @@ def report(num, description, ok):
 def nested_instance():
     spec = CouplingSpec(alpha=0.55, j1=10.0)
     vol = Volume(0, 9)
-    contour = Contour.of([Triangle(0, 8), Triangle(3, 4)])
+    contour = Contour.of([(0, 8), (3, 4)])
     return spec, vol, contour, ConstrainedEnsemble(spec, contour, vol)
 
 

@@ -4,11 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from oracles import verify_P1, verify_P2
 from rfim1d import (Contour, DisorderField, RunConfig, SpinConfiguration,
-                    Triangle, Volume, choose_C, contours,
-                    separation_series, triangle_distance, verify_P1, verify_P2)
+                    Volume, choose_C, separation_series, triangle_distance)
 from rfim1d import mc as mc_module
-from rfim1d.contours import _merge, _pair_separated
+from rfim1d.contours import _merge, _pair_separated, contours
 from rfim1d.model import _coupling_sums, enumerate_spins
 from rfim1d.triangles import families, spins_to_triangles
 
@@ -17,23 +17,28 @@ def _distance(a: Contour, b: Contour) -> int:
     return min(triangle_distance(s, t) for s in a.triangles for t in b.triangles)
 
 
-def _enclosing(g: Contour) -> Triangle:
-    return Triangle(g.left, g.right)
+def _enclosing(g: Contour) -> tuple:
+    return g.left, g.right
+
+
+def _contains(outer, inner) -> bool:
+    """The bond pair outer contains the bond pair inner."""
+    return outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
 def _reference_pair_separated(a: Contour, b: Contour, c: int) -> bool:
     """Separation rule evaluated on Contour objects, triangle pair by pair."""
     if a.right <= b.left or b.right <= a.left:
         return _distance(a, b) > c * min(a.mass, b.mass) ** 3
-    if _enclosing(a).contains_triangle(_enclosing(b)):
+    if _contains(_enclosing(a), _enclosing(b)):
         a, b = b, a
-    if not _enclosing(b).contains_triangle(_enclosing(a)):
+    if not _contains(_enclosing(b), _enclosing(a)):
         return False
     inner, outer = a, b
-    for t in outer.triangles:
-        if not (t.contains_triangle(_enclosing(inner))
-                or t.right <= inner.left
-                or inner.right <= t.left):
+    for l, r in outer.triangles:
+        if not (_contains((l, r), _enclosing(inner))
+                or r <= inner.left
+                or inner.right <= l):
             return False
     return _distance(inner, outer) > c * inner.mass ** 3
 
@@ -163,20 +168,26 @@ class TestContour:
         with pytest.raises(ValueError):
             Contour.of([])
 
+    def test_orientation_required(self):
+        with pytest.raises(ValueError):
+            Contour.of([(5, 2)])
+        with pytest.raises(ValueError):
+            Contour.of([(0, 8), (4, 4)])
+
 
 class TestDecomposition:
     def test_single_triangle(self):
-        fam = (Triangle(0, 3),)
+        fam = ((0, 3),)
         [g] = contours(fam)
         assert g.mass == 3
 
     def test_close_pair_merges(self):
         # two mass-1 triangles at distance 2 <= C merge into one contour
-        fam = (Triangle(0, 1), Triangle(3, 4))
+        fam = ((0, 1), (3, 4))
         assert len(contours(fam, 3)) == 1
 
     def test_distant_pair_stays_separate(self):
-        fam = (Triangle(0, 1), Triangle(10, 11))
+        fam = ((0, 1), (10, 11))
         gs = contours(fam, 3)
         assert len(gs) == 2
         assert verify_P1(gs, 3)
@@ -188,15 +199,15 @@ class TestDecomposition:
 
     def test_merge_threshold_is_strict(self):
         # distance exactly C*min(m,m')^3 still merges; one more bond separates
-        at_threshold = (Triangle(0, 1), Triangle(4, 5))
-        beyond = (Triangle(0, 1), Triangle(5, 6))
+        at_threshold = ((0, 1), (4, 5))
+        beyond = ((0, 1), (5, 6))
         assert len(contours(at_threshold, 3)) == 1
         assert len(contours(beyond, 3)) == 2
 
     def test_mass_conserved(self):
-        fam = (Triangle(0, 1), Triangle(3, 4), Triangle(20, 26), Triangle(40, 41))
+        fam = ((0, 1), (3, 4), (20, 26), (40, 41))
         gs = contours(fam, 3)
-        assert sum(g.mass for g in gs) == sum(t.mass for t in fam)
+        assert sum(g.mass for g in gs) == sum(r - l for l, r in fam)
         assert sorted(t for g in gs for t in g.triangles) == sorted(fam)
 
     def test_output_always_satisfies_separation(self):
@@ -208,9 +219,9 @@ class TestDecomposition:
                 assert verify_P1(contours(fam, 3), 3)
 
     def test_translation_covariant(self):
-        fam = (Triangle(0, 1), Triangle(3, 4), Triangle(9, 15))
+        fam = ((0, 1), (3, 4), (9, 15))
         base = {g.triangles for g in contours(fam, 3)}
-        moved = tuple(Triangle(l + 11, r + 11) for l, r in fam)
+        moved = tuple((l + 11, r + 11) for l, r in fam)
         shifted = {g.triangles for g in contours(moved, 3)}
         assert shifted == {tuple((l + 11, r + 11) for l, r in m) for m in base}
 
@@ -302,8 +313,7 @@ class TestPairPredicate:
             assert _pair_separated(b, inner, 2, {}) is separated
 
     def test_agrees_with_triangle_distance_rule(self):
-        clusters = [Contour.of([Triangle(*t) for t in g.triangles])
-                    for g in self._clusters(6, 2)]
+        clusters = [Contour.of(g.triangles) for g in self._clusters(6, 2)]
         cache = {}
         for a in clusters:
             for b in clusters:
@@ -347,12 +357,12 @@ class TestPairPredicate:
 
 class TestIndependence:
     def test_union_of_distant_families(self):
-        a = (Triangle(0, 1), Triangle(3, 4))
-        b = (Triangle(100, 101), Triangle(104, 106))
+        a = ((0, 1), (3, 4))
+        b = ((100, 101), (104, 106))
         assert verify_P2([a, b], 3)
 
     def test_precondition_violation_raises(self):
-        a = (Triangle(0, 1),)
-        b = (Triangle(3, 4),)  # too close: would merge
+        a = ((0, 1),)
+        b = ((3, 4),)  # too close: would merge
         with pytest.raises(ValueError):
             verify_P2([a, b], 3)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rfim1d import (CapacityError, ConstrainedEnsemble, Contour, DisorderField,
-                    Triangle, Volume, b_bar, check_antisymmetry, class_support,
+                    Volume, b_bar, check_antisymmetry, class_support,
                     estimate_Bj_probability, flip_composition, thresholds, zeta)
 from rfim1d.disorder import ANTISYMMETRY_TOL, BJ_CSV_COLUMNS, _sampled_fields
 from rfim1d.model import enumerate_spins
@@ -10,7 +10,7 @@ from rfim1d.model import enumerate_spins
 
 @pytest.fixture
 def single_class_contour():
-    return Contour.of([Triangle(3, 5)])
+    return Contour.of([(3, 5)])
 
 
 @pytest.fixture
@@ -84,7 +84,7 @@ class TestEnsemble:
             ConstrainedEnsemble(spec, nested_contour, big)
 
     def test_contour_must_fit(self, spec):
-        contour = Contour.of([Triangle(0, 8)])
+        contour = Contour.of([(0, 8)])
         with pytest.raises(ValueError):
             ConstrainedEnsemble(spec, contour, Volume(0, 4))
 

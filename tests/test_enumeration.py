@@ -2,11 +2,10 @@ import math
 
 import pytest
 
-from rfim1d import (CapacityError, Triangle, WeightSpec, certify_C0,
-                    contours, enumerate_origin_contours, max_span,
-                    spin_scan_origin_contours, verify_P1, weight_bound,
-                    weight_sum)
-from rfim1d.contours import _merge
+from oracles import max_span, spin_scan_origin_contours, verify_P1
+from rfim1d import (CapacityError, WeightSpec, certify_C0,
+                    enumerate_origin_contours, weight_bound)
+from rfim1d.contours import _merge, contours
 from rfim1d.enumeration import (_block_shapes, _shape_aggregates, _shift,
                                 contour_shapes)
 from rfim1d.triangles import _is_realizable
@@ -17,18 +16,18 @@ def contour_keys(contour_list):
 
 
 def _reference_contour_shapes(m, c=3):
-    """Object-based shape generator, the oracle for contour_shapes():
-    every candidate becomes a sorted tuple of Triangles, is decomposed by
-    contours() and is checked for realizability on a frozenset of its
-    triangles."""
+    """Brute-force shape generator, the oracle for contour_shapes():
+    every candidate becomes a sorted tuple of bond pairs, is decomposed
+    from scratch by contours() and is checked for realizability on a
+    frozenset of its pairs."""
     results = []
 
     def extend(prefix, used, right):
         remaining = m - used
         if remaining == 0:
-            fam = tuple(sorted(Triangle(l, r) for l, r in prefix))
+            fam = tuple(sorted(prefix))
             if _is_realizable(frozenset(fam)) and len(contours(fam, c)) == 1:
-                results.append(tuple(sorted(prefix)))
+                results.append(fam)
             return
         gaps = range(1, c * min(used, remaining) ** 3 + 1) if used else (0,)
         for block_mass in range(1, remaining + 1):
@@ -164,23 +163,28 @@ class TestEnumeration:
         assert max_span(3) == 3 + 3 * (1 + 1)
 
 
+def weight_sums(gamma, m_max, b_grid):
+    """The weight_sum column of the certificate, keyed by (m, b)."""
+    return {(m, b): s for m, b, s, _bd, _ok in certify_C0(gamma, m_max, b_grid).rows}
+
+
 class TestWeightSums:
     def test_mass_one_value(self):
-        w = WeightSpec(b=2.0, gamma=0.1)
-        assert weight_sum(1, w) == pytest.approx(math.exp(-2.0))
+        assert weight_sums(0.1, 1, (2.0,))[1, 2.0] == pytest.approx(math.exp(-2.0))
 
     def test_matches_direct_sum(self):
         w = WeightSpec(b=1.5, gamma=0.3)
+        sums = weight_sums(w.gamma, 3, (w.b,))
         for m in (1, 2, 3):
             direct = sum(
-                math.exp(w.log_weight([t.mass for t in g.triangles]))
+                math.exp(w.log_weight([r - l for l, r in g.triangles]))
                 for g in enumerate_origin_contours(m)
             )
-            assert weight_sum(m, w) == pytest.approx(direct, rel=1e-12)
+            assert sums[m, w.b] == pytest.approx(direct, rel=1e-12)
 
     def test_monotone_decreasing_in_b(self):
-        values = [weight_sum(3, WeightSpec(b=b, gamma=0.1)) for b in (1.0, 2.0, 4.0)]
-        assert values[0] > values[1] > values[2]
+        sums = weight_sums(0.1, 3, (1.0, 2.0, 4.0))
+        assert sums[3, 1.0] > sums[3, 2.0] > sums[3, 4.0]
 
     def test_bound_formula(self):
         w = WeightSpec(b=3.0, gamma=0.1)

@@ -11,7 +11,7 @@ from scipy.special import zeta as hurwitz_zeta
 import rfim1d
 from rfim1d import (CapacityError, CouplingSpec, DisorderField,
                     SpinConfiguration, Volume, VolumeMismatchError, energy,
-                    exact_gibbs_marginal, hamiltonian)
+                    exact_gibbs_marginal, hamiltonian, triangles_to_spins)
 from rfim1d.model import (_logsumexp, _site_words, _word_values,
                           enumerate_spins)
 
@@ -54,7 +54,12 @@ class TestVolume:
         vol = Volume(-2, 3)
         assert vol.n_sites == 6
         assert list(vol.sites()) == [-2, -1, 0, 1, 2, 3]
-        assert list(vol.bonds()) == [-3, -2, -1, 0, 1, 2, 3]
+        # the bonds touching the volume, boundary bonds included, are -3..3
+        assert list(triangles_to_spins([(-3, 3)], vol).spins) == [-1] * 6
+        with pytest.raises(ValueError):
+            triangles_to_spins([(-4, 3)], vol)
+        with pytest.raises(ValueError):
+            triangles_to_spins([(-3, 4)], vol)
 
     def test_centered_contains_origin(self):
         for n in (1, 2, 7, 10):
@@ -130,7 +135,7 @@ class TestHamiltonian:
     def test_single_flip_cost(self, spec):
         # flipping one spin in the all-plus state costs 2 * sum_j J(|i-j|)
         vol = Volume(-5, 5)
-        sigma = SpinConfiguration.homogeneous(vol, +1).flipped(0)
+        sigma = SpinConfiguration.from_minus_sites(vol, [0])
         expected = 2.0 * (sum(spec.coupling(abs(j)) for j in vol.sites() if j != 0)
                           + spec.boundary_field(0, vol))
         assert hamiltonian(spec, sigma) == pytest.approx(expected, abs=1e-9)
@@ -225,7 +230,7 @@ class TestDisorderField:
         small = DisorderField.generate(Volume(-2, 2), 0.2, seed=7, distribution="gaussian")
         large = DisorderField.generate(Volume(-10, 10), 0.2, seed=7, distribution="gaussian")
         for i in range(-2, 3):
-            assert small.value(i) == large.value(i)
+            assert small.values[small.volume.index(i)] == large.values[large.volume.index(i)]
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError):

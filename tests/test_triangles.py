@@ -4,10 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rfim1d import (SpinConfiguration, Triangle, Volume, energy, families,
-                    family_code, hamiltonian, interfaces, is_compatible,
-                    pair_interface_bonds, satisfies_ma1, spins_to_triangles,
-                    triangle_distance, triangles_to_spins)
+from oracles import is_compatible
+from rfim1d import (SpinConfiguration, Volume, energy, families, family_code,
+                    hamiltonian, interfaces, pair_interface_bonds, satisfies_ma1,
+                    spins_to_triangles, triangle_distance, triangles_to_spins)
 from rfim1d import triangles
 from rfim1d.model import enumerate_spins
 
@@ -19,7 +19,7 @@ def _reference_pairing(bonds, vol):
     the position of b among the volume's bonds; the adjacent unpaired pair
     at the smallest exact distance collides first.
     """
-    rank = {b: k for k, b in enumerate(vol.bonds())}
+    rank = {b: k for k, b in enumerate(range(vol.lo - 1, vol.hi + 1))}
     position = {b: Fraction(2 * b + 1, 2) + Fraction(1, 100 * 2 ** (rank[b] + 1))
                 for b in bonds}
     dists = [position[b] - position[a] for a, b in combinations(sorted(bonds), 2)]
@@ -35,35 +35,29 @@ def _reference_pairing(bonds, vol):
 
 
 class TestTriangle:
-    def test_mass_and_sites(self):
-        t = Triangle(2, 5)
-        assert t.mass == 3
-        assert list(t.sites()) == [3, 4, 5]
-
     def test_orientation_required(self):
+        # a reversed or empty bond pair flips no site; it must not pass as all-plus
         with pytest.raises(ValueError):
-            Triangle(4, 4)
+            triangles_to_spins([(3, 3)], Volume(0, 9))
         with pytest.raises(ValueError):
-            Triangle(5, 2)
-
-    def test_is_its_bond_pair(self):
-        t = Triangle(0, 8)
-        assert t == (0, 8) and hash(t) == hash((0, 8))
-        assert (t.left, t.right) == (0, 8)
-        assert sorted([Triangle(3, 4), Triangle(0, 8), Triangle(0, 2)]) == [(0, 2), (0, 8), (3, 4)]
-        with pytest.raises(AttributeError):
-            t.left = 1
+            triangles_to_spins([(5, 2)], Volume(0, 9))
 
     def test_distance_disjoint(self):
-        assert triangle_distance(Triangle(0, 2), Triangle(5, 6)) == 3
+        assert triangle_distance((0, 2), (5, 6)) == 3
 
     def test_distance_nested(self):
-        outer, inner = Triangle(0, 8), Triangle(3, 4)
+        outer, inner = (0, 8), (3, 4)
         assert triangle_distance(outer, inner) == 3
         assert triangle_distance(inner, outer) == 3
 
     def test_distance_shared_endpoint(self):
-        assert triangle_distance(Triangle(0, 2), Triangle(2, 4)) == 0
+        assert triangle_distance((0, 2), (2, 4)) == 0
+
+    def test_ma1_rejects_close_pair(self):
+        # distance 1 is below the smaller mass 2
+        assert triangle_distance((0, 3), (4, 6)) == 1
+        assert not satisfies_ma1(((0, 3), (4, 6)))
+        assert satisfies_ma1(((0, 3), (5, 7)))
 
 
 class TestPairing:
@@ -106,7 +100,7 @@ class TestSpinTriangleBijection:
         assert interfaces(sigma) == [1, 2]
         fam = spins_to_triangles(sigma)
         assert fam == ((1, 2),)
-        assert all(type(t) is Triangle for t in fam)
+        assert all(type(t) is tuple and all(type(b) is int for b in t) for t in fam)
 
     def test_nested_block(self):
         # minus sites 1,2,3,5,6,7,8 with site 4 plus: one big triangle, one island
@@ -160,11 +154,11 @@ class TestSpinTriangleBijection:
 class TestFamilies:
     def test_coverage_parity(self):
         # a site's spin is -1 to the number of triangles covering it
-        fam = (Triangle(0, 8), Triangle(3, 4))
+        fam = ((0, 8), (3, 4))
         sigma = triangles_to_spins(fam, Volume(0, 9))
-        assert sigma.spin(4) == 1
-        assert sigma.spin(3) == -1
-        assert sigma.spin(9) == 1
+        assert sigma.spins[4] == 1
+        assert sigma.spins[3] == -1
+        assert sigma.spins[9] == 1
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_families_match_per_configuration_map(self, n):
@@ -186,26 +180,26 @@ class TestFamilies:
 
 class TestCompatibility:
     def test_disjoint_families_compatible(self):
-        a = (Triangle(0, 1),)
-        b = (Triangle(10, 12),)
+        a = ((0, 1),)
+        b = ((10, 12),)
         assert is_compatible(a, b)
 
     def test_repairing_union_incompatible(self):
         # interfaces 2,3,4,5 would re-pair as (2,3),(4,5)
-        a = (Triangle(2, 5),)
-        b = (Triangle(3, 4),)
+        a = ((2, 5),)
+        b = ((3, 4),)
         assert not is_compatible(a, b)
 
     def test_shared_bond_incompatible(self):
-        a = (Triangle(0, 2),)
-        b = (Triangle(2, 4),)
+        a = ((0, 2),)
+        b = ((2, 4),)
         assert not is_compatible(a, b)
 
     def test_energy_difference_matches_direct(self, spec):
         # H(s | rest) read from the energy table by bit code, as the bound checks do
         vol = Volume(0, 9)
-        s = (Triangle(1, 2),)
-        rest = (Triangle(6, 8),)
+        s = ((1, 2),)
+        rest = ((6, 8),)
         assert is_compatible(s, rest)
         expected = (hamiltonian(spec, triangles_to_spins(s + rest, vol))
                     - hamiltonian(spec, triangles_to_spins(rest, vol)))
