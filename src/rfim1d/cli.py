@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation or library error (a capacity limit,
 an energy-drift check), 2 a verification suite failed.
-Outputs are self-describing (full config and seeds embedded), CSV carries
+Each subcommand takes only the options it reads.  Outputs are
+self-describing (those options and the seed embedded), CSV carries
 a `# schema=1` header line, JSON is emitted with sorted keys.  With
 --deterministic no timestamp is included, so identical command lines
 produce byte-identical outputs.
@@ -12,45 +13,66 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bounds import BOUND_CSV_COLUMNS, exhaustive_reports
 from .contours import Contour
 from .disorder import (BJ_CSV_COLUMNS, ConstrainedEnsemble, check_antisymmetry,
                        estimate_Bj_probability, thresholds)
-from .enumeration import (DEFAULT_MASS_CAP, ENUM_CSV_COLUMNS, _check_cap,
-                          _shape_aggregates, certify_C0, contour_shapes)
+from .enumeration import (ENUM_CSV_COLUMNS, _check_cap, _shape_aggregates, certify_C0,
+                          contour_shapes)
 from .mc import RUN_CSV_COLUMNS, EnergyDriftError, RunConfig, disorder_sweep
 from .model import ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, Volume
 from .triangles import families, family_code, satisfies_ma1
 
 SCHEMA_VERSION = 1
 
-DEFAULTS: Dict[str, object] = {
-    "alpha": 0.55,
-    "beta": 1.0,
-    "theta": 0.05,
-    "j1": 10.0,
-    "size": 512,
-    "sweeps": 10_000,
-    "burnin": 1_000,
-    "seed": None,
-    "realizations": 64,
-    "boundary": "+",
-    "c": 3,
-    "gamma": 0.1,
-    "mmax": 6,
-    "n": 12,
-    "out": None,
-    "format": "csv",
-    "jobs": 1,
-    "deterministic": False,
-    "distribution": "bernoulli",
+_RUN = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+
+# Every option: its default and its argparse keywords.  The sampling defaults
+# are RunConfig's, but the boundary is spelled "+" or "-" and a missing seed
+# falls back to RFIM_SEED.
+OPTIONS: Dict[str, Tuple[object, dict]] = {
+    "alpha": (_RUN["alpha"], {"type": float}),
+    "beta": (_RUN["beta"], {"type": str, "help": "inverse temperature (comma list for sweep)"}),
+    "theta": (_RUN["theta"], {"type": str, "help": "field strength (comma list for sweep)"}),
+    "j1": (_RUN["j1"], {"type": float}),
+    "size": (_RUN["size"], {"type": int}),
+    "sweeps": (_RUN["sweeps"], {"type": int}),
+    "burnin": (_RUN["burnin"], {"type": int}),
+    "realizations": (_RUN["realizations"], {"type": int}),
+    "boundary": ("+", {"choices": ["+", "-"]}),
+    "distribution": (_RUN["distribution"], {"choices": ["bernoulli", "gaussian", "uniform"]}),
+    "c": (_RUN["c"], {"type": int}),
+    "jobs": (1, {"type": int}),
+    "gamma": (0.1, {"type": float}),
+    "mmax": (6, {"type": int}),
+    "n": (12, {"type": int}),
+    "seed": (None, {"type": int}),
+    "out": (None, {"type": str}),
+    "format": ("csv", {"choices": ["csv", "json"]}),
+    "deterministic": (False, {"action": "store_true", "default": None}),
+    "config": (None, {"type": str, "help": "JSON file with default option values"}),
+}
+UNIVERSAL = ("seed", "out", "format", "deterministic", "config")
+
+_SAMPLING = ("alpha", "beta", "theta", "j1", "size", "sweeps", "burnin", "realizations",
+             "boundary", "distribution", "c", "jobs")
+# the options each handler reads, besides the UNIVERSAL ones
+TAKES: Dict[str, Tuple[str, ...]] = {
+    "simulate": _SAMPLING,
+    "verify-energy": ("alpha", "j1", "n", "c"),
+    "verify-disorder": ("alpha", "beta", "theta", "j1"),
+    "enumerate-contours": ("c", "mmax"),
+    "certify-c0": ("gamma", "mmax", "c"),
+    "sweep": _SAMPLING,
+    "roundtrip-test": ("n",),
 }
 
 
@@ -63,52 +85,27 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _shared_flags() -> argparse.ArgumentParser:
-    """The flags every subcommand takes, built once and shared as a parent parser."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=str, help="inverse temperature (comma list for sweep)")
-    p.add_argument("--theta", type=str, help="field strength (comma list for sweep)")
-    p.add_argument("--j1", type=float)
-    p.add_argument("--size", type=int)
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--burnin", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--boundary", choices=["+", "-"])
-    p.add_argument("--c", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--mmax", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--out", type=str)
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--deterministic", action="store_true", default=None)
-    p.add_argument("--distribution", choices=["bernoulli", "gaussian", "uniform"])
-    p.add_argument("--config", type=str, help="JSON file with default option values")
-    return p
-
-
 def _merge_options(args: argparse.Namespace) -> Dict[str, object]:
-    """Precedence: flags, then --config file, then built-in defaults."""
-    merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    """The options the subcommand takes. Precedence: flags, then --config file, then defaults."""
+    command = args.command
+    merged = {k: OPTIONS[k][0] for k in TAKES[command] + UNIVERSAL if k != "config"}
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_opts = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read config file: {exc}")
-        unknown = set(file_opts) - set(DEFAULTS)
+        unknown = set(file_opts) - set(merged)
         if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}")
+            raise CliError(f"unknown config keys for {command}: {sorted(unknown)}")
         merged.update(file_opts)
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
+    for key in merged:
+        val = getattr(args, key)
         if val is not None:
             merged[key] = val
     if merged["seed"] is None:
         merged["seed"] = int(os.environ.get("RFIM_SEED", "0"))
-    if int(merged["c"]) < 1:
+    if "c" in merged and int(merged["c"]) < 1:
         raise CliError(f"--c must be >= 1 (separation constant), got {merged['c']}")
     return merged
 
@@ -162,7 +159,7 @@ def _emit(opts: Dict[str, object], payload: dict, columns: List[str],
 
 
 def _base_payload(command: str, opts: Dict[str, object]) -> dict:
-    echo = {k: opts[k] for k in sorted(DEFAULTS) if k not in ("out", "config")}
+    echo = {k: opts[k] for k in sorted(opts) if k != "out"}
     return {"command": command, "schema": SCHEMA_VERSION, "options": echo}
 
 
@@ -229,20 +226,15 @@ def cmd_verify_energy(opts: Dict[str, object]) -> int:
     return 0 if all_pass else 2
 
 
-def _reference_disorder_instance():
-    """A two-class nested contour on a 10-site volume for disorder checks."""
-    vol = Volume(0, 9)
-    contour = Contour.of([(0, 8), (3, 4)])
-    return vol, contour
-
-
 def cmd_verify_disorder(opts: Dict[str, object]) -> int:
     alpha = float(opts["alpha"])
     _require_peierls_alpha(alpha)
     beta = _one_float(opts["beta"], "beta")
     theta = _one_float(opts["theta"], "theta")
     spec = CouplingSpec(alpha=alpha, j1=float(opts["j1"]))
-    vol, contour = _reference_disorder_instance()
+    # a two-class nested contour on a 10-site volume
+    vol = Volume(0, 9)
+    contour = Contour.of([(0, 8), (3, 4)])
     ens = ConstrainedEnsemble(spec, contour, vol)
     anti_ok = all(check_antisymmetry(ens, j, theta, beta) for j in range(ens.n_levels))
     try:
@@ -268,8 +260,7 @@ def cmd_verify_disorder(opts: Dict[str, object]) -> int:
 def cmd_enumerate_contours(opts: Dict[str, object]) -> int:
     c = int(opts["c"])
     mmax = int(opts["mmax"])
-    gamma = float(opts["gamma"])
-    _check_cap(mmax, DEFAULT_MASS_CAP)
+    _check_cap(mmax)
     rows = []
     summary = []
     for m in range(1, mmax + 1):
@@ -280,7 +271,6 @@ def cmd_enumerate_contours(opts: Dict[str, object]) -> int:
         rows.append([m, n_contours, n_shapes])
     payload = _base_payload("enumerate-contours", opts)
     payload["separation_constant"] = c
-    payload["gamma"] = gamma
     payload["summary"] = summary
     _emit(opts, payload, ["m", "contours", "shapes"], rows)
     return 0
@@ -324,6 +314,7 @@ def cmd_roundtrip_test(opts: Dict[str, object]) -> int:
     return 0 if failures == 0 and ma1_failures == 0 else 2
 
 
+# plain handlers: the benchmark's tracer wraps them in place
 COMMANDS = {
     "simulate": cmd_simulate,
     "verify-energy": cmd_verify_energy,
@@ -338,9 +329,11 @@ COMMANDS = {
 def build_parser() -> _Parser:
     parser = _Parser(prog="rfim1d", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    shared = _shared_flags()
     for name in COMMANDS:
-        sub.add_parser(name, parents=[shared])
+        # no abbreviations: "--c" must not stand for "--config" where --c is not taken
+        p = sub.add_parser(name, allow_abbrev=False)
+        for key in TAKES[name] + UNIVERSAL:
+            p.add_argument(f"--{key}", **OPTIONS[key][1])
     return parser
 
 

@@ -65,6 +65,8 @@ class Contour(NamedTuple):
             raise ValueError("a contour needs at least one triangle")
         if any(l >= r for l, r in members):
             raise ValueError("each triangle requires left bond < right bond")
+        if len({b for t in members for b in t}) < 2 * len(members):
+            raise ValueError("a bond can belong to one triangle only")
         return cls(members[0][0], max(r for _, r in members),
                    sum(r - l for l, r in members), members)
 

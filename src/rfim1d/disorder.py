@@ -80,11 +80,10 @@ class ConstrainedEnsemble:
     all of them come from one batched call.
     """
 
-    def __init__(self, spec: CouplingSpec, contour: Contour, vol: Volume,
-                 site_cap: int = EXHAUSTIVE_SITE_CAP):
+    def __init__(self, spec: CouplingSpec, contour: Contour, vol: Volume):
         n = vol.n_sites
-        if n > site_cap:
-            raise CapacityError(f"{n} sites exceeds exhaustive cap {site_cap}")
+        if n > EXHAUSTIVE_SITE_CAP:
+            raise CapacityError(f"{n} sites exceeds exhaustive cap {EXHAUSTIVE_SITE_CAP}")
         self.spec = spec
         self.contour = contour
         self.vol = vol

@@ -160,16 +160,16 @@ def _shape_aggregates(m: int, c: int) -> Dict[Tuple[int, ...], int]:
     return agg
 
 
-def _check_cap(m: int, cap: int) -> None:
+def _check_cap(m: int) -> None:
     if m < 1:
         raise ValueError("mass must be >= 1")
-    if m > cap:
-        raise CapacityError(f"mass {m} exceeds enumeration cap {cap}")
+    if m > DEFAULT_MASS_CAP:
+        raise CapacityError(f"mass {m} exceeds enumeration cap {DEFAULT_MASS_CAP}")
 
 
-def enumerate_origin_contours(m: int, c: int = 3, cap: int = DEFAULT_MASS_CAP) -> List[Contour]:
+def enumerate_origin_contours(m: int, c: int = 3) -> List[Contour]:
     """All contours of mass m whose enclosing basis contains the origin."""
-    _check_cap(m, cap)
+    _check_cap(m)
     out: List[Contour] = []
     for shape in contour_shapes(m, c):
         span = max(r for _, r in shape)
@@ -202,13 +202,13 @@ ENUM_CSV_COLUMNS = ["m", "b", "gamma", "weight_sum", "bound", "pass"]
 
 def certify_C0(gamma: float, m_max: int = DEFAULT_MASS_CAP,
                b_grid: Sequence[float] = tuple(range(1, 51)),
-               c: int = 3, cap: int = DEFAULT_MASS_CAP) -> CertifyResult:
+               c: int = 3) -> CertifyResult:
     """Smallest grid b* above which the entropy bound holds for all m <= m_max.
 
     The bound is checked at every grid point at and above the candidate;
     absence of an admissible b* is reported, not raised.
     """
-    _check_cap(m_max, cap)
+    _check_cap(m_max)
     grid = tuple(sorted(float(b) for b in b_grid))
     rows = []
     ok_by_b: Dict[float, bool] = {b: True for b in grid}

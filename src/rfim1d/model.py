@@ -453,12 +453,11 @@ def exact_gibbs_marginal(
     beta: float,
     site: int,
     boundary: int = +1,
-    exhaustive_limit: int = 20,
 ) -> float:
     """P[sigma_site = -1] under the finite-volume Gibbs measure, by enumeration."""
     n = vol.n_sites
-    if n > exhaustive_limit:
-        raise CapacityError(f"{n} sites exceeds exhaustive limit {exhaustive_limit}")
+    if n > 20:
+        raise CapacityError(f"{n} sites exceeds exhaustive limit 20")
     idx = vol.index(site)
     spins = enumerate_spins(n)
     log_w = -beta * energy(spec, vol, spins, boundary, h, theta)

@@ -15,6 +15,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def forbid_work(monkeypatch, what):
+    """Make every library entry point a subcommand starts its work with fail."""
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"work started with {what}")
+
+    for name in ("disorder_sweep", "exhaustive_reports", "contour_shapes",
+                 "_shape_aggregates", "certify_C0", "families", "ConstrainedEnsemble"):
+        monkeypatch.setattr(cli, name, no_work)
+
+
 class TestParsing:
     def test_no_subcommand(self, capsys):
         code, _, err = run_cli(capsys)
@@ -34,19 +44,20 @@ class TestParsing:
         assert code == 1
         assert "alpha" in err
 
-    @pytest.mark.parametrize("command", ["simulate", "verify-energy",
-                                         "enumerate-contours", "certify-c0"])
+    # the commands that read --c, each with arguments small enough to run
+    READS_C = {
+        "simulate": ("--size", "8", "--sweeps", "20", "--burnin", "2", "--realizations", "1"),
+        "sweep": ("--size", "8", "--sweeps", "20", "--burnin", "2", "--realizations", "1"),
+        "verify-energy": ("--n", "4"),
+        "enumerate-contours": ("--mmax", "3"),
+        "certify-c0": ("--mmax", "3"),
+    }
+    @pytest.mark.parametrize("command", list(READS_C))
     @pytest.mark.parametrize("c", ["0", "-2"])
     def test_separation_constant_below_one(self, capsys, monkeypatch, command, c):
-        def no_work(*args, **kwargs):
-            raise AssertionError(f"{command} started work with --c {c}")
-
-        for name in ("disorder_sweep", "exhaustive_reports", "contour_shapes",
-                     "_shape_aggregates", "certify_C0"):
-            monkeypatch.setattr(cli, name, no_work)
-        code, out, err = run_cli(capsys, command, "--c", c, "--mmax", "3", "--n", "4",
-                                 "--size", "8", "--sweeps", "20", "--burnin", "2",
-                                 "--realizations", "1", "--deterministic")
+        forbid_work(monkeypatch, f"{command} --c {c}")
+        code, out, err = run_cli(capsys, command, "--c", c, *self.READS_C[command],
+                                 "--deterministic")
         assert code == 1
         assert err.startswith("error: --c must be >= 1")
         assert out == ""
@@ -90,21 +101,64 @@ class TestParsing:
         assert err == f"error: theta must be finite, got {theta}\n"
         assert out == ""
 
-    # one value per shared flag, none of them a default
+    # one value per option, none of them a default
     EVERY_FLAG = {"alpha": 0.4, "beta": "0.3", "theta": "0.2", "j1": 2.5, "size": 9,
                   "sweeps": 7, "burnin": 3, "seed": 5, "realizations": 2, "boundary": "-",
                   "c": 4, "gamma": 0.2, "mmax": 3, "n": 5, "out": "o.csv", "format": "json",
                   "jobs": 2, "deterministic": True, "distribution": "gaussian",
                   "config": "c.json"}
+    UNIVERSAL = {"seed", "out", "format", "deterministic", "config"}
+    SAMPLING = {"alpha", "beta", "theta", "j1", "size", "sweeps", "burnin", "realizations",
+                "boundary", "distribution", "c", "jobs"}
+    TAKES = {"simulate": SAMPLING, "sweep": SAMPLING,
+             "verify-energy": {"alpha", "j1", "n", "c"},
+             "verify-disorder": {"alpha", "beta", "theta", "j1"},
+             "enumerate-contours": {"c", "mmax"},
+             "certify-c0": {"gamma", "mmax", "c"},
+             "roundtrip-test": {"n"}}
+
+    @classmethod
+    def _argv(cls, keys):
+        argv = []
+        for key in keys:
+            value = cls.EVERY_FLAG[key]
+            argv += [f"--{key}"] if value is True else [f"--{key}", str(value)]
+        return argv
+
+    def test_option_table_is_complete(self):
+        assert set(cli.COMMANDS) == set(self.TAKES)
+        assert set(cli.OPTIONS) == set(self.EVERY_FLAG)
+        assert sum(len(t | self.UNIVERSAL) for t in self.TAKES.values()) == 73
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_every_subcommand_parses_every_flag(self, command):
-        argv = [command]
-        for key, value in self.EVERY_FLAG.items():
-            argv += [f"--{key}"] if value is True else [f"--{key}", str(value)]
-        args = cli.build_parser().parse_args(argv)
-        assert vars(args) == dict(self.EVERY_FLAG, command=command)
-        assert set(self.EVERY_FLAG) == set(cli.DEFAULTS) | {"config"}
+        """Each subcommand parses every option of its set and rejects all others."""
+        takes = self.TAKES[command] | self.UNIVERSAL
+        args = cli.build_parser().parse_args([command] + self._argv(sorted(takes)))
+        assert vars(args) == {k: self.EVERY_FLAG[k] for k in takes} | {"command": command}
+        for key in set(self.EVERY_FLAG) - takes:
+            with pytest.raises(cli.CliError, match=f"unrecognized arguments: --{key}"):
+                cli.build_parser().parse_args([command] + self._argv([key]))
+
+    # one option of another subcommand's set per subcommand
+    FOREIGN = {"simulate": ("--n", "4"), "sweep": ("--mmax", "3"),
+               "verify-energy": ("--beta", "2"), "verify-disorder": ("--c", "2"),
+               "enumerate-contours": ("--gamma", "0.1"), "certify-c0": ("--n", "4"),
+               "roundtrip-test": ("--mmax", "3")}
+
+    @pytest.mark.parametrize("command", list(FOREIGN))
+    def test_option_of_another_subcommand_rejected(self, capsys, monkeypatch, command):
+        forbid_work(monkeypatch, f"{command} {' '.join(self.FOREIGN[command])}")
+        code, out, err = run_cli(capsys, command, *self.FOREIGN[command], "--deterministic")
+        assert code == 1
+        assert err == f"error: unrecognized arguments: {' '.join(self.FOREIGN[command])}\n"
+        assert out == ""
+
+    def test_prefix_is_not_an_abbreviation(self, capsys):
+        # "--c" would otherwise read as "--config" where --c is not taken
+        code, _, err = run_cli(capsys, "verify-disorder", "--c", "missing.json")
+        assert code == 1
+        assert err == "error: unrecognized arguments: --c missing.json\n"
 
 
 class TestRoundtripCommand:
@@ -309,3 +363,13 @@ class TestConfiguration:
         code, _, err = run_cli(capsys, "roundtrip-test", "--config", str(cfg))
         assert code == 1
         assert "unknown config keys" in err
+
+    @pytest.mark.parametrize("key", ["mmax", "beta", "c"])
+    def test_config_key_of_another_subcommand(self, capsys, monkeypatch, tmp_path, key):
+        forbid_work(monkeypatch, f"config key {key}")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 3, "seed": 1}))
+        code, out, err = run_cli(capsys, "roundtrip-test", "--config", str(cfg))
+        assert code == 1
+        assert err == f"error: unknown config keys for roundtrip-test: ['{key}']\n"
+        assert out == ""

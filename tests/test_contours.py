@@ -174,6 +174,12 @@ class TestContour:
         with pytest.raises(ValueError):
             Contour.of([(0, 8), (4, 4)])
 
+    @pytest.mark.parametrize("members", [[(0, 3), (0, 3)], [(0, 3), (3, 5)],
+                                         [(1, 4), (4, 6), (8, 9)], [(2, 7), (0, 2)]])
+    def test_bond_in_one_triangle_only(self, members):
+        with pytest.raises(ValueError, match="one triangle only"):
+            Contour.of(members)
+
 
 class TestDecomposition:
     def test_single_triangle(self):
@@ -275,11 +281,12 @@ class TestPairPredicate:
 
     @staticmethod
     def _clusters(span, size):
-        """Every cluster of at most ``size`` distinct bond pairs within [0, span],
-        crossing (unrealizable) member pairs included."""
+        """Every cluster of at most ``size`` bond pairs within [0, span] that
+        share no bond, crossing (unrealizable) member pairs included."""
         pairs = list(itertools.combinations(range(span + 1), 2))
         return [Contour.of(members) for k in range(1, size + 1)
-                for members in itertools.combinations(pairs, k)]
+                for members in itertools.combinations(pairs, k)
+                if len({b for t in members for b in t}) == 2 * k]
 
     def test_agrees_with_member_loop_on_all_small_pairs(self):
         clusters = self._clusters(7, 2)
