@@ -28,7 +28,7 @@ from .disorder import (BJ_CSV_COLUMNS, ConstrainedEnsemble, check_antisymmetry,
 from .enumeration import (ENUM_CSV_COLUMNS, _check_cap, _shape_aggregates, certify_C0,
                           contour_shapes)
 from .mc import RUN_CSV_COLUMNS, EnergyDriftError, RunConfig, disorder_sweep
-from .model import ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, Volume
+from .model import ALPHA_PEIERLS_MAX, DISTRIBUTIONS, CapacityError, CouplingSpec, Volume
 from .triangles import families, family_code, satisfies_ma1
 
 SCHEMA_VERSION = 1
@@ -40,15 +40,15 @@ _RUN = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 # falls back to RFIM_SEED.
 OPTIONS: Dict[str, Tuple[object, dict]] = {
     "alpha": (_RUN["alpha"], {"type": float}),
-    "beta": (_RUN["beta"], {"type": str, "help": "inverse temperature (comma list for sweep)"}),
-    "theta": (_RUN["theta"], {"type": str, "help": "field strength (comma list for sweep)"}),
+    "beta": (_RUN["beta"], {"type": str, "help": "inverse temperature"}),
+    "theta": (_RUN["theta"], {"type": str, "help": "field strength"}),
     "j1": (_RUN["j1"], {"type": float}),
     "size": (_RUN["size"], {"type": int}),
     "sweeps": (_RUN["sweeps"], {"type": int}),
     "burnin": (_RUN["burnin"], {"type": int}),
     "realizations": (_RUN["realizations"], {"type": int}),
     "boundary": ("+", {"choices": ["+", "-"]}),
-    "distribution": (_RUN["distribution"], {"choices": ["bernoulli", "gaussian", "uniform"]}),
+    "distribution": (_RUN["distribution"], {"choices": DISTRIBUTIONS}),
     "c": (_RUN["c"], {"type": int}),
     "jobs": (1, {"type": int}),
     "gamma": (0.1, {"type": float}),
@@ -84,6 +84,33 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; keep 2 for suite failures
         raise CliError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # "--theta -inf" -> "--theta=-inf": argparse would read "-inf" as an option
+        joined: List[str] = []
+        for arg in sys.argv[1:] if args is None else args:
+            flag = joined[-1][2:] if joined and joined[-1][:2] == "--" else ""
+            if arg[:1] == "-" and arg[:2] != "--" and "type" in OPTIONS.get(flag, ("", {}))[1]:
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
+def _config_value(key: str, value) -> object:
+    """A --config value, converted or checked as the flag's own argument would be."""
+    kwargs = OPTIONS[key][1]
+    if kwargs.get("action") == "store_true":
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        text = str(value)
+        if text in kwargs.get("choices", (text,)):
+            try:
+                return kwargs.get("type", str)(text)
+            except ValueError:
+                pass
+    raise CliError(f"bad config value for {key}: {value!r}")
+
 
 def _merge_options(args: argparse.Namespace) -> Dict[str, object]:
     """The options the subcommand takes. Precedence: flags, then --config file, then defaults."""
@@ -95,10 +122,12 @@ def _merge_options(args: argparse.Namespace) -> Dict[str, object]:
                 file_opts = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read config file: {exc}")
+        if not isinstance(file_opts, dict):
+            raise CliError(f"config file must hold a JSON object, got {file_opts!r}")
         unknown = set(file_opts) - set(merged)
         if unknown:
             raise CliError(f"unknown config keys for {command}: {sorted(unknown)}")
-        merged.update(file_opts)
+        merged.update((k, _config_value(k, v)) for k, v in file_opts.items())
     for key in merged:
         val = getattr(args, key)
         if val is not None:
@@ -333,7 +362,10 @@ def build_parser() -> _Parser:
         # no abbreviations: "--c" must not stand for "--config" where --c is not taken
         p = sub.add_parser(name, allow_abbrev=False)
         for key in TAKES[name] + UNIVERSAL:
-            p.add_argument(f"--{key}", **OPTIONS[key][1])
+            kwargs = OPTIONS[key][1]
+            if name == "sweep" and key in ("beta", "theta"):
+                kwargs = dict(kwargs, help=kwargs["help"] + " (comma list for sweep)")
+            p.add_argument(f"--{key}", **kwargs)
     return parser
 
 
@@ -345,10 +377,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise CliError("a subcommand is required (see --help)")
         opts = _merge_options(args)
         return COMMANDS[args.command](opts)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, CapacityError, EnergyDriftError) as exc:
+    except (CliError, ValueError, OSError, CapacityError, EnergyDriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

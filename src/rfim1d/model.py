@@ -5,7 +5,7 @@ J(n) = n**(alpha - 2) for n >= 2, a site-wise random field of strength
 theta, and homogeneous +/-1 boundary conditions outside a finite
 interval.  Exterior sums reduce to power-law tails, evaluated by a
 truncated sum with an Euler-Maclaurin correction whose remainder is kept
-below ``tail_tolerance``.
+below ``TAIL_TOLERANCE``.
 
 All energies come from one function, ``energy``: H_0 + theta * G of a
 spin row or of a batch of rows, under either boundary sign, in O(N)
@@ -29,6 +29,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 ALPHA_PEIERLS_MAX = math.log(3, 2) - 1.0
 
 DISTRIBUTIONS = ("bernoulli", "gaussian", "uniform")
+
+# absolute accuracy of the power-law tail sums
+TAIL_TOLERANCE = 1e-10
 
 
 class CapacityError(RuntimeError):
@@ -78,15 +81,12 @@ class CouplingSpec:
 
     alpha: float = 0.55
     j1: float = 10.0
-    tail_tolerance: float = 1e-10
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
         if self.j1 <= 1.0:
             raise ValueError(f"j1 must exceed 1, got {self.j1}")
-        if self.tail_tolerance <= 0.0:
-            raise ValueError("tail_tolerance must be positive")
 
     def coupling(self, n: int) -> float:
         """J(n): j1 at distance 1, n**(alpha-2) beyond."""
@@ -97,7 +97,7 @@ class CouplingSpec:
         return float(n) ** (self.alpha - 2.0)
 
     def power_tail(self, d: int) -> float:
-        """Sum of n**(alpha-2) over n >= d, to absolute accuracy tail_tolerance.
+        """Sum of n**(alpha-2) over n >= d, to absolute accuracy TAIL_TOLERANCE.
 
         Truncated sum plus the Euler-Maclaurin closure
         integral + f(M)/2 - f'(M)/12; the remainder is below
@@ -106,7 +106,7 @@ class CouplingSpec:
         if d < 1:
             raise ValueError("tail start must be >= 1")
         a = self.alpha
-        m_min = (1.0 / (30.0 * self.tail_tolerance)) ** (1.0 / (5.0 - a))
+        m_min = (1.0 / (30.0 * TAIL_TOLERANCE)) ** (1.0 / (5.0 - a))
         m = max(d, int(math.ceil(m_min)), 16)
         n = np.arange(d, m, dtype=np.float64)
         partial = float(np.sum(n ** (a - 2.0))) if n.size else 0.0
@@ -192,117 +192,40 @@ class SpinConfiguration:
         return cls(vol, spins, boundary)
 
 
-# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx) and of
-# its PCG64 (pcg64.h); numpy keeps both streams stable across versions.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = 0xFFFFFFFF
-_MASK64 = 2**64 - 1
-
-# The arithmetic below works on Python ints and on uint64 arrays holding
-# 32-bit words alike: every product of two words fits in 64 bits.
-
-
-def _hashmix(value, hash_const: int, mult: int):
-    """SeedSequence's hashmix; returns (mixed value, next hash constant)."""
-    hash_const_next = (hash_const * mult) & _MASK32
-    value = ((value ^ hash_const) * hash_const_next) & _MASK32
-    return value ^ (value >> 16), hash_const_next
-
-
-def _mix(x, y):
-    """SeedSequence's mix of a pool word with a hashed word."""
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ (r >> 16)
-
-
-def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
-    a0, a1 = a & _MASK32, a >> 32
-    b0, b1 = b & _MASK32, b >> 32
-    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-
-
-def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
-    """One PCG64 LCG step state * M + inc on 128-bit (hi, lo) uint64 pairs."""
-    m_hi, m_lo = _PCG_MULT >> 64, _PCG_MULT & _MASK64
-    hi = hi * m_lo + lo * m_hi + _mulhi64(lo, m_lo)
-    lo = lo * m_lo
-    lo_sum = lo + inc_lo
-    return hi + inc_hi + (lo_sum < lo), lo_sum
+# SplitMix64's golden-ratio increment and the two multipliers of its finalizer mix64
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
 def _site_words(seed, vol: Volume) -> np.ndarray:
-    """First PCG64 output of SeedSequence(seed, spawn_key=(zigzag(i),)) per site i.
+    """SplitMix64 word mix64(seed mod 2**64 + (k + 1) * gamma) per site, k its zigzag key.
 
-    Equals ``PCG64(SeedSequence(entropy=seed & (2**64 - 1),
-    spawn_key=(key,))).random_raw()`` site by site, computed for the whole
-    volume at once.  The zigzag key keeps spawn keys non-negative; the
-    field at a site is then independent of the enclosing volume and of
-    generation order.  A sequence of seeds gives one row per seed.
+    Word k is the (k + 1)-th ``nextLong()`` of ``SplittableRandom(seed)``
+    (Steele, Lea & Flood, OOPSLA 2014), computed for the whole volume at
+    once.  The zigzag key k = 2i for i >= 0 and -2i - 1 below keeps keys
+    non-negative; the field at a site is then independent of the enclosing
+    volume and of generation order.  A sequence of seeds gives one row per
+    seed.
     """
-    for end in (vol.lo, vol.hi):
-        key = 2 * end if end >= 0 else -2 * end - 1
-        if key > _MASK32:
-            raise ValueError(f"site {end} has spawn key {key} >= 2**32; "
-                             f"fields are defined on sites [-2**31, 2**31 - 1]")
+    if vol.lo < -2**31 or vol.hi >= 2**31:
+        raise ValueError(f"volume [{vol.lo}, {vol.hi}] has a site key >= 2**32; "
+                         "fields are defined on sites [-2**31, 2**31 - 1]")
     sites = vol.sites()
     keys = np.where(sites >= 0, 2 * sites, -2 * sites - 1).astype(np.uint64)
-
-    # entropy: little-endian 32-bit words of the seed, zero-padded to the
-    # pool size 4 because a spawn key follows; the key word is mixed last
-    entropy = (int(seed) & _MASK64 if np.ndim(seed) == 0
-               else np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)[:, None])
-    words = [entropy & _MASK32, entropy >> 32, 0, 0]
-    hash_const = _INIT_A
-    pool = []
-    for w in words:
-        h, hash_const = _hashmix(w, hash_const, _MULT_A)
-        pool.append(h)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                h, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
-                pool[dst] = _mix(pool[dst], h)
-    for dst in range(4):
-        h, hash_const = _hashmix(keys, hash_const, _MULT_A)
-        pool[dst] = _mix(pool[dst], h)
-
-    # generate_state(4, uint64): eight 32-bit words paired little-endian
-    hash_const = _INIT_B
-    state = []
-    for k in range(8):
-        h, hash_const = _hashmix(pool[k % 4], hash_const, _MULT_B)
-        state.append(h)
-    w0, w1, w2, w3 = (state[2 * k] | (state[2 * k + 1] << 32) for k in range(4))
-
-    # PCG64 seeding: inc = (w2:w3) << 1 | 1; s = inc + (w0:w1); s = s*M + inc;
-    # one more step gives the first output
-    inc_hi, inc_lo = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
-    lo = inc_lo + w1
-    hi = inc_hi + w0 + (lo < inc_lo)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    # XSL-RR output: rotate hi ^ lo right by the top 6 bits
-    x, rot = hi ^ lo, hi >> 58
-    return (x >> rot) | (x << ((64 - rot) & 63))
+    z = (np.uint64(int(seed) % 2**64) if np.ndim(seed) == 0
+         else np.array([int(s) % 2**64 for s in seed], dtype=np.uint64)[:, None])
+    z = z + (keys + 1) * _GAMMA
+    z = (z ^ (z >> 30)) * _MIX_A
+    z = (z ^ (z >> 27)) * _MIX_B
+    return z ^ (z >> 31)
 
 
 def _word_values(raw: np.ndarray, distribution: str) -> np.ndarray:
-    """Field values from each site's first PCG64 word.
-
-    bernoulli and uniform values equal numpy's ``Generator.integers(0, 2)``
-    and ``Generator.uniform(-1, 1)`` draws from that stream; gaussian
-    values are the inverse normal CDF at the midpoint of the word's top
-    52 bits.
-    """
+    """Field values from each site's SplitMix64 word: bernoulli the sign of its top
+    bit, uniform its top 53 bits, gaussian the inverse normal CDF at the midpoint
+    of its top 52 bits."""
     if distribution == "bernoulli":
-        # Lemire's bounded draw on the low 32-bit half keeps its top bit
-        return 2.0 * ((raw >> 31) & 1) - 1.0
+        return 2.0 * (raw >> 63) - 1.0
     if distribution == "gaussian":
         from scipy.special import ndtri
 
@@ -345,11 +268,6 @@ class DisorderField:
         """Draw one realization, keyed per (seed, site) for order-independence."""
         values = _word_values(_site_words(seed, vol), distribution)
         return cls(vol, values, theta, distribution, seed)
-
-
-def _check_same_volume(a_vol: Volume, b_vol: Volume) -> None:
-    if a_vol != b_vol:
-        raise VolumeMismatchError(f"volumes differ: {a_vol} vs {b_vol}")
 
 
 def hamiltonian(
@@ -405,8 +323,8 @@ def energy(
     n = vol.n_sites
     if rows.shape[1] != n:
         raise VolumeMismatchError(f"{rows.shape[1]} spins on a {n}-site volume")
-    if h is not None:
-        _check_same_volume(vol, h.volume)
+    if h is not None and h.volume != vol:
+        raise VolumeMismatchError(f"volumes differ: {vol} vs {h.volume}")
     e = np.empty(len(rows))
     step = max(1, 4096 // n)
     for k in range(0, len(rows), step):

@@ -101,6 +101,18 @@ class TestParsing:
         assert err == f"error: theta must be finite, got {theta}\n"
         assert out == ""
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--theta", "-inf", "theta must be finite, got -inf"),
+        ("--beta", "-inf", "beta must be >= 0, got -inf"),
+        ("--beta", "-1e3", "beta must be >= 0, got -1000.0"),
+    ])
+    def test_dash_value_reaches_checks(self, capsys, monkeypatch, flag, value, message):
+        # a value that starts with "-" is the flag's argument, not an option
+        forbid_work(monkeypatch, f"{flag} {value}")
+        code, out, err = run_cli(capsys, "simulate", flag, value, "--size", "16",
+                                 "--sweeps", "3", "--burnin", "1", "--realizations", "1")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     # one value per option, none of them a default
     EVERY_FLAG = {"alpha": 0.4, "beta": "0.3", "theta": "0.2", "j1": 2.5, "size": 9,
                   "sweeps": 7, "burnin": 3, "seed": 5, "realizations": 2, "boundary": "-",
@@ -363,6 +375,27 @@ class TestConfiguration:
         code, _, err = run_cli(capsys, "roundtrip-test", "--config", str(cfg))
         assert code == 1
         assert "unknown config keys" in err
+
+    @pytest.mark.parametrize("text", ["3", "[]", '"n"', '{"n": null}', '{"n": 4.5}',
+                                      '{"n": true}', '{"n": "six"}', '{"n": [6]}',
+                                      '{"format": "xml"}', '{"deterministic": 1}'])
+    def test_malformed_config_rejected(self, capsys, monkeypatch, tmp_path, text):
+        forbid_work(monkeypatch, f"config {text}")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "roundtrip-test", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+
+    def test_config_values_read_as_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "4", "format": "json", "deterministic": True}))
+        from_file = run_cli(capsys, "roundtrip-test", "--config", str(cfg))
+        from_flags = run_cli(capsys, "roundtrip-test", "--n", "4", "--format", "json",
+                             "--deterministic")
+        assert from_file[:2] == from_flags[:2]
+        assert from_file[0] == 0
 
     @pytest.mark.parametrize("key", ["mmax", "beta", "c"])
     def test_config_key_of_another_subcommand(self, capsys, monkeypatch, tmp_path, key):

@@ -18,21 +18,33 @@ from rfim1d.model import (_logsumexp, _site_words, _word_values,
 FIELD_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 123456789012345, 2**64 - 1, 2**70 + 5, -3]
 
 
-def _spawn_key(site: int) -> int:
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = 2**64 - 1
+
+
+def _zigzag(site: int) -> int:
     return 2 * site if site >= 0 else -2 * site - 1
 
 
-def _site_rng(seed: int, site: int) -> np.random.Generator:
-    """One numpy generator per (seed, site): the per-site reference stream."""
-    return np.random.default_rng(np.random.SeedSequence(
-        entropy=seed & (2**64 - 1), spawn_key=(_spawn_key(site),)))
+def _next_long(state: int):
+    """One step of a scalar SplitMix64 generator: (next state, its output)."""
+    state = (state + _GAMMA) & _MASK64
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return state, z ^ (z >> 31)
+
+
+def _reference_word(seed: int, site: int) -> int:
+    """Output k + 1 of the generator seeded with seed, k the site's zigzag key:
+    k increments are skipped, then one step is taken."""
+    return _next_long((seed + _zigzag(site) * _GAMMA) & _MASK64)[1]
 
 
 def _reference_value(seed: int, site: int, distribution: str) -> float:
-    rng = _site_rng(seed, site)
+    word = _reference_word(seed, site)
     if distribution == "bernoulli":
-        return 2.0 * rng.integers(0, 2) - 1.0
-    return rng.uniform(-1.0, 1.0)
+        return 1.0 if word >> 63 else -1.0
+    return -1.0 + 2.0 * ((word >> 11) * 2.0**-53)
 
 
 _REFERENCE_VOLUME = Volume.centered(4096)
@@ -266,15 +278,45 @@ class TestExactMarginal:
 
 
 class TestFieldStream:
-    """The vectorized draw against numpy's per-site SeedSequence -> PCG64 stream."""
+    """The vectorized draw against a scalar SplitMix64 generator per (seed, site)."""
+
+    def test_known_answer_seed_zero(self):
+        # the first three outputs of SplitMix64 from state 0 (Steele, Lea & Flood 2014)
+        published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        state, stream = 0, []
+        for _ in range(3):
+            state, word = _next_long(state)
+            stream.append(word)
+        assert stream == published
+        # keys 0, 1, 2 are sites 0, -1, 1
+        words = _site_words(0, Volume(-1, 1))
+        assert [int(w) for w in words[[1, 0, 2]]] == published
+
+    def test_words_follow_one_stream(self):
+        # site with key k holds output k + 1 of the generator seeded with the seed
+        state, stream = 7, []
+        for _ in range(64):
+            state, word = _next_long(state)
+            stream.append(word)
+        vol = Volume(-32, 31)
+        keys = [_zigzag(int(i)) for i in vol.sites()]
+        assert [int(w) for w in _site_words(7, vol)] == [stream[k] for k in keys]
 
     @pytest.mark.parametrize("seed", FIELD_SEEDS)
-    def test_words_equal_pcg64_random_raw(self, seed):
+    def test_words_equal_splitmix64_reference(self, seed):
         vol = Volume(-256, 255)
-        expected = [np.random.PCG64(np.random.SeedSequence(
-            entropy=seed & (2**64 - 1), spawn_key=(_spawn_key(int(i)),))).random_raw()
-            for i in vol.sites()]
-        assert np.array_equal(_site_words(seed, vol), np.array(expected, dtype=np.uint64))
+        expected = [_reference_word(seed % 2**64, int(i)) for i in vol.sites()]
+        assert [int(w) for w in _site_words(seed, vol)] == expected
+
+    def test_seed_batch_rows(self):
+        seeds = [3, 2**64 - 1, -3]
+        vol = Volume(-9, 20)
+        rows = _site_words(seeds, vol)
+        assert rows.shape == (3, vol.n_sites)
+        for seed, row in zip(seeds, rows):
+            assert np.array_equal(row, _site_words(seed, vol))
+            assert [int(w) for w in row] == [_reference_word(seed % 2**64, int(i))
+                                             for i in vol.sites()]
 
     @pytest.mark.parametrize("distribution", ["bernoulli", "uniform"])
     @pytest.mark.parametrize("seed", FIELD_SEEDS)
@@ -283,20 +325,22 @@ class TestFieldStream:
         windows += [Volume(-2048, -2048), Volume(-300, -200), Volume(-2048, -1)]
         for vol in windows:
             h = DisorderField.generate(vol, 0.1, seed=seed, distribution=distribution)
-            assert np.array_equal(h.values, _reference_field(seed, vol, distribution)), vol
+            assert np.array_equal(h.values, _reference_field(seed % 2**64, vol,
+                                                             distribution)), vol
 
     def test_extreme_sites(self):
-        # keys 2**32 - 1 and 2**32 - 2 are the largest a spawn key word holds
-        vol = Volume(-2**31, -2**31 + 1)
-        expected = [_reference_value(5, int(i), "uniform") for i in vol.sites()]
-        assert np.array_equal(DisorderField.generate(vol, 0.1, 5, "uniform").values, expected)
-        top = DisorderField.generate(Volume(2**31 - 1, 2**31 - 1), 0.1, 5, "uniform")
-        assert top.values[0] == _reference_value(5, 2**31 - 1, "uniform")
+        # keys 2**32 - 1 and 2**32 - 2, the largest the site range allows
+        for vol in (Volume(-2**31, -2**31 + 1), Volume(2**31 - 2, 2**31 - 1)):
+            assert [int(w) for w in _site_words(5, vol)] == [
+                _reference_word(5, int(i)) for i in vol.sites()]
+            expected = [_reference_value(5, int(i), "uniform") for i in vol.sites()]
+            assert np.array_equal(DisorderField.generate(vol, 0.1, 5, "uniform").values,
+                                  expected)
 
     @pytest.mark.parametrize("vol", [Volume(2**31 - 1, 2**31), Volume(-2**31 - 1, 0),
                                      Volume(2**40, 2**40 + 3)])
     def test_too_large_site_key_rejected(self, vol):
-        with pytest.raises(ValueError, match="spawn key"):
+        with pytest.raises(ValueError, match="site key"):
             DisorderField.generate(vol, 0.1, seed=0)
 
     def test_gaussian_volume_independent_and_seed_dependent(self):
@@ -313,7 +357,7 @@ class TestFieldStream:
         assert g[0] == -g[1] and g[2] == -g[3] and g[0] < g[2] < 0.0
         u = _word_values(raw, "uniform")
         assert u[0] == -1.0 and u[1] < 1.0
-        assert list(_word_values(np.array([2**31 - 1, 2**31], dtype=np.uint64),
+        assert list(_word_values(np.array([2**63 - 1, 2**63], dtype=np.uint64),
                                  "bernoulli")) == [-1.0, 1.0]
 
     @pytest.mark.parametrize("seed", [0, 2**32, -3])
@@ -324,6 +368,21 @@ class TestFieldStream:
         assert abs(h.values.mean()) < 5.0 / math.sqrt(n)
         # the sample variance of n standard normals has standard deviation sqrt(2/n)
         assert abs(h.values.var() - 1.0) < 5.0 * math.sqrt(2.0 / n)
+
+    def test_large_sample_statistics(self):
+        # each statistic within 5 standard deviations of its i.i.d. value
+        n = 2**20
+        vol = Volume.centered(n)
+        g = DisorderField.generate(vol, 0.1, 1, "gaussian").values
+        assert abs(g.mean()) < 5.0 / math.sqrt(n)
+        assert abs(g.var() - 1.0) < 5.0 * math.sqrt(2.0 / n)
+        # neighbouring sites, and neighbouring keys (consecutive stream outputs)
+        by_key = np.empty(n)
+        by_key[np.where(vol.sites() >= 0, 2 * vol.sites(), -2 * vol.sites() - 1)] = g
+        for x in (g, by_key):
+            assert abs(np.corrcoef(x[:-1], x[1:])[0, 1]) < 5.0 / math.sqrt(n)
+        b = DisorderField.generate(vol, 0.1, 1, "bernoulli").values
+        assert abs(np.mean(b == 1.0) - 0.5) < 5.0 * 0.5 / math.sqrt(n)
 
 
 class TestLogsumexp:
