@@ -9,6 +9,17 @@ The running energy starts from, and is checked every 10^4 updates
 against, ``model.energy``; the recomputation is skipped when no flip was
 accepted since the last one, as it would return the same value.
 
+Every random number of a run is a SplitMix64 word (``model._stream_words``,
+the generator the fields use).  Realization r of seed S takes its field
+seed and its chain seed from words 2r and 2r + 1 of
+``SplittableRandom(S)``.  Sweep k of a chain reads words [2Nk, 2Nk + 2N)
+of ``SplittableRandom(chain seed)``: the first N give the site order, the
+stable argsort of w >> b with b = (N - 1).bit_length() (one sort of the
+words with the site index packed into their low b bits), and the next N
+the uniforms (w >> 11) / 2**53 of the accept tests.  So a sweep's draws
+depend on (chain seed, k) alone, counter-based as in Salmon et al.,
+SC 2011, and the chains never import numpy's random module.
+
 The sweep kernel has two paths over the same draws.  ``_sweep`` is the
 scalar loop, run on Python floats: it reads the draws, spins and fields
 as lists and m one element at a time, and commits an accepted flip as
@@ -41,13 +52,15 @@ import numpy as np
 from .contours import contours
 from .disorder import b_bar
 from .model import (CouplingSpec, DisorderField, SpinConfiguration, Volume,
-                    _coupling_sums, _coupling_tables, energy, toeplitz_rows)
+                    _coupling_sums, _coupling_tables, _stream_words, energy,
+                    toeplitz_rows)
 from .triangles import spins_to_triangles
 
 DRIFT_CHECK_UPDATES = 10_000
 DRIFT_TOLERANCE = 1e-6
 SKIP_BELOW_ACCEPTANCE = 0.05  # previous sweep's acceptance below which _skip_sweep runs
 SKIP_WINDOW = 64  # fewest proposals in the first window after a start or a commit
+MAX_SWEEPS = 10**8  # a chain keeps three one-byte records per measured sweep
 
 
 class EnergyDriftError(RuntimeError):
@@ -81,6 +94,10 @@ class RunConfig:
             raise ValueError("size must be >= 1")
         if not 0 <= self.burnin < self.sweeps:
             raise ValueError("need sweeps > burnin >= 0")
+        # the records of a chain, and its draw counter 2 * size * sweep, must fit
+        if self.sweeps > MAX_SWEEPS or 2 * self.size * self.sweeps >= 2**64:
+            raise ValueError(f"sweeps must be <= {MAX_SWEEPS} and 2 * size * sweeps "
+                             f"< 2**64, got sweeps={self.sweeps}, size={self.size}")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
         if self.boundary not in (-1, +1):
@@ -250,8 +267,7 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     m = _coupling_sums(t, s)
     e = ref = energy(spec, vol, s, config.boundary, h, config.theta)
 
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed if chain_seed is None else chain_seed))
+    seed = config.seed if chain_seed is None else chain_seed
     n_measured = config.sweeps - config.burnin
     minus = np.zeros(n_measured, dtype=bool)
     in_contour = np.zeros(n_measured, dtype=bool)
@@ -263,8 +279,7 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     de = 2.0 * s * (m + tau * bv + config.theta * hv)
     acc = float(np.exp(-config.beta * np.maximum(de, 0.0)).sum())
     for sweep in range(config.sweeps):
-        order = rng.permutation(n)
-        unif = rng.random(n)
+        order, unif = _sweep_draws(seed, n, sweep)
         if acc >= SKIP_BELOW_ACCEPTANCE * n:
             e, acc = _sweep(s, m, t, bv, hv, config.theta, config.beta, tau, order, unif, e)
         else:
@@ -309,9 +324,25 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     )
 
 
+def _sweep_draws(seed: int, n: int, sweep: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Site order and uniforms of one sweep, from words [2n k, 2n k + 2n) of
+    ``SplittableRandom(seed)``, k the sweep.
+
+    The first n words w give the order, the stable argsort of w >> b with
+    b = (n - 1).bit_length(): each key (w >> b, j) is packed into one word
+    with the index j in its low b bits, so one sort of n words finds it.
+    The next n give the uniforms (w >> 11) / 2**53 in [0, 1).
+    """
+    w = _stream_words(seed, 2 * n * sweep, 2 * n)
+    mask = np.uint64((1 << (n - 1).bit_length()) - 1)
+    order = np.sort((w[:n] & ~mask) | np.arange(n, dtype=np.uint64)) & mask
+    return order.astype(np.intp), (w[n:] >> np.uint64(11)) * 2.0**-53
+
+
 def _derived_seed(seed: int, realization: int, stream: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(realization, stream))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    """Word 2 r + stream of ``SplittableRandom(seed)``, r the realization:
+    stream 0 seeds its field, stream 1 its chain."""
+    return int(_stream_words(seed, 2 * realization + stream, 1)[0])
 
 
 def _realization(config: RunConfig, r: int) -> ChainResult:

@@ -88,14 +88,6 @@ class CouplingSpec:
         if self.j1 <= 1.0:
             raise ValueError(f"j1 must exceed 1, got {self.j1}")
 
-    def coupling(self, n: int) -> float:
-        """J(n): j1 at distance 1, n**(alpha-2) beyond."""
-        if n < 1:
-            raise ValueError(f"coupling distance must be >= 1, got {n}")
-        if n == 1:
-            return self.j1
-        return float(n) ** (self.alpha - 2.0)
-
     def power_tail(self, d: int) -> float:
         """Sum of n**(alpha-2) over n >= d, to absolute accuracy TAIL_TOLERANCE.
 
@@ -105,28 +97,21 @@ class CouplingSpec:
         """
         if d < 1:
             raise ValueError("tail start must be >= 1")
-        a = self.alpha
-        m_min = (1.0 / (30.0 * TAIL_TOLERANCE)) ** (1.0 / (5.0 - a))
-        m = max(d, int(math.ceil(m_min)), 16)
+        m = max(d, self._truncation_point())
         n = np.arange(d, m, dtype=np.float64)
-        partial = float(np.sum(n ** (a - 2.0))) if n.size else 0.0
+        partial = float(np.sum(n ** (self.alpha - 2.0))) if n.size else 0.0
+        return partial + self._closure(m)
+
+    def _truncation_point(self) -> int:
+        """Smallest M >= 16 with M**(alpha-5)/30 <= TAIL_TOLERANCE."""
+        m_min = (1.0 / (30.0 * TAIL_TOLERANCE)) ** (1.0 / (5.0 - self.alpha))
+        return max(int(math.ceil(m_min)), 16)
+
+    def _closure(self, m: int) -> float:
+        """Euler-Maclaurin closure of the power tail from m on."""
+        a = self.alpha
         fm = float(m) ** (a - 2.0)
-        closure = float(m) ** (a - 1.0) / (1.0 - a) + fm / 2.0 - (a - 2.0) * float(m) ** (a - 3.0) / 12.0
-        return partial + closure
-
-    def tail(self, d: int) -> float:
-        """Sum of J(n) over n >= d (j1 honoured when d == 1)."""
-        if d == 1:
-            return self.j1 + self.power_tail(2)
-        return self.power_tail(d)
-
-    def boundary_field(self, i: int, vol: Volume) -> float:
-        """Sum of J(|i-j|) over sites j outside the volume."""
-        if i not in vol:
-            raise ValueError(f"site {i} outside volume")
-        d_left = i - vol.lo + 1
-        d_right = vol.hi - i + 1
-        return self.tail(d_left) + self.tail(d_right)
+        return float(m) ** (a - 1.0) / (1.0 - a) + fm / 2.0 - (a - 2.0) * float(m) ** (a - 3.0) / 12.0
 
     def coupling_toeplitz(self, vol: Volume) -> np.ndarray:
         """J(|i-j|) as one length-(2N-1) vector t, zero at the centre.
@@ -143,8 +128,21 @@ class CouplingSpec:
         return toeplitz_rows(self.coupling_toeplitz(vol)).copy()
 
     def boundary_vector(self, vol: Volume) -> np.ndarray:
-        """boundary_field at every site, with each tail sum evaluated once."""
-        tails = np.array([self.tail(d) for d in range(1, vol.n_sites + 1)])
+        """Sum of J(|i-j|) over the sites j outside the volume, at every site i.
+
+        Site i sees the tails T(d) = sum of J(n) over n >= d from its
+        distances d to the two ends, T(1) = j1 + power_tail(2) and
+        T(d) = power_tail(d) beyond.  Each is ``power_tail`` to the bit:
+        below the truncation point M the partial sum is a suffix of one
+        array of powers, and from M on it is empty.
+        """
+        m0 = self._truncation_point()
+        p = np.arange(1, m0, dtype=np.float64) ** (self.alpha - 2.0)
+        c0 = self._closure(m0)
+        tails = [float(np.sum(p[d - 1:])) + c0 if d < m0 else self._closure(d)
+                 for d in range(1, vol.n_sites + 1)]
+        tails[0] = self.j1 + (float(np.sum(p[1:])) + c0)
+        tails = np.array(tails)
         return tails + tails[::-1]
 
 
@@ -181,10 +179,6 @@ class SpinConfiguration:
         )
 
     @classmethod
-    def homogeneous(cls, vol: Volume, value: int = +1, boundary: int = +1) -> "SpinConfiguration":
-        return cls(vol, np.full(vol.n_sites, value, dtype=np.int8), boundary)
-
-    @classmethod
     def from_minus_sites(cls, vol: Volume, minus, boundary: int = +1) -> "SpinConfiguration":
         spins = np.ones(vol.n_sites, dtype=np.int8)
         for i in minus:
@@ -197,27 +191,38 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
-def _site_words(seed, vol: Volume) -> np.ndarray:
-    """SplitMix64 word mix64(seed mod 2**64 + (k + 1) * gamma) per site, k its zigzag key.
+def _stream_words(seed, start: int, count: int) -> np.ndarray:
+    """Words start, ..., start + count - 1 of ``SplittableRandom(seed)``.
 
-    Word k is the (k + 1)-th ``nextLong()`` of ``SplittableRandom(seed)``
-    (Steele, Lea & Flood, OOPSLA 2014), computed for the whole volume at
-    once.  The zigzag key k = 2i for i >= 0 and -2i - 1 below keeps keys
-    non-negative; the field at a site is then independent of the enclosing
-    volume and of generation order.  A sequence of seeds gives one row per
-    seed.
+    Word k is mix64(seed mod 2**64 + (k + 1) * gamma), the (k + 1)-th
+    ``nextLong()`` of Java's ``SplittableRandom(seed)`` (Steele, Lea &
+    Flood, OOPSLA 2014), so any run of words costs one numpy pass, from
+    any counter (counters and sums wrap modulo 2**64).  A sequence of
+    seeds gives one row per seed.
+    """
+    z = (np.uint64(int(seed) % 2**64) if np.ndim(seed) == 0
+         else np.array([int(s) % 2**64 for s in seed], dtype=np.uint64)[:, None])
+    z = z + (np.arange(1, count + 1, dtype=np.uint64) + np.uint64(start % 2**64)) * _GAMMA
+    z = (z ^ (z >> 30)) * _MIX_A
+    z = (z ^ (z >> 27)) * _MIX_B
+    return z ^ (z >> 31)
+
+
+def _site_words(seed, vol: Volume) -> np.ndarray:
+    """The SplitMix64 word of ``SplittableRandom(seed)`` at each site's zigzag key.
+
+    The key k = 2i for i >= 0 and -2i - 1 below keeps keys non-negative;
+    the field at a site is then independent of the enclosing volume and
+    of generation order.  A sequence of seeds gives one row per seed.
     """
     if vol.lo < -2**31 or vol.hi >= 2**31:
         raise ValueError(f"volume [{vol.lo}, {vol.hi}] has a site key >= 2**32; "
                          "fields are defined on sites [-2**31, 2**31 - 1]")
     sites = vol.sites()
-    keys = np.where(sites >= 0, 2 * sites, -2 * sites - 1).astype(np.uint64)
-    z = (np.uint64(int(seed) % 2**64) if np.ndim(seed) == 0
-         else np.array([int(s) % 2**64 for s in seed], dtype=np.uint64)[:, None])
-    z = z + (keys + 1) * _GAMMA
-    z = (z ^ (z >> 30)) * _MIX_A
-    z = (z ^ (z >> 27)) * _MIX_B
-    return z ^ (z >> 31)
+    keys = np.where(sites >= 0, 2 * sites, -2 * sites - 1)
+    # the keys of a volume span fewer than 2N counters
+    lo = int(keys.min())
+    return _stream_words(seed, lo, int(keys.max()) - lo + 1)[..., keys - lo]
 
 
 def _word_values(raw: np.ndarray, distribution: str) -> np.ndarray:
@@ -293,14 +298,14 @@ def _coupling_tables(spec: CouplingSpec, vol: Volume) -> Tuple[np.ndarray, np.nd
 
 
 def _coupling_sums(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """J @ s from the Toeplitz vector t, 64 rows at a time.
+    """J @ s from the Toeplitz vector t, 32 rows at a time.
 
     Blocks keep memory O(N); each row is still summed by a BLAS
     matrix-vector product, as in a dense J @ s.
     """
     rows = toeplitz_rows(t)
-    return np.concatenate([np.ascontiguousarray(rows[k:k + 64]) @ s
-                           for k in range(0, s.size, 64)])
+    return np.concatenate([np.ascontiguousarray(rows[k:k + 32]) @ s
+                           for k in range(0, s.size, 32)])
 
 
 def energy(

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import boundary_field, coupling
 from rfim1d import Contour, CouplingSpec, Volume
 
 
@@ -20,15 +21,15 @@ def nested_contour():
 
 
 def double_sum_energy(spec, vol, spins, boundary=+1, field=None, theta=0.0):
-    """H_0 + theta * G summed pair by pair from spec.coupling and
-    spec.boundary_field: the test oracle for ``rfim1d.model.energy``."""
+    """H_0 + theta * G summed pair by pair from the ``coupling`` and
+    ``boundary_field`` oracles: the test oracle for ``rfim1d.model.energy``."""
     s = [int(x) for x in spins]
     sites = list(vol.sites())
     e = 0.0
     for a in range(len(s)):
         for b in range(a + 1, len(s)):
-            e += spec.coupling(b - a) * (1 - s[a] * s[b])
-        e += spec.boundary_field(sites[a], vol) * (1 - boundary * s[a])
+            e += coupling(spec, b - a) * (1 - s[a] * s[b])
+        e += boundary_field(spec, sites[a], vol) * (1 - boundary * s[a])
         if field is not None:
             e -= theta * field[a] * s[a]
     return e

@@ -113,6 +113,15 @@ class TestParsing:
                                  "--sweeps", "3", "--burnin", "1", "--realizations", "1")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_huge_sweep_count_rejected_before_work(self, capsys, monkeypatch, command):
+        # a chain's records and draw counters are bounded before any field is drawn
+        forbid_work(monkeypatch, "--sweeps 100000000000000")
+        code, out, err = run_cli(capsys, command, "--size", "16", "--sweeps",
+                                 "100000000000000", "--burnin", "1", "--realizations", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: sweeps must be <= 100000000 and 2 * size * sweeps")
+
     # one value per option, none of them a default
     EVERY_FLAG = {"alpha": 0.4, "beta": "0.3", "theta": "0.2", "j1": 2.5, "size": 9,
                   "sweeps": 7, "burnin": 3, "seed": 5, "realizations": 2, "boundary": "-",

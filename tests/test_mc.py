@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import boundary_field, coupling, homogeneous, splitmix64_word
 from rfim1d import (CouplingSpec, DisorderField, RunConfig, SpinConfiguration,
                     Volume, disorder_sweep, exact_gibbs_marginal, hamiltonian,
                     metropolis_run, spins_to_triangles)
@@ -47,6 +48,16 @@ class TestRunConfig:
     def test_edge_temperatures_accepted(self):
         assert RunConfig(beta=0.0).beta == 0.0
         assert RunConfig(beta=-0.0, theta=-1.0).theta == -1.0
+
+    def test_sweep_cap(self):
+        assert RunConfig(size=16, sweeps=mc_module.MAX_SWEEPS).sweeps == mc_module.MAX_SWEEPS
+        # the draw counter 2 * size * sweep must stay below 2**64
+        assert RunConfig(size=2**37, sweeps=2**26 - 1, burnin=0).size == 2**37
+        for kwargs in ({"size": 16, "sweeps": mc_module.MAX_SWEEPS + 1},
+                       {"size": 16, "sweeps": 10**14, "burnin": 1},
+                       {"size": 2**37, "sweeps": 2**26, "burnin": 0}):
+            with pytest.raises(ValueError, match="sweeps must be"):
+                RunConfig(**kwargs)
 
 
 def flipped(sigma, i):
@@ -98,11 +109,69 @@ class TestLocalField:
 
     def test_all_plus_closed_form(self, spec):
         vol = Volume.centered(7)
-        sigma = SpinConfiguration.homogeneous(vol, +1)
-        expected = 2.0 * (sum(spec.coupling(abs(j)) for j in vol.sites() if j != 0)
-                          + spec.boundary_field(0, vol))
+        sigma = homogeneous(vol, +1)
+        expected = 2.0 * (sum(coupling(spec, abs(j)) for j in vol.sites() if j != 0)
+                          + boundary_field(spec, 0, vol))
         assert kernel_flip_energy(spec, sigma, None, 0.0, 0) == pytest.approx(expected,
                                                                              abs=1e-9)
+
+
+class TestChainStream:
+    """Seeds and per-sweep draws against the scalar SplitMix64 reference."""
+
+    SEEDS = [0, 11, 2**64 - 1, -3]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_derived_seeds(self, seed):
+        for r in (0, 1, 63):
+            for stream in (0, 1):
+                assert mc_module._derived_seed(seed, r, stream) == splitmix64_word(
+                    seed % 2**64, 2 * r + stream)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 512, 513, 4096])
+    def test_sweep_draws(self, n):
+        seed = 2**64 - 5
+        b = (n - 1).bit_length()
+        for sweep in (0, 1, 7):
+            w = [splitmix64_word(seed, 2 * n * sweep + j) for j in range(2 * n)]
+            order, unif = mc_module._sweep_draws(seed, n, sweep)
+            assert order.tolist() == sorted(range(n), key=lambda j: (w[j] >> b, j))
+            assert sorted(order.tolist()) == list(range(n))
+            assert unif.tolist() == [(x >> 11) * 2.0**-53 for x in w[n:]]
+
+    def test_readme_worked_example(self):
+        chain_seed = mc_module._derived_seed(0, 0, 1)
+        assert (mc_module._derived_seed(0, 0, 0), chain_seed) == (0xE220A8397B1DCDAF,
+                                                                  0x6E789E6AA1B965F4)
+        order, unif = mc_module._sweep_draws(chain_seed, 4, 0)
+        assert order.tolist() == [3, 1, 0, 2] and unif[0] == 0.4167232513006093
+
+    def test_order_is_stable_argsort_of_top_bits(self, monkeypatch):
+        # words equal above the low b = 3 bits tie, and ties keep index order;
+        # words decreasing there reverse it
+        n = 6
+        top = np.uint64(1 << 60)
+        for words, want in ((top | np.arange(2 * n, dtype=np.uint64)[::-1] % 8,
+                             list(range(n))),
+                            (top * np.arange(2 * n, 0, -1, dtype=np.uint64),
+                             list(range(n - 1, -1, -1)))):
+            monkeypatch.setattr(mc_module, "_stream_words", lambda seed, start, count: words)
+            assert mc_module._sweep_draws(0, n, 0)[0].tolist() == want
+
+    def test_sweeps_read_consecutive_disjoint_counters(self, monkeypatch):
+        calls = []
+        stream = mc_module._stream_words
+
+        def recording(seed, start, count):
+            calls.append((seed, start, count))
+            return stream(seed, start, count)
+
+        monkeypatch.setattr(mc_module, "_stream_words", recording)
+        cfg = RunConfig(alpha=0.55, beta=0.2, theta=1.0, j1=1.5, size=12, sweeps=9,
+                        burnin=2, seed=3, realizations=1)
+        h = DisorderField.generate(cfg.volume(), cfg.theta, seed=4)
+        metropolis_run(cfg, h, chain_seed=2**64 - 1)
+        assert calls == [(2**64 - 1, 24 * k, 24) for k in range(9)]
 
 
 def run_small(beta, theta, seed=11, sweeps=6000, **kwargs):
@@ -479,7 +548,7 @@ def origin_in_contour(sigma):
 class TestDecompositionCheck:
     def test_all_plus_sample(self):
         vol = Volume.centered(8)
-        assert not origin_in_contour(SpinConfiguration.homogeneous(vol, +1))
+        assert not origin_in_contour(homogeneous(vol, +1))
 
     def test_minus_origin_is_covered(self):
         vol = Volume.centered(8)

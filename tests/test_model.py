@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -9,35 +10,24 @@ from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import zeta as hurwitz_zeta
 
 import rfim1d
+from oracles import (boundary_field, coupling, homogeneous, splitmix64_next,
+                     splitmix64_word, tail)
 from rfim1d import (CapacityError, CouplingSpec, DisorderField,
                     SpinConfiguration, Volume, VolumeMismatchError, energy,
                     exact_gibbs_marginal, hamiltonian, triangles_to_spins)
-from rfim1d.model import (_logsumexp, _site_words, _word_values,
-                          enumerate_spins)
+from rfim1d.model import (_coupling_sums, _logsumexp, _site_words, _word_values,
+                          enumerate_spins, toeplitz_rows)
 
 FIELD_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 123456789012345, 2**64 - 1, 2**70 + 5, -3]
-
-
-_GAMMA = 0x9E3779B97F4A7C15
-_MASK64 = 2**64 - 1
 
 
 def _zigzag(site: int) -> int:
     return 2 * site if site >= 0 else -2 * site - 1
 
 
-def _next_long(state: int):
-    """One step of a scalar SplitMix64 generator: (next state, its output)."""
-    state = (state + _GAMMA) & _MASK64
-    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
-
-
 def _reference_word(seed: int, site: int) -> int:
-    """Output k + 1 of the generator seeded with seed, k the site's zigzag key:
-    k increments are skipped, then one step is taken."""
-    return _next_long((seed + _zigzag(site) * _GAMMA) & _MASK64)[1]
+    """Output k + 1 of the generator seeded with seed, k the site's zigzag key."""
+    return splitmix64_word(seed, _zigzag(site))
 
 
 def _reference_value(seed: int, site: int, distribution: str) -> float:
@@ -86,9 +76,9 @@ class TestVolume:
 class TestCoupling:
     def test_values(self):
         spec = CouplingSpec(alpha=0.55, j1=10.0)
-        assert spec.coupling(1) == 10.0
-        assert spec.coupling(2) == pytest.approx(2.0 ** (0.55 - 2.0))
-        assert spec.coupling(7) == pytest.approx(7.0 ** (0.55 - 2.0))
+        assert coupling(spec, 1) == 10.0
+        assert coupling(spec, 2) == pytest.approx(2.0 ** (0.55 - 2.0))
+        assert coupling(spec, 7) == pytest.approx(7.0 ** (0.55 - 2.0))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -106,12 +96,12 @@ class TestCoupling:
 
     def test_tail_honours_j1_at_distance_one(self):
         spec = CouplingSpec(alpha=0.55, j1=10.0)
-        assert spec.tail(1) == pytest.approx(10.0 + spec.power_tail(2), abs=1e-12)
+        assert tail(spec, 1) == pytest.approx(10.0 + spec.power_tail(2), abs=1e-12)
 
     def test_boundary_field_symmetry(self):
         spec = CouplingSpec()
         vol = Volume(-3, 3)
-        bf = [spec.boundary_field(i, vol) for i in vol.sites()]
+        bf = [boundary_field(spec, i, vol) for i in vol.sites()]
         assert bf == pytest.approx(bf[::-1])
         # edges see the boundary more strongly than the centre
         assert bf[0] > bf[3]
@@ -120,7 +110,7 @@ class TestCoupling:
     def test_boundary_vector_matches_boundary_field(self, n):
         spec = CouplingSpec(alpha=0.55, j1=10.0)
         vol = Volume.centered(n)
-        per_site = np.array([spec.boundary_field(i, vol) for i in vol.sites()])
+        per_site = np.array([boundary_field(spec, i, vol) for i in vol.sites()])
         assert np.array_equal(spec.boundary_vector(vol), per_site)
 
     def test_coupling_matrix(self):
@@ -132,10 +122,37 @@ class TestCoupling:
         assert jm[0, 2] == pytest.approx(2.0 ** (0.55 - 2.0))
 
 
+def _coupling_sums_in_64_row_blocks(t, s):
+    """``_coupling_sums`` as it was with 64-row blocks."""
+    rows = toeplitz_rows(t)
+    return np.concatenate([np.ascontiguousarray(rows[k:k + 64]) @ s
+                           for k in range(0, s.size, 64)])
+
+
+class TestSetupTablesUnchanged:
+    """The chain's start-up tables keep the bits of their slower forms."""
+
+    @pytest.mark.parametrize("alpha", [float(a) for a in np.linspace(0.0, 0.99, 9)])
+    def test_boundary_vector_equals_per_distance_tails(self, alpha):
+        spec = CouplingSpec(alpha=alpha, j1=10.0)
+        tails = np.array([tail(spec, d) for d in range(1, 8193)])
+        for n in [*range(1, 100), 511, 512, 513, 1024, 4096, 8192]:
+            # the vector as it was built with one tail call per distance
+            per_distance = tails[:n] + tails[:n][::-1]
+            assert np.array_equal(spec.boundary_vector(Volume.centered(n)), per_distance), n
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 65, 512, 1000, 4096])
+    def test_coupling_sums_equal_64_row_blocks(self, n):
+        t = CouplingSpec(alpha=0.55, j1=10.0).coupling_toeplitz(Volume.centered(n))
+        rng = np.random.default_rng(n)
+        for s in (np.ones(n), np.resize([1.0, -1.0], n), rng.choice([-1.0, 1.0], n)):
+            assert np.array_equal(_coupling_sums(t, s), _coupling_sums_in_64_row_blocks(t, s))
+
+
 class TestHamiltonian:
     def test_all_plus_ground_state_energy_zero(self, spec):
         vol = Volume(-4, 4)
-        sigma = SpinConfiguration.homogeneous(vol, +1)
+        sigma = homogeneous(vol, +1)
         assert hamiltonian(spec, sigma) == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_energy_nonnegative(self, spec):
@@ -148,21 +165,21 @@ class TestHamiltonian:
         # flipping one spin in the all-plus state costs 2 * sum_j J(|i-j|)
         vol = Volume(-5, 5)
         sigma = SpinConfiguration.from_minus_sites(vol, [0])
-        expected = 2.0 * (sum(spec.coupling(abs(j)) for j in vol.sites() if j != 0)
-                          + spec.boundary_field(0, vol))
+        expected = 2.0 * (sum(coupling(spec, abs(j)) for j in vol.sites() if j != 0)
+                          + boundary_field(spec, 0, vol))
         assert hamiltonian(spec, sigma) == pytest.approx(expected, abs=1e-9)
 
     def test_field_energy_sign(self, spec):
         # G = -sum_i h_i sigma_i, scaled by theta (h.theta unless given)
         vol = Volume(0, 3)
-        sigma = SpinConfiguration.homogeneous(vol, +1)
+        sigma = homogeneous(vol, +1)
         h = DisorderField(vol, np.array([1.0, -1.0, 1.0, 1.0]), theta=0.5)
         assert hamiltonian(spec, sigma, h, theta=1.0) - hamiltonian(spec, sigma) == \
             pytest.approx(-2.0)
         assert hamiltonian(spec, sigma, h) - hamiltonian(spec, sigma) == pytest.approx(-1.0)
 
     def test_field_volume_mismatch(self, spec):
-        sigma = SpinConfiguration.homogeneous(Volume(0, 3), +1)
+        sigma = homogeneous(Volume(0, 3), +1)
         h = DisorderField.generate(Volume(0, 4), 0.1, seed=0)
         with pytest.raises(VolumeMismatchError):
             hamiltonian(spec, sigma, h)
@@ -285,7 +302,7 @@ class TestFieldStream:
         published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
         state, stream = 0, []
         for _ in range(3):
-            state, word = _next_long(state)
+            state, word = splitmix64_next(state)
             stream.append(word)
         assert stream == published
         # keys 0, 1, 2 are sites 0, -1, 1
@@ -296,7 +313,7 @@ class TestFieldStream:
         # site with key k holds output k + 1 of the generator seeded with the seed
         state, stream = 7, []
         for _ in range(64):
-            state, word = _next_long(state)
+            state, word = splitmix64_next(state)
             stream.append(word)
         vol = Volume(-32, 31)
         keys = [_zigzag(int(i)) for i in vol.sites()]
@@ -406,11 +423,29 @@ class TestLogsumexp:
         assert np.isnan(_logsumexp(np.array([[0.0, np.nan], [0.0, 0.0]]), axis=1)[0])
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, rfim1d.cli; print('scipy' in sys.modules)"
+def _run_python(code: str) -> str:
+    """stdout of code run by a fresh interpreter that imports rfim1d from this tree."""
     src = os.path.dirname(os.path.dirname(rfim1d.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env).stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _run_python("import sys, rfim1d.cli; print('scipy' in sys.modules)") == "False\n"
+
+
+def test_sampling_leaves_numpy_random_unloaded():
+    # seeds, site orders and uniforms all come from SplitMix64 words
+    code = textwrap.dedent("""
+        import os, sys
+        from rfim1d.cli import main
+        common = ["--size", "16", "--sweeps", "20", "--burnin", "5", "--realizations", "2",
+                  "--deterministic", "--out", os.devnull]
+        assert main(["simulate", *common]) == 0
+        assert main(["simulate", "--distribution", "uniform", *common]) == 0
+        assert main(["sweep", "--beta", "0.2,0.4", *common]) == 0
+        print("numpy.random" in sys.modules)
+    """)
+    assert _run_python(code) == "False\n"

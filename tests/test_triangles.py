@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import is_compatible
+from oracles import homogeneous, is_compatible
 from rfim1d import (SpinConfiguration, Volume, energy, families, family_code,
                     hamiltonian, interfaces, pair_interface_bonds, satisfies_ma1,
                     spins_to_triangles, triangle_distance, triangles_to_spins)
@@ -92,7 +92,7 @@ class TestPairing:
 
 class TestSpinTriangleBijection:
     def test_all_plus_maps_to_empty_family(self):
-        sigma = SpinConfiguration.homogeneous(Volume(0, 5), +1)
+        sigma = homogeneous(Volume(0, 5), +1)
         assert len(spins_to_triangles(sigma)) == 0
 
     def test_single_minus_site(self):
@@ -110,7 +110,7 @@ class TestSpinTriangleBijection:
         assert fam == ((0, 8), (3, 4))
 
     def test_minus_boundary_rejected(self):
-        sigma = SpinConfiguration.homogeneous(Volume(0, 3), +1, boundary=-1)
+        sigma = homogeneous(Volume(0, 3), +1, boundary=-1)
         with pytest.raises(ValueError):
             interfaces(sigma)
 
