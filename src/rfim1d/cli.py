@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -260,6 +261,10 @@ def cmd_verify_disorder(opts: Dict[str, object]) -> int:
     _require_peierls_alpha(alpha)
     beta = _one_float(opts["beta"], "beta")
     theta = _one_float(opts["theta"], "theta")
+    if not 0.0 < beta < math.inf:
+        raise CliError(f"--beta must be positive and finite, got {beta}")
+    if not math.isfinite(theta):
+        raise CliError(f"--theta must be finite, got {theta}")
     spec = CouplingSpec(alpha=alpha, j1=float(opts["j1"]))
     # a two-class nested contour on a 10-site volume
     vol = Volume(0, 9)
@@ -307,6 +312,8 @@ def cmd_enumerate_contours(opts: Dict[str, object]) -> int:
 
 def cmd_certify_c0(opts: Dict[str, object]) -> int:
     gamma = float(opts["gamma"])
+    if not 0.0 < gamma < math.inf:
+        raise CliError(f"--gamma must be positive and finite, got {gamma}")
     result = certify_C0(gamma, m_max=int(opts["mmax"]), c=int(opts["c"]))
     payload = _base_payload("certify-c0", opts)
     payload["b_star"] = result.b_star

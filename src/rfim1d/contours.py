@@ -14,13 +14,26 @@ shape enumerator and ``contours()`` share the merge.
 The nested test is one bisection on the outer cluster's sorted bonds
 (see ``_pair_separated``), not a walk over its members; a fused
 cluster's sorted bonds are merged from its parents' when it is built.
+
+Merge order: if clusters A and B violate the separation rules, so do
+any disjoint A' >= A and B' >= B, since intervals, masses and windows
+only grow.  A disjoint pair within reach stays within reach, or comes
+to nest with the facing end bond in the inner's window.  A partially
+overlapping pair cannot come apart, and if it nests, the outer has an
+end bond inside the inner's interval.  A nested pair with an outer bond
+in the inner's window keeps it there, or nests the other way round with
+the former inner's end bonds inside the new inner's interval.  So, by
+induction, every cluster a merge builds lies inside one contour of any
+separated partition coarser than the start, and the fixed point is the
+finest such partition whatever the merge order.  ``_merge`` relies on
+this: it fuses violating pairs in worklist order, and clusters merged
+on their own can be merged further with the same result.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import itemgetter
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -90,34 +103,20 @@ class Contour(NamedTuple):
         return self.left < i <= self.right
 
 
-def _sorted_bonds(g: Contour, cache: Dict[int, tuple]) -> Sequence[int]:
-    """The bonds of g's members in increasing order.
-
-    A one-member cluster's pair already is its sorted bonds; ``_merge``
-    caches a fused one's, and a starting one's are sorted once per cache.
-    An entry holds its cluster, so its id cannot be reused.
-    """
-    if len(g.triangles) == 1:
-        return g.triangles[0]
-    hit = cache.get(id(g))
-    if hit is None:
-        hit = cache[id(g)] = (g, sorted([b for t in g.triangles for b in t]))
-    return hit[1]
-
-
-def _pair_separated(a: Contour, b: Contour, c: int, cache: Dict[int, tuple]) -> bool:
+def _pair_separated(a: Contour, a_bonds: Sequence[int], b: Contour,
+                    b_bonds: Sequence[int], c: int) -> bool:
     """True iff the pair satisfies one of the separation alternatives.
 
-    In the nested case, with inner enclosing bonds [L, R] and threshold
-    d = c * |inner|^3, each outer member (l, r), l < r, must lie below or
-    above [L, R] at a gap > d, or contain it with both gaps > d.  That
-    holds iff neither l nor r lies in the window [L - d, R + d]: a member
-    below or above [L, R] has its facing bond in the window iff its gap
-    is <= d, a containing member has l or r in it iff a gap is <= d, and
-    any other member crosses L or R and so has a bond inside [L, R].  So
-    the pair is separated iff no outer bond lies in the window, which
-    one bisection of the outer's sorted bonds decides.  ``cache`` keeps
-    the sorted bonds of fused clusters between calls.
+    ``a_bonds`` and ``b_bonds`` are the bonds of each cluster's members in
+    increasing order.  In the nested case, with inner enclosing bonds
+    [L, R] and threshold d = c * |inner|^3, each outer member (l, r),
+    l < r, must lie below or above [L, R] at a gap > d, or contain it with
+    both gaps > d.  That holds iff neither l nor r lies in the window
+    [L - d, R + d]: a member below or above [L, R] has its facing bond in
+    the window iff its gap is <= d, a containing member has l or r in it
+    iff a gap is <= d, and any other member crosses L or R and so has a
+    bond inside [L, R].  So the pair is separated iff no outer bond lies
+    in the window, which one bisection of the outer's sorted bonds decides.
     """
     # disjoint enclosing intervals: the closest triangles are the facing ends
     if a.right <= b.left:
@@ -125,64 +124,49 @@ def _pair_separated(a: Contour, b: Contour, c: int, cache: Dict[int, tuple]) -> 
     if b.right <= a.left:
         return a.left - b.right > c * min(a.mass, b.mass) ** 3
     if a.left <= b.left and b.right <= a.right:
-        a, b = b, a
+        a, b, b_bonds = b, a, a_bonds
     if not (b.left <= a.left and a.right <= b.right):
         return False  # partial overlap of enclosing intervals
-    inner, outer = a, b
+    inner, outer_bonds = a, b_bonds
     threshold = c * inner.mass ** 3
-    bonds = _sorted_bonds(outer, cache)
-    k = bisect_left(bonds, inner.left - threshold)
-    return k == len(bonds) or bonds[k] > inner.right + threshold
-
-
-def _first_violation(clusters: Sequence[Contour], c: int,
-                     cache: Dict[int, tuple]) -> Optional[Tuple[int, int]]:
-    """Lexicographically first pair (i, j), i < j, that is not separated."""
-    for i, a in enumerate(clusters):
-        reach = a.right + c * a.mass ** 3
-        for j in range(i + 1, len(clusters)):
-            b = clusters[j]
-            if b.left > reach:
-                # b and every later cluster lie beyond a's largest threshold
-                break
-            if not _pair_separated(a, b, c, cache):
-                return i, j
-    return None
-
-
-_merge_order = itemgetter(0, 2)  # a cluster's (left, mass)
+    k = bisect_left(outer_bonds, inner.left - threshold)
+    return k == len(outer_bonds) or outer_bonds[k] > inner.right + threshold
 
 
 def _merge(pairs: Sequence[Tuple[int, int]], c: int,
            clusters: Sequence[Contour] = ()) -> List[Contour]:
     """Merge clusters to a fixed point of the separation rules.
 
-    The starting clusters are the given ones plus one per bond pair.
-    Deterministic: among violating pairs, the one with the smallest
-    (left endpoint, mass) keys merges first, and the fused cluster goes
-    to the end of the list before the next stable sort.  Returns the
-    clusters in (left, mass) order; the members of a fused cluster are in
-    merge order, not bond order.
+    The starting clusters are the given ones plus one per bond pair.  A
+    worklist holds each cluster with its sorted bonds; a popped cluster is
+    checked against the clusters found pairwise separated so far, fused
+    with the first one it violates, and the fused cluster goes back on the
+    worklist.  The fixed point does not depend on the merge order (see the
+    module docstring).  Returns the clusters in (left, mass) order; the
+    members of a fused cluster are in merge order, not bond order.
     """
-    clusters = [*clusters, *(Contour(p[0], p[1], p[1] - p[0], (p,)) for p in pairs)]
-    cache: Dict[int, tuple] = {}
-    while True:
-        clusters.sort(key=_merge_order)
-        pair = _first_violation(clusters, c, cache)
-        if pair is None:
-            return clusters
-        i, j = pair
-        a, b = clusters[i], clusters[j]
-        del clusters[j]
-        del clusters[i]
-        g = Contour(min(a.left, b.left), max(a.right, b.right), a.mass + b.mass,
-                    a.triangles + b.triangles)
-        # the parents' sorted bonds are two runs, which sorted() merges in linear
-        # time; no merge sees the parents again
-        cache[id(g)] = (g, sorted([*_sorted_bonds(a, cache), *_sorted_bonds(b, cache)]))
-        cache.pop(id(a), None)
-        cache.pop(id(b), None)
-        clusters.append(g)
+    work = [(g, g.triangles[0] if len(g.triangles) == 1
+             else sorted([b for t in g.triangles for b in t])) for g in clusters]
+    work += ((Contour(p[0], p[1], p[1] - p[0], (p,)), p) for p in pairs)
+    work.reverse()  # pop in the given order
+    separated: List[Tuple[Contour, Sequence[int]]] = []
+    while work:
+        g, g_bonds = work.pop()
+        for k, (h, h_bonds) in enumerate(separated):
+            if not _pair_separated(g, g_bonds, h, h_bonds, c):
+                del separated[k]
+                if h.left < g.left:
+                    g, g_bonds, h, h_bonds = h, h_bonds, g, g_bonds
+                # two sorted runs, which sorted() merges in linear time
+                work.append((Contour(g.left, max(g.right, h.right), g.mass + h.mass,
+                                     g.triangles + h.triangles),
+                             sorted([*g_bonds, *h_bonds])))
+                break
+        else:
+            separated.append((g, g_bonds))
+    merged = [g for g, _ in separated]
+    merged.sort(key=lambda g: (g.left, g.mass))
+    return merged
 
 
 def contours(family: Sequence[Tuple[int, int]], c: int = 3) -> List[Contour]:

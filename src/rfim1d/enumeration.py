@@ -14,19 +14,10 @@ merges its shifted clusters into the prefix's.  A candidate is kept when its las
 block leaves one cluster and its bond pairs are realizable.  The top-
 level triangles fix the blocks, so no family is built twice.
 
-Merge order: if clusters A and B violate the separation rules, so do
-any disjoint A' >= A and B' >= B, since intervals, masses and windows
-only grow.  A disjoint pair within reach stays within reach, or comes
-to nest with the facing end bond in the inner's window.  A partially
-overlapping pair cannot come apart, and if it nests, the outer has an
-end bond inside the inner's interval.  A nested pair with an outer bond
-in the inner's window keeps it there, or nests the other way round with
-the former inner's end bonds inside the new inner's interval.  So, by
-induction, every cluster a merge builds lies inside one contour of any
-separated partition coarser than the start, and the fixed point is the
-finest such partition whatever the merge order.  The prefix's clusters
-and a block's clusters each lie inside the contours of the whole
-candidate, so merging them gives the candidate's contours.
+The merge order does not matter (the argument is in the ``contours``
+docstring), so the prefix's clusters and a block's clusters, each of
+which lies inside the contours of the whole candidate, merge into the
+candidate's contours.
 
 Gap soundness: a candidate's clusters merge into one only if some merge
 bridges each gap.  Merge the prefix first, as the order does not

@@ -88,6 +88,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.beta >= 0.0:  # also rejects NaN
             raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
         if self.size < 1:
@@ -106,6 +108,7 @@ class RunConfig:
             raise ValueError("occupancy_stride must be >= 1")
         if self.c < 1:
             raise ValueError("separation constant c must be >= 1")
+        self.coupling_spec()  # checks alpha and j1
 
     def volume(self) -> Volume:
         return Volume.centered(self.size)
@@ -141,16 +144,7 @@ class RunReport:
     reference_200: float
 
     def to_dict(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "chains": [asdict(c) for c in self.chains],
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "occupancy": self.occupancy,
-            "b_bar": self.b_bar,
-            "reference_100": self.reference_100,
-            "reference_200": self.reference_200,
-        }
+        return asdict(self)
 
     def csv_rows(self) -> List[List]:
         return [

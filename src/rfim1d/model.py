@@ -77,7 +77,7 @@ class Volume:
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """Coupling parameters: alpha in [0, 1), nearest-neighbour value j1 > 1."""
+    """Coupling parameters: alpha in [0, 1), finite nearest-neighbour value j1 > 1."""
 
     alpha: float = 0.55
     j1: float = 10.0
@@ -85,8 +85,8 @@ class CouplingSpec:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.j1 <= 1.0:
-            raise ValueError(f"j1 must exceed 1, got {self.j1}")
+        if not 1.0 < self.j1 < math.inf:  # also rejects NaN
+            raise ValueError(f"j1 must be finite and exceed 1, got {self.j1}")
 
     def power_tail(self, d: int) -> float:
         """Sum of n**(alpha-2) over n >= d, to absolute accuracy TAIL_TOLERANCE.

@@ -19,10 +19,25 @@ volume, they reduce the collision order to an integer rule: among
 adjacent unpaired interfaces, the pair with the smallest bond distance
 collides first, leftmost pair on equal distances (the offset of the
 leftmost interface outweighs the sum of all offsets to its right).
+
+That rule is computed in one left-to-right pass with a stack of
+unpaired interfaces.  Before an interface is pushed, the top two
+entries are popped as a pair while their gap is <= the gap from the top
+to the new interface; a final infinite bond flushes the stack.  So the
+gaps along the stack stay strictly decreasing, and each popped pair
+has a gap strictly below its left neighbour's and <= its right
+neighbour's.  Such a pair collides: removing a pair only widens the gaps
+next to it, so no neighbour of the popped pair ever beats it, and on a
+tie with its right neighbour the leftmost pair wins.  The collisions
+happen in nondecreasing gap order, as removing a pair of gap g leaves
+a gap of at least 3g behind; so all pairs of one gap exist before the
+first of them collides and collide from left to right, and sorting the
+pairs by (gap, left bond) gives the collision order.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -79,23 +94,21 @@ def interfaces(sigma: SpinConfiguration) -> List[int]:
 
 
 def pair_interface_bonds(bonds: List[int]) -> List[Tuple[int, int]]:
-    """Collision pairing on interface bonds.
+    """Collision pairing on interface bonds, in collision order.
 
     Equivalent to the exact-offset event queue: adjacent pair with the
     smallest bond distance collides first, leftmost pair breaking ties.
     """
     if len(bonds) % 2 != 0:
         raise RuntimeError("odd interface count: configuration not in the plus class")
-    active = sorted(bonds)
+    stack: List[int] = []
     pairs: List[Tuple[int, int]] = []
-    while active:
-        best, best_gap = 0, active[1] - active[0]
-        for k in range(1, len(active) - 1):
-            gap = active[k + 1] - active[k]
-            if gap < best_gap:  # strict: the leftmost pair wins ties
-                best, best_gap = k, gap
-        pairs.append((active[best], active[best + 1]))
-        del active[best:best + 2]
+    for b in [*sorted(bonds), math.inf]:
+        while len(stack) >= 2 and stack[-1] - stack[-2] <= b - stack[-1]:
+            right = stack.pop()
+            pairs.append((stack.pop(), right))
+        stack.append(b)
+    pairs.sort(key=lambda p: (p[1] - p[0], p[0]))
     return pairs
 
 

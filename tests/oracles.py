@@ -15,12 +15,21 @@ by a slower, independent route, and only the tests call them:
   list and the independence of pre-separated families;
 - ``spin_scan_origin_contours``: origin contours of mass m found by
   scanning spin configurations, against which the shape enumerator is
-  checked (acceptance criterion 6).
+  checked (acceptance criterion 6);
+
+- ``rescan_pair_interface_bonds``: the collision pairing that rescans
+  every adjacent gap after each collision;
+- ``restart_merge``: the contour merge that re-sorts its clusters and
+  restarts the scan for a violating pair after each fusion, with its
+  sorted-bond cache keyed on cluster ids.  These two were the library's
+  own implementations before the one-pass forms replaced them.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,10 +99,10 @@ def is_compatible(a: Iterable[Tuple[int, int]], b: Iterable[Tuple[int, int]]) ->
 
 def verify_P1(contour_list: Sequence[Contour], c: int = 3) -> bool:
     """Certificate: every distinct pair satisfies a separation alternative."""
-    cache: Dict[int, tuple] = {}
+    bonds = [sorted(b for t in g.triangles for b in t) for g in contour_list]
     for i, a in enumerate(contour_list):
-        for b in contour_list[i + 1:]:
-            if not _pair_separated(a, b, c, cache):
+        for j in range(i + 1, len(contour_list)):
+            if not _pair_separated(a, bonds[i], contour_list[j], bonds[j], c):
                 return False
     return True
 
@@ -134,3 +143,120 @@ def spin_scan_origin_contours(m: int, c: int = 3,
                 if gamma.mass == m and gamma.contains_site(0):
                     found[gamma.triangles] = gamma
     return list(found.values())
+
+
+def rescan_pair_interface_bonds(bonds: List[int]) -> List[Tuple[int, int]]:
+    """Collision pairing on interface bonds.
+
+    Equivalent to the exact-offset event queue: adjacent pair with the
+    smallest bond distance collides first, leftmost pair breaking ties.
+    """
+    if len(bonds) % 2 != 0:
+        raise RuntimeError("odd interface count: configuration not in the plus class")
+    active = sorted(bonds)
+    pairs: List[Tuple[int, int]] = []
+    while active:
+        best, best_gap = 0, active[1] - active[0]
+        for k in range(1, len(active) - 1):
+            gap = active[k + 1] - active[k]
+            if gap < best_gap:  # strict: the leftmost pair wins ties
+                best, best_gap = k, gap
+        pairs.append((active[best], active[best + 1]))
+        del active[best:best + 2]
+    return pairs
+
+
+def _restart_sorted_bonds(g: Contour, cache: Dict[int, tuple]) -> Sequence[int]:
+    """The bonds of g's members in increasing order.
+
+    A one-member cluster's pair already is its sorted bonds; ``_merge``
+    caches a fused one's, and a starting one's are sorted once per cache.
+    An entry holds its cluster, so its id cannot be reused.
+    """
+    if len(g.triangles) == 1:
+        return g.triangles[0]
+    hit = cache.get(id(g))
+    if hit is None:
+        hit = cache[id(g)] = (g, sorted([b for t in g.triangles for b in t]))
+    return hit[1]
+
+
+def _restart_pair_separated(a: Contour, b: Contour, c: int, cache: Dict[int, tuple]) -> bool:
+    """True iff the pair satisfies one of the separation alternatives.
+
+    In the nested case, with inner enclosing bonds [L, R] and threshold
+    d = c * |inner|^3, each outer member (l, r), l < r, must lie below or
+    above [L, R] at a gap > d, or contain it with both gaps > d.  That
+    holds iff neither l nor r lies in the window [L - d, R + d]: a member
+    below or above [L, R] has its facing bond in the window iff its gap
+    is <= d, a containing member has l or r in it iff a gap is <= d, and
+    any other member crosses L or R and so has a bond inside [L, R].  So
+    the pair is separated iff no outer bond lies in the window, which
+    one bisection of the outer's sorted bonds decides.  ``cache`` keeps
+    the sorted bonds of fused clusters between calls.
+    """
+    # disjoint enclosing intervals: the closest triangles are the facing ends
+    if a.right <= b.left:
+        return b.left - a.right > c * min(a.mass, b.mass) ** 3
+    if b.right <= a.left:
+        return a.left - b.right > c * min(a.mass, b.mass) ** 3
+    if a.left <= b.left and b.right <= a.right:
+        a, b = b, a
+    if not (b.left <= a.left and a.right <= b.right):
+        return False  # partial overlap of enclosing intervals
+    inner, outer = a, b
+    threshold = c * inner.mass ** 3
+    bonds = _restart_sorted_bonds(outer, cache)
+    k = bisect_left(bonds, inner.left - threshold)
+    return k == len(bonds) or bonds[k] > inner.right + threshold
+
+
+def _restart_first_violation(clusters: Sequence[Contour], c: int,
+                             cache: Dict[int, tuple]) -> Optional[Tuple[int, int]]:
+    """Lexicographically first pair (i, j), i < j, that is not separated."""
+    for i, a in enumerate(clusters):
+        reach = a.right + c * a.mass ** 3
+        for j in range(i + 1, len(clusters)):
+            b = clusters[j]
+            if b.left > reach:
+                # b and every later cluster lie beyond a's largest threshold
+                break
+            if not _restart_pair_separated(a, b, c, cache):
+                return i, j
+    return None
+
+
+_restart_merge_order = itemgetter(0, 2)  # a cluster's (left, mass)
+
+
+def restart_merge(pairs: Sequence[Tuple[int, int]], c: int,
+                  clusters: Sequence[Contour] = ()) -> List[Contour]:
+    """Merge clusters to a fixed point of the separation rules.
+
+    The starting clusters are the given ones plus one per bond pair.
+    Deterministic: among violating pairs, the one with the smallest
+    (left endpoint, mass) keys merges first, and the fused cluster goes
+    to the end of the list before the next stable sort.  Returns the
+    clusters in (left, mass) order; the members of a fused cluster are in
+    merge order, not bond order.
+    """
+    clusters = [*clusters, *(Contour(p[0], p[1], p[1] - p[0], (p,)) for p in pairs)]
+    cache: Dict[int, tuple] = {}
+    while True:
+        clusters.sort(key=_restart_merge_order)
+        pair = _restart_first_violation(clusters, c, cache)
+        if pair is None:
+            return clusters
+        i, j = pair
+        a, b = clusters[i], clusters[j]
+        del clusters[j]
+        del clusters[i]
+        g = Contour(min(a.left, b.left), max(a.right, b.right), a.mass + b.mass,
+                    a.triangles + b.triangles)
+        # the parents' sorted bonds are two runs, which sorted() merges in linear
+        # time; no merge sees the parents again
+        cache[id(g)] = (g, sorted([*_restart_sorted_bonds(a, cache),
+                                   *_restart_sorted_bonds(b, cache)]))
+        cache.pop(id(a), None)
+        cache.pop(id(b), None)
+        clusters.append(g)

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 
 import pytest
 
@@ -121,6 +123,33 @@ class TestParsing:
                                  "100000000000000", "--burnin", "1", "--realizations", "1")
         assert (code, out) == (1, "")
         assert err.startswith("error: sweeps must be <= 100000000 and 2 * size * sweeps")
+
+    RUN = ("--size", "16", "--sweeps", "3", "--burnin", "1", "--realizations", "1")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--j1", "nan", *RUN), "j1 must be finite and exceed 1, got nan"),
+        (("simulate", "--j1", "inf", *RUN), "j1 must be finite and exceed 1, got inf"),
+        (("sweep", "--j1", "1", *RUN), "j1 must be finite and exceed 1, got 1.0"),
+        (("verify-energy", "--j1", "nan"), "j1 must be finite and exceed 1, got nan"),
+        (("verify-energy", "--j1", "inf"), "j1 must be finite and exceed 1, got inf"),
+        (("simulate", "--beta", "inf", "--theta", "20", "--j1", "1.5", "--size", "64",
+          "--sweeps", "3", "--burnin", "1", "--realizations", "2"),
+         "beta must be finite, got inf"),
+        (("sweep", "--beta", "0.2,inf", *RUN), "beta must be finite, got inf"),
+        (("verify-disorder", "--beta", "nan"), "--beta must be positive and finite, got nan"),
+        (("verify-disorder", "--beta", "0"), "--beta must be positive and finite, got 0.0"),
+        (("verify-disorder", "--beta", "-1"), "--beta must be positive and finite, got -1.0"),
+        (("verify-disorder", "--beta", "inf"), "--beta must be positive and finite, got inf"),
+        (("verify-disorder", "--theta", "nan"), "--theta must be finite, got nan"),
+        (("verify-disorder", "--theta", "inf"), "--theta must be finite, got inf"),
+        (("certify-c0", "--gamma", "nan"), "--gamma must be positive and finite, got nan"),
+        (("certify-c0", "--gamma", "-inf"), "--gamma must be positive and finite, got -inf"),
+    ])
+    def test_bad_physics_parameter_rejected_before_work(self, capsys, monkeypatch,
+                                                        argv, message):
+        forbid_work(monkeypatch, " ".join(argv))
+        code, out, err = run_cli(capsys, *argv, "--deterministic")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     # one value per option, none of them a default
     EVERY_FLAG = {"alpha": 0.4, "beta": "0.3", "theta": "0.2", "j1": 2.5, "size": 9,
@@ -415,3 +444,99 @@ class TestConfiguration:
         assert code == 1
         assert err == f"error: unknown config keys for roundtrip-test: ['{key}']\n"
         assert out == ""
+
+
+class TestFuzz:
+    """Seeded random command lines and config files: ``main`` returns an exit
+    code with a message and never raises, and a non-finite physics
+    parameter stops it before any work."""
+
+    FLOATS = ["", "nan", "-nan", "inf", "-inf", "+inf", "1e308", "-1e308", "0", "-1",
+              "0.3", "0.55", "1.5", "2", "abc", "9" * 40, "0.2,0.3", "1,nan"]
+    INTS = ["", "0", "1", "2", "3", "-1", "-7", "9" * 40, "-" + "9" * 40, "1e308", "nan",
+            "inf", "1.5", "1,2", "abc"]
+    CHOICES = ["", "x", "+-", "unknown", "CSV"]
+    JSON_VALUES = [None, True, False, 0, -1, 3, 10**40, 1.5, 1e308, math.nan, math.inf,
+                   -math.inf, "", "nan", "inf", "0.2,0.3", "+", "json", "gaussian", [1],
+                   {"a": 1}]
+    # values with which a command line can reach work
+    VALID = {"alpha": 0.3, "beta": "0.5", "theta": "0.2", "j1": 2.0, "size": 8, "sweeps": 3,
+             "burnin": 1, "realizations": 1, "c": 3, "jobs": 1, "gamma": 0.2, "mmax": 2,
+             "n": 4, "seed": 1, "boundary": "+", "distribution": "gaussian", "format": "json"}
+    PHYSICS = ("alpha", "beta", "theta", "j1", "gamma")
+
+    @classmethod
+    def _keys(cls, rng, command, p):
+        """Each option of the command with probability p, and now and then a foreign one."""
+        keys = [k for k in cli.TAKES[command] + cli.UNIVERSAL if rng.random() < p]
+        return keys + (rng.sample(sorted(cli.OPTIONS), 1) if rng.random() < 0.1 else [])
+
+    @classmethod
+    def _value(cls, rng, key, tmp_path):
+        kwargs = cli.OPTIONS[key][1]
+        if key in cls.VALID and rng.random() < 0.75:
+            return str(cls.VALID[key])
+        if key == "out":
+            return rng.choice(["", str(tmp_path / "out.txt")])
+        if "choices" in kwargs:
+            return rng.choice([*kwargs["choices"], *cls.CHOICES])
+        return rng.choice(cls.INTS if kwargs.get("type") is int else cls.FLOATS)
+
+    @classmethod
+    def _config(cls, rng, command, path):
+        """Write a config file of random keys and JSON values, or a malformed one,
+        or none; return the keys and values the file holds."""
+        kind = rng.random()
+        if kind < 0.2:
+            if kind < 0.1:
+                path.write_text(rng.choice(["{", "3", "[]", "null", '"n"', "NaN"]))
+            return {}
+        data = {k: rng.choice([*cls.JSON_VALUES, cls.VALID.get(k, 1)])
+                for k in dict.fromkeys(cls._keys(rng, command, 0.3)) if k != "config"}
+        path.write_text(json.dumps(data))
+        return data
+
+    @staticmethod
+    def _non_finite(value) -> bool:
+        try:
+            return any(not math.isfinite(float(v)) for v in str(value).split(","))
+        except ValueError:
+            return False
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_random_command_lines(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.delenv("RFIM_SEED", raising=False)
+        forbid_work(monkeypatch, "fuzz")
+        rng = random.Random(f"fuzz {command}")
+        outcomes = {"work": 0, 1: 0, "non-finite": 0}
+        for i in range(100):
+            argv, flags, config = [command], {}, {}
+            for key in dict.fromkeys(self._keys(rng, command, 0.5)):
+                if key == "deterministic":
+                    argv.append("--deterministic")
+                    continue
+                if key == "config":
+                    path = tmp_path / f"config-{i}.json"
+                    config = self._config(rng, command, path)
+                    value = str(path)
+                else:
+                    value = flags[key] = self._value(rng, key, tmp_path)
+                argv += [f"--{key}", value]
+            try:
+                code = main(argv)
+            except AssertionError as exc:
+                assert str(exc) == "work started with fuzz", argv
+                code = "work"
+            err = capsys.readouterr().err
+            assert code in ("work", 0, 1, 2), argv
+            if code == 1:
+                assert err.startswith("error: "), argv
+            # a flag's value wins over the config file's
+            if any(self._non_finite(flags.get(k, config.get(k))) for k in self.PHYSICS):
+                assert code == 1, argv
+                outcomes["non-finite"] += 1
+            outcomes[code] = outcomes.get(code, 0) + 1
+        # the draws reach work, fail validation, and hold non-finite values
+        if not set(self.PHYSICS) & set(cli.TAKES[command]):
+            del outcomes["non-finite"]
+        assert min(outcomes.values()) >= 3, outcomes

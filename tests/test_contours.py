@@ -4,17 +4,22 @@ import random
 import numpy as np
 import pytest
 
-from oracles import verify_P1, verify_P2
+from oracles import rescan_pair_interface_bonds, restart_merge, verify_P1, verify_P2
 from rfim1d import (Contour, DisorderField, RunConfig, SpinConfiguration,
                     Volume, choose_C, separation_series, triangle_distance)
 from rfim1d import mc as mc_module
 from rfim1d.contours import _merge, _pair_separated, contours
 from rfim1d.model import _coupling_sums, enumerate_spins
-from rfim1d.triangles import families, spins_to_triangles
+from rfim1d.triangles import families, interfaces, pair_interface_bonds, spins_to_triangles
 
 
 def _distance(a: Contour, b: Contour) -> int:
     return min(triangle_distance(s, t) for s in a.triangles for t in b.triangles)
+
+
+def _bonds(g: Contour) -> list:
+    """The bonds of g's members in increasing order."""
+    return sorted(b for t in g.triangles for b in t)
 
 
 def _enclosing(g: Contour) -> tuple:
@@ -290,11 +295,10 @@ class TestPairPredicate:
 
     def test_agrees_with_member_loop_on_all_small_pairs(self):
         clusters = self._clusters(7, 2)
-        cache = {}
         edges = {"left": 0, "right": 0, "equal": 0, "crossing": 0}
         for a in clusters:
             for b in clusters:
-                got = _pair_separated(a, b, 1, cache)
+                got = _pair_separated(a, _bonds(a), b, _bonds(b), 1)
                 assert got is _reference_member_loop(a, b, 1), (a, b)
                 if b.left <= a.left and a.right <= b.right:
                     thr = a.mass ** 3
@@ -316,15 +320,15 @@ class TestPairPredicate:
         ]:
             b = Contour.of(outer)
             assert _reference_member_loop(inner, b, 2) is separated
-            assert _pair_separated(inner, b, 2, {}) is separated
-            assert _pair_separated(b, inner, 2, {}) is separated
+            assert _pair_separated(inner, _bonds(inner), b, _bonds(b), 2) is separated
+            assert _pair_separated(b, _bonds(b), inner, _bonds(inner), 2) is separated
 
     def test_agrees_with_triangle_distance_rule(self):
         clusters = [Contour.of(g.triangles) for g in self._clusters(6, 2)]
-        cache = {}
         for a in clusters:
             for b in clusters:
-                assert _pair_separated(a, b, 1, cache) is _reference_pair_separated(a, b, 1)
+                assert (_pair_separated(a, _bonds(a), b, _bonds(b), 1)
+                        is _reference_pair_separated(a, b, 1))
 
     def test_fused_bonds_sorted_once_per_merge(self, monkeypatch):
         calls = []
@@ -360,6 +364,67 @@ class TestPairPredicate:
         got = _merge([(20, 21), (30, 31), (62, 63)], 3, [outer])
         assert _partition(got) == [((0, 10), (40, 60), (62, 63)), ((20, 21),), ((30, 31),)]
         assert calls == [[40, 60, 0, 10], [0, 10, 40, 60, 62, 63]]
+
+
+def _random_state(n: int, seed: int) -> SpinConfiguration:
+    """A plus-boundary configuration of n sites with a random fifth of them minus."""
+    vol = Volume.centered(n)
+    return SpinConfiguration.from_minus_sites(
+        vol, random.Random(seed).sample(list(vol.sites()), n // 5))
+
+
+def _merged(clusters):
+    """A merge's output: its clusters in order, each with its members in bond order."""
+    return [(g.left, g.right, g.mass, sorted(g.triangles)) for g in clusters]
+
+
+class TestOnePassEquivalence:
+    """The stack pairing and the worklist merge give what the rescanning
+    pairing and the restarting merge (``oracles``) gave: the same pairs in
+    the same collision order, and the same clusters in the same order."""
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        return ([_sampled_configuration(seed) for seed in range(20)]
+                + [_random_state(n, seed) for n in (2048, 4096) for seed in range(3)])
+
+    def test_pairing_on_all_configurations_of_twelve_sites(self):
+        vol = Volume(0, 11)
+        for spins in enumerate_spins(12):
+            bonds = interfaces(SpinConfiguration(vol, spins))
+            assert pair_interface_bonds(bonds) == rescan_pair_interface_bonds(bonds), bonds
+
+    def test_pairing_on_sampled_and_random_states(self, states):
+        for sigma in states:
+            bonds = interfaces(sigma)
+            assert pair_interface_bonds(bonds) == rescan_pair_interface_bonds(bonds)
+
+    def test_pop_rule_and_collision_order(self):
+        # gaps 1, 1, 2: (0, 1) collides first, then (2, 4) at gap 2
+        assert pair_interface_bonds([0, 1, 2, 4]) == [(0, 1), (2, 4)]
+        # popped in the order (0, 2), (5, 6); collided by (gap, left bond)
+        assert pair_interface_bonds([0, 2, 5, 6]) == [(5, 6), (0, 2)]
+
+    def test_merge_on_all_families_of_twelve_sites(self):
+        fused = 0
+        for fam in families(Volume(0, 11)):
+            got = _merge(fam, 3)
+            assert _merged(got) == _merged(restart_merge(fam, 3)), fam
+            fused += len(got) < len(fam)
+        assert fused > 1000
+
+    def test_merge_on_sampled_and_random_states(self, states):
+        for sigma in states:
+            fam = spins_to_triangles(sigma)
+            assert len(fam) > 10
+            assert _merged(_merge(fam, 3)) == _merged(restart_merge(fam, 3))
+
+    def test_merge_of_starting_clusters(self, states):
+        for sigma in states[:20]:  # the sampled N=512 states
+            fam = spins_to_triangles(sigma)
+            half = len(fam) // 2
+            start = _merge(fam[:half], 3) + _merge(fam[half:], 3)
+            assert _merged(_merge((), 3, start)) == _merged(restart_merge((), 3, start))
 
 
 class TestIndependence:

@@ -45,6 +45,16 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="beta|theta"):
             RunConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"beta": math.inf}, "beta must be finite"),
+        ({"j1": math.nan}, "j1 must be finite and exceed 1"),
+        ({"j1": math.inf}, "j1 must be finite and exceed 1"),
+        ({"alpha": 1.0}, "alpha must lie in"),
+    ])
+    def test_coupling_and_infinite_beta_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**kwargs)
+
     def test_edge_temperatures_accepted(self):
         assert RunConfig(beta=0.0).beta == 0.0
         assert RunConfig(beta=-0.0, theta=-1.0).theta == -1.0

@@ -86,6 +86,11 @@ class TestCoupling:
         with pytest.raises(ValueError):
             CouplingSpec(j1=0.9)
 
+    @pytest.mark.parametrize("j1", [1.0, math.nan, math.inf])
+    def test_nearest_neighbour_coupling_finite_above_one(self, j1):
+        with pytest.raises(ValueError, match="j1 must be finite and exceed 1"):
+            CouplingSpec(j1=j1)
+
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.55, 0.9])
     @pytest.mark.parametrize("d", [1, 2, 5, 40])
     def test_power_tail_matches_hurwitz_zeta(self, alpha, d):
