@@ -465,8 +465,8 @@ class TestFuzz:
              "n": 4, "seed": 1, "boundary": "+", "distribution": "gaussian", "format": "json"}
     PHYSICS = ("alpha", "beta", "theta", "j1", "gamma")
 
-    @classmethod
-    def _keys(cls, rng, command, p):
+    @staticmethod
+    def _keys(rng, command, p):
         """Each option of the command with probability p, and now and then a foreign one."""
         keys = [k for k in cli.TAKES[command] + cli.UNIVERSAL if rng.random() < p]
         return keys + (rng.sample(sorted(cli.OPTIONS), 1) if rng.random() < 0.1 else [])
