@@ -294,7 +294,7 @@ def cmd_verify_disorder(opts: Dict[str, object]) -> int:
 def cmd_enumerate_contours(opts: Dict[str, object]) -> int:
     c = int(opts["c"])
     mmax = int(opts["mmax"])
-    _check_cap(mmax)
+    _check_cap(mmax, c)
     rows = []
     summary = []
     for m in range(1, mmax + 1):
@@ -314,7 +314,9 @@ def cmd_certify_c0(opts: Dict[str, object]) -> int:
     gamma = float(opts["gamma"])
     if not 0.0 < gamma < math.inf:
         raise CliError(f"--gamma must be positive and finite, got {gamma}")
-    result = certify_C0(gamma, m_max=int(opts["mmax"]), c=int(opts["c"]))
+    mmax, c = int(opts["mmax"]), int(opts["c"])
+    _check_cap(mmax, c)
+    result = certify_C0(gamma, m_max=mmax, c=c)
     payload = _base_payload("certify-c0", opts)
     payload["b_star"] = result.b_star
     payload["m_max"] = result.m_max

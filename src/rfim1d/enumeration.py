@@ -151,16 +151,21 @@ def _shape_aggregates(m: int, c: int) -> Dict[Tuple[int, ...], int]:
     return agg
 
 
-def _check_cap(m: int) -> None:
+def _check_cap(m: int, c: int) -> None:
+    """Check the mass and the search width before any work: gaps go up to
+    c * m**3, capped at its value for c = 3 at ``DEFAULT_MASS_CAP``."""
     if m < 1:
         raise ValueError("mass must be >= 1")
     if m > DEFAULT_MASS_CAP:
         raise CapacityError(f"mass {m} exceeds enumeration cap {DEFAULT_MASS_CAP}")
+    cap = 3 * DEFAULT_MASS_CAP**3
+    if c * m**3 > cap:
+        raise CapacityError(f"c * m**3 = {c * m**3} exceeds enumeration cap {cap}")
 
 
 def enumerate_origin_contours(m: int, c: int = 3) -> List[Contour]:
     """All contours of mass m whose enclosing basis contains the origin."""
-    _check_cap(m)
+    _check_cap(m, c)
     out: List[Contour] = []
     for shape in contour_shapes(m, c):
         span = max(r for _, r in shape)
@@ -199,7 +204,7 @@ def certify_C0(gamma: float, m_max: int = DEFAULT_MASS_CAP,
     The bound is checked at every grid point at and above the candidate;
     absence of an admissible b* is reported, not raised.
     """
-    _check_cap(m_max)
+    _check_cap(m_max, c)
     grid = tuple(sorted(float(b) for b in b_grid))
     rows = []
     ok_by_b: Dict[float, bool] = {b: True for b in grid}

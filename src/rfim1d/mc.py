@@ -1,44 +1,40 @@
 """Single-site Metropolis sampling of the finite-volume plus-boundary measure.
 
-Each chain keeps the running sums m_i = sum_j J(|i-j|) sigma_j so a flip
-proposal costs O(1) to evaluate and O(N) to commit.  The couplings are
-held as one length-(2N-1) Toeplitz vector t (row i of J is a slice of
-t), read from the model's per-(spec, volume) cache, so memory stays O(N)
-at every volume size.
+Each chain keeps the running sums m_i = sum_j J(|i-j|) sigma_j, which
+start in closed form (``_start_sums``), so a flip proposal costs O(1) to
+evaluate and O(N) to commit; the couplings are one length-(2N-1)
+Toeplitz vector (row i of J is a slice of it), so memory stays O(N).
 The running energy starts from, and is checked every 10^4 updates
-against, ``model.energy``; the recomputation is skipped when no flip was
-accepted since the last one, as it would return the same value.
+against, ``model.energy``, recomputed only if a flip was accepted since.
 
-Every random number of a run is a SplitMix64 word (``model._stream_words``,
-the generator the fields use).  Realization r of seed S takes its field
-seed and its chain seed from words 2r and 2r + 1 of
-``SplittableRandom(S)``.  Sweep k of a chain reads words [2Nk, 2Nk + 2N)
-of ``SplittableRandom(chain seed)``: the first N give the site order, the
-stable argsort of w >> b with b = (N - 1).bit_length() (one sort of the
-words with the site index packed into their low b bits), and the next N
-the uniforms (w >> 11) / 2**53 of the accept tests.  So a sweep's draws
-depend on (chain seed, k) alone, counter-based as in Salmon et al.,
-SC 2011, and the chains never import numpy's random module.
+Every random number of a run is a SplitMix64 word (``model._stream_words``).
+Realization r of seed S takes its field seed and its chain seed from
+words 2r and 2r + 1 of ``SplittableRandom(S)``.  Sweep k of a chain reads
+words [2Nk, 2Nk + 2N) of ``SplittableRandom(chain seed)``: the first N
+give the site order, the stable argsort of w >> b with
+b = (N - 1).bit_length(), and the next N the uniforms u = (w >> 11) / 2**53
+(counter-based as in Salmon et al., SC 2011), so the chains never import
+numpy's random module.
 
-The sweep kernel has two paths over the same draws.  ``_sweep`` is the
-scalar loop, run on Python floats: it reads the draws, spins and fields
-as lists and m one element at a time, and commits an accepted flip as
-one in-place numpy subtract or add of a row of the doubled couplings.
-It decides uphill moves with ``math.exp`` and hands the rare draw that
-lies within a rounding band of it to ``np.exp``, so every decision is
-the one ``np.exp`` makes.  Each proposal still costs about a
-microsecond of interpreted Python, so after a sweep whose acceptance
-fell below ``SKIP_BELOW_ACCEPTANCE`` (for the first sweep: the
-acceptance expected from the start state) ``_skip_sweep`` runs instead:
-it evaluates a window of upcoming proposals in one numpy expression,
-commits the first accepted one and skips the rejected run before it (the
-rejection-skipping idea of Bortz, Kalos & Lebowitz, J. Comput. Phys. 17
-(1975) 10, here without changing the chain).  Both paths apply the same
-elementwise float operations to the same ``order``/``unif`` draws (a
-row doubled once and added or subtracted equals the row times the new
-spin's +-2, as doubling and negation are exact), so the path choice
-cannot change a chain: spins, running sums, energy and accept counts are
-bit-identical, and the threshold is a speed setting only.
+A proposal with flip energy dE is accepted when beta * dE <= -ln u, the
+log form of u <= exp(-beta * dE): no exponential is taken, u = 0 gives
+the threshold +inf, a downhill move always passes and a NaN dE fails.
+The rule u < exp(-beta * dE) would decide differently only where u lies
+within an ulp of the exponential, or where u = 0 meets an exponential
+that underflowed: about 2**-52 per uphill proposal.
+
+The sweep kernel has two paths over the same thresholds and the same
+tables (doubled coupling rows, tau * b, theta * h), built once per chain.
+``_sweep`` is a loop on Python floats that commits an accepted flip as one
+in-place numpy subtract or add of a doubled row.  After a sweep whose
+acceptance fell below ``SKIP_BELOW_ACCEPTANCE`` (for the first sweep: the
+acceptance the start state predicts) ``_skip_sweep`` runs instead: it
+tests a window of upcoming proposals in one numpy expression, commits the
+first accepted one and skips the rejected run before it (Bortz, Kalos &
+Lebowitz, J. Comput. Phys. 17 (1975) 10, without changing the chain).
+Both paths compare the same product beta * dE with the same threshold and
+commit with the same row update, so the path choice cannot change a
+chain: the threshold is a speed setting only.
 """
 
 from __future__ import annotations
@@ -52,8 +48,7 @@ import numpy as np
 from .contours import contours
 from .disorder import b_bar
 from .model import (CouplingSpec, DisorderField, SpinConfiguration, Volume,
-                    _coupling_sums, _coupling_tables, _stream_words, energy,
-                    toeplitz_rows)
+                    _coupling_tables, _stream_words, energy, toeplitz_rows)
 from .triangles import spins_to_triangles
 
 DRIFT_CHECK_UPDATES = 10_000
@@ -158,45 +153,32 @@ RUN_CSV_COLUMNS = ["realization", "estimate", "stderr", "occupancy", "acceptance
                    "violations", "mean_estimate", "mean_stderr", "b_bar", "reference_100"]
 
 
-def _sweep(s, m, t, bv, hv, theta, beta, tau, order, unif, e):
+def _sweep(s, m, rows2, tb, th, beta, order, thr, e):
     """One Metropolis sweep in the given site order; returns (energy, accepted).
 
-    Proposal k flips site order[k] iff its flip energy de is <= 0 or
-    unif[k] < np.exp(-beta * de).  The loop runs on Python floats with the
-    float operations of that rule; ``math.exp`` may differ from ``np.exp``
-    by an ulp, so a draw within a band around it (relative, with an
-    absolute floor for subnormal and zero exponentials) is decided by
-    ``np.exp``.  A NaN de fails every comparison and is rejected.
+    Proposal k flips site i = order[k] iff beta * de <= thr[k], with
+    de = 2 s_i (m_i + tb_i + th_i); a flip of a plus (minus) spin subtracts
+    (adds) the doubled coupling row rows2[i] from (to) m.
     """
-    exp, np_exp = math.exp, np.exp
-    rows = toeplitz_rows(2.0 * t)  # doubling is exact: row i is 2 * t[n-1-i : 2n-1-i]
-    sl = s.tolist()
-    tb = (tau * bv).tolist()
-    th = (theta * hv).tolist()
+    sl, tb, th = s.tolist(), tb.tolist(), th.tolist()
     m_at = m.item
     acc = 0
-    for i, u in zip(order.tolist(), unif.tolist()):
+    for i, v in zip(order.tolist(), thr.tolist()):
         si = sl[i]
         de = 2.0 * si * (m_at(i) + tb[i] + th[i])
-        if not de <= 0.0:
-            x = -beta * de
-            ex = exp(x)
-            band = 1e-12 * ex + 1e-300
-            if not (u < ex - band or u < ex + band and u < np_exp(x)):
-                continue
-        # m += (2 * new spin) * row, as one in-place subtract or add
-        if si > 0.0:
-            m -= rows[i]
-        else:
-            m += rows[i]
-        sl[i] = -si
-        e += de
-        acc += 1
+        if beta * de <= v:
+            if si > 0.0:
+                m -= rows2[i]
+            else:
+                m += rows2[i]
+            sl[i] = -si
+            e += de
+            acc += 1
     s[:] = sl
     return e, acc
 
 
-def _skip_sweep(s, m, t, bv, hv, theta, beta, tau, order, unif, e, w0=SKIP_WINDOW):
+def _skip_sweep(s, m, rows2, tb, th, beta, order, thr, e, w0=SKIP_WINDOW):
     """``_sweep`` on the same draws, skipping runs of rejected proposals.
 
     The flip energies and accept tests of a window of upcoming proposals
@@ -211,22 +193,32 @@ def _skip_sweep(s, m, t, bv, hv, theta, beta, tau, order, unif, e, w0=SKIP_WINDO
     w = w0
     while k < n:
         idx = order[k:k + w]
-        de = 2.0 * s[idx] * (m[idx] + tau * bv[idx] + theta * hv[idx])
-        # de <= 0 is accepted without the exponential, which could overflow there
-        hit = (de <= 0.0) | (unif[k:k + w] < np.exp(-beta * np.maximum(de, 0.0)))
+        de = 2.0 * s[idx] * (m[idx] + tb[idx] + th[idx])
+        hit = beta * de <= thr[k:k + w]
         j = int(hit.argmax())
         if not hit[j]:
             k += w
             w *= 2
             continue
         i = idx[j]
+        if s[i] > 0.0:
+            m -= rows2[i]
+        else:
+            m += rows2[i]
         s[i] = -s[i]
-        m += (2.0 * s[i]) * t[n - 1 - i:2 * n - 1 - i]
         e += de[j]
         acc += 1
         k += j + 1
         w = w0
     return e, acc
+
+
+def _start_sums(t: np.ndarray, tau: float) -> np.ndarray:
+    """J s of the all-tau state, tau * (C[i] + C[N-1-i]) with C[k] the sum of
+    J(1..k) from the Toeplitz vector t: O(N) and mirror-symmetric to the bit."""
+    n = (t.size + 1) // 2
+    c = np.concatenate(([0.0], np.cumsum(t[n:])))
+    return tau * (c + c[::-1])
 
 
 def _batch_means_stderr(x: np.ndarray, n_batches: int = 32) -> float:
@@ -256,9 +248,10 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     tau = float(config.boundary)
     origin = vol.index(0)
     t, bv = _coupling_tables(spec, vol)
-    hv = h.values
+    # the kernels' tables; doubling is exact: row i is 2 * t[n-1-i : 2n-1-i]
+    rows2, tb, th = toeplitz_rows(2.0 * t), tau * bv, config.theta * h.values
     s = np.full(n, tau)
-    m = _coupling_sums(t, s)
+    m = _start_sums(t, tau)
     e = ref = energy(spec, vol, s, config.boundary, h, config.theta)
 
     seed = config.seed if chain_seed is None else chain_seed
@@ -269,17 +262,17 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     accepted = 0
     since_check = flips_since_check = 0
     # before the first sweep, the acceptance the start state predicts stands in
-    # for the previous sweep's
-    de = 2.0 * s * (m + tau * bv + config.theta * hv)
-    acc = float(np.exp(-config.beta * np.maximum(de, 0.0)).sum())
+    # for the previous sweep's: the sum of min(1, exp(-beta * de))
+    de = 2.0 * s * (m + tb + th)
+    acc = float(np.exp(np.minimum(-config.beta * de, 0.0)).sum())
     for sweep in range(config.sweeps):
-        order, unif = _sweep_draws(seed, n, sweep)
+        order, thr = _sweep_draws(seed, n, sweep)
         if acc >= SKIP_BELOW_ACCEPTANCE * n:
-            e, acc = _sweep(s, m, t, bv, hv, config.theta, config.beta, tau, order, unif, e)
+            e, acc = _sweep(s, m, rows2, tb, th, config.beta, order, thr, e)
         else:
             # a first window as long as the run of rejections acc predicts
-            e, acc = _skip_sweep(s, m, t, bv, hv, config.theta, config.beta, tau, order,
-                                 unif, e, max(SKIP_WINDOW, int(n / (acc + 1.0))))
+            e, acc = _skip_sweep(s, m, rows2, tb, th, config.beta, order, thr, e,
+                                 max(SKIP_WINDOW, int(n / (acc + 1.0))))
         accepted += acc
         flips_since_check += acc
         since_check += n
@@ -319,18 +312,21 @@ def metropolis_run(config: RunConfig, h: DisorderField,
 
 
 def _sweep_draws(seed: int, n: int, sweep: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Site order and uniforms of one sweep, from words [2n k, 2n k + 2n) of
-    ``SplittableRandom(seed)``, k the sweep.
+    """Site order and accept thresholds of one sweep, from words
+    [2n k, 2n k + 2n) of ``SplittableRandom(seed)``, k the sweep.
 
     The first n words w give the order, the stable argsort of w >> b with
     b = (n - 1).bit_length(): each key (w >> b, j) is packed into one word
     with the index j in its low b bits, so one sort of n words finds it.
-    The next n give the uniforms (w >> 11) / 2**53 in [0, 1).
+    The next n give the thresholds -ln u in (0, inf] of the uniforms
+    u = (w >> 11) / 2**53 in [0, 1).
     """
     w = _stream_words(seed, 2 * n * sweep, 2 * n)
     mask = np.uint64((1 << (n - 1).bit_length()) - 1)
     order = np.sort((w[:n] & ~mask) | np.arange(n, dtype=np.uint64)) & mask
-    return order.astype(np.intp), (w[n:] >> np.uint64(11)) * 2.0**-53
+    with np.errstate(divide="ignore"):
+        thr = -np.log((w[n:] >> np.uint64(11)) * 2.0**-53)
+    return order.astype(np.intp), thr
 
 
 def _derived_seed(seed: int, realization: int, stream: int) -> int:

@@ -297,17 +297,6 @@ def _coupling_tables(spec: CouplingSpec, vol: Volume) -> Tuple[np.ndarray, np.nd
     return t, bv
 
 
-def _coupling_sums(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """J @ s from the Toeplitz vector t, 32 rows at a time.
-
-    Blocks keep memory O(N); each row is still summed by a BLAS
-    matrix-vector product, as in a dense J @ s.
-    """
-    rows = toeplitz_rows(t)
-    return np.concatenate([np.ascontiguousarray(rows[k:k + 32]) @ s
-                           for k in range(0, s.size, 32)])
-
-
 def energy(
     spec: CouplingSpec,
     vol: Volume,

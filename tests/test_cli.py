@@ -313,6 +313,22 @@ class TestEnumerationCommands:
         assert err.startswith("error: mass 7 exceeds enumeration cap")
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["enumerate-contours", "certify-c0"])
+    @pytest.mark.parametrize("mmax, c", [("4", "30"), ("3", "300")])
+    def test_search_width_checked_before_work(self, capsys, monkeypatch, command, mmax, c):
+        # c * m**3 bounds the gaps the search tries; above 3 * 6**3 it is refused
+        forbid_work(monkeypatch, f"{command} --mmax {mmax} --c {c}")
+        code, out, err = run_cli(capsys, command, "--mmax", mmax, "--c", c,
+                                 "--deterministic")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: c * m**3 = {int(c) * int(mmax)**3} ")
+
+    @pytest.mark.parametrize("command", ["enumerate-contours", "certify-c0"])
+    @pytest.mark.parametrize("mmax, c", [("6", "3"), ("1", "648")])
+    def test_widest_admitted_searches_run(self, capsys, command, mmax, c):
+        code, out, _ = run_cli(capsys, command, "--mmax", mmax, "--c", c, "--deterministic")
+        assert code == 0 and out
+
     def test_certify_reports_b_star(self, capsys):
         code, out, err = run_cli(capsys, "certify-c0", "--gamma", "0.1",
                                  "--mmax", "2", "--deterministic")

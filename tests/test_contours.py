@@ -9,7 +9,7 @@ from rfim1d import (Contour, DisorderField, RunConfig, SpinConfiguration,
                     Volume, choose_C, separation_series, triangle_distance)
 from rfim1d import mc as mc_module
 from rfim1d.contours import _merge, _pair_separated, contours
-from rfim1d.model import _coupling_sums, enumerate_spins
+from rfim1d.model import enumerate_spins, toeplitz_rows
 from rfim1d.triangles import families, interfaces, pair_interface_bonds, spins_to_triangles
 
 
@@ -124,13 +124,13 @@ def _sampled_configuration(seed: int) -> SpinConfiguration:
     vol, spec = cfg.volume(), cfg.coupling_spec()
     h = DisorderField.generate(vol, cfg.theta, seed=seed)
     t = spec.coupling_toeplitz(vol)
-    bv = spec.boundary_vector(vol)
+    rows2, tb, th = toeplitz_rows(2.0 * t), spec.boundary_vector(vol), cfg.theta * h.values
     s = np.ones(cfg.size)
-    m = _coupling_sums(t, s)
+    m = mc_module._start_sums(t, 1.0)
     rng = np.random.default_rng(seed)
     for _ in range(3):
-        mc_module._sweep(s, m, t, bv, h.values, cfg.theta, cfg.beta, 1.0,
-                         rng.permutation(cfg.size), rng.random(cfg.size), 0.0)
+        mc_module._sweep(s, m, rows2, tb, th, cfg.beta, rng.permutation(cfg.size),
+                         -np.log(rng.random(cfg.size)), 0.0)
     return SpinConfiguration(vol, s.astype(np.int8))
 
 

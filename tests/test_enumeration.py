@@ -3,7 +3,7 @@ import math
 import pytest
 
 from oracles import max_span, spin_scan_origin_contours, verify_P1
-from rfim1d import (CapacityError, WeightSpec, certify_C0,
+from rfim1d import (CapacityError, WeightSpec, certify_C0, enumeration,
                     enumerate_origin_contours, weight_bound)
 from rfim1d.contours import _merge, contours
 from rfim1d.enumeration import (_block_shapes, _shape_aggregates, _shift,
@@ -99,6 +99,17 @@ class TestEnumeration:
             enumerate_origin_contours(7)
         with pytest.raises(ValueError):
             enumerate_origin_contours(0)
+
+    def test_search_width_guard(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("contour_shapes called before the cap check")
+
+        monkeypatch.setattr(enumeration, "contour_shapes", no_work)
+        for m, c in ((4, 11), (3, 25), (1, 649), (6, 4)):
+            with pytest.raises(CapacityError, match="exceeds enumeration cap 648"):
+                enumerate_origin_contours(m, c)
+            with pytest.raises(CapacityError, match="exceeds enumeration cap 648"):
+                certify_C0(0.1, m_max=m, c=c)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_shapes_match_object_oracle(self, m):

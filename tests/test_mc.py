@@ -12,7 +12,7 @@ from rfim1d import (CouplingSpec, DisorderField, RunConfig, SpinConfiguration,
 from rfim1d.contours import contours
 from rfim1d import mc as mc_module
 from rfim1d import model as model_module
-from rfim1d.model import energy, enumerate_spins
+from rfim1d.model import energy, enumerate_spins, toeplitz_rows
 
 
 class TestRunConfig:
@@ -77,6 +77,13 @@ def flipped(sigma, i):
     return SpinConfiguration(sigma.volume, spins, sigma.boundary)
 
 
+def chain_tables(spec, vol, hv, theta, tau=1.0):
+    """The kernels' per-chain tables (rows2, tb, th), as ``metropolis_run``
+    builds them."""
+    t = spec.coupling_toeplitz(vol)
+    return toeplitz_rows(2.0 * t), tau * spec.boundary_vector(vol), theta * hv
+
+
 def kernel_flip_energy(spec, sigma, h, theta, i):
     """Energy change the sweep kernel books for flipping site i.
 
@@ -86,12 +93,11 @@ def kernel_flip_energy(spec, sigma, h, theta, i):
     vol = sigma.volume
     n = vol.n_sites
     assert n % 2 == 1
-    t = spec.coupling_toeplitz(vol)
     s = sigma.spins.astype(np.float64)
-    m = model_module._coupling_sums(t, s)
+    m = spec.coupling_matrix(vol) @ s
     hv = np.zeros(n) if h is None else h.values
-    e, acc = mc_module._sweep(s, m, t, spec.boundary_vector(vol), hv, theta, 0.0, 1.0,
-                              np.full(n, vol.index(i)), np.zeros(n), 0.0)
+    e, acc = mc_module._sweep(s, m, *chain_tables(spec, vol, hv, theta), 0.0,
+                              np.full(n, vol.index(i)), np.full(n, np.inf), 0.0)
     assert acc == n
     assert np.array_equal(s, flipped(sigma, i).spins)
     return e
@@ -126,6 +132,21 @@ class TestLocalField:
                                                                              abs=1e-9)
 
 
+class TestStartSums:
+    """The all-boundary start state's J s in closed form."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 512, 1000, 4096])
+    def test_equal_dense_product(self, n):
+        spec = CouplingSpec(alpha=0.55, j1=10.0)
+        vol = Volume.centered(n)
+        jm = spec.coupling_matrix(vol)
+        for tau in (1.0, -1.0):
+            m = mc_module._start_sums(spec.coupling_toeplitz(vol), tau)
+            dense = jm @ np.full(n, tau)
+            assert np.allclose(m, dense, rtol=1e-12, atol=0.0)
+            assert np.array_equal(m, m[::-1])
+
+
 class TestChainStream:
     """Seeds and per-sweep draws against the scalar SplitMix64 reference."""
 
@@ -144,17 +165,31 @@ class TestChainStream:
         b = (n - 1).bit_length()
         for sweep in (0, 1, 7):
             w = [splitmix64_word(seed, 2 * n * sweep + j) for j in range(2 * n)]
-            order, unif = mc_module._sweep_draws(seed, n, sweep)
+            order, thr = mc_module._sweep_draws(seed, n, sweep)
             assert order.tolist() == sorted(range(n), key=lambda j: (w[j] >> b, j))
             assert sorted(order.tolist()) == list(range(n))
-            assert unif.tolist() == [(x >> 11) * 2.0**-53 for x in w[n:]]
+            u = np.array([(x >> 11) * 2.0**-53 for x in w[n:]])
+            assert np.array_equal(thr, -np.log(u))
+
+    def test_zero_uniform_gives_infinite_threshold(self, monkeypatch):
+        # a word below 2**11 gives u = 0, whose threshold -ln 0 is +inf, silently
+        n = 3
+        words = np.array([5, 9, 1, 2**11 - 1, 2**11, 2**64 - 1], dtype=np.uint64)
+        monkeypatch.setattr(mc_module, "_stream_words", lambda seed, start, count: words)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            thr = mc_module._sweep_draws(0, n, 0)[1]
+        assert thr[0] == np.inf
+        assert thr[1] == -np.log(2.0**-53) and 0.0 < thr[2] < 2.0**-52
 
     def test_readme_worked_example(self):
         chain_seed = mc_module._derived_seed(0, 0, 1)
         assert (mc_module._derived_seed(0, 0, 0), chain_seed) == (0xE220A8397B1DCDAF,
                                                                   0x6E789E6AA1B965F4)
-        order, unif = mc_module._sweep_draws(chain_seed, 4, 0)
-        assert order.tolist() == [3, 1, 0, 2] and unif[0] == 0.4167232513006093
+        order, thr = mc_module._sweep_draws(chain_seed, 4, 0)
+        # the first uniform is 0.4167232513006093, and its threshold -ln u
+        assert order.tolist() == [3, 1, 0, 2] and thr[0] == 0.8753329434528468
+        assert thr[0] == -np.log(0.4167232513006093)
 
     def test_order_is_stable_argsort_of_top_bits(self, monkeypatch):
         # words equal above the low b = 3 bits tie, and ties keep index order;
@@ -233,15 +268,15 @@ class TestMetropolis:
             vol, spec = cfg.volume(), cfg.coupling_spec()
             h = DisorderField.generate(vol, theta, seed=n)
             t = spec.coupling_toeplitz(vol)
-            bv = spec.boundary_vector(vol)
+            tables = chain_tables(spec, vol, h.values, theta)
             s = np.ones(n)
-            m = model_module._coupling_sums(t, s)
+            m = mc_module._start_sums(t, 1.0)
             e = energy(spec, vol, s, +1, h, theta)
             rng = np.random.default_rng(n)
             accepted = 0
             for _ in range(20):
-                e, acc = mc_module._sweep(s, m, t, bv, h.values, theta, beta, 1.0,
-                                          rng.permutation(n), rng.random(n), e)
+                e, acc = mc_module._sweep(s, m, *tables, beta, rng.permutation(n),
+                                          -np.log(rng.random(n)), e)
                 accepted += acc
             assert accepted > 0
             dense = spec.coupling_matrix(vol) @ s
@@ -266,18 +301,17 @@ class TestStationaryDistribution:
         vol = cfg.volume()
         spec = cfg.coupling_spec()
         h = DisorderField.generate(vol, theta, seed=4)
-        t = spec.coupling_toeplitz(vol)
-        bv = spec.boundary_vector(vol)
+        tables = chain_tables(spec, vol, h.values, theta)
         s = np.ones(n)
-        m = model_module._coupling_sums(t, s)
+        m = mc_module._start_sums(spec.coupling_toeplitz(vol), 1.0)
         e = 0.0
         rng = np.random.default_rng(123)
         sweeps, burnin = 40_000, 2_000
         counts = np.zeros(2 ** n)
         for sweep in range(sweeps):
             e, _ = mc_module._sweep(
-                s, m, t, bv, h.values, theta, beta, 1.0,
-                rng.permutation(n), rng.random(n), e)
+                s, m, *tables, beta,
+                rng.permutation(n), -np.log(rng.random(n)), e)
             if sweep >= burnin:
                 code = sum(1 << k for k in range(n) if s[k] > 0)
                 counts[code] += 1
@@ -293,19 +327,29 @@ class TestStationaryDistribution:
 def kernel_run(kernel, n, beta, theta, j1, sweeps=20, seed=0, boundary=+1,
                distribution="bernoulli"):
     """Final (s, m, e, accepted) of `sweeps` kernel sweeps on seeded draws,
-    from the all-boundary state."""
+    from the all-boundary state.
+
+    ``_reference_sweep`` takes its own arguments and the uniforms u; a
+    kernel takes the per-chain tables and the thresholds -ln u of the same u.
+    """
     cfg = RunConfig(size=n, alpha=0.55, beta=beta, theta=theta, j1=j1, sweeps=1, burnin=0)
     vol, spec = cfg.volume(), cfg.coupling_spec()
     h = DisorderField.generate(vol, theta, seed=seed, distribution=distribution)
     t = spec.coupling_toeplitz(vol)
-    s = np.full(n, float(boundary))
-    m = model_module._coupling_sums(t, s)
+    tau = float(boundary)
+    tables = chain_tables(spec, vol, h.values, theta, tau)
+    s = np.full(n, tau)
+    m = mc_module._start_sums(t, tau)
     e = energy(spec, vol, s, boundary, h, theta)
     rng = np.random.default_rng(seed + 1)
     accepted = 0
     for _ in range(sweeps):
-        e, acc = kernel(s, m, t, spec.boundary_vector(vol), h.values, theta, beta,
-                        float(boundary), rng.permutation(n), rng.random(n), e)
+        order, u = rng.permutation(n), rng.random(n)
+        if kernel is _reference_sweep:
+            e, acc = kernel(s, m, t, spec.boundary_vector(vol), h.values, theta, beta,
+                            tau, order, u, e)
+        else:
+            e, acc = kernel(s, m, *tables, beta, order, -np.log(u), e)
         accepted += acc
     return s, m, e, accepted
 
@@ -325,29 +369,9 @@ def _reference_sweep(s, m, t, bv, hv, theta, beta, tau, order, unif, e):
     return e, acc
 
 
-def uphill_decisions(kernel, x, u):
-    """Whether kernel accepts, for each k, an uphill move with -beta * de = x[k]
-    against the draw u[k].
-
-    Every site sees only its own field (the couplings are zero), so the
-    sites are independent proposals with de = 2 b_k and beta = 1; the
-    halving and doubling of x are exact.
-    """
-    n = x.size
-    s, m = np.ones(n), np.zeros(n)
-    kernel(s, m, np.zeros(2 * n - 1), -x / 2.0, np.zeros(n), 0.0, 1.0, 1.0,
-           np.arange(n), np.asarray(u, dtype=np.float64), 0.0)
-    return s < 0
-
-
-def exp_disagreements(lo, hi, points):
-    """Grid points of [lo, hi] where math.exp and np.exp round differently."""
-    x = np.linspace(lo, hi, points)
-    return x[np.exp(x) != np.frompyfunc(math.exp, 1, 1)(x).astype(np.float64)]
-
-
 class TestScalarKernel:
-    """The Python-float ``_sweep`` against the numpy-scalar loop it replaced."""
+    """The Python-float ``_sweep`` against a numpy-scalar loop of the exponential
+    rule u < exp(-beta * de), fed the same uniforms."""
 
     @pytest.mark.parametrize("n, beta, theta, j1, boundary, distribution", [
         (512, 0.2, 1.0, 1.5, +1, "bernoulli"),  # sample-hot parameters
@@ -369,40 +393,42 @@ class TestScalarKernel:
         if n > 1 and 0.0 < beta < 1.0:
             assert 0 < acc < sweeps * n
 
-    @staticmethod
-    def _assert_decides_as_numpy(x):
-        ex = np.exp(x)
-        ties = [ex, np.nextafter(ex, 0.0), np.nextafter(ex, 1.0),
-                np.frompyfunc(math.exp, 1, 1)(x).astype(np.float64), np.zeros_like(x)]
-        for u in ties:
-            want = u < ex
-            assert np.array_equal(uphill_decisions(_reference_sweep, x, u), want)
-            assert np.array_equal(uphill_decisions(mc_module._sweep, x, u), want)
+    @pytest.mark.parametrize("kernel", [mc_module._sweep, mc_module._skip_sweep],
+                             ids=["scalar", "skip"])
+    def test_threshold_ties(self, kernel):
+        # with zero couplings each site is an independent proposal with
+        # de = 2 b_k; a move is accepted iff beta * de <= its threshold
+        beta = 0.7
+        rng = np.random.default_rng(5)
+        b = np.concatenate([np.geomspace(1e-310, 1e300, 401), 40.0 * rng.random(600)])
+        n = b.size
 
-    def test_exp_ties_decide_as_numpy(self):
-        # math.exp and np.exp may round to neighbouring doubles (they do for a few
-        # percent of x with an AVX-512 np.exp); a draw equal to either must still
-        # decide as np.exp does
-        x = exp_disagreements(-60.0, -1e-9, 200_001)
-        self._assert_decides_as_numpy(np.concatenate([x, np.linspace(-60.0, 0.0, 1001)[:-1]]))
+        def accepts(b, thr):
+            s, m = np.ones(n), np.zeros(n)
+            kernel(s, m, np.zeros((n, n)), b, np.zeros(n), beta, np.arange(n), thr, 0.0)
+            return s < 0
 
-    def test_subnormal_and_zero_exponentials_decide_as_numpy(self):
-        # below 2.2e-308 the exponential is subnormal and below -745.13 it is 0: a
-        # band relative to it alone vanishes there, while the draw can be 0.0
-        x = exp_disagreements(-745.2, -708.4, 400_001)
-        edge = np.nextafter(-745.1332191019, -np.inf) + np.arange(-5, 6) * 1e-11
-        x = np.concatenate([x, edge, [-800.0, -745.2, -1e308, -np.inf]])
-        assert (np.exp(x) == 0.0).any() and (np.exp(x) == 5e-324).any()
-        self._assert_decides_as_numpy(x)
+        x = beta * (2.0 * b)
+        assert np.all(np.isfinite(x) & (x > 0.0))
+        assert accepts(b, x).all()
+        assert not accepts(b, np.nextafter(x, -np.inf)).any()
+        assert accepts(b, np.full(n, np.inf)).all()
+        # a downhill move passes the smallest threshold, -ln(1 - 2**-53)
+        assert accepts(-b, np.full(n, -np.log1p(-2.0**-53))).all()
+        assert not accepts(np.full(n, np.nan), np.full(n, np.inf)).any()
 
     def test_nan_flip_energy_is_rejected(self):
         n = 8
-        for kernel in (_reference_sweep, mc_module._sweep):
-            s, m = np.ones(n), np.zeros(n)
-            hv = np.full(n, np.nan)
-            e, acc = kernel(s, m, np.zeros(2 * n - 1), np.zeros(n), hv, 1.0, 0.5, 1.0,
-                            np.arange(n), np.zeros(n), 0.0)
-            assert acc == 0 and e == 0.0 and np.array_equal(s, np.ones(n))
+        hv = np.full(n, np.nan)
+        s, m = np.ones(n), np.zeros(n)
+        e, acc = _reference_sweep(s, m, np.zeros(2 * n - 1), np.zeros(n), hv, 1.0, 0.5, 1.0,
+                                  np.arange(n), np.zeros(n), 0.0)
+        assert acc == 0 and e == 0.0 and np.array_equal(s, np.ones(n))
+        s, m = np.ones(n), np.zeros(n)
+        # the uniform 0 is the threshold +inf
+        e, acc = mc_module._sweep(s, m, np.zeros((n, n)), np.zeros(n), hv, 0.5,
+                                  np.arange(n), np.full(n, np.inf), 0.0)
+        assert acc == 0 and e == 0.0 and np.array_equal(s, np.ones(n))
 
     def test_commit_signs(self):
         # a plus spin flips to minus and subtracts its doubled coupling row; a
@@ -411,12 +437,12 @@ class TestScalarKernel:
         vol = Volume.centered(5)
         t = spec.coupling_toeplitz(vol)
         s = np.array([1.0, 1.0, -1.0, 1.0, 1.0])
-        m = model_module._coupling_sums(t, s)
+        m = spec.coupling_matrix(vol) @ s
         want = m.copy()
-        rows = model_module.toeplitz_rows(t)
+        rows = toeplitz_rows(t)
         order = [1, 2, 0, 3, 3]
-        mc_module._sweep(s, m, t, np.zeros(5), np.zeros(5), 0.0, 0.0, 1.0,
-                         np.array(order), np.zeros(5), 0.0)
+        mc_module._sweep(s, m, toeplitz_rows(2.0 * t), np.zeros(5), np.zeros(5), 0.0,
+                         np.array(order), np.full(5, np.inf), 0.0)
         assert np.array_equal(s, [-1.0, -1.0, 1.0, 1.0, 1.0])
         for i, sign in zip(order, [-1, +1, -1, -1, +1]):
             want += sign * (2.0 * rows[i])

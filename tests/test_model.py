@@ -15,8 +15,7 @@ from oracles import (boundary_field, coupling, homogeneous, splitmix64_next,
 from rfim1d import (CapacityError, CouplingSpec, DisorderField,
                     SpinConfiguration, Volume, VolumeMismatchError, energy,
                     exact_gibbs_marginal, hamiltonian, triangles_to_spins)
-from rfim1d.model import (_coupling_sums, _logsumexp, _site_words, _word_values,
-                          enumerate_spins, toeplitz_rows)
+from rfim1d.model import _logsumexp, _site_words, _word_values, enumerate_spins
 
 FIELD_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 123456789012345, 2**64 - 1, 2**70 + 5, -3]
 
@@ -127,13 +126,6 @@ class TestCoupling:
         assert jm[0, 2] == pytest.approx(2.0 ** (0.55 - 2.0))
 
 
-def _coupling_sums_in_64_row_blocks(t, s):
-    """``_coupling_sums`` as it was with 64-row blocks."""
-    rows = toeplitz_rows(t)
-    return np.concatenate([np.ascontiguousarray(rows[k:k + 64]) @ s
-                           for k in range(0, s.size, 64)])
-
-
 class TestSetupTablesUnchanged:
     """The chain's start-up tables keep the bits of their slower forms."""
 
@@ -145,13 +137,6 @@ class TestSetupTablesUnchanged:
             # the vector as it was built with one tail call per distance
             per_distance = tails[:n] + tails[:n][::-1]
             assert np.array_equal(spec.boundary_vector(Volume.centered(n)), per_distance), n
-
-    @pytest.mark.parametrize("n", [1, 7, 64, 65, 512, 1000, 4096])
-    def test_coupling_sums_equal_64_row_blocks(self, n):
-        t = CouplingSpec(alpha=0.55, j1=10.0).coupling_toeplitz(Volume.centered(n))
-        rng = np.random.default_rng(n)
-        for s in (np.ones(n), np.resize([1.0, -1.0], n), rng.choice([-1.0, 1.0], n)):
-            assert np.array_equal(_coupling_sums(t, s), _coupling_sums_in_64_row_blocks(t, s))
 
 
 class TestHamiltonian:
