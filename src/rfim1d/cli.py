@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import BOUND_CSV_COLUMNS, exhaustive_reports
 from .contours import Contour
@@ -364,10 +364,11 @@ COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(commands: Iterable[str] = tuple(COMMANDS)) -> _Parser:
+    """The rfim1d parser with a subparser for each of the given commands."""
     parser = _Parser(prog="rfim1d", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
+    for name in commands:
         # no abbreviations: "--c" must not stand for "--config" where --c is not taken
         p = sub.add_parser(name, allow_abbrev=False)
         for key in TAKES[name] + UNIVERSAL:
@@ -379,7 +380,14 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run the command line argv (sys.argv[1:] when None); returns the exit code.
+
+    When argv starts with a command, only that command's subparser is built;
+    anything else (--help, no argument, an unknown command) gets the full
+    parser, whose help text and errors list every command.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):

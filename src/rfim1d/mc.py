@@ -4,8 +4,12 @@ Each chain keeps the running sums m_i = sum_j J(|i-j|) sigma_j, which
 start in closed form (``_start_sums``), so a flip proposal costs O(1) to
 evaluate and O(N) to commit; the couplings are one length-(2N-1)
 Toeplitz vector (row i of J is a slice of it), so memory stays O(N).
-The running energy starts from, and is checked every 10^4 updates
-against, ``model.energy``, recomputed only if a flip was accepted since.
+The running energy is the change since the start.  Every 10^4 updates it
+is checked against ``model.energy`` of the current state less that of
+the start state.  The current energy is recomputed only if a flip was
+accepted since the last check, and the start energy once, at the first
+recomputation: before it both sides are exactly 0, so a chain that never
+flips, or ends before its first check, evaluates no energy.
 
 Every random number of a run is a SplitMix64 word (``model._stream_words``).
 Realization r of seed S takes its field seed and its chain seed from
@@ -158,9 +162,10 @@ def _sweep(s, m, rows2, tb, th, beta, order, thr, e):
 
     Proposal k flips site i = order[k] iff beta * de <= thr[k], with
     de = 2 s_i (m_i + tb_i + th_i); a flip of a plus (minus) spin subtracts
-    (adds) the doubled coupling row rows2[i] from (to) m.
+    (adds) the doubled coupling row rows2[i] from (to) m.  The tables tb
+    and th are lists of Python floats, built once per chain.
     """
-    sl, tb, th = s.tolist(), tb.tolist(), th.tolist()
+    sl = s.tolist()
     m_at = m.item
     acc = 0
     for i, v in zip(order.tolist(), thr.tolist()):
@@ -250,9 +255,13 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     t, bv = _coupling_tables(spec, vol)
     # the kernels' tables; doubling is exact: row i is 2 * t[n-1-i : 2n-1-i]
     rows2, tb, th = toeplitz_rows(2.0 * t), tau * bv, config.theta * h.values
+    tb_list, th_list = tb.tolist(), th.tolist()
     s = np.full(n, tau)
     m = _start_sums(t, tau)
-    e = ref = energy(spec, vol, s, config.boundary, h, config.theta)
+    # e and ref are energy changes since the start; the start energy e0 and
+    # the scale of the tolerance wait for the first recomputation
+    e = ref = 0.0
+    e0, scale = None, 1.0
 
     seed = config.seed if chain_seed is None else chain_seed
     n_measured = config.sweeps - config.burnin
@@ -268,7 +277,7 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     for sweep in range(config.sweeps):
         order, thr = _sweep_draws(seed, n, sweep)
         if acc >= SKIP_BELOW_ACCEPTANCE * n:
-            e, acc = _sweep(s, m, rows2, tb, th, config.beta, order, thr, e)
+            e, acc = _sweep(s, m, rows2, tb_list, th_list, config.beta, order, thr, e)
         else:
             # a first window as long as the run of rejections acc predicts
             e, acc = _skip_sweep(s, m, rows2, tb, th, config.beta, order, thr, e,
@@ -282,8 +291,11 @@ def metropolis_run(config: RunConfig, h: DisorderField,
             # are exactly those it saw, so its value stands
             if flips_since_check:
                 flips_since_check = 0
-                ref = energy(spec, vol, s, config.boundary, h, config.theta)
-            if abs(e - ref) > DRIFT_TOLERANCE * max(1.0, abs(ref)):
+                if e0 is None:
+                    e0 = energy(spec, vol, np.full(n, tau), config.boundary, h, config.theta)
+                now = energy(spec, vol, s, config.boundary, h, config.theta)
+                ref, scale = now - e0, max(1.0, abs(now))
+            if abs(e - ref) > DRIFT_TOLERANCE * scale:
                 raise EnergyDriftError(f"energy drift {e - ref:g} after sweep {sweep}")
             e = ref
         k = sweep - config.burnin
@@ -329,18 +341,12 @@ def _sweep_draws(seed: int, n: int, sweep: int) -> Tuple[np.ndarray, np.ndarray]
     return order.astype(np.intp), thr
 
 
-def _derived_seed(seed: int, realization: int, stream: int) -> int:
-    """Word 2 r + stream of ``SplittableRandom(seed)``, r the realization:
-    stream 0 seeds its field, stream 1 its chain."""
-    return int(_stream_words(seed, 2 * realization + stream, 1)[0])
-
-
-def _realization(config: RunConfig, r: int) -> ChainResult:
-    """Chain of realization r, seeded from (config.seed, r) alone."""
-    h = DisorderField.generate(config.volume(), config.theta,
-                               seed=_derived_seed(config.seed, r, 0),
+def _realization(config: RunConfig, seeds: Tuple[int, int]) -> ChainResult:
+    """Chain of one realization from its (field seed, chain seed)."""
+    field_seed, chain_seed = seeds
+    h = DisorderField.generate(config.volume(), config.theta, seed=field_seed,
                                distribution=config.distribution)
-    return metropolis_run(config, h, chain_seed=_derived_seed(config.seed, r, 1))
+    return metropolis_run(config, h, chain_seed=chain_seed)
 
 
 def disorder_sweep(config: RunConfig, jobs: int = 1) -> RunReport:
@@ -349,7 +355,8 @@ def disorder_sweep(config: RunConfig, jobs: int = 1) -> RunReport:
     With jobs > 1 the realizations run in that many worker processes
     (at most one per realization); results do not depend on jobs.
     """
-    indices = range(config.realizations)
+    # words 2r and 2r + 1 of SplittableRandom(seed) seed realization r's field and chain
+    seeds = _stream_words(config.seed, 0, 2 * config.realizations).reshape(-1, 2).tolist()
     workers = min(jobs, config.realizations)
     if workers > 1:
         import multiprocessing
@@ -357,9 +364,9 @@ def disorder_sweep(config: RunConfig, jobs: int = 1) -> RunReport:
 
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            chains = list(pool.map(_realization, [config] * len(indices), indices))
+            chains = list(pool.map(_realization, [config] * len(seeds), seeds))
     else:
-        chains = [_realization(config, r) for r in indices]
+        chains = [_realization(config, pair) for pair in seeds]
 
     est = np.array([c.estimate for c in chains])
     # realization scatter plus mean within-chain sampling error

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -209,6 +210,59 @@ class TestParsing:
         code, _, err = run_cli(capsys, "verify-disorder", "--c", "missing.json")
         assert code == 1
         assert err == "error: unrecognized arguments: --c missing.json\n"
+
+    @staticmethod
+    def _counting_subparsers(monkeypatch):
+        """The names of the subparsers built from now on."""
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        return names
+
+    def test_simulate_builds_one_subparser(self, capsys, monkeypatch):
+        names = self._counting_subparsers(monkeypatch)
+        code, out, _ = run_cli(capsys, "simulate", "--size", "8", "--sweeps", "3",
+                               "--burnin", "1", "--realizations", "1", "--deterministic")
+        assert code == 0 and out.startswith("# schema=")
+        assert names == ["simulate"]
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_command_help_from_its_subparser_alone(self, capsys, monkeypatch, command):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"])
+        want = capsys.readouterr().out
+        names = self._counting_subparsers(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == want
+        assert names == [command]
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--seed", "3", "simulate"]],
+                             ids=["none", "help", "unknown", "flag-first"])
+    def test_full_parser_without_a_leading_command(self, capsys, monkeypatch, argv):
+        # what the full parser prints: its help, or its error as main reports it
+        try:
+            args = cli.build_parser().parse_args(argv)
+            assert args.command is None
+            want = ("", "error: a subcommand is required (see --help)\n")
+        except SystemExit:
+            want = (capsys.readouterr().out, "")
+        except cli.CliError as exc:
+            want = ("", f"error: {exc}\n")
+        names = self._counting_subparsers(monkeypatch)
+        try:
+            assert main(argv) == 1
+        except SystemExit as exc:
+            assert exc.code == 0 and argv == ["--help"]
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == want
+        assert names == list(cli.COMMANDS)
 
 
 class TestRoundtripCommand:

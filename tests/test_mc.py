@@ -152,12 +152,34 @@ class TestChainStream:
 
     SEEDS = [0, 11, 2**64 - 1, -3]
 
+    @staticmethod
+    def _run_seeds(monkeypatch, seed, realizations):
+        """The (field seed, chain seed) pairs disorder_sweep hands its chains,
+        checked to come from one call of _stream_words."""
+        pairs, calls = [], []
+        stream = mc_module._stream_words
+
+        def recording(*args):
+            calls.append(args)
+            return stream(*args)
+
+        def chain(config, seeds):
+            pairs.append(seeds)
+            return mc_module.ChainResult(0.0, 0.0, 0.0, 0.0, 0, 1, seeds[0])
+
+        monkeypatch.setattr(mc_module, "_stream_words", recording)
+        monkeypatch.setattr(mc_module, "_realization", chain)
+        disorder_sweep(RunConfig(size=10, sweeps=2, burnin=1, seed=seed,
+                                 realizations=realizations))
+        assert calls == [(seed, 0, 2 * realizations)]
+        return pairs
+
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_derived_seeds(self, seed):
-        for r in (0, 1, 63):
-            for stream in (0, 1):
-                assert mc_module._derived_seed(seed, r, stream) == splitmix64_word(
-                    seed % 2**64, 2 * r + stream)
+    def test_derived_seeds(self, seed, monkeypatch):
+        pairs = self._run_seeds(monkeypatch, seed, 64)
+        assert pairs == [[splitmix64_word(seed % 2**64, 2 * r + stream) for stream in (0, 1)]
+                         for r in range(64)]
+        assert all(type(x) is int for pair in pairs for x in pair)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 512, 513, 4096])
     def test_sweep_draws(self, n):
@@ -182,10 +204,10 @@ class TestChainStream:
         assert thr[0] == np.inf
         assert thr[1] == -np.log(2.0**-53) and 0.0 < thr[2] < 2.0**-52
 
-    def test_readme_worked_example(self):
-        chain_seed = mc_module._derived_seed(0, 0, 1)
-        assert (mc_module._derived_seed(0, 0, 0), chain_seed) == (0xE220A8397B1DCDAF,
-                                                                  0x6E789E6AA1B965F4)
+    def test_readme_worked_example(self, monkeypatch):
+        [(field_seed, chain_seed)] = self._run_seeds(monkeypatch, 0, 1)
+        assert (field_seed, chain_seed) == (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4)
+        assert (field_seed, chain_seed) == (splitmix64_word(0, 0), splitmix64_word(0, 1))
         order, thr = mc_module._sweep_draws(chain_seed, 4, 0)
         # the first uniform is 0.4167232513006093, and its threshold -ln u
         assert order.tolist() == [3, 1, 0, 2] and thr[0] == 0.8753329434528468
@@ -348,6 +370,10 @@ def kernel_run(kernel, n, beta, theta, j1, sweeps=20, seed=0, boundary=+1,
         if kernel is _reference_sweep:
             e, acc = kernel(s, m, t, spec.boundary_vector(vol), h.values, theta, beta,
                             tau, order, u, e)
+        elif kernel is mc_module._sweep:
+            # as metropolis_run passes them: tb and th as lists of floats
+            e, acc = kernel(s, m, tables[0], tables[1].tolist(), tables[2].tolist(), beta,
+                            order, -np.log(u), e)
         else:
             e, acc = kernel(s, m, *tables, beta, order, -np.log(u), e)
         accepted += acc
@@ -512,17 +538,13 @@ class TestDriftCheck:
         monkeypatch.setattr(mc_module, "energy", counting)
         return calls
 
-    def test_frozen_chain_computes_energy_once(self, monkeypatch):
-        calls = self._counting_energy(monkeypatch)
-        # 400 sweeps of 64 updates pass two drift checks with no flip since the start
-        cfg = RunConfig(alpha=0.55, beta=5.0, theta=0.05, j1=10.0, size=64, sweeps=400,
-                        burnin=10, seed=1, realizations=1)
-        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), cfg.theta, seed=2))
-        assert res.acceptance == 0.0
-        assert len(calls) == 1
+    # 400 sweeps of 64 updates pass two drift checks, after sweeps 156 and 313
+    FROZEN = RunConfig(alpha=0.55, beta=5.0, theta=0.05, j1=10.0, size=64, sweeps=400,
+                       burnin=10, seed=1, realizations=1)
 
-    def test_corrupted_running_energy_raises(self, monkeypatch):
-        calls = self._counting_energy(monkeypatch)
+    @staticmethod
+    def _drifting(monkeypatch):
+        """Add 1 to the running energy after every sweep; returns the accept counts."""
         accepted = []
 
         def drifting(sweep):
@@ -534,6 +556,51 @@ class TestDriftCheck:
 
         monkeypatch.setattr(mc_module, "_sweep", drifting(mc_module._sweep))
         monkeypatch.setattr(mc_module, "_skip_sweep", drifting(mc_module._skip_sweep))
+        return accepted
+
+    def test_frozen_chain_computes_no_energy(self, monkeypatch):
+        calls = self._counting_energy(monkeypatch)
+        cfg = self.FROZEN
+        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), cfg.theta, seed=2))
+        assert res.acceptance == 0.0
+        assert len(calls) == 0
+
+    def test_short_flipping_chain_computes_no_energy(self, monkeypatch):
+        calls = self._counting_energy(monkeypatch)
+        # a sample-hot chain: 3 sweeps of 512 updates end before the first check
+        cfg = RunConfig(alpha=0.55, beta=0.2, theta=1.0, j1=1.5, size=512, sweeps=3,
+                        burnin=2, seed=1, realizations=1)
+        assert cfg.sweeps * cfg.size < mc_module.DRIFT_CHECK_UPDATES
+        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), cfg.theta, seed=2))
+        assert res.acceptance > 0.0
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("boundary", [+1, -1])
+    def test_flipping_chain_passes_checks_against_start_energy(self, monkeypatch, boundary):
+        # the start energy, with its boundary and field terms, is computed once,
+        # then the current energy at each of the two checks
+        calls = self._counting_energy(monkeypatch)
+        cfg = RunConfig(alpha=0.55, beta=0.2, theta=1.0, j1=1.5, size=64, sweeps=400,
+                        burnin=10, seed=1, realizations=1, boundary=boundary,
+                        distribution="uniform")
+        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), cfg.theta, seed=2,
+                                                         distribution="uniform"))
+        assert res.acceptance > 0.0
+        assert len(calls) == 3
+
+    def test_drift_before_first_flip_raises(self, monkeypatch):
+        calls = self._counting_energy(monkeypatch)
+        accepted = self._drifting(monkeypatch)
+        cfg = self.FROZEN
+        with pytest.raises(mc_module.EnergyDriftError):
+            metropolis_run(cfg, DisorderField.generate(cfg.volume(), cfg.theta, seed=2))
+        # the first check compares the drifted running energy with the start's, 0
+        assert len(accepted) == 157 and sum(accepted) == 0
+        assert len(calls) == 0
+
+    def test_corrupted_running_energy_raises(self, monkeypatch):
+        calls = self._counting_energy(monkeypatch)
+        accepted = self._drifting(monkeypatch)
         cfg = RunConfig(alpha=0.55, beta=0.2, theta=1.0, j1=1.5, size=64, sweeps=400,
                         burnin=10, seed=1, realizations=1)
         h = DisorderField.generate(cfg.volume(), cfg.theta, seed=2)
