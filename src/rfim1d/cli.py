@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -28,7 +27,7 @@ from .disorder import (BJ_CSV_COLUMNS, ConstrainedEnsemble, check_antisymmetry,
                        estimate_Bj_probability, thresholds)
 from .enumeration import (ENUM_CSV_COLUMNS, _check_cap, _shape_aggregates, certify_C0,
                           contour_shapes)
-from .mc import RUN_CSV_COLUMNS, EnergyDriftError, RunConfig, disorder_sweep
+from .mc import RUN_CSV_COLUMNS, EnergyDriftError, RunConfig, WorkerPoolError, disorder_sweep
 from .model import ALPHA_PEIERLS_MAX, DISTRIBUTIONS, CapacityError, CouplingSpec, Volume
 from .triangles import families, family_code, satisfies_ma1
 
@@ -165,27 +164,29 @@ def _require_peierls_alpha(alpha: float) -> None:
 
 
 def _emit(opts: Dict[str, object], payload: dict, columns: List[str],
-          rows: List[List]) -> None:
-    """Write JSON or CSV to --out (stdout when absent)."""
+          rows: Iterable[Sequence] = (), text: Iterable[str] = ()) -> None:
+    """Write JSON or CSV to --out (stdout when absent) as it is formatted.
+
+    The CSV body is ``rows``, then ``text``: pieces of rows already in CSV form.
+    """
     if not opts["deterministic"]:
         payload = dict(payload, timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"))
-    if opts["format"] == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        buf.write(f"# schema={SCHEMA_VERSION}\n")
-        meta = {k: v for k, v in sorted(payload.items())
-                if k == "options" or not isinstance(v, (list, dict))}
-        buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    if opts["out"]:
-        with open(opts["out"], "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    out = open(opts["out"], "w", encoding="utf-8", newline="") if opts["out"] else sys.stdout
+    try:
+        if opts["format"] == "json":
+            json.dump(payload, out, sort_keys=True, indent=2)
+            out.write("\n")
+        else:
+            meta = {k: v for k, v in sorted(payload.items())
+                    if k == "options" or not isinstance(v, (list, dict))}
+            out.write(f"# schema={SCHEMA_VERSION}\n# {json.dumps(meta, sort_keys=True)}\n")
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
+            out.writelines(text)
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def _base_payload(command: str, opts: Dict[str, object]) -> dict:
@@ -237,23 +238,49 @@ def cmd_sweep(opts: Dict[str, object]) -> int:
 
 
 def cmd_verify_energy(opts: Dict[str, object]) -> int:
+    """One pass over the bound reports.  For CSV each report becomes its line
+    as it arrives; the lines are spooled to a temporary file, because the
+    header before them carries the counts, so memory does not grow with --n.
+    JSON keeps every report."""
+    import tempfile
+
     alpha = float(opts["alpha"])
     _require_peierls_alpha(alpha)
     n = int(opts["n"])
     if not 2 <= n <= 14:
         raise CliError("--n must lie in 2..14 for exhaustive energy checks")
+    c = int(opts["c"])
     spec = CouplingSpec(alpha=alpha, j1=float(opts["j1"]))
-    reports = list(exhaustive_reports(spec, n, int(opts["c"])))
-    rows = [r.csv_row() for r in reports]
-    all_pass = all(r.passed for r in reports)
-    payload = _base_payload("verify-energy", opts)
-    payload["checks"] = len(reports)
-    payload["failures"] = sum(not r.passed for r in reports)
-    payload["all_pass"] = all_pass
-    if opts["format"] == "json":
-        payload["reports"] = [dict(zip(BOUND_CSV_COLUMNS, row)) for row in rows]
-    _emit(opts, payload, BOUND_CSV_COLUMNS, rows)
-    return 0 if all_pass else 2
+    as_json = opts["format"] == "json"
+    # a line as csv.writer writes BoundReport.csv_row(): floats as repr, no
+    # field needs quoting, and alpha, j1, C and N open every line
+    head = ",".join(map(repr, (spec.alpha, spec.j1, c, n)))
+    reports = []
+    checks = failures = 0
+    worst_margin, worst_instance = math.inf, None
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        for report in exhaustive_reports(spec, n, c):
+            margin, passed = report.margin, report.passed
+            checks += 1
+            failures += not passed
+            if margin < worst_margin:
+                worst_margin, worst_instance = margin, report.instance
+            if as_json:
+                reports.append(dict(zip(BOUND_CSV_COLUMNS, report.csv_row())))
+            else:
+                spool.write(f"{head},{report.instance},{report.lhs!r},{report.rhs!r},"
+                            f"{margin!r},{int(passed)}\n")
+        payload = _base_payload("verify-energy", opts)
+        payload["checks"] = checks
+        payload["failures"] = failures
+        payload["all_pass"] = failures == 0
+        payload["worst_margin"] = worst_margin
+        payload["worst_instance"] = worst_instance
+        if as_json:
+            payload["reports"] = reports
+        spool.seek(0)
+        _emit(opts, payload, BOUND_CSV_COLUMNS, text=iter(lambda: spool.read(1 << 16), ""))
+    return 0 if failures == 0 else 2
 
 
 def cmd_verify_disorder(opts: Dict[str, object]) -> int:
@@ -394,7 +421,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise CliError("a subcommand is required (see --help)")
         opts = _merge_options(args)
         return COMMANDS[args.command](opts)
-    except (CliError, ValueError, OSError, CapacityError, EnergyDriftError) as exc:
+    except (CliError, ValueError, OSError, CapacityError, EnergyDriftError,
+            WorkerPoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -66,6 +66,10 @@ class EnergyDriftError(RuntimeError):
     """Incremental chain energy diverged from a full recomputation."""
 
 
+class WorkerPoolError(RuntimeError):
+    """A worker process of a ``jobs > 1`` run died before it returned."""
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parameters of one disorder-averaged sampling run."""
@@ -353,7 +357,10 @@ def disorder_sweep(config: RunConfig, jobs: int = 1) -> RunReport:
     """Average metropolis_run over independent field realizations.
 
     With jobs > 1 the realizations run in that many worker processes
-    (at most one per realization); results do not depend on jobs.
+    (at most one per realization); results do not depend on jobs.  The
+    workers are spawned, so each re-imports the caller's main module:
+    a script must keep its call under ``if __name__ == "__main__":``.
+    Raises ``WorkerPoolError`` when a worker dies.
     """
     # words 2r and 2r + 1 of SplittableRandom(seed) seed realization r's field and chain
     seeds = _stream_words(config.seed, 0, 2 * config.realizations).reshape(-1, 2).tolist()
@@ -361,10 +368,17 @@ def disorder_sweep(config: RunConfig, jobs: int = 1) -> RunReport:
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            chains = list(pool.map(_realization, [config] * len(seeds), seeds))
+        try:
+            with ProcessPoolExecutor(max_workers=workers,
+                                     mp_context=multiprocessing.get_context("spawn")) as pool:
+                chains = list(pool.map(_realization, [config] * len(seeds), seeds))
+        except BrokenProcessPool as exc:
+            raise WorkerPoolError(
+                "a worker process died; with jobs > 1 a script must make its call under "
+                "`if __name__ == \"__main__\":`, as each spawned worker re-imports it"
+            ) from exc
     else:
         chains = [_realization(config, pair) for pair in seeds]
 

@@ -350,9 +350,13 @@ def _logsumexp(a: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
     return np.squeeze(m + s, axis=axis)
 
 
-def enumerate_spins(n: int) -> np.ndarray:
-    """All 2**n sign vectors as an int8 array of shape (2**n, n)."""
-    codes = np.arange(2**n, dtype=np.uint32)
+def enumerate_spins(n: int, start: int = 0, count: Optional[int] = None) -> np.ndarray:
+    """The n-site sign vectors of codes start .. start + count - 1 (by
+    default all 2**n) as an int8 array of shape (count, n): bit k of a
+    code is set when spin k is +1."""
+    if count is None:
+        count = 2**n - start
+    codes = np.arange(start, start + count, dtype=np.uint32)
     bits = (codes[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1
     return (2 * bits.astype(np.int8) - 1).astype(np.int8)
 

@@ -11,7 +11,8 @@ bonds with left < right; its mass, the number of sites it flips, is
 ``right - left``.  A family is the sorted tuple of such bond pairs.
 ``families(vol)`` streams the families of all 2**n configurations of a
 volume, in the bit-code order of ``model.enumerate_spins``, from one
-batched interface scan.
+batched interface scan per block of ``FAMILY_BLOCK`` codes, so its
+memory does not grow with 2**n.
 
 The offsets only break ties, so none is stored.  Taken as dyadic
 rationals of a common sign, decreasing with the bond rank inside the
@@ -43,6 +44,8 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .model import SpinConfiguration, Volume, enumerate_spins
+
+FAMILY_BLOCK = 1024  # codes per interface scan in ``families``
 
 
 def triangle_distance(a: Tuple[int, int], b: Tuple[int, int]) -> int:
@@ -126,9 +129,13 @@ def families(vol: Volume) -> Iterator[Tuple[Tuple[int, int], ...]]:
 
     Item ``code`` is the family of ``enumerate_spins(vol.n_sites)[code]``:
     bit k of the code is set when the spin at site vol.lo + k is +1.
+    The codes are scanned ``FAMILY_BLOCK`` at a time.
     """
-    for bonds in _interface_bonds(enumerate_spins(vol.n_sites), vol.lo - 1):
-        yield _family(bonds)
+    n = vol.n_sites
+    for start in range(0, 2**n, FAMILY_BLOCK):
+        block = enumerate_spins(n, start, min(FAMILY_BLOCK, 2**n - start))
+        for bonds in _interface_bonds(block, vol.lo - 1):
+            yield _family(bonds)
 
 
 def triangles_to_spins(family: Iterable[Tuple[int, int]], vol: Volume) -> SpinConfiguration:

@@ -21,12 +21,17 @@ by a slower, independent route, and only the tests call them:
   every adjacent gap after each collision;
 - ``restart_merge``: the contour merge that re-sorts its clusters and
   restarts the scan for a violating pair after each fusion, with its
-  sorted-bond cache keyed on cluster ids.  These two were the library's
-  own implementations before the one-pass forms replaced them.
+  sorted-bond cache keyed on cluster ids;
+- ``materialized_bound_rows``: the CSV rows of ``verify-energy`` from
+  the list of all bound reports, written in one piece.  These three were
+  the library's own implementations before the one-pass forms replaced
+  them.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from bisect import bisect_left
 from operator import itemgetter
@@ -34,6 +39,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from rfim1d.bounds import exhaustive_reports
 from rfim1d.contours import Contour, _pair_separated, contours
 from rfim1d.model import CouplingSpec, SpinConfiguration, Volume
 from rfim1d.triangles import _is_realizable, spins_to_triangles
@@ -260,3 +266,12 @@ def restart_merge(pairs: Sequence[Tuple[int, int]], c: int,
         cache.pop(id(a), None)
         cache.pop(id(b), None)
         clusters.append(g)
+
+
+def materialized_bound_rows(spec: CouplingSpec, n: int, c: int = 3) -> str:
+    """CSV text of the bound-report rows, built from the list of every report."""
+    reports = list(exhaustive_reports(spec, n, c))
+    rows = [r.csv_row() for r in reports]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()

@@ -1,21 +1,39 @@
 import argparse
+import csv
 import json
 import math
 import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from rfim1d import ConstrainedEnsemble, cli, enumeration, enumerate_origin_contours
+import rfim1d
+from oracles import materialized_bound_rows
+from rfim1d import ConstrainedEnsemble, CouplingSpec, cli, enumeration, enumerate_origin_contours
 from rfim1d import mc as mc_module
 from rfim1d import triangles
 from rfim1d.cli import main
+from test_golden import CASES as GOLDEN_CASES
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes that tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def forbid_work(monkeypatch, what):
@@ -295,6 +313,13 @@ class TestRoundtripCommand:
         assert code == 2
         assert json.loads(out)["compatibility_failures"] == 2**6
 
+    def test_memory_does_not_grow_with_the_code_table(self):
+        code, peak = traced_peak(lambda: main(
+            ["roundtrip-test", "--n", "16", "--deterministic", "--out", os.devnull]))
+        assert code == 0
+        # the families of all 65,536 configurations at once took 16.1 MB
+        assert peak < 2 * 2**20
+
 
 class TestVerifyEnergyCommand:
     def test_passes_at_default_j1(self, capsys):
@@ -310,6 +335,43 @@ class TestVerifyEnergyCommand:
                                "--j1", "1.01", "--n", "6", "--deterministic")
         assert code == 2
         assert ",0\n" in out or out.rstrip().endswith(",0")
+
+    def test_worst_check_names_a_failing_row(self, capsys):
+        # the spec of test_bounds' failing case
+        code, out, _ = run_cli(capsys, "verify-energy", "--alpha", "0.55",
+                               "--j1", "1.01", "--n", "6", "--deterministic")
+        assert code == 2
+        lines = out.splitlines()
+        meta = json.loads(lines[1][2:])
+        rows = list(csv.DictReader(lines[2:]))
+        assert meta["failures"] == sum(row["pass"] == "0" for row in rows) > 0
+        worst = [row for row in rows if row["instance"] == meta["worst_instance"]]
+        assert len(worst) == 1 and worst[0]["pass"] == "0"
+        assert meta["worst_margin"] == min(float(row["margin"]) for row in rows)
+        assert meta["worst_margin"] == float(worst[0]["margin"])
+
+    def test_worst_check_reported_when_all_pass(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-energy", "--n", "5",
+                               "--format", "json", "--deterministic")
+        assert code == 0
+        payload = json.loads(out)
+        margins = {r["instance"]: r["margin"] for r in payload["reports"]}
+        assert payload["all_pass"] is True
+        assert payload["worst_margin"] == min(margins.values()) > 0
+        assert margins[payload["worst_instance"]] == payload["worst_margin"]
+
+    def test_rows_match_the_materialized_reports(self, tmp_path):
+        out = tmp_path / "energy.csv"
+        assert main(["verify-energy", "--n", "12", "--deterministic", "--out", str(out)]) == 0
+        rows = out.read_text(encoding="utf-8").split("\n", 3)[3]
+        assert rows == materialized_bound_rows(CouplingSpec(alpha=0.55, j1=10.0), 12)
+
+    def test_csv_memory_does_not_grow_with_the_checks(self):
+        code, peak = traced_peak(lambda: main(
+            ["verify-energy", "--n", "12", "--deterministic", "--out", os.devnull]))
+        assert code == 0
+        # 17,907 reports, their rows and the CSV text at once took 11.5 MB
+        assert peak < 4 * 2**20
 
 
 class TestVerifyDisorderCommand:
@@ -430,6 +492,34 @@ class TestSimulateCommand:
         assert err.startswith("error: energy drift")
         assert "Traceback" not in err
         assert out == ""
+
+    def test_jobs_in_an_unguarded_script_is_exit_one(self, tmp_path):
+        # the spawned workers re-import the script, whose top level starts a pool again
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from rfim1d.cli import main\n"
+            "raise SystemExit(main(['simulate', '--jobs', '2', '--size', '16', '--sweeps', '2',"
+            " '--burnin', '1', '--realizations', '2', '--out', 'report.csv']))\n")
+        src = str(Path(rfim1d.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True)
+        assert done.returncode == 1, done.stderr
+        # the workers' tracebacks share stderr and may cut into the error line
+        assert done.stderr.count("error: a worker process died") == 1, done.stderr
+        assert 'script must make its call under `if __name__ == "__main__":`' in done.stderr
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_out_file_and_stdout_are_identical(capsys, tmp_path, name, fmt):
+    argv = GOLDEN_CASES[name].split() + ["--format", fmt, "--deterministic"]
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_bytes().decode("utf-8")
 
 
 class TestSweepCommand:

@@ -422,6 +422,17 @@ def _run_python(code: str) -> str:
                           check=True, env=env).stdout
 
 
+@pytest.mark.parametrize("n,start,count", [(1, 0, 2), (6, 0, 64), (6, 5, 17),
+                                           (6, 63, 1), (11, 1024, 1024), (4, 16, 0)])
+def test_spin_block_is_a_slice_of_the_table(n, start, count):
+    block = enumerate_spins(n, start, count)
+    assert block.dtype == np.int8
+    assert np.array_equal(block, enumerate_spins(n)[start:start + count])
+    # bit k of the code is the spin at site k
+    codes = (block > 0).astype(np.int64) @ (1 << np.arange(n))
+    assert codes.tolist() == list(range(start, start + count))
+
+
 def test_cli_import_leaves_scipy_unloaded():
     assert _run_python("import sys, rfim1d.cli; print('scipy' in sys.modules)") == "False\n"
 

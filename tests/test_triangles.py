@@ -177,6 +177,17 @@ class TestFamilies:
         assert next(fams) == ((-9, 7),)  # code 0: all 16 spins minus
         assert len(paired) == 1
 
+    def test_families_memory_does_not_grow_with_the_code_table(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        count = sum(1 for _ in families(Volume.centered(16)))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert count == 2**16
+        # the interface bonds of all 65,536 rows at once took 15.7 MB
+        assert peak < 2**20
+
 
 class TestCompatibility:
     def test_disjoint_families_compatible(self):
