@@ -13,23 +13,23 @@ Library layout:
 - ``enumeration``: origin contours of fixed mass and the entropy certificate
 - ``disorder``: the random functionals F_j, their antisymmetry and event probabilities
 - ``mc``: Metropolis sampling and disorder-averaged estimates
-- ``cli``: command-line entry point
+- ``cli``: command-line entry point; the other modules return dataclasses,
+  and ``cli`` alone names the report columns and builds the CSV rows and
+  the JSON lists from them
 
 The reference oracles that check these layers (the spin-window scan of
 origin contours, the P1/P2 separation certificates and the compatibility
 test) live with the tests, in ``tests/oracles.py``.
 """
 
-from .bounds import (BOUND_CSV_COLUMNS, BoundReport, exhaustive_reports,
-                     minimal_j1, zeta)
+from .bounds import BoundReport, exhaustive_reports, minimal_j1, zeta
 from .contours import Contour, choose_C, separation_series
-from .disorder import (BJ_CSV_COLUMNS, BjEstimate, ConstrainedEnsemble, b_bar,
-                       check_antisymmetry, class_support,
-                       estimate_Bj_probability, flip_composition, thresholds)
-from .enumeration import (ENUM_CSV_COLUMNS, CertifyResult, WeightSpec,
-                          certify_C0, enumerate_origin_contours, weight_bound)
-from .mc import (RUN_CSV_COLUMNS, ChainResult, RunConfig, RunReport,
-                 disorder_sweep, metropolis_run)
+from .disorder import (BjEstimate, ConstrainedEnsemble, b_bar, check_antisymmetry,
+                       class_support, estimate_Bj_probability, flip_composition,
+                       thresholds)
+from .enumeration import (CertifyResult, WeightSpec, certify_C0,
+                          enumerate_origin_contours, weight_bound)
+from .mc import ChainResult, RunConfig, RunReport, disorder_sweep, metropolis_run
 from .model import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec,
                     DisorderField, SpinConfiguration, Volume,
                     VolumeMismatchError, energy, exact_gibbs_marginal,

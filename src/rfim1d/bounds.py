@@ -9,7 +9,7 @@ configurations of a small volume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .contours import contours
 from .model import ALPHA_PEIERLS_MAX, CouplingSpec, Volume, energy, enumerate_spins
@@ -46,13 +46,6 @@ class BoundReport:
     @property
     def passed(self) -> bool:
         return self.margin >= -TOLERANCE
-
-    def csv_row(self) -> List:
-        return [self.alpha, self.j1, self.c, self.n, self.instance,
-                self.lhs, self.rhs, self.margin, int(self.passed)]
-
-
-BOUND_CSV_COLUMNS = ["alpha", "j1", "C", "N", "instance", "lhs", "rhs", "margin", "pass"]
 
 
 def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,

@@ -21,13 +21,11 @@ import sys
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .bounds import BOUND_CSV_COLUMNS, exhaustive_reports
+from .bounds import exhaustive_reports
 from .contours import Contour
-from .disorder import (BJ_CSV_COLUMNS, ConstrainedEnsemble, check_antisymmetry,
-                       estimate_Bj_probability, thresholds)
-from .enumeration import (ENUM_CSV_COLUMNS, _check_cap, _shape_aggregates, certify_C0,
-                          contour_shapes)
-from .mc import RUN_CSV_COLUMNS, EnergyDriftError, RunConfig, WorkerPoolError, disorder_sweep
+from .disorder import ConstrainedEnsemble, check_antisymmetry, estimate_Bj_probability, thresholds
+from .enumeration import _check_cap, _shape_aggregates, certify_C0, contour_shapes
+from .mc import EnergyDriftError, RunConfig, WorkerPoolError, disorder_sweep
 from .model import ALPHA_PEIERLS_MAX, DISTRIBUTIONS, CapacityError, CouplingSpec, Volume
 from .triangles import families, family_code, satisfies_ma1
 
@@ -164,11 +162,16 @@ def _require_peierls_alpha(alpha: float) -> None:
 
 
 def _emit(opts: Dict[str, object], payload: dict, columns: List[str],
-          rows: Iterable[Sequence] = (), text: Iterable[str] = ()) -> None:
+          rows: Iterable[Sequence] = (), text: Iterable[str] = (),
+          key: Optional[str] = None) -> None:
     """Write JSON or CSV to --out (stdout when absent) as it is formatted.
 
     The CSV body is ``rows``, then ``text``: pieces of rows already in CSV form.
+    With ``key`` the JSON lists ``rows`` under it, each row as an object
+    keyed by ``columns``.
     """
+    if key is not None and opts["format"] == "json":
+        payload = {**payload, key: [dict(zip(columns, row)) for row in rows]}
     if not opts["deterministic"]:
         payload = dict(payload, timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"))
     out = open(opts["out"], "w", encoding="utf-8", newline="") if opts["out"] else sys.stdout
@@ -210,8 +213,13 @@ def cmd_simulate(opts: Dict[str, object]) -> int:
     config = _run_config(opts, beta, theta)
     report = disorder_sweep(config, jobs=int(opts["jobs"]))
     payload = _base_payload("simulate", opts)
-    payload["report"] = report.to_dict()
-    _emit(opts, payload, RUN_CSV_COLUMNS, report.csv_rows())
+    payload["report"] = dataclasses.asdict(report)
+    columns = ["realization", "estimate", "stderr", "occupancy", "acceptance",
+               "violations", "mean_estimate", "mean_stderr", "b_bar", "reference_100"]
+    rows = [[r, chain.estimate, chain.stderr, chain.occupancy, chain.acceptance,
+             chain.violations, report.estimate, report.stderr, report.b_bar,
+             report.reference_100] for r, chain in enumerate(report.chains)]
+    _emit(opts, payload, columns, rows)
     return 0
 
 
@@ -226,7 +234,7 @@ def cmd_sweep(opts: Dict[str, object]) -> int:
     reports = []
     for config in configs:
         report = disorder_sweep(config, jobs=int(opts["jobs"]))
-        reports.append(report.to_dict())
+        reports.append(dataclasses.asdict(report))
         rows.append([config.beta, config.theta, report.estimate, report.stderr,
                      report.occupancy, report.b_bar, report.reference_100])
     payload = _base_payload("sweep", opts)
@@ -252,8 +260,9 @@ def cmd_verify_energy(opts: Dict[str, object]) -> int:
     c = int(opts["c"])
     spec = CouplingSpec(alpha=alpha, j1=float(opts["j1"]))
     as_json = opts["format"] == "json"
-    # a line as csv.writer writes BoundReport.csv_row(): floats as repr, no
-    # field needs quoting, and alpha, j1, C and N open every line
+    columns = ["alpha", "j1", "C", "N", "instance", "lhs", "rhs", "margin", "pass"]
+    # a line as csv.writer writes the row: floats as repr, no field needs
+    # quoting, and alpha, j1, C and N open every line
     head = ",".join(map(repr, (spec.alpha, spec.j1, c, n)))
     reports = []
     checks = failures = 0
@@ -266,7 +275,8 @@ def cmd_verify_energy(opts: Dict[str, object]) -> int:
             if margin < worst_margin:
                 worst_margin, worst_instance = margin, report.instance
             if as_json:
-                reports.append(dict(zip(BOUND_CSV_COLUMNS, report.csv_row())))
+                reports.append(dict(zip(columns, (spec.alpha, spec.j1, c, n, report.instance,
+                                                  report.lhs, report.rhs, margin, int(passed)))))
             else:
                 spool.write(f"{head},{report.instance},{report.lhs!r},{report.rhs!r},"
                             f"{margin!r},{int(passed)}\n")
@@ -279,7 +289,7 @@ def cmd_verify_energy(opts: Dict[str, object]) -> int:
         if as_json:
             payload["reports"] = reports
         spool.seek(0)
-        _emit(opts, payload, BOUND_CSV_COLUMNS, text=iter(lambda: spool.read(1 << 16), ""))
+        _emit(opts, payload, columns, text=iter(lambda: spool.read(1 << 16), ""))
     return 0 if failures == 0 else 2
 
 
@@ -305,15 +315,14 @@ def cmd_verify_disorder(opts: Dict[str, object]) -> int:
         estimates = []
         partition_ok = False
     instance = "nested-2class-10"
-    rows = [e.csv_row(instance) for e in estimates]
+    rows = [[instance, e.j, e.estimate, e.stderr, e.bound, int(e.passed)] for e in estimates]
     payload = _base_payload("verify-disorder", opts)
     payload["instance"] = instance
     payload["antisymmetry"] = anti_ok
     payload["partition"] = partition_ok
     payload["thresholds"] = [float(a) for a in thresholds(contour, alpha)]
-    if opts["format"] == "json":
-        payload["estimates"] = [dict(zip(BJ_CSV_COLUMNS, row)) for row in rows]
-    _emit(opts, payload, BJ_CSV_COLUMNS, rows)
+    _emit(opts, payload, ["instance", "j", "estimate", "stderr", "bound", "pass"], rows,
+          key="estimates")
     # bound comparisons are observational; the suite demands the identities
     return 0 if (anti_ok and partition_ok) else 2
 
@@ -322,18 +331,12 @@ def cmd_enumerate_contours(opts: Dict[str, object]) -> int:
     c = int(opts["c"])
     mmax = int(opts["mmax"])
     _check_cap(mmax, c)
-    rows = []
-    summary = []
-    for m in range(1, mmax + 1):
-        # each shape spanning bonds [0, B] gives B origin contours
-        n_contours = sum(_shape_aggregates(m, c).values())
-        n_shapes = len(contour_shapes(m, c))
-        summary.append({"m": m, "contours": n_contours, "shapes": n_shapes})
-        rows.append([m, n_contours, n_shapes])
+    # each shape spanning bonds [0, B] gives B origin contours
+    rows = [[m, sum(_shape_aggregates(m, c).values()), len(contour_shapes(m, c))]
+            for m in range(1, mmax + 1)]
     payload = _base_payload("enumerate-contours", opts)
     payload["separation_constant"] = c
-    payload["summary"] = summary
-    _emit(opts, payload, ["m", "contours", "shapes"], rows)
+    _emit(opts, payload, ["m", "contours", "shapes"], rows, key="summary")
     return 0
 
 
@@ -347,7 +350,8 @@ def cmd_certify_c0(opts: Dict[str, object]) -> int:
     payload = _base_payload("certify-c0", opts)
     payload["b_star"] = result.b_star
     payload["m_max"] = result.m_max
-    _emit(opts, payload, ENUM_CSV_COLUMNS, result.csv_rows())
+    rows = [[m, b, gamma, s, bd, int(ok)] for m, b, s, bd, ok in result.rows]
+    _emit(opts, payload, ["m", "b", "gamma", "weight_sum", "bound", "pass"], rows, key="rows")
     if result.b_star is None:
         print("certify-c0: no admissible b* on the grid", file=sys.stderr)
         return 2

@@ -164,12 +164,6 @@ class BjEstimate:
     def passed(self) -> bool:
         return self.estimate <= self.bound + 3.0 * self.stderr
 
-    def csv_row(self, instance: str = "") -> List:
-        return [instance, self.j, self.estimate, self.stderr, self.bound, int(self.passed)]
-
-
-BJ_CSV_COLUMNS = ["instance", "j", "estimate", "stderr", "bound", "pass"]
-
 
 def _bj_indicators(f: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Indicator matrix of the events B_{-1}, ..., B_k from F rows."""

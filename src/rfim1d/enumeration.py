@@ -189,12 +189,6 @@ class CertifyResult:
     b_star: Optional[float]
     rows: Tuple[Tuple[int, float, float, float, bool], ...]  # (m, b, sum, bound, pass)
 
-    def csv_rows(self) -> List[List]:
-        return [[m, b, self.gamma, s, bd, int(ok)] for m, b, s, bd, ok in self.rows]
-
-
-ENUM_CSV_COLUMNS = ["m", "b", "gamma", "weight_sum", "bound", "pass"]
-
 
 def certify_C0(gamma: float, m_max: int = DEFAULT_MASS_CAP,
                b_grid: Sequence[float] = tuple(range(1, 51)),

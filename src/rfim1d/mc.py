@@ -44,8 +44,8 @@ chain: the threshold is a speed setting only.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +59,7 @@ DRIFT_CHECK_UPDATES = 10_000
 DRIFT_TOLERANCE = 1e-6
 SKIP_BELOW_ACCEPTANCE = 0.05  # previous sweep's acceptance below which _skip_sweep runs
 SKIP_WINDOW = 64  # fewest proposals in the first window after a start or a commit
-MAX_SWEEPS = 10**8  # a chain keeps three one-byte records per measured sweep
+MAX_SWEEPS = 10**8  # a chain keeps at most two one-byte records per measured sweep
 
 
 class EnergyDriftError(RuntimeError):
@@ -145,20 +145,6 @@ class RunReport:
     b_bar: float
     reference_100: float
     reference_200: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def csv_rows(self) -> List[List]:
-        return [
-            [r, c.estimate, c.stderr, c.occupancy, c.acceptance, c.violations,
-             self.estimate, self.stderr, self.b_bar, self.reference_100]
-            for r, c in enumerate(self.chains)
-        ]
-
-
-RUN_CSV_COLUMNS = ["realization", "estimate", "stderr", "occupancy", "acceptance",
-                   "violations", "mean_estimate", "mean_stderr", "b_bar", "reference_100"]
 
 
 def _sweep(s, m, rows2, tb, th, beta, order, thr, e):
@@ -269,9 +255,10 @@ def metropolis_run(config: RunConfig, h: DisorderField,
 
     seed = config.seed if chain_seed is None else chain_seed
     n_measured = config.sweeps - config.burnin
+    stride = config.occupancy_stride
     minus = np.zeros(n_measured, dtype=bool)
-    in_contour = np.zeros(n_measured, dtype=bool)
-    occ_checked = np.zeros(n_measured, dtype=bool)
+    # one record per checked sweep k, k % stride == 0; k = 0 is always checked
+    in_contour = np.zeros(len(range(0, n_measured, stride)), dtype=bool)
     accepted = 0
     since_check = flips_since_check = 0
     # before the first sweep, the acceptance the start state predicts stands in
@@ -305,23 +292,20 @@ def metropolis_run(config: RunConfig, h: DisorderField,
         k = sweep - config.burnin
         if k >= 0:
             minus[k] = s[origin] < 0
-            if k % config.occupancy_stride == 0:
-                occ_checked[k] = True
+            if k % stride == 0:
                 # fold a minus boundary onto the plus-boundary construction
                 sigma = SpinConfiguration(vol, (tau * s).astype(np.int8))
                 fam = spins_to_triangles(sigma)
-                in_contour[k] = any(g.contains_site(0) for g in contours(fam, config.c))
+                in_contour[k // stride] = any(g.contains_site(0)
+                                              for g in contours(fam, config.c))
 
     x = minus.astype(np.float64)
-    checked_minus = minus[occ_checked]
-    violations = int(np.count_nonzero(checked_minus & ~in_contour[occ_checked]))
-    occupancy = float(in_contour[occ_checked].mean()) if occ_checked.any() else 0.0
     return ChainResult(
         estimate=float(x.mean()),
         stderr=_batch_means_stderr(x),
-        occupancy=occupancy,
+        occupancy=float(in_contour.mean()),
         acceptance=accepted / (config.sweeps * n),
-        violations=violations,
+        violations=int(np.count_nonzero(minus[::stride] & ~in_contour)),
         n_measured=n_measured,
         field_seed=h.seed,
     )

@@ -88,27 +88,15 @@ class CouplingSpec:
         if not 1.0 < self.j1 < math.inf:  # also rejects NaN
             raise ValueError(f"j1 must be finite and exceed 1, got {self.j1}")
 
-    def power_tail(self, d: int) -> float:
-        """Sum of n**(alpha-2) over n >= d, to absolute accuracy TAIL_TOLERANCE.
-
-        Truncated sum plus the Euler-Maclaurin closure
-        integral + f(M)/2 - f'(M)/12; the remainder is below
-        M**(alpha-5)/30, which fixes the truncation point M.
-        """
-        if d < 1:
-            raise ValueError("tail start must be >= 1")
-        m = max(d, self._truncation_point())
-        n = np.arange(d, m, dtype=np.float64)
-        partial = float(np.sum(n ** (self.alpha - 2.0))) if n.size else 0.0
-        return partial + self._closure(m)
-
     def _truncation_point(self) -> int:
-        """Smallest M >= 16 with M**(alpha-5)/30 <= TAIL_TOLERANCE."""
+        """Smallest M >= 16 with M**(alpha-5)/30 <= TAIL_TOLERANCE: the
+        remainder of the closure from M on is below M**(alpha-5)/30."""
         m_min = (1.0 / (30.0 * TAIL_TOLERANCE)) ** (1.0 / (5.0 - self.alpha))
         return max(int(math.ceil(m_min)), 16)
 
     def _closure(self, m: int) -> float:
-        """Euler-Maclaurin closure of the power tail from m on."""
+        """Euler-Maclaurin closure integral + f(m)/2 - f'(m)/12 of the sum of
+        f(n) = n**(alpha-2) over n >= m."""
         a = self.alpha
         fm = float(m) ** (a - 2.0)
         return float(m) ** (a - 1.0) / (1.0 - a) + fm / 2.0 - (a - 2.0) * float(m) ** (a - 3.0) / 12.0
@@ -131,10 +119,11 @@ class CouplingSpec:
         """Sum of J(|i-j|) over the sites j outside the volume, at every site i.
 
         Site i sees the tails T(d) = sum of J(n) over n >= d from its
-        distances d to the two ends, T(1) = j1 + power_tail(2) and
-        T(d) = power_tail(d) beyond.  Each is ``power_tail`` to the bit:
-        below the truncation point M the partial sum is a suffix of one
-        array of powers, and from M on it is empty.
+        distances d to the two ends, T(1) = j1 + P(2) and T(d) = P(d)
+        beyond, where P(d), the sum of n**(alpha-2) over n >= d, is the
+        partial sum up to the truncation point M plus the closure from M
+        on (from d on when d >= M).  Below M the partial sums are suffixes
+        of one array of powers.
         """
         m0 = self._truncation_point()
         p = np.arange(1, m0, dtype=np.float64) ** (self.alpha - 2.0)

@@ -97,10 +97,11 @@ def interfaces(sigma: SpinConfiguration) -> List[int]:
 
 
 def pair_interface_bonds(bonds: List[int]) -> List[Tuple[int, int]]:
-    """Collision pairing on interface bonds, in collision order.
+    """Collision pairing on interface bonds, in bond order.
 
     Equivalent to the exact-offset event queue: adjacent pair with the
     smallest bond distance collides first, leftmost pair breaking ties.
+    Sorting the pairs by (right - left, left) gives the collision order.
     """
     if len(bonds) % 2 != 0:
         raise RuntimeError("odd interface count: configuration not in the plus class")
@@ -111,17 +112,13 @@ def pair_interface_bonds(bonds: List[int]) -> List[Tuple[int, int]]:
             right = stack.pop()
             pairs.append((stack.pop(), right))
         stack.append(b)
-    pairs.sort(key=lambda p: (p[1] - p[0], p[0]))
+    pairs.sort()
     return pairs
-
-
-def _family(bonds: List[int]) -> Tuple[Tuple[int, int], ...]:
-    return tuple(sorted(pair_interface_bonds(bonds)))
 
 
 def spins_to_triangles(sigma: SpinConfiguration) -> Tuple[Tuple[int, int], ...]:
     """Map a plus-boundary configuration to its triangle family, in bond order."""
-    return _family(interfaces(sigma))
+    return tuple(pair_interface_bonds(interfaces(sigma)))
 
 
 def families(vol: Volume) -> Iterator[Tuple[Tuple[int, int], ...]]:
@@ -135,7 +132,7 @@ def families(vol: Volume) -> Iterator[Tuple[Tuple[int, int], ...]]:
     for start in range(0, 2**n, FAMILY_BLOCK):
         block = enumerate_spins(n, start, min(FAMILY_BLOCK, 2**n - start))
         for bonds in _interface_bonds(block, vol.lo - 1):
-            yield _family(bonds)
+            yield tuple(pair_interface_bonds(bonds))
 
 
 def triangles_to_spins(family: Iterable[Tuple[int, int]], vol: Volume) -> SpinConfiguration:

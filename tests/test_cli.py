@@ -18,6 +18,7 @@ from rfim1d import mc as mc_module
 from rfim1d import triangles
 from rfim1d.cli import main
 from test_golden import CASES as GOLDEN_CASES
+from test_golden import _cell
 
 
 def run_cli(capsys, *argv):
@@ -520,6 +521,26 @@ def test_out_file_and_stdout_are_identical(capsys, tmp_path, name, fmt):
     assert capsys.readouterr().out == ""
     assert main(argv) == 0
     assert capsys.readouterr().out == out.read_bytes().decode("utf-8")
+
+
+# each command whose JSON report lists its CSV rows, and the key of that list
+ROW_LISTS = {
+    "verify-energy --n 6": "reports",
+    "verify-disorder": "estimates",
+    "enumerate-contours --mmax 3": "summary",
+    "certify-c0 --mmax 3": "rows",
+}
+
+
+@pytest.mark.parametrize("command", ROW_LISTS)
+def test_json_rows_equal_csv_rows(capsys, command):
+    argv = command.split() + ["--deterministic"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [{k: _cell(v) for k, v in row.items()} for row in csv.DictReader(lines[2:])]
+    assert main(argv + ["--format", "json"]) == 0
+    listed = json.loads(capsys.readouterr().out)[ROW_LISTS[command]]
+    assert rows and rows == listed
 
 
 class TestSweepCommand:

@@ -4,7 +4,7 @@ import pytest
 from rfim1d import (CapacityError, ConstrainedEnsemble, Contour, DisorderField,
                     Volume, b_bar, check_antisymmetry, class_support,
                     estimate_Bj_probability, flip_composition, thresholds, zeta)
-from rfim1d.disorder import ANTISYMMETRY_TOL, BJ_CSV_COLUMNS, _sampled_fields
+from rfim1d.disorder import ANTISYMMETRY_TOL, _sampled_fields
 from rfim1d.model import enumerate_spins
 
 
@@ -161,8 +161,3 @@ class TestBjEvents:
         for e_exact, e_mc in zip(exact, mc):
             assert e_mc.stderr >= 0.0
             assert abs(e_mc.estimate - e_exact.estimate) <= 4.0 * max(e_mc.stderr, 1e-3)
-
-    def test_csv_rows(self, nested_ensemble):
-        ests = estimate_Bj_probability(nested_ensemble, theta=0.3, beta=2.0)
-        for e in ests:
-            assert len(e.csv_row("x")) == len(BJ_CSV_COLUMNS)

@@ -220,8 +220,9 @@ class TestCertificate:
         assert stars[0] <= stars[1] <= stars[2]
         assert certify_C0(1.0, m_max=3).b_star is None
 
-    def test_csv_rows_shape(self):
-        result = certify_C0(0.1, m_max=2, b_grid=(1, 2, 3))
-        rows = result.csv_rows()
-        assert len(rows) == 6
-        assert all(len(r) == 6 for r in rows)
+    def test_rows_shape(self):
+        # one (m, b, sum, bound, pass) row per mass and grid value, mass-major
+        result = certify_C0(0.1, m_max=2, b_grid=(3, 1, 2))
+        assert [(m, b) for m, b, *_ in result.rows] == [
+            (m, b) for m in (1, 2) for b in (1.0, 2.0, 3.0)]
+        assert all(len(r) == 5 for r in result.rows)

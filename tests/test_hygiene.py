@@ -2,8 +2,11 @@
 
 Every name a library module imports is used in that module;
 ``__init__.py`` re-exports its imports, so it is exempt.  Every name the
-package exports has a use outside the tests: in another library module,
-in a demo, or in the benchmark harness, whose trace targets count too.
+package exports, and every public function, class and method a library
+module defines, has a use outside the tests and outside its own
+definition: in a library module, in a demo, or in the benchmark harness,
+whose trace targets count too.  A method that overrides one of a base
+class is used by the base class's callers, so it is exempt.
 """
 
 import ast
@@ -70,15 +73,21 @@ def exported_names():
 
 
 def referenced_names(tree):
-    """Names a module reads as a Name or an Attribute, except in the
-    statement that defines them."""
+    """Names a module reads as a Name or an Attribute, except inside a
+    function or class of that name."""
     refs = set()
-    for stmt in tree.body:
-        names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
-        names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            names.discard(stmt.name)
-        refs |= names
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            refs.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
     return refs
 
 
@@ -90,18 +99,57 @@ def trace_target_names():
     return {part for target in module.TARGETS for part in target[2].split(".")}
 
 
-def test_exports_found():
-    assert {"Contour", "spins_to_triangles", "certify_C0"} <= set(exported_names())
-
-
-def test_every_export_has_a_use_outside_tests():
+def names_used_outside_tests():
     users = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted(
         (ROOT / "perfbench").glob("*.py"))
     used = trace_target_names()
     for path in users:
         used |= referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    return used
+
+
+def public_definitions():
+    """(module, qualified name) of every public module-level function and
+    class and of every public method of a module-level class, overrides
+    excepted."""
+    found = []
+    for path in MODULES:
+        module = importlib.import_module(f"rfim1d.{path.stem}")
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if stmt.name[0] != "_":
+                found.append((path.stem, stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                bases = getattr(module, stmt.name).__mro__[1:]
+                found += [(path.stem, f"{stmt.name}.{node.name}") for node in stmt.body
+                          if isinstance(node, ast.FunctionDef) and node.name[0] != "_"
+                          and not any(node.name in vars(base) for base in bases)]
+    return found
+
+
+def test_exports_found():
+    assert {"Contour", "spins_to_triangles", "certify_C0"} <= set(exported_names())
+
+
+def test_every_export_has_a_use_outside_tests():
+    used = names_used_outside_tests()
     unused = [name for name in exported_names() if name not in used]
     assert not unused, f"rfim1d exports names only tests use: {unused}"
+
+
+def test_definitions_found():
+    found = public_definitions()
+    assert {("model", "CouplingSpec.boundary_vector"), ("cli", "main")} <= set(found)
+    # _Parser's methods override argparse's
+    assert not [name for module, name in found if name.startswith("_Parser.")]
+
+
+def test_every_definition_has_a_use_outside_tests():
+    used = names_used_outside_tests()
+    unused = [f"{module}.{name}" for module, name in public_definitions()
+              if name.rsplit(".", 1)[-1] not in used]
+    assert not unused, f"rfim1d defines names only tests use: {unused}"
 
 
 def test_contours_submodule_not_shadowed():

@@ -12,6 +12,11 @@ from rfim1d import triangles
 from rfim1d.model import enumerate_spins
 
 
+def collision_key(pair):
+    """(gap, left bond): the order in which the pairs of a family collide."""
+    return pair[1] - pair[0], pair[0]
+
+
 def _reference_pairing(bonds, vol):
     """Collision pairing by the exact event order of the offset construction.
 
@@ -83,7 +88,10 @@ class TestPairing:
         vol = Volume.centered(12)
         for spins in enumerate_spins(12):
             bonds = interfaces(SpinConfiguration(vol, spins))
-            assert pair_interface_bonds(bonds) == _reference_pairing(bonds, vol)
+            pairs = pair_interface_bonds(bonds)
+            assert pairs == sorted(pairs)
+            # sorted by (gap, left bond), the pairs fall in collision order
+            assert sorted(pairs, key=collision_key) == _reference_pairing(bonds, vol)
 
     def test_odd_count_rejected(self):
         with pytest.raises(RuntimeError):
