@@ -37,8 +37,9 @@ def main():
         print(f"  alpha = {alpha}: j1 >= {j1}")
 
     print("\nentropy certificate for contour weights, gamma = 0.1:")
-    result = certify_C0(0.1, m_max=4)
-    print(f"  masses up to {result.m_max}: bound holds for every grid b >= {result.b_star}")
+    m_max = 4
+    result = certify_C0(0.1, m_max=m_max)
+    print(f"  masses up to {m_max}: bound holds for every grid b >= {result.b_star}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ def main():
         cfg = RunConfig(alpha=0.55, beta=beta, theta=theta, size=10,
                         sweeps=6000, burnin=1000, seed=1, realizations=1)
         vol = cfg.volume()
-        h = DisorderField.generate(vol, theta, seed=2)
+        h = DisorderField.generate(vol, seed=2)
         res = metropolis_run(cfg, h, chain_seed=3)
         exact = exact_gibbs_marginal(cfg.coupling_spec(), vol, h, theta, beta, 0)
         print(f"  beta={beta:<5} theta={theta:<4}  "

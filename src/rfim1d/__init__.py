@@ -27,8 +27,7 @@ from .contours import Contour, choose_C, separation_series
 from .disorder import (BjEstimate, ConstrainedEnsemble, b_bar, check_antisymmetry,
                        class_support, estimate_Bj_probability, flip_composition,
                        thresholds)
-from .enumeration import (CertifyResult, WeightSpec, certify_C0,
-                          enumerate_origin_contours, weight_bound)
+from .enumeration import CertifyResult, certify_C0, enumerate_origin_contours
 from .mc import ChainResult, RunConfig, RunReport, disorder_sweep, metropolis_run
 from .model import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec,
                     DisorderField, SpinConfiguration, Volume,

@@ -21,9 +21,8 @@ TOLERANCE = 1e-9
 def zeta(alpha: float) -> float:
     """Peierls constant 1 - 2(2**alpha - 1), positive below log2(3) - 1."""
     if not 0.0 <= alpha < ALPHA_PEIERLS_MAX:
-        raise ValueError(
-            f"alpha must lie in [0, {ALPHA_PEIERLS_MAX:.6f}) for a positive Peierls constant"
-        )
+        raise ValueError(f"alpha={alpha} outside [0, {ALPHA_PEIERLS_MAX:.6f}); "
+                         "the Peierls constant is not positive there")
     return 1.0 - 2.0 * (2.0**alpha - 1.0)
 
 
@@ -31,10 +30,6 @@ def zeta(alpha: float) -> float:
 class BoundReport:
     """One energy-bound comparison: passes iff lhs - rhs >= -1e-9."""
 
-    alpha: float
-    j1: float
-    c: int
-    n: int
     instance: str
     lhs: float
     rhs: float
@@ -57,6 +52,8 @@ def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,
     of all 2**n configurations come from one batched call; an erased
     family is looked up by the bit code of its image.
     """
+    if c < 1:
+        raise ValueError(f"separation constant c must be >= 1, got {c}")
     vol = Volume(0, n - 1)
     z = zeta(spec.alpha)
     table = energy(spec, vol, enumerate_spins(n)).tolist()
@@ -69,12 +66,12 @@ def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,
             for i, (l, r) in enumerate(tris, 1):
                 lhs = full - table[family_code(tris[i:], vol)]
                 rhs += z * (r - l)**spec.alpha
-                yield BoundReport(spec.alpha, spec.j1, c, n, f"{code}:prefix{i}", lhs, rhs)
+                yield BoundReport(f"{code}:prefix{i}", lhs, rhs)
         if "contour" in kinds:
             for k, gamma in enumerate(contours(family, c)):
                 lhs = full - table[family_code(set(family).difference(gamma.triangles), vol)]
                 rhs = 0.5 * z * gamma.power_mass(spec.alpha)
-                yield BoundReport(spec.alpha, spec.j1, c, n, f"{code}:{k}", lhs, rhs)
+                yield BoundReport(f"{code}:{k}", lhs, rhs)
 
 
 def minimal_j1(alpha: float, n: int = 8, c: int = 3,

@@ -21,12 +21,12 @@ import sys
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .bounds import exhaustive_reports
+from .bounds import exhaustive_reports, zeta
 from .contours import Contour
 from .disorder import ConstrainedEnsemble, check_antisymmetry, estimate_Bj_probability, thresholds
 from .enumeration import _check_cap, _shape_aggregates, certify_C0, contour_shapes
 from .mc import EnergyDriftError, RunConfig, WorkerPoolError, disorder_sweep
-from .model import ALPHA_PEIERLS_MAX, DISTRIBUTIONS, CapacityError, CouplingSpec, Volume
+from .model import DISTRIBUTIONS, CapacityError, CouplingSpec, Volume
 from .triangles import families, family_code, satisfies_ma1
 
 SCHEMA_VERSION = 1
@@ -153,14 +153,6 @@ def _one_float(value, name: str) -> float:
     return vals[0]
 
 
-def _require_peierls_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha < ALPHA_PEIERLS_MAX:
-        raise CliError(
-            f"alpha={alpha} outside [0, {ALPHA_PEIERLS_MAX:.6f}); "
-            "the Peierls constant is not positive there"
-        )
-
-
 def _emit(opts: Dict[str, object], payload: dict, columns: List[str],
           rows: Iterable[Sequence] = (), text: Iterable[str] = (),
           key: Optional[str] = None) -> None:
@@ -209,7 +201,7 @@ def _run_config(opts: Dict[str, object], beta: float, theta: float) -> RunConfig
 def cmd_simulate(opts: Dict[str, object]) -> int:
     beta = _one_float(opts["beta"], "beta")
     theta = _one_float(opts["theta"], "theta")
-    _require_peierls_alpha(float(opts["alpha"]))
+    zeta(float(opts["alpha"]))  # checks alpha's Peierls range
     config = _run_config(opts, beta, theta)
     report = disorder_sweep(config, jobs=int(opts["jobs"]))
     payload = _base_payload("simulate", opts)
@@ -227,7 +219,7 @@ def cmd_sweep(opts: Dict[str, object]) -> int:
     """Disorder-averaged runs over a grid of beta and theta values."""
     betas = _floats(opts["beta"], "beta")
     thetas = _floats(opts["theta"], "theta")
-    _require_peierls_alpha(float(opts["alpha"]))
+    zeta(float(opts["alpha"]))  # checks alpha's Peierls range
     # every grid point is validated before the first one runs
     configs = [_run_config(opts, beta, theta) for beta in betas for theta in thetas]
     rows = []
@@ -253,7 +245,7 @@ def cmd_verify_energy(opts: Dict[str, object]) -> int:
     import tempfile
 
     alpha = float(opts["alpha"])
-    _require_peierls_alpha(alpha)
+    zeta(alpha)  # checks alpha's Peierls range
     n = int(opts["n"])
     if not 2 <= n <= 14:
         raise CliError("--n must lie in 2..14 for exhaustive energy checks")
@@ -295,7 +287,7 @@ def cmd_verify_energy(opts: Dict[str, object]) -> int:
 
 def cmd_verify_disorder(opts: Dict[str, object]) -> int:
     alpha = float(opts["alpha"])
-    _require_peierls_alpha(alpha)
+    zeta(alpha)  # checks alpha's Peierls range
     beta = _one_float(opts["beta"], "beta")
     theta = _one_float(opts["theta"], "theta")
     if not 0.0 < beta < math.inf:
@@ -349,13 +341,13 @@ def cmd_certify_c0(opts: Dict[str, object]) -> int:
     result = certify_C0(gamma, m_max=mmax, c=c)
     payload = _base_payload("certify-c0", opts)
     payload["b_star"] = result.b_star
-    payload["m_max"] = result.m_max
+    payload["m_max"] = mmax
     rows = [[m, b, gamma, s, bd, int(ok)] for m, b, s, bd, ok in result.rows]
     _emit(opts, payload, ["m", "b", "gamma", "weight_sum", "bound", "pass"], rows, key="rows")
     if result.b_star is None:
         print("certify-c0: no admissible b* on the grid", file=sys.stderr)
         return 2
-    print(f"certify-c0: b* = {result.b_star:g} (gamma={gamma:g}, m<={result.m_max})",
+    print(f"certify-c0: b* = {result.b_star:g} (gamma={gamma:g}, m<={mmax})",
           file=sys.stderr)
     return 0
 

@@ -115,6 +115,10 @@ class ConstrainedEnsemble:
 
     def f_values(self, fields: np.ndarray, theta: float, beta: float) -> np.ndarray:
         """F_j for a batch of field rows; shape (n_fields, n_levels)."""
+        if not 0.0 < beta < math.inf:  # F_j divides by beta
+            raise ValueError(f"beta must be positive and finite, got {beta}")
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
         fields = np.atleast_2d(np.asarray(fields, dtype=np.float64))
         out = np.empty((fields.shape[0], self.n_levels))
         m_full = fields @ self.sigma_full.T  # (R, T)
@@ -146,7 +150,7 @@ def check_antisymmetry(ens: ConstrainedEnsemble, j: int, theta: float, beta: flo
 
 
 def _sampled_fields(vol: Volume, n_samples: int, seed: int, distribution: str) -> np.ndarray:
-    """Row r: the values of DisorderField.generate(vol, ., seed + r, distribution),
+    """Row r: the values of DisorderField.generate(vol, seed + r, distribution),
     all rows drawn in one pass."""
     return _word_values(_site_words(range(seed, seed + n_samples), vol), distribution)
 

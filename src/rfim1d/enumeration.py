@@ -45,23 +45,6 @@ DEFAULT_MASS_CAP = 6
 BondPairs = Tuple[Tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Per-triangle weight exp(-b * |T|**gamma)."""
-
-    b: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise ValueError("b must be finite and positive")
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ValueError("gamma must be finite and positive")
-
-    def log_weight(self, masses: Sequence[int]) -> float:
-        return -self.b * sum(float(m)**self.gamma for m in masses)
-
-
 @lru_cache(maxsize=None)
 def _interior_families(width: int, mass: int) -> Tuple[BondPairs, ...]:
     """All bond-pair sets of given total mass with bonds inside 1..width-1.
@@ -152,10 +135,13 @@ def _shape_aggregates(m: int, c: int) -> Dict[Tuple[int, ...], int]:
 
 
 def _check_cap(m: int, c: int) -> None:
-    """Check the mass and the search width before any work: gaps go up to
-    c * m**3, capped at its value for c = 3 at ``DEFAULT_MASS_CAP``."""
+    """Check the mass, the separation constant and the search width before
+    any work: gaps go up to c * m**3, capped at its value for c = 3 at
+    ``DEFAULT_MASS_CAP``."""
     if m < 1:
         raise ValueError("mass must be >= 1")
+    if c < 1:
+        raise ValueError(f"separation constant c must be >= 1, got {c}")
     if m > DEFAULT_MASS_CAP:
         raise CapacityError(f"mass {m} exceeds enumeration cap {DEFAULT_MASS_CAP}")
     cap = 3 * DEFAULT_MASS_CAP**3
@@ -175,17 +161,8 @@ def enumerate_origin_contours(m: int, c: int = 3) -> List[Contour]:
     return out
 
 
-def weight_bound(m: int, spec: WeightSpec) -> float:
-    """The entropy bound 2m * exp(-b * m**gamma)."""
-    return 2.0 * m * math.exp(-spec.b * float(m)**spec.gamma)
-
-
 @dataclass(frozen=True)
 class CertifyResult:
-    gamma: float
-    m_max: int
-    c: int
-    b_grid: Tuple[float, ...]
     b_star: Optional[float]
     rows: Tuple[Tuple[int, float, float, float, bool], ...]  # (m, b, sum, bound, pass)
 
@@ -195,20 +172,27 @@ def certify_C0(gamma: float, m_max: int = DEFAULT_MASS_CAP,
                c: int = 3) -> CertifyResult:
     """Smallest grid b* above which the entropy bound holds for all m <= m_max.
 
-    The bound is checked at every grid point at and above the candidate;
-    absence of an admissible b* is reported, not raised.
+    The origin contours of mass m weigh sum over contours of
+    exp(-b * sum_T |T|**gamma); the bound is 2m * exp(-b * m**gamma).  It is
+    checked at every grid point at and above the candidate; absence of an
+    admissible b* is reported, not raised.
     """
-    _check_cap(m_max, c)
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     grid = tuple(sorted(float(b) for b in b_grid))
+    for b in grid:
+        if not 0.0 < b < math.inf:
+            raise ValueError(f"b must be positive and finite, got {b}")
+    _check_cap(m_max, c)
     rows = []
     ok_by_b: Dict[float, bool] = {b: True for b in grid}
     for m in range(1, m_max + 1):
-        agg = _shape_aggregates(m, c)
+        # each mass multiset's sum |T|**gamma with its origin-translation count
+        terms = [(count, sum(float(mass)**gamma for mass in masses))
+                 for masses, count in _shape_aggregates(m, c).items()]
         for b in grid:
-            spec = WeightSpec(b=b, gamma=gamma)
-            s = float(sum(count * math.exp(spec.log_weight(masses))
-                          for masses, count in agg.items()))
-            bd = weight_bound(m, spec)
+            s = float(sum(count * math.exp(-b * t) for count, t in terms))
+            bd = 2.0 * m * math.exp(-b * float(m)**gamma)
             ok = s <= bd
             ok_by_b[b] = ok_by_b[b] and ok
             rows.append((m, b, s, bd, ok))
@@ -217,4 +201,4 @@ def certify_C0(gamma: float, m_max: int = DEFAULT_MASS_CAP,
         if all(ok_by_b[bb] for bb in grid[i:]):
             b_star = b
             break
-    return CertifyResult(gamma, m_max, c, grid, b_star, tuple(rows))
+    return CertifyResult(b_star, tuple(rows))

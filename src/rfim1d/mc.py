@@ -95,6 +95,8 @@ class RunConfig:
             raise ValueError(f"beta must be finite, got {self.beta}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
+        if self.theta < 0.0:
+            raise ValueError(f"theta must be >= 0, got {self.theta}")
         if self.size < 1:
             raise ValueError("size must be >= 1")
         if not 0 <= self.burnin < self.sweeps:
@@ -332,8 +334,7 @@ def _sweep_draws(seed: int, n: int, sweep: int) -> Tuple[np.ndarray, np.ndarray]
 def _realization(config: RunConfig, seeds: Tuple[int, int]) -> ChainResult:
     """Chain of one realization from its (field seed, chain seed)."""
     field_seed, chain_seed = seeds
-    h = DisorderField.generate(config.volume(), config.theta, seed=field_seed,
-                               distribution=config.distribution)
+    h = DisorderField.generate(config.volume(), field_seed, config.distribution)
     return metropolis_run(config, h, chain_seed=chain_seed)
 
 
@@ -346,6 +347,7 @@ def disorder_sweep(config: RunConfig, jobs: int = 1) -> RunReport:
     a script must keep its call under ``if __name__ == "__main__":``.
     Raises ``WorkerPoolError`` when a worker dies.
     """
+    bb = b_bar(config.beta, config.theta, config.alpha)  # checks alpha's Peierls range
     # words 2r and 2r + 1 of SplittableRandom(seed) seed realization r's field and chain
     seeds = _stream_words(config.seed, 0, 2 * config.realizations).reshape(-1, 2).tolist()
     workers = min(jobs, config.realizations)
@@ -370,7 +372,6 @@ def disorder_sweep(config: RunConfig, jobs: int = 1) -> RunReport:
     # realization scatter plus mean within-chain sampling error
     scatter = float(est.std(ddof=1) / math.sqrt(len(est))) if len(est) > 1 else 0.0
     within = float(np.sqrt(np.mean([c.stderr**2 for c in chains]) / len(chains)))
-    bb = b_bar(config.beta, config.theta, config.alpha)
     return RunReport(
         config=config,
         chains=tuple(chains),

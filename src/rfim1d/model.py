@@ -231,11 +231,11 @@ def _word_values(raw: np.ndarray, distribution: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DisorderField:
-    """A realization of the i.i.d. symmetric random field (unit scale; theta separate)."""
+    """A realization of the i.i.d. symmetric random field at unit scale; the
+    field strength theta is an argument of the energy."""
 
     volume: Volume
     values: np.ndarray
-    theta: float
     distribution: str = "bernoulli"
     seed: int = 0
 
@@ -244,35 +244,26 @@ class DisorderField:
         object.__setattr__(self, "values", values)
         if values.shape != (self.volume.n_sites,):
             raise ValueError("field length does not match volume")
-        if self.theta < 0:
-            raise ValueError("theta must be >= 0")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.distribution == "bernoulli" and not np.all(np.abs(values) == 1.0):
             raise ValueError("bernoulli field values must be exactly +-1")
 
     @classmethod
-    def generate(
-        cls,
-        vol: Volume,
-        theta: float,
-        seed: int,
-        distribution: str = "bernoulli",
-    ) -> "DisorderField":
+    def generate(cls, vol: Volume, seed: int, distribution: str = "bernoulli") -> "DisorderField":
         """Draw one realization, keyed per (seed, site) for order-independence."""
         values = _word_values(_site_words(seed, vol), distribution)
-        return cls(vol, values, theta, distribution, seed)
+        return cls(vol, values, distribution, seed)
 
 
 def hamiltonian(
     spec: CouplingSpec,
     sigma: SpinConfiguration,
     h: Optional[DisorderField] = None,
-    theta: Optional[float] = None,
+    theta: float = 0.0,
 ) -> float:
-    """Full random Hamiltonian H_0 + theta * G; theta defaults to h.theta."""
-    th = 0.0 if h is None else (h.theta if theta is None else theta)
-    return energy(spec, sigma.volume, sigma.spins, sigma.boundary, h, th)
+    """Full random Hamiltonian H_0 + theta * G of a spin configuration."""
+    return energy(spec, sigma.volume, sigma.spins, sigma.boundary, h, theta)
 
 
 @lru_cache(maxsize=8)

@@ -283,7 +283,7 @@ def restart_merge(pairs: Sequence[Tuple[int, int]], c: int,
 def materialized_bound_rows(spec: CouplingSpec, n: int, c: int = 3) -> str:
     """CSV text of the bound-report rows, built from the list of every report."""
     reports = list(exhaustive_reports(spec, n, c))
-    rows = [[r.alpha, r.j1, r.c, r.n, r.instance, r.lhs, r.rhs, r.margin, int(r.passed)]
+    rows = [[spec.alpha, spec.j1, c, n, r.instance, r.lhs, r.rhs, r.margin, int(r.passed)]
             for r in reports]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)

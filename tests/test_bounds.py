@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from rfim1d import (ALPHA_PEIERLS_MAX, CouplingSpec, SpinConfiguration, Volume,
                     energy, exhaustive_reports, family_code, hamiltonian,
                     minimal_j1, triangles_to_spins, zeta)
+from rfim1d import bounds
 from rfim1d.contours import contours
 from rfim1d.model import enumerate_spins
 from rfim1d.triangles import spins_to_triangles
@@ -38,7 +40,7 @@ class TestZeta:
         assert all(x > y for x, y in zip(values, values[1:]))
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^alpha=0.6 outside \[0, 0.584963\)"):
             zeta(0.6)
 
 
@@ -82,7 +84,8 @@ class TestEraseBounds:
         report = reports_10[f"{_code([(2, 4)])}:prefix1"]
         assert report.margin == pytest.approx(report.lhs - report.rhs)
         assert report.passed == (report.margin >= -1e-9)
-        assert (report.alpha, report.j1, report.c, report.n) == (0.55, 10.0, 3, 10)
+        # the run's parameters stay with the caller: a report is its comparison
+        assert [f.name for f in dataclasses.fields(report)] == ["instance", "lhs", "rhs"]
 
 
 class TestContourBound:
@@ -121,6 +124,16 @@ class TestExhaustive:
         reports = list(exhaustive_reports(spec, 8))
         assert reports
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("c", [0, -2])
+    def test_separation_constant_below_one(self, spec, monkeypatch, c):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"exhaustive_reports started work at c = {c}")
+
+        for name in ("energy", "families", "contours"):
+            monkeypatch.setattr(bounds, name, no_work)
+        with pytest.raises(ValueError, match=f"c must be >= 1, got {c}"):
+            next(exhaustive_reports(spec, 4, c))
 
     def test_failures_reported_at_small_j1(self):
         weak = CouplingSpec(alpha=0.55, j1=1.01)

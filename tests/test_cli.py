@@ -93,6 +93,7 @@ class TestParsing:
         ("simulate", "-0.5", "1000"),
         ("simulate", "nan", "0.05"),
         ("simulate", "0.2", "nan"),
+        ("simulate", "0.2", "-1"),  # a negative field strength
         ("sweep", "0.2,-1", "0.05"),  # a later grid point stops the run before the first
         ("sweep", "0.2", "0.05,nan"),
     ])
@@ -145,6 +146,7 @@ class TestParsing:
         assert err.startswith("error: sweeps must be <= 100000000 and 2 * size * sweeps")
 
     RUN = ("--size", "16", "--sweeps", "3", "--burnin", "1", "--realizations", "1")
+    PEIERLS = "alpha={} outside [0, 0.584963); the Peierls constant is not positive there"
 
     @pytest.mark.parametrize("argv, message", [
         (("simulate", "--j1", "nan", *RUN), "j1 must be finite and exceed 1, got nan"),
@@ -164,6 +166,10 @@ class TestParsing:
         (("verify-disorder", "--theta", "inf"), "--theta must be finite, got inf"),
         (("certify-c0", "--gamma", "nan"), "--gamma must be positive and finite, got nan"),
         (("certify-c0", "--gamma", "-inf"), "--gamma must be positive and finite, got -inf"),
+        (("simulate", "--alpha", "0.7", *RUN), PEIERLS.format(0.7)),
+        (("sweep", "--alpha", "-0.1", *RUN), PEIERLS.format(-0.1)),
+        (("verify-energy", "--alpha", "0.6"), PEIERLS.format(0.6)),
+        (("verify-disorder", "--alpha", "0.99"), PEIERLS.format(0.99)),
     ])
     def test_bad_physics_parameter_rejected_before_work(self, capsys, monkeypatch,
                                                         argv, message):

@@ -122,7 +122,7 @@ def _sampled_configuration(seed: int) -> SpinConfiguration:
     """N=512 state after three Metropolis sweeps at the sample-hot parameters."""
     cfg = RunConfig(alpha=0.55, j1=1.5, beta=0.2, theta=1.0, size=512)
     vol, spec = cfg.volume(), cfg.coupling_spec()
-    h = DisorderField.generate(vol, cfg.theta, seed=seed)
+    h = DisorderField.generate(vol, seed=seed)
     t = spec.coupling_toeplitz(vol)
     rows2, tb, th = toeplitz_rows(2.0 * t), spec.boundary_vector(vol), cfg.theta * h.values
     s = np.ones(cfg.size)

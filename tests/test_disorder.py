@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -91,7 +93,7 @@ class TestEnsemble:
 
 class TestFj:
     def test_theta_zero_vanishes(self, nested_ensemble, ten_site_volume):
-        h = DisorderField.generate(ten_site_volume, 0.0, seed=5)
+        h = DisorderField.generate(ten_site_volume, seed=5)
         assert np.all(nested_ensemble.f_values(h.values, 0.0, 2.0) == 0.0)
 
     def test_exact_mean_is_zero(self, nested_ensemble):
@@ -99,9 +101,20 @@ class TestFj:
         f = nested_ensemble.f_values(fields, theta=0.3, beta=2.0)
         assert np.abs(f.mean(axis=0)).max() < 1e-9
 
+    @pytest.mark.parametrize("theta, beta", [
+        (0.3, 0.0), (0.3, -1.0), (0.3, math.inf), (0.3, math.nan),
+        (math.inf, 2.0), (-math.inf, 2.0), (math.nan, 2.0),
+    ])
+    def test_meaningless_temperature_rejected(self, nested_ensemble, theta, beta):
+        # F_j divides by beta: beta = 0 used to give nan and a false antisymmetry failure
+        with pytest.raises(ValueError, match="beta must be positive|theta must be finite"):
+            nested_ensemble.f_values(enumerate_spins(10), theta, beta)
+        with pytest.raises(ValueError, match="beta must be positive|theta must be finite"):
+            check_antisymmetry(nested_ensemble, 0, theta, beta)
+
     def test_level_range(self, nested_ensemble, nested_contour, ten_site_volume):
         # one column per equal-mass class of the contour
-        h = DisorderField.generate(ten_site_volume, 0.1, seed=0)
+        h = DisorderField.generate(ten_site_volume, seed=0)
         f = nested_ensemble.f_values(h.values, 0.1, 2.0)
         assert f.shape == (1, nested_contour.n_classes) == (1, nested_ensemble.n_levels)
 
@@ -134,7 +147,7 @@ class TestSampledFields:
     def test_equal_to_per_sample_draws(self, ten_site_volume, distribution):
         fields = _sampled_fields(ten_site_volume, 64, 9, distribution)
         stacked = np.stack([
-            DisorderField.generate(ten_site_volume, 0.3, seed=9 + r,
+            DisorderField.generate(ten_site_volume, seed=9 + r,
                                    distribution=distribution).values
             for r in range(64)
         ])

@@ -1,10 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
 from oracles import max_span, spin_scan_origin_contours, verify_P1
-from rfim1d import (CapacityError, WeightSpec, certify_C0, enumeration,
-                    enumerate_origin_contours, weight_bound)
+from rfim1d import CapacityError, certify_C0, enumeration, enumerate_origin_contours
 from rfim1d.contours import _merge, contours
 from rfim1d.enumeration import (_block_shapes, _shape_aggregates, _shift,
                                 contour_shapes)
@@ -39,18 +39,6 @@ def _reference_contour_shapes(m, c=3):
 
     extend((), 0, 0)
     return tuple(sorted(set(results)))
-
-
-class TestWeightSpec:
-    def test_log_weight(self):
-        w = WeightSpec(b=2.0, gamma=0.5)
-        assert w.log_weight([1, 4]) == pytest.approx(-2.0 * (1.0 + 2.0))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WeightSpec(b=0.0, gamma=0.1)
-        with pytest.raises(ValueError):
-            WeightSpec(b=1.0, gamma=-1.0)
 
 
 class TestEnumeration:
@@ -109,6 +97,12 @@ class TestEnumeration:
             with pytest.raises(CapacityError, match="exceeds enumeration cap 648"):
                 enumerate_origin_contours(m, c)
             with pytest.raises(CapacityError, match="exceeds enumeration cap 648"):
+                certify_C0(0.1, m_max=m, c=c)
+        # below c = 1 the separation rule breaks: at c = 0, mass 3 would give 3 contours, not 92
+        for m, c in ((3, 0), (1, -2)):
+            with pytest.raises(ValueError, match=f"c must be >= 1, got {c}"):
+                enumerate_origin_contours(m, c)
+            with pytest.raises(ValueError, match=f"c must be >= 1, got {c}"):
                 certify_C0(0.1, m_max=m, c=c)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -184,25 +178,45 @@ class TestWeightSums:
         assert weight_sums(0.1, 1, (2.0,))[1, 2.0] == pytest.approx(math.exp(-2.0))
 
     def test_matches_direct_sum(self):
-        w = WeightSpec(b=1.5, gamma=0.3)
-        sums = weight_sums(w.gamma, 3, (w.b,))
+        # each origin contour weighs exp(-b * sum_T |T|**gamma)
+        b, gamma = 1.5, 0.3
+        sums = weight_sums(gamma, 3, (b,))
         for m in (1, 2, 3):
             direct = sum(
-                math.exp(w.log_weight([r - l for l, r in g.triangles]))
+                math.exp(-b * sum((r - l) ** gamma for l, r in g.triangles))
                 for g in enumerate_origin_contours(m)
             )
-            assert sums[m, w.b] == pytest.approx(direct, rel=1e-12)
+            assert sums[m, b] == pytest.approx(direct, rel=1e-12)
 
     def test_monotone_decreasing_in_b(self):
         sums = weight_sums(0.1, 3, (1.0, 2.0, 4.0))
         assert sums[3, 1.0] > sums[3, 2.0] > sums[3, 4.0]
 
     def test_bound_formula(self):
-        w = WeightSpec(b=3.0, gamma=0.1)
-        assert weight_bound(5, w) == pytest.approx(10.0 * math.exp(-3.0 * 5.0 ** 0.1))
+        # the bound column is 2m * exp(-b * m**gamma)
+        bounds = {(m, b): bd for m, b, _s, bd, _ok in certify_C0(0.1, 3, (3.0,)).rows}
+        assert bounds[3, 3.0] == pytest.approx(6.0 * math.exp(-3.0 * 3.0 ** 0.1))
 
 
 class TestCertificate:
+    @pytest.mark.parametrize("gamma, b_grid", [
+        (0.0, (1.0,)),
+        (-1.0, (1.0,)),
+        (math.nan, (1.0,)),
+        (math.inf, (1.0,)),
+        (0.1, (1.0, 0.0)),
+        (0.1, (-2.0, 1.0)),
+        (0.1, (math.nan,)),
+        (0.1, (math.inf,)),
+    ])
+    def test_parameters_checked_before_work(self, monkeypatch, gamma, b_grid):
+        def no_work(*args):
+            raise AssertionError("certify_C0 enumerated before checking gamma and b")
+
+        monkeypatch.setattr(enumeration, "_shape_aggregates", no_work)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            certify_C0(gamma, m_max=2, b_grid=b_grid)
+
     def test_small_mass_certificate(self):
         result = certify_C0(0.1, m_max=3)
         assert result.b_star is not None
@@ -226,3 +240,5 @@ class TestCertificate:
         assert [(m, b) for m, b, *_ in result.rows] == [
             (m, b) for m in (1, 2) for b in (1.0, 2.0, 3.0)]
         assert all(len(r) == 5 for r in result.rows)
+        # the run's gamma, m_max, c and grid stay with the caller
+        assert [f.name for f in dataclasses.fields(result)] == ["b_star", "rows"]

@@ -57,7 +57,9 @@ class TestRunConfig:
 
     def test_edge_temperatures_accepted(self):
         assert RunConfig(beta=0.0).beta == 0.0
-        assert RunConfig(beta=-0.0, theta=-1.0).theta == -1.0
+        assert RunConfig(beta=-0.0, theta=-0.0).theta == 0.0
+        with pytest.raises(ValueError, match=r"theta must be >= 0, got -1.0"):
+            RunConfig(theta=-1.0)
 
     def test_sweep_cap(self):
         assert RunConfig(size=16, sweeps=mc_module.MAX_SWEEPS).sweeps == mc_module.MAX_SWEEPS
@@ -107,7 +109,7 @@ class TestLocalField:
     def test_matches_hamiltonian_difference(self, spec):
         vol = Volume.centered(9)
         rng = np.random.default_rng(3)
-        h = DisorderField.generate(vol, 0.3, seed=8)
+        h = DisorderField.generate(vol, seed=8)
         for _ in range(5):
             sigma = SpinConfiguration(vol, rng.choice([-1, 1], size=9).astype(np.int8))
             for i in (vol.lo, -1, 0, vol.hi):
@@ -236,7 +238,7 @@ class TestChainStream:
         monkeypatch.setattr(mc_module, "_stream_words", recording)
         cfg = RunConfig(alpha=0.55, beta=0.2, theta=1.0, j1=1.5, size=12, sweeps=9,
                         burnin=2, seed=3, realizations=1)
-        h = DisorderField.generate(cfg.volume(), cfg.theta, seed=4)
+        h = DisorderField.generate(cfg.volume(), seed=4)
         metropolis_run(cfg, h, chain_seed=2**64 - 1)
         assert calls == [(2**64 - 1, 24 * k, 24) for k in range(9)]
 
@@ -245,7 +247,7 @@ def run_small(beta, theta, seed=11, sweeps=6000, **kwargs):
     cfg = RunConfig(alpha=0.55, beta=beta, theta=theta, size=10, sweeps=sweeps,
                     burnin=sweeps // 6, seed=seed, realizations=1, **kwargs)
     vol = cfg.volume()
-    h = DisorderField.generate(vol, theta, seed=seed + 1)
+    h = DisorderField.generate(vol, seed=seed + 1)
     return cfg, h, metropolis_run(cfg, h, chain_seed=seed + 2)
 
 
@@ -278,7 +280,7 @@ class TestMetropolis:
 
     def test_volume_mismatch_rejected(self):
         cfg = RunConfig(size=10, sweeps=100, burnin=10)
-        h = DisorderField.generate(Volume(0, 4), cfg.theta, seed=0)
+        h = DisorderField.generate(Volume(0, 4), seed=0)
         with pytest.raises(ValueError):
             metropolis_run(cfg, h)
 
@@ -288,7 +290,7 @@ class TestMetropolis:
         for n in (5, 64):
             cfg = RunConfig(size=n, beta=beta, theta=theta, j1=1.5, sweeps=1, burnin=0)
             vol, spec = cfg.volume(), cfg.coupling_spec()
-            h = DisorderField.generate(vol, theta, seed=n)
+            h = DisorderField.generate(vol, seed=n)
             t = spec.coupling_toeplitz(vol)
             tables = chain_tables(spec, vol, h.values, theta)
             s = np.ones(n)
@@ -322,7 +324,7 @@ class TestStationaryDistribution:
         cfg = RunConfig(size=n, beta=beta, theta=theta, sweeps=1, burnin=0, seed=0)
         vol = cfg.volume()
         spec = cfg.coupling_spec()
-        h = DisorderField.generate(vol, theta, seed=4)
+        h = DisorderField.generate(vol, seed=4)
         tables = chain_tables(spec, vol, h.values, theta)
         s = np.ones(n)
         m = mc_module._start_sums(spec.coupling_toeplitz(vol), 1.0)
@@ -356,7 +358,7 @@ def kernel_run(kernel, n, beta, theta, j1, sweeps=20, seed=0, boundary=+1,
     """
     cfg = RunConfig(size=n, alpha=0.55, beta=beta, theta=theta, j1=j1, sweeps=1, burnin=0)
     vol, spec = cfg.volume(), cfg.coupling_spec()
-    h = DisorderField.generate(vol, theta, seed=seed, distribution=distribution)
+    h = DisorderField.generate(vol, seed=seed, distribution=distribution)
     t = spec.coupling_toeplitz(vol)
     tau = float(boundary)
     tables = chain_tables(spec, vol, h.values, theta, tau)
@@ -512,7 +514,7 @@ class TestSkipPath:
         monkeypatch.setattr(mc_module, "_skip_sweep", counting)
         cfg = RunConfig(alpha=0.55, beta=0.3, theta=0.5, j1=1.5, size=16, sweeps=600,
                         burnin=100, seed=3, realizations=1)
-        h = DisorderField.generate(cfg.volume(), cfg.theta, seed=4)
+        h = DisorderField.generate(cfg.volume(), seed=4)
         results, ran = [], []
         for threshold in (mc_module.SKIP_BELOW_ACCEPTANCE, 0.0, 1.0):
             monkeypatch.setattr(mc_module, "SKIP_BELOW_ACCEPTANCE", threshold)
@@ -561,7 +563,7 @@ class TestDriftCheck:
     def test_frozen_chain_computes_no_energy(self, monkeypatch):
         calls = self._counting_energy(monkeypatch)
         cfg = self.FROZEN
-        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), cfg.theta, seed=2))
+        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed=2))
         assert res.acceptance == 0.0
         assert len(calls) == 0
 
@@ -571,7 +573,7 @@ class TestDriftCheck:
         cfg = RunConfig(alpha=0.55, beta=0.2, theta=1.0, j1=1.5, size=512, sweeps=3,
                         burnin=2, seed=1, realizations=1)
         assert cfg.sweeps * cfg.size < mc_module.DRIFT_CHECK_UPDATES
-        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), cfg.theta, seed=2))
+        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed=2))
         assert res.acceptance > 0.0
         assert len(calls) == 0
 
@@ -583,7 +585,7 @@ class TestDriftCheck:
         cfg = RunConfig(alpha=0.55, beta=0.2, theta=1.0, j1=1.5, size=64, sweeps=400,
                         burnin=10, seed=1, realizations=1, boundary=boundary,
                         distribution="uniform")
-        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), cfg.theta, seed=2,
+        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed=2,
                                                          distribution="uniform"))
         assert res.acceptance > 0.0
         assert len(calls) == 3
@@ -593,7 +595,7 @@ class TestDriftCheck:
         accepted = self._drifting(monkeypatch)
         cfg = self.FROZEN
         with pytest.raises(mc_module.EnergyDriftError):
-            metropolis_run(cfg, DisorderField.generate(cfg.volume(), cfg.theta, seed=2))
+            metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed=2))
         # the first check compares the drifted running energy with the start's, 0
         assert len(accepted) == 157 and sum(accepted) == 0
         assert len(calls) == 0
@@ -603,7 +605,7 @@ class TestDriftCheck:
         accepted = self._drifting(monkeypatch)
         cfg = RunConfig(alpha=0.55, beta=0.2, theta=1.0, j1=1.5, size=64, sweeps=400,
                         burnin=10, seed=1, realizations=1)
-        h = DisorderField.generate(cfg.volume(), cfg.theta, seed=2)
+        h = DisorderField.generate(cfg.volume(), seed=2)
         with pytest.raises(mc_module.EnergyDriftError):
             metropolis_run(cfg, h)
         # the first check, after 157 sweeps of 64 updates, caught the drift
@@ -634,6 +636,16 @@ class TestDisorderSweep:
         serial = disorder_sweep(cfg, jobs=1)
         assert disorder_sweep(cfg, jobs=2) == serial
         assert disorder_sweep(cfg, jobs=4) == serial
+
+    def test_alpha_outside_peierls_range_rejected_before_chains(self, monkeypatch):
+        # RunConfig accepts alpha < 1; b_bar needs zeta(alpha) > 0
+        def no_work(*args, **kwargs):
+            raise AssertionError("a chain ran at alpha = 0.7")
+
+        monkeypatch.setattr(mc_module, "metropolis_run", no_work)
+        cfg = RunConfig(alpha=0.7, size=10, sweeps=300, burnin=50, realizations=2)
+        with pytest.raises(ValueError, match="alpha=0.7 outside"):
+            disorder_sweep(cfg)
 
     def test_distinct_fields_per_realization(self):
         cfg = RunConfig(size=10, beta=0.1, theta=0.2, sweeps=300, burnin=50,

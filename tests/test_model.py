@@ -160,17 +160,19 @@ class TestHamiltonian:
         assert hamiltonian(spec, sigma) == pytest.approx(expected, abs=1e-9)
 
     def test_field_energy_sign(self, spec):
-        # G = -sum_i h_i sigma_i, scaled by theta (h.theta unless given)
+        # G = -sum_i h_i sigma_i, scaled by theta (0 unless given)
         vol = Volume(0, 3)
         sigma = homogeneous(vol, +1)
-        h = DisorderField(vol, np.array([1.0, -1.0, 1.0, 1.0]), theta=0.5)
+        h = DisorderField(vol, np.array([1.0, -1.0, 1.0, 1.0]))
         assert hamiltonian(spec, sigma, h, theta=1.0) - hamiltonian(spec, sigma) == \
             pytest.approx(-2.0)
-        assert hamiltonian(spec, sigma, h) - hamiltonian(spec, sigma) == pytest.approx(-1.0)
+        assert hamiltonian(spec, sigma, h, theta=0.5) - hamiltonian(spec, sigma) == \
+            pytest.approx(-1.0)
+        assert hamiltonian(spec, sigma, h) == hamiltonian(spec, sigma)
 
     def test_field_volume_mismatch(self, spec):
         sigma = homogeneous(Volume(0, 3), +1)
-        h = DisorderField.generate(Volume(0, 4), 0.1, seed=0)
+        h = DisorderField.generate(Volume(0, 4), seed=0)
         with pytest.raises(VolumeMismatchError):
             hamiltonian(spec, sigma, h)
 
@@ -190,7 +192,7 @@ class TestEnergy:
     def test_matches_double_sum_oracle(self, vol, boundary, theta, energy_oracle):
         spec = CouplingSpec(alpha=0.55, j1=1.5)
         spins = enumerate_spins(8)
-        h = DisorderField.generate(vol, theta, seed=11, distribution="gaussian")
+        h = DisorderField.generate(vol, seed=11, distribution="gaussian")
         batch = energy(spec, vol, spins, boundary, h, theta)
         assert batch.shape == (2 ** 8,)
         for code, row in enumerate(spins):
@@ -236,35 +238,35 @@ class TestEnergy:
 
 class TestDisorderField:
     def test_bernoulli_values(self):
-        h = DisorderField.generate(Volume(-8, 8), 0.2, seed=3)
+        h = DisorderField.generate(Volume(-8, 8), seed=3)
         assert set(np.unique(h.values)) <= {-1.0, 1.0}
 
     def test_same_seed_same_field(self):
-        a = DisorderField.generate(Volume(0, 9), 0.2, seed=42)
-        b = DisorderField.generate(Volume(0, 9), 0.2, seed=42)
+        a = DisorderField.generate(Volume(0, 9), seed=42)
+        b = DisorderField.generate(Volume(0, 9), seed=42)
         assert np.array_equal(a.values, b.values)
 
     def test_field_independent_of_volume(self):
         # the value at a site depends only on (seed, site), not on the window
-        small = DisorderField.generate(Volume(-2, 2), 0.2, seed=7, distribution="gaussian")
-        large = DisorderField.generate(Volume(-10, 10), 0.2, seed=7, distribution="gaussian")
+        small = DisorderField.generate(Volume(-2, 2), seed=7, distribution="gaussian")
+        large = DisorderField.generate(Volume(-10, 10), seed=7, distribution="gaussian")
         for i in range(-2, 3):
             assert small.values[small.volume.index(i)] == large.values[large.volume.index(i)]
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
-            DisorderField.generate(Volume(0, 3), 0.1, seed=0, distribution="cauchy")
+            DisorderField.generate(Volume(0, 3), seed=0, distribution="cauchy")
 
     @pytest.mark.parametrize("distribution", ["gaussian", "uniform"])
     def test_symmetric_distributions_centered(self, distribution):
-        h = DisorderField.generate(Volume(0, 1999), 0.1, seed=1, distribution=distribution)
+        h = DisorderField.generate(Volume(0, 1999), seed=1, distribution=distribution)
         assert abs(h.values.mean()) < 5.0 / math.sqrt(2000)
 
 
 class TestExactMarginal:
     def test_infinite_temperature_is_half(self, spec):
         vol = Volume.centered(6)
-        h = DisorderField.generate(vol, 0.3, seed=2)
+        h = DisorderField.generate(vol, seed=2)
         assert exact_gibbs_marginal(spec, vol, h, 0.3, 0.0, 0) == pytest.approx(0.5)
 
     def test_low_temperature_plus_boundary(self, spec):
@@ -331,7 +333,7 @@ class TestFieldStream:
         windows = [Volume.centered(n) for n in (1, 2, 17, 512, 4096)]
         windows += [Volume(-2048, -2048), Volume(-300, -200), Volume(-2048, -1)]
         for vol in windows:
-            h = DisorderField.generate(vol, 0.1, seed=seed, distribution=distribution)
+            h = DisorderField.generate(vol, seed=seed, distribution=distribution)
             assert np.array_equal(h.values, _reference_field(seed % 2**64, vol,
                                                              distribution)), vol
 
@@ -341,20 +343,20 @@ class TestFieldStream:
             assert [int(w) for w in _site_words(5, vol)] == [
                 _reference_word(5, int(i)) for i in vol.sites()]
             expected = [_reference_value(5, int(i), "uniform") for i in vol.sites()]
-            assert np.array_equal(DisorderField.generate(vol, 0.1, 5, "uniform").values,
+            assert np.array_equal(DisorderField.generate(vol, 5, "uniform").values,
                                   expected)
 
     @pytest.mark.parametrize("vol", [Volume(2**31 - 1, 2**31), Volume(-2**31 - 1, 0),
                                      Volume(2**40, 2**40 + 3)])
     def test_too_large_site_key_rejected(self, vol):
         with pytest.raises(ValueError, match="site key"):
-            DisorderField.generate(vol, 0.1, seed=0)
+            DisorderField.generate(vol, seed=0)
 
     def test_gaussian_volume_independent_and_seed_dependent(self):
-        big = DisorderField.generate(Volume.centered(512), 0.1, 9, "gaussian")
-        window = DisorderField.generate(Volume(-40, 13), 0.1, 9, "gaussian")
+        big = DisorderField.generate(Volume.centered(512), 9, "gaussian")
+        window = DisorderField.generate(Volume(-40, 13), 9, "gaussian")
         assert np.array_equal(window.values, big.values[256 - 40:256 + 14])
-        other = DisorderField.generate(Volume.centered(512), 0.1, 10, "gaussian")
+        other = DisorderField.generate(Volume.centered(512), 10, "gaussian")
         assert not np.any(other.values == big.values)
 
     def test_extreme_words(self):
@@ -370,7 +372,7 @@ class TestFieldStream:
     @pytest.mark.parametrize("seed", [0, 2**32, -3])
     def test_gaussian_moments(self, seed):
         n = 20_000
-        h = DisorderField.generate(Volume.centered(n), 0.1, seed, "gaussian")
+        h = DisorderField.generate(Volume.centered(n), seed, "gaussian")
         assert np.all(np.isfinite(h.values))
         assert abs(h.values.mean()) < 5.0 / math.sqrt(n)
         # the sample variance of n standard normals has standard deviation sqrt(2/n)
@@ -380,7 +382,7 @@ class TestFieldStream:
         # each statistic within 5 standard deviations of its i.i.d. value
         n = 2**20
         vol = Volume.centered(n)
-        g = DisorderField.generate(vol, 0.1, 1, "gaussian").values
+        g = DisorderField.generate(vol, 1, "gaussian").values
         assert abs(g.mean()) < 5.0 / math.sqrt(n)
         assert abs(g.var() - 1.0) < 5.0 * math.sqrt(2.0 / n)
         # neighbouring sites, and neighbouring keys (consecutive stream outputs)
@@ -388,7 +390,7 @@ class TestFieldStream:
         by_key[np.where(vol.sites() >= 0, 2 * vol.sites(), -2 * vol.sites() - 1)] = g
         for x in (g, by_key):
             assert abs(np.corrcoef(x[:-1], x[1:])[0, 1]) < 5.0 / math.sqrt(n)
-        b = DisorderField.generate(vol, 0.1, 1, "bernoulli").values
+        b = DisorderField.generate(vol, 1, "bernoulli").values
         assert abs(np.mean(b == 1.0) - 0.5) < 5.0 * 0.5 / math.sqrt(n)
 
 
