@@ -79,8 +79,10 @@ def minimal_j1(alpha: float, n: int = 8, c: int = 3,
     """Smallest grid j1 for which every bound report passes at this alpha.
 
     The required size of J(1) is an empirical question; failures at small
-    j1 are reported rather than asserted.
+    j1 are reported rather than asserted, and an empty grid raises.
     """
+    if not grid:
+        raise ValueError("grid is empty; minimal_j1 needs at least one j1")
     for j1 in sorted(grid):
         spec = CouplingSpec(alpha=alpha, j1=j1)
         if all(r.passed for r in exhaustive_reports(spec, n, c)):

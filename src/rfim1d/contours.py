@@ -7,13 +7,32 @@ outer and each outer triangle containing or avoiding the inner's
 enclosing interval.  The decomposition is computed by merging violating
 pairs to a fixed point.
 
-A ``Contour`` is the cluster the merge builds: its enclosing bonds, its
-mass and its member triangles, each a ``(left, right)`` bond pair.  The
-shape enumerator and ``contours()`` share the merge.
+``_merge`` works on plain tuples.  A cluster is ``(left, right, mass,
+bonds, members)``: its enclosing bonds, its mass, the bonds of its
+members in increasing order, and the members, each a ``(left, right)``
+bond pair, in merge order.  This module alone reads and builds that
+layout: the shape enumerator makes clusters with ``_merge``, moves them
+with ``_shifted`` and bounds its gaps with ``_reach``, and
+``contours()`` wraps each final cluster once in a ``Contour``, the
+named tuple (left, right, mass, triangles) with its members in bond
+order.
 
-The nested test is one bisection on the outer cluster's sorted bonds
-(see ``_pair_separated``), not a walk over its members; a fused
-cluster's sorted bonds are merged from its parents' when it is built.
+The separation rule is inlined in ``_merge``'s loop.  Disjoint
+enclosing intervals are separated iff their facing end bonds are more
+than C * min(|G|, |G'|)^3 apart: the closest triangles are the facing
+ends.  In the nested case, with inner enclosing bonds [L, R] and
+threshold d = C * |inner|^3, each outer member (l, r), l < r, must lie
+below or above [L, R] at a gap > d, or contain it with both gaps > d.
+That holds iff neither l nor r lies in the window [L - d, R + d]: a
+member below or above [L, R] has its facing bond in the window iff its
+gap is <= d, a containing member has l or r in it iff a gap is <= d,
+and any other member crosses L or R and so has a bond inside [L, R].
+So the pair is separated iff no outer bond lies in the window, which one
+bisection of the outer's sorted bonds decides.  The outer's last bond is
+its right end, at or above R, so the bisection always lands on a bond.
+A fused cluster's sorted bonds are merged from its parents' when it is
+built, and a starting cluster brings its own, so no bonds are sorted
+twice.
 
 Merge order: if clusters A and B violate the separation rules, so do
 any disjoint A' >= A and B' >= B, since intervals, masses and windows
@@ -26,13 +45,18 @@ the former inner's end bonds inside the new inner's interval.  So, by
 induction, every cluster a merge builds lies inside one contour of any
 separated partition coarser than the start, and the fixed point is the
 finest such partition whatever the merge order.  ``_merge`` relies on
-this: it fuses violating pairs in worklist order, and clusters merged
-on their own can be merged further with the same result.
+this twice.  A popped cluster scans the separated clusters newest
+first: the input comes in bond order, so the newest are its nearest
+neighbours, which it most often violates.  And clusters merged on their
+own can be merged further with the same result.  The scan order does
+not show in the output either: the fixed point is one partition, which
+``_merge`` returns in (left, mass) order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -103,70 +127,78 @@ class Contour(NamedTuple):
         return self.left < i <= self.right
 
 
-def _pair_separated(a: Contour, a_bonds: Sequence[int], b: Contour,
-                    b_bonds: Sequence[int], c: int) -> bool:
-    """True iff the pair satisfies one of the separation alternatives.
-
-    ``a_bonds`` and ``b_bonds`` are the bonds of each cluster's members in
-    increasing order.  In the nested case, with inner enclosing bonds
-    [L, R] and threshold d = c * |inner|^3, each outer member (l, r),
-    l < r, must lie below or above [L, R] at a gap > d, or contain it with
-    both gaps > d.  That holds iff neither l nor r lies in the window
-    [L - d, R + d]: a member below or above [L, R] has its facing bond in
-    the window iff its gap is <= d, a containing member has l or r in it
-    iff a gap is <= d, and any other member crosses L or R and so has a
-    bond inside [L, R].  So the pair is separated iff no outer bond lies
-    in the window, which one bisection of the outer's sorted bonds decides.
-    """
-    # disjoint enclosing intervals: the closest triangles are the facing ends
-    if a.right <= b.left:
-        return b.left - a.right > c * min(a.mass, b.mass) ** 3
-    if b.right <= a.left:
-        return a.left - b.right > c * min(a.mass, b.mass) ** 3
-    if a.left <= b.left and b.right <= a.right:
-        a, b, b_bonds = b, a, a_bonds
-    if not (b.left <= a.left and a.right <= b.right):
-        return False  # partial overlap of enclosing intervals
-    inner, outer_bonds = a, b_bonds
-    threshold = c * inner.mass ** 3
-    k = bisect_left(outer_bonds, inner.left - threshold)
-    return k == len(outer_bonds) or outer_bonds[k] > inner.right + threshold
+# a cluster of the merge: (left, right, mass, sorted bonds, members)
+Cluster = Tuple[int, int, int, Sequence[int], Tuple[Tuple[int, int], ...]]
+_left_and_mass = itemgetter(0, 2)
 
 
 def _merge(pairs: Sequence[Tuple[int, int]], c: int,
-           clusters: Sequence[Contour] = ()) -> List[Contour]:
+           clusters: Sequence[Cluster] = ()) -> List[Cluster]:
     """Merge clusters to a fixed point of the separation rules.
 
     The starting clusters are the given ones plus one per bond pair.  A
-    worklist holds each cluster with its sorted bonds; a popped cluster is
-    checked against the clusters found pairwise separated so far, fused
-    with the first one it violates, and the fused cluster goes back on the
-    worklist.  The fixed point does not depend on the merge order (see the
-    module docstring).  Returns the clusters in (left, mass) order; the
-    members of a fused cluster are in merge order, not bond order.
+    popped cluster is checked against the clusters found pairwise
+    separated so far, newest first, fused with the first one it violates,
+    and the fused cluster goes back on the worklist.  The fixed point does
+    not depend on the merge order (see the module docstring).  Returns the
+    clusters in (left, mass) order; the members of a fused cluster are in
+    merge order, not bond order.
     """
-    work = [(g, g.triangles[0] if len(g.triangles) == 1
-             else sorted([b for t in g.triangles for b in t])) for g in clusters]
-    work += ((Contour(p[0], p[1], p[1] - p[0], (p,)), p) for p in pairs)
+    work = list(clusters)
+    work += [(p[0], p[1], p[1] - p[0], p, (p,)) for p in pairs]
     work.reverse()  # pop in the given order
-    separated: List[Tuple[Contour, Sequence[int]]] = []
+    separated: List[Cluster] = []
     while work:
-        g, g_bonds = work.pop()
-        for k, (h, h_bonds) in enumerate(separated):
-            if not _pair_separated(g, g_bonds, h, h_bonds, c):
-                del separated[k]
-                if h.left < g.left:
-                    g, g_bonds, h, h_bonds = h, h_bonds, g, g_bonds
-                # two sorted runs, which sorted() merges in linear time
-                work.append((Contour(g.left, max(g.right, h.right), g.mass + h.mass,
-                                     g.triangles + h.triangles),
-                             sorted([*g_bonds, *h_bonds])))
-                break
+        g = gl, gr, gm, gb, gt = work.pop()
+        gd = c * gm ** 3
+        for k in range(len(separated) - 1, -1, -1):
+            hl, hr, hm, hb, ht = separated[k]
+            # disjoint enclosing intervals: the closest triangles are the facing ends
+            if hr <= gl:
+                if gl - hr > (gd if gm < hm else c * hm ** 3):
+                    continue
+            elif gr <= hl:
+                if hl - gr > (gd if gm < hm else c * hm ** 3):
+                    continue
+            # nested: the first outer bond at or above L - d lies beyond R + d
+            elif gl <= hl and hr <= gr:
+                d = c * hm ** 3
+                if gb[bisect_left(gb, hl - d)] > hr + d:
+                    continue
+            elif hl <= gl and gr <= hr:
+                if hb[bisect_left(hb, gl - gd)] > gr + gd:
+                    continue
+            # not separated (partial overlaps included): fuse, left cluster first;
+            # the bonds are two sorted runs, which sorted() merges in linear time
+            del separated[k]
+            if hl < gl:
+                work.append((hl, max(gr, hr), gm + hm, sorted([*hb, *gb]), ht + gt))
+            else:
+                work.append((gl, max(gr, hr), gm + hm, sorted([*gb, *hb]), gt + ht))
+            break
         else:
-            separated.append((g, g_bonds))
-    merged = [g for g, _ in separated]
-    merged.sort(key=lambda g: (g.left, g.mass))
-    return merged
+            separated.append(g)
+    separated.sort(key=_left_and_mass)
+    return separated
+
+
+def _shifted(g: Cluster, k: int) -> Cluster:
+    """Cluster g moved k bonds to the right."""
+    left, right, mass, bonds, members = g
+    return (left + k, right + k, mass, [b + k for b in bonds],
+            tuple([(l + k, r + k) for l, r in members]))
+
+
+def _reach(clusters: Sequence[Cluster], c: int, mass: int) -> int:
+    """The farthest left bond at which a cluster of at most ``mass``, placed
+    right of all ``clusters``, can still violate the disjoint rule with one."""
+    return max(right + c * min(m, mass) ** 3 for _, right, m, _, _ in clusters)
+
+
+def _contour(g: Cluster) -> Contour:
+    """The ``Contour`` of a cluster, its members in bond order."""
+    left, right, mass, _, members = g
+    return Contour(left, right, mass, members if len(members) == 1 else tuple(sorted(members)))
 
 
 def contours(family: Sequence[Tuple[int, int]], c: int = 3) -> List[Contour]:
@@ -174,5 +206,4 @@ def contours(family: Sequence[Tuple[int, int]], c: int = 3) -> List[Contour]:
 
     Each contour lists its bond pairs in bond order.
     """
-    return [g if len(g.triangles) == 1 else g._replace(triangles=tuple(sorted(g.triangles)))
-            for g in _merge(family, c)]
+    return [_contour(g) for g in _merge(family, c)]

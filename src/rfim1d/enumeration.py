@@ -9,10 +9,13 @@ enclosing basis covers the origin.
 
 A depth-first search places blocks (a top-level triangle with its nested
 content) left to right and carries the clusters of the prefix placed so
-far.  Each block shape is merged (``contours._merge``) once; placing it
-merges its shifted clusters into the prefix's.  A candidate is kept when its last
-block leaves one cluster and its bond pairs are realizable.  The top-
-level triangles fix the blocks, so no family is built twice.
+far, as the plain tuples ``contours._merge`` works on (see the
+``contours`` docstring), so each prefix cluster keeps its sorted bonds
+and no ``Contour`` is built until a candidate is finished.  Each block
+shape is merged once; placing it merges its clusters, shifted by
+``contours._shifted``, into the prefix's.  A candidate is kept when its
+last block leaves one cluster and its bond pairs are realizable.  The
+top-level triangles fix the blocks, so no family is built twice.
 
 The merge order does not matter (the argument is in the ``contours``
 docstring), so the prefix's clusters and a block's clusters, each of
@@ -24,8 +27,9 @@ bridges each gap.  Merge the prefix first, as the order does not
 matter; its clusters are separated, so the first merge across the gap
 after it joins a prefix cluster X with a cluster right of the gap of
 mass at most r = m - used.  Their intervals are disjoint, so the gap is
-at most X.right + C * min(|X|, r)**3 - right, maximized over X.  As
-X.right <= right and |X| <= used, this is at most C * min(used, r)**3.
+at most X.right + C * min(|X|, r)**3 - right, maximized over X
+(``contours._reach``).  As X.right <= right and |X| <= used, this is at
+most C * min(used, r)**3.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .contours import Contour, _merge
+from .contours import Cluster, Contour, _contour, _merge, _reach, _shifted
 from .model import CapacityError
 from .triangles import _is_realizable
 
@@ -94,25 +98,20 @@ def contour_shapes(m: int, c: int, /) -> Tuple[BondPairs, ...]:
               for mass in range(m + 1)]
     results: List[BondPairs] = []
 
-    def extend(clusters: List[Contour], used: int, right: int) -> None:
+    def extend(clusters: List[Cluster], used: int, right: int) -> None:
         remaining = m - used
         if remaining == 0:
             if len(clusters) == 1:
-                pairs = tuple(sorted(clusters[0].triangles))
+                pairs = _contour(clusters[0]).triangles
                 if _is_realizable(pairs):
                     results.append(pairs)
             return
-        if used:
-            reach = max(x.right + c * min(x.mass, remaining) ** 3 for x in clusters)
-            gaps = range(1, reach - right + 1)
-        else:
-            gaps = (0,)
+        gaps = range(1, _reach(clusters, c, remaining) - right + 1) if used else (0,)
         for block_mass in range(1, remaining + 1):
             for width, block in blocks[block_mass]:
                 for gap in gaps:
                     left = right + gap
-                    moved = [Contour(x.left + left, x.right + left, x.mass,
-                                     _shift(x.triangles, left)) for x in block]
+                    moved = [_shifted(x, left) for x in block]
                     extend(_merge((), c, clusters + moved), used + block_mass, left + width)
 
     extend([], 0, 0)
@@ -175,11 +174,13 @@ def certify_C0(gamma: float, m_max: int = DEFAULT_MASS_CAP,
     The origin contours of mass m weigh sum over contours of
     exp(-b * sum_T |T|**gamma); the bound is 2m * exp(-b * m**gamma).  It is
     checked at every grid point at and above the candidate; absence of an
-    admissible b* is reported, not raised.
+    admissible b* is reported, not raised, and an empty grid raises.
     """
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     grid = tuple(sorted(float(b) for b in b_grid))
+    if not grid:
+        raise ValueError("b_grid is empty; certify_C0 needs at least one b")
     for b in grid:
         if not 0.0 < b < math.inf:
             raise ValueError(f"b must be positive and finite, got {b}")

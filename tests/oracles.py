@@ -12,7 +12,9 @@ by a slower, independent route, and only the tests call them:
 - ``is_compatible``: a union of triangle families is realizable, decided
   by regenerating its pairing;
 - ``verify_P1`` / ``verify_P2``: the separation certificate of a contour
-  list and the independence of pre-separated families;
+  list and the independence of pre-separated families; ``_pair_separated``,
+  the certificate's pair predicate, is the library's rule as a function of
+  two contours and their sorted bonds, before ``contours._merge`` inlined it;
 - ``spin_scan_origin_contours``: origin contours of mass m found by
   scanning spin configurations, against which the shape enumerator is
   checked (acceptance criterion 6);
@@ -40,7 +42,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from rfim1d.bounds import exhaustive_reports
-from rfim1d.contours import Contour, _pair_separated, contours
+from rfim1d.contours import Contour, contours
 from rfim1d.model import CouplingSpec, SpinConfiguration, Volume
 from rfim1d.triangles import _is_realizable, spins_to_triangles
 
@@ -113,6 +115,36 @@ def is_compatible(a: Iterable[Tuple[int, int]], b: Iterable[Tuple[int, int]]) ->
     if a & b:
         return False
     return _is_realizable(a | b)
+
+
+def _pair_separated(a: Contour, a_bonds: Sequence[int], b: Contour,
+                    b_bonds: Sequence[int], c: int) -> bool:
+    """True iff the pair satisfies one of the separation alternatives.
+
+    ``a_bonds`` and ``b_bonds`` are the bonds of each cluster's members in
+    increasing order.  In the nested case, with inner enclosing bonds
+    [L, R] and threshold d = c * |inner|^3, each outer member (l, r),
+    l < r, must lie below or above [L, R] at a gap > d, or contain it with
+    both gaps > d.  That holds iff neither l nor r lies in the window
+    [L - d, R + d]: a member below or above [L, R] has its facing bond in
+    the window iff its gap is <= d, a containing member has l or r in it
+    iff a gap is <= d, and any other member crosses L or R and so has a
+    bond inside [L, R].  So the pair is separated iff no outer bond lies
+    in the window, which one bisection of the outer's sorted bonds decides.
+    """
+    # disjoint enclosing intervals: the closest triangles are the facing ends
+    if a.right <= b.left:
+        return b.left - a.right > c * min(a.mass, b.mass) ** 3
+    if b.right <= a.left:
+        return a.left - b.right > c * min(a.mass, b.mass) ** 3
+    if a.left <= b.left and b.right <= a.right:
+        a, b, b_bonds = b, a, a_bonds
+    if not (b.left <= a.left and a.right <= b.right):
+        return False  # partial overlap of enclosing intervals
+    inner, outer_bonds = a, b_bonds
+    threshold = c * inner.mass ** 3
+    k = bisect_left(outer_bonds, inner.left - threshold)
+    return k == len(outer_bonds) or outer_bonds[k] > inner.right + threshold
 
 
 def verify_P1(contour_list: Sequence[Contour], c: int = 3) -> bool:

@@ -143,6 +143,16 @@ class TestExhaustive:
         assert minimal_j1(0.55, n=6, grid=(1.5, 2.0, 10.0)) == 1.5
         assert minimal_j1(0.55, n=6, grid=(1.01,)) is None
 
+    @pytest.mark.parametrize("grid", [(), []])
+    def test_minimal_j1_empty_grid_rejected_before_work(self, monkeypatch, grid):
+        # None would read as "no j1 on the grid keeps every bound"
+        def no_work(*args, **kwargs):
+            raise AssertionError("minimal_j1 checked a bound on an empty grid")
+
+        monkeypatch.setattr(bounds, "exhaustive_reports", no_work)
+        with pytest.raises(ValueError, match="grid is empty"):
+            minimal_j1(0.55, n=6, grid=grid)
+
     def test_code_lookups_match_per_family_energies(self, spec):
         n = 6
         vol = Volume(0, n - 1)

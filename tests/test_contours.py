@@ -4,11 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from oracles import rescan_pair_interface_bonds, restart_merge, verify_P1, verify_P2
+from oracles import (_pair_separated, rescan_pair_interface_bonds, restart_merge,
+                     verify_P1, verify_P2)
 from rfim1d import (Contour, DisorderField, RunConfig, SpinConfiguration,
                     Volume, choose_C, separation_series, triangle_distance)
 from rfim1d import mc as mc_module
-from rfim1d.contours import _merge, _pair_separated, contours
+from rfim1d.contours import _contour, _merge, contours
 from rfim1d.model import enumerate_spins, toeplitz_rows
 from rfim1d.triangles import families, interfaces, pair_interface_bonds, spins_to_triangles
 
@@ -20,6 +21,16 @@ def _distance(a: Contour, b: Contour) -> int:
 def _bonds(g: Contour) -> list:
     """The bonds of g's members in increasing order."""
     return sorted(b for t in g.triangles for b in t)
+
+
+def _cluster(g: Contour) -> tuple:
+    """The merge's cluster of a contour: (left, right, mass, sorted bonds, members)."""
+    return g.left, g.right, g.mass, _bonds(g), g.triangles
+
+
+def _separated_by_merge(a: Contour, b: Contour, c: int) -> bool:
+    """The separation rule ``_merge`` inlines: a two-cluster merge keeps both."""
+    return len(_merge((), c, [_cluster(a), _cluster(b)])) == 2
 
 
 def _enclosing(g: Contour) -> tuple:
@@ -115,7 +126,8 @@ def _merge_in_order(family, c: int, pick):
 
 
 def _partition(clusters):
-    return sorted(tuple(sorted(g.triangles)) for g in clusters)
+    """A merge's partition: each cluster's members (its last field), sorted."""
+    return sorted(tuple(sorted(g[-1])) for g in clusters)
 
 
 def _sampled_configuration(seed: int) -> SpinConfiguration:
@@ -259,7 +271,7 @@ class TestReferenceOracle:
 
 class TestMergeOrder:
     """The fixed point does not depend on which violating pair merges first
-    (the argument is in the ``enumeration`` docstring), so clusters merged
+    (the argument is in the ``contours`` docstring), so clusters merged
     on their own can be merged further, as the shape enumerator does."""
 
     def test_reversed_and_random_order_on_all_families_of_twelve_sites(self):
@@ -281,8 +293,11 @@ class TestMergeOrder:
 
 
 class TestPairPredicate:
-    """``_pair_separated`` bisects the outer's sorted bonds; the member loop
-    and the triangle-distance rule are its oracles."""
+    """``_merge`` inlines the separation rule, bisecting the outer's sorted
+    bonds: a two-cluster merge keeps both clusters exactly when the
+    triangle-distance rule says the pair is separated.  The member loop is
+    a second oracle, and it also checks ``oracles._pair_separated``, the
+    predicate of ``verify_P1``."""
 
     @staticmethod
     def _clusters(span, size):
@@ -298,8 +313,10 @@ class TestPairPredicate:
         edges = {"left": 0, "right": 0, "equal": 0, "crossing": 0}
         for a in clusters:
             for b in clusters:
-                got = _pair_separated(a, _bonds(a), b, _bonds(b), 1)
-                assert got is _reference_member_loop(a, b, 1), (a, b)
+                want = _reference_pair_separated(a, b, 1)
+                assert _reference_member_loop(a, b, 1) is want, (a, b)
+                assert _separated_by_merge(a, b, 1) is want, (a, b)
+                assert _pair_separated(a, _bonds(a), b, _bonds(b), 1) is want, (a, b)
                 if b.left <= a.left and a.right <= b.right:
                     thr = a.mass ** 3
                     bonds = {x for t in b.triangles for x in t}
@@ -320,6 +337,8 @@ class TestPairPredicate:
         ]:
             b = Contour.of(outer)
             assert _reference_member_loop(inner, b, 2) is separated
+            assert _separated_by_merge(inner, b, 2) is separated
+            assert _separated_by_merge(b, inner, 2) is separated
             assert _pair_separated(inner, _bonds(inner), b, _bonds(b), 2) is separated
             assert _pair_separated(b, _bonds(b), inner, _bonds(inner), 2) is separated
 
@@ -327,8 +346,7 @@ class TestPairPredicate:
         clusters = [Contour.of(g.triangles) for g in self._clusters(6, 2)]
         for a in clusters:
             for b in clusters:
-                assert (_pair_separated(a, _bonds(a), b, _bonds(b), 1)
-                        is _reference_pair_separated(a, b, 1))
+                assert _separated_by_merge(a, b, 1) is _reference_pair_separated(a, b, 1)
 
     def test_fused_bonds_sorted_once_per_merge(self, monkeypatch):
         calls = []
@@ -343,8 +361,8 @@ class TestPairPredicate:
         assert calls == []
         fam = spins_to_triangles(_sampled_configuration(3))
         merged = _merge(fam, 3)
-        # each fused cluster sorts its bonds at most once, and only fused ones sort
-        assert 0 < len(calls) <= len(fam) - len(merged)
+        # each fusion sorts the fused cluster's bonds exactly once, and nothing else sorts
+        assert len(calls) == len(fam) - len(merged) > 0
         assert min(map(len, calls)) >= 4
         # from its parents' sorted bonds: two sorted runs, merged in linear time
         for items in calls:
@@ -357,13 +375,14 @@ class TestPairPredicate:
             calls.append(list(items))
             return sorted(items)
 
-        # a fused starting cluster, its members in merge order
-        outer = Contour.of([(40, 60), (0, 10)])._replace(triangles=((40, 60), (0, 10)))
         monkeypatch.setitem(_merge.__globals__, "sorted", counting)
-        # (62, 63) joins it; (20, 21) and (30, 31) stay nested inside before and after
+        # a fused starting cluster sorts its bonds when it is built ...
+        [outer] = _merge([(40, 60), (0, 10)], 3)
+        # ... and carries them: (62, 63) joins it, while (20, 21) and (30, 31)
+        # stay nested inside before and after
         got = _merge([(20, 21), (30, 31), (62, 63)], 3, [outer])
         assert _partition(got) == [((0, 10), (40, 60), (62, 63)), ((20, 21),), ((30, 31),)]
-        assert calls == [[40, 60, 0, 10], [0, 10, 40, 60, 62, 63]]
+        assert calls == [[0, 10, 40, 60], [0, 10, 40, 60, 62, 63]]
 
 
 def _random_state(n: int, seed: int) -> SpinConfiguration:
@@ -374,13 +393,33 @@ def _random_state(n: int, seed: int) -> SpinConfiguration:
 
 
 def _merged(clusters):
-    """A merge's output: its clusters in order, each with its members in bond order."""
-    return [(g.left, g.right, g.mass, sorted(g.triangles)) for g in clusters]
+    """A merge's output: its clusters in order, each as (left, right, mass)
+    and its members (the last field) in bond order."""
+    return [(*g[:3], sorted(g[-1])) for g in clusters]
 
 
 def _collision_order(pairs):
     """Pairs sorted by (gap, left bond): the order in which they collide."""
     return sorted(pairs, key=lambda p: (p[1] - p[0], p[0]))
+
+
+def _chain_family(seed: int):
+    """The family a ``sample-hot`` chain hands to ``contours()``: N=512 at
+    beta=0.2, theta=1, j1=1.5, measured after three sweeps of the sampler's
+    own random stream."""
+    cfg = RunConfig(alpha=0.55, j1=1.5, beta=0.2, theta=1.0, size=512,
+                    sweeps=3, burnin=2, realizations=1, seed=seed)
+    seen = []
+
+    def recording(fam, c):
+        seen.append(fam)
+        return contours(fam, c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc_module, "contours", recording)
+        mc_module.metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed))
+    [fam] = seen
+    return fam
 
 
 class TestOnePassEquivalence:
@@ -393,6 +432,10 @@ class TestOnePassEquivalence:
     def states(self):
         return ([_sampled_configuration(seed) for seed in range(20)]
                 + [_random_state(n, seed) for n in (2048, 4096) for seed in range(3)])
+
+    @pytest.fixture(scope="class")
+    def chain_families(self):
+        return [_chain_family(seed) for seed in range(700, 708)]
 
     def test_pairing_on_all_configurations_of_twelve_sites(self):
         vol = Volume(0, 11)
@@ -422,18 +465,19 @@ class TestOnePassEquivalence:
             fused += len(got) < len(fam)
         assert fused > 1000
 
-    def test_merge_on_sampled_and_random_states(self, states):
-        for sigma in states:
-            fam = spins_to_triangles(sigma)
+    def test_merge_on_sampled_and_random_states(self, states, chain_families):
+        for fam in [spins_to_triangles(sigma) for sigma in states] + chain_families:
             assert len(fam) > 10
             assert _merged(_merge(fam, 3)) == _merged(restart_merge(fam, 3))
 
-    def test_merge_of_starting_clusters(self, states):
-        for sigma in states[:20]:  # the sampled N=512 states
-            fam = spins_to_triangles(sigma)
+    def test_merge_of_starting_clusters(self, states, chain_families):
+        # the sampled N=512 states and the sample-hot chains
+        for fam in [spins_to_triangles(sigma) for sigma in states[:20]] + chain_families:
             half = len(fam) // 2
             start = _merge(fam[:half], 3) + _merge(fam[half:], 3)
-            assert _merged(_merge((), 3, start)) == _merged(restart_merge((), 3, start))
+            assert len(start) > len(_merge((), 3, start))  # the halves fuse across the cut
+            assert _merged(_merge((), 3, start)) == _merged(
+                restart_merge((), 3, [_contour(g) for g in start]))
 
 
 class TestIndependence:

@@ -217,6 +217,16 @@ class TestCertificate:
         with pytest.raises(ValueError, match="must be positive and finite"):
             certify_C0(gamma, m_max=2, b_grid=b_grid)
 
+    @pytest.mark.parametrize("b_grid", [(), [], range(0)])
+    def test_empty_grid_rejected_before_work(self, monkeypatch, b_grid):
+        # b_star None would read as "no grid b works"
+        def no_work(*args):
+            raise AssertionError("certify_C0 enumerated for an empty grid")
+
+        monkeypatch.setattr(enumeration, "_shape_aggregates", no_work)
+        with pytest.raises(ValueError, match="b_grid is empty"):
+            certify_C0(0.1, m_max=2, b_grid=b_grid)
+
     def test_small_mass_certificate(self):
         result = certify_C0(0.1, m_max=3)
         assert result.b_star is not None
