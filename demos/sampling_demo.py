@@ -29,16 +29,14 @@ def main():
     start = time.time()
     for beta in (0.5, 2.0, 8.0):
         cfg = RunConfig(alpha=0.55, beta=beta, theta=0.05, size=512,
-                        sweeps=800, burnin=200, seed=5, realizations=4,
-                        occupancy_stride=10)
+                        sweeps=800, burnin=200, seed=5, realizations=4)
         rep = disorder_sweep(cfg)
         print(f"  beta={beta:<4} theta=0.05  estimate {rep.estimate:.5f} "
               f"+- {rep.stderr:.5f}  b_bar {rep.b_bar:.4g}  "
               f"exp(-b_bar/100) {rep.reference_100:.6f}")
     for theta in (0.02, 0.1, 0.5):
         cfg = RunConfig(alpha=0.55, beta=4.0, theta=theta, size=512,
-                        sweeps=800, burnin=200, seed=5, realizations=4,
-                        occupancy_stride=10)
+                        sweeps=800, burnin=200, seed=5, realizations=4)
         rep = disorder_sweep(cfg)
         print(f"  beta=4.0  theta={theta:<4} estimate {rep.estimate:.5f} "
               f"+- {rep.stderr:.5f}  b_bar {rep.b_bar:.4g}")

@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .contours import contours
-from .model import ALPHA_PEIERLS_MAX, CouplingSpec, Volume, energy, enumerate_spins
+from .contours import check_separation_constant, contours
+from .model import ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, Volume, energy, enumerate_spins
 from .triangles import families, family_code
 
 TOLERANCE = 1e-9
+MAX_SITES = 14  # the energy table holds 2**n rows
 
 
 def zeta(alpha: float) -> float:
@@ -50,10 +51,13 @@ def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,
     Instance ids are "<config index>:<check>"; configurations are indexed
     by their bit code (bit k set means spin +1 at site k).  The energies
     of all 2**n configurations come from one batched call; an erased
-    family is looked up by the bit code of its image.
+    family is looked up by the bit code of its image.  Before that call,
+    c < 1 and n < 2 raise ValueError, n > MAX_SITES CapacityError.
     """
-    if c < 1:
-        raise ValueError(f"separation constant c must be >= 1, got {c}")
+    check_separation_constant(c)
+    if not 2 <= n <= MAX_SITES:
+        error = CapacityError if n > MAX_SITES else ValueError
+        raise error(f"n must lie in 2..{MAX_SITES} for exhaustive energy checks, got {n}")
     vol = Volume(0, n - 1)
     z = zeta(spec.alpha)
     table = energy(spec, vol, enumerate_spins(n)).tolist()

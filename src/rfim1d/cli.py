@@ -1,5 +1,7 @@
 """Command-line interface: simulate, verify, enumerate, certify, sweep.
 
+A handler parses its options, calls the library and emits the result; the
+library checks each value before its work and its message is the error.
 Exit codes: 0 success, 1 validation or library error (a capacity limit,
 an energy-drift check), 2 a verification suite failed.
 Each subcommand takes only the options it reads.  Outputs are
@@ -21,10 +23,11 @@ import sys
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .bounds import exhaustive_reports, zeta
+from .bounds import exhaustive_reports
 from .contours import Contour
-from .disorder import ConstrainedEnsemble, check_antisymmetry, estimate_Bj_probability, thresholds
-from .enumeration import _check_cap, _shape_aggregates, certify_C0, contour_shapes
+from .disorder import (ConstrainedEnsemble, check_antisymmetry, check_beta_theta,
+                       estimate_Bj_probability, thresholds)
+from .enumeration import certify_C0, origin_contour_counts
 from .mc import EnergyDriftError, RunConfig, WorkerPoolError, disorder_sweep
 from .model import DISTRIBUTIONS, CapacityError, CouplingSpec, Volume
 from .triangles import families, family_code, satisfies_ma1
@@ -132,8 +135,6 @@ def _merge_options(args: argparse.Namespace) -> Dict[str, object]:
             merged[key] = val
     if merged["seed"] is None:
         merged["seed"] = int(os.environ.get("RFIM_SEED", "0"))
-    if "c" in merged and int(merged["c"]) < 1:
-        raise CliError(f"--c must be >= 1 (separation constant), got {merged['c']}")
     return merged
 
 
@@ -201,7 +202,6 @@ def _run_config(opts: Dict[str, object], beta: float, theta: float) -> RunConfig
 def cmd_simulate(opts: Dict[str, object]) -> int:
     beta = _one_float(opts["beta"], "beta")
     theta = _one_float(opts["theta"], "theta")
-    zeta(float(opts["alpha"]))  # checks alpha's Peierls range
     config = _run_config(opts, beta, theta)
     report = disorder_sweep(config, jobs=int(opts["jobs"]))
     payload = _base_payload("simulate", opts)
@@ -219,7 +219,6 @@ def cmd_sweep(opts: Dict[str, object]) -> int:
     """Disorder-averaged runs over a grid of beta and theta values."""
     betas = _floats(opts["beta"], "beta")
     thetas = _floats(opts["theta"], "theta")
-    zeta(float(opts["alpha"]))  # checks alpha's Peierls range
     # every grid point is validated before the first one runs
     configs = [_run_config(opts, beta, theta) for beta in betas for theta in thetas]
     rows = []
@@ -244,13 +243,8 @@ def cmd_verify_energy(opts: Dict[str, object]) -> int:
     JSON keeps every report."""
     import tempfile
 
-    alpha = float(opts["alpha"])
-    zeta(alpha)  # checks alpha's Peierls range
-    n = int(opts["n"])
-    if not 2 <= n <= 14:
-        raise CliError("--n must lie in 2..14 for exhaustive energy checks")
-    c = int(opts["c"])
-    spec = CouplingSpec(alpha=alpha, j1=float(opts["j1"]))
+    n, c = int(opts["n"]), int(opts["c"])
+    spec = CouplingSpec(alpha=float(opts["alpha"]), j1=float(opts["j1"]))
     as_json = opts["format"] == "json"
     columns = ["alpha", "j1", "C", "N", "instance", "lhs", "rhs", "margin", "pass"]
     # a line as csv.writer writes the row: floats as repr, no field needs
@@ -287,18 +281,14 @@ def cmd_verify_energy(opts: Dict[str, object]) -> int:
 
 def cmd_verify_disorder(opts: Dict[str, object]) -> int:
     alpha = float(opts["alpha"])
-    zeta(alpha)  # checks alpha's Peierls range
     beta = _one_float(opts["beta"], "beta")
     theta = _one_float(opts["theta"], "theta")
-    if not 0.0 < beta < math.inf:
-        raise CliError(f"--beta must be positive and finite, got {beta}")
-    if not math.isfinite(theta):
-        raise CliError(f"--theta must be finite, got {theta}")
     spec = CouplingSpec(alpha=alpha, j1=float(opts["j1"]))
     # a two-class nested contour on a 10-site volume
-    vol = Volume(0, 9)
     contour = Contour.of([(0, 8), (3, 4)])
-    ens = ConstrainedEnsemble(spec, contour, vol)
+    levels = [float(a) for a in thresholds(contour, alpha)]  # checks alpha's Peierls range
+    check_beta_theta(beta, theta)
+    ens = ConstrainedEnsemble(spec, contour, Volume(0, 9))
     anti_ok = all(check_antisymmetry(ens, j, theta, beta) for j in range(ens.n_levels))
     try:
         estimates = estimate_Bj_probability(ens, theta, beta, exhaustive=True)
@@ -312,7 +302,7 @@ def cmd_verify_disorder(opts: Dict[str, object]) -> int:
     payload["instance"] = instance
     payload["antisymmetry"] = anti_ok
     payload["partition"] = partition_ok
-    payload["thresholds"] = [float(a) for a in thresholds(contour, alpha)]
+    payload["thresholds"] = levels
     _emit(opts, payload, ["instance", "j", "estimate", "stderr", "bound", "pass"], rows,
           key="estimates")
     # bound comparisons are observational; the suite demands the identities
@@ -321,11 +311,8 @@ def cmd_verify_disorder(opts: Dict[str, object]) -> int:
 
 def cmd_enumerate_contours(opts: Dict[str, object]) -> int:
     c = int(opts["c"])
-    mmax = int(opts["mmax"])
-    _check_cap(mmax, c)
-    # each shape spanning bonds [0, B] gives B origin contours
-    rows = [[m, sum(_shape_aggregates(m, c).values()), len(contour_shapes(m, c))]
-            for m in range(1, mmax + 1)]
+    counts = origin_contour_counts(int(opts["mmax"]), c)
+    rows = [[m, contours, shapes] for m, (contours, shapes) in enumerate(counts, 1)]
     payload = _base_payload("enumerate-contours", opts)
     payload["separation_constant"] = c
     _emit(opts, payload, ["m", "contours", "shapes"], rows, key="summary")
@@ -333,12 +320,8 @@ def cmd_enumerate_contours(opts: Dict[str, object]) -> int:
 
 
 def cmd_certify_c0(opts: Dict[str, object]) -> int:
-    gamma = float(opts["gamma"])
-    if not 0.0 < gamma < math.inf:
-        raise CliError(f"--gamma must be positive and finite, got {gamma}")
-    mmax, c = int(opts["mmax"]), int(opts["c"])
-    _check_cap(mmax, c)
-    result = certify_C0(gamma, m_max=mmax, c=c)
+    gamma, mmax = float(opts["gamma"]), int(opts["mmax"])
+    result = certify_C0(gamma, m_max=mmax, c=int(opts["c"]))
     payload = _base_payload("certify-c0", opts)
     payload["b_star"] = result.b_star
     payload["m_max"] = mmax

@@ -82,6 +82,12 @@ def choose_C(terms: int = DEFAULT_SEPARATION_TERMS) -> int:
     raise RuntimeError("no admissible separation constant found")
 
 
+def check_separation_constant(c: int) -> None:
+    """Raise ``ValueError`` for c < 1, where the separation rule no longer holds."""
+    if c < 1:
+        raise ValueError(f"separation constant c must be >= 1, got {c}")
+
+
 class Contour(NamedTuple):
     """A cluster of triangles: enclosing bonds, total mass and members.
 

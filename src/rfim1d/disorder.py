@@ -70,6 +70,15 @@ def b_bar(beta: float, theta: float, alpha: float) -> float:
     return min(first, z**2 / (PROBABILITY_CONSTANT * theta**2))
 
 
+def check_beta_theta(beta: float, theta: float) -> None:
+    """Raise ``ValueError`` unless F_j is defined: beta positive and finite
+    (F_j divides by it) and theta finite."""
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+
+
 class ConstrainedEnsemble:
     """Exhaustive sums over triangle families compatible with a fixed contour.
 
@@ -115,10 +124,7 @@ class ConstrainedEnsemble:
 
     def f_values(self, fields: np.ndarray, theta: float, beta: float) -> np.ndarray:
         """F_j for a batch of field rows; shape (n_fields, n_levels)."""
-        if not 0.0 < beta < math.inf:  # F_j divides by beta
-            raise ValueError(f"beta must be positive and finite, got {beta}")
-        if not math.isfinite(theta):
-            raise ValueError(f"theta must be finite, got {theta}")
+        check_beta_theta(beta, theta)
         fields = np.atleast_2d(np.asarray(fields, dtype=np.float64))
         out = np.empty((fields.shape[0], self.n_levels))
         m_full = fields @ self.sigma_full.T  # (R, T)
@@ -130,17 +136,11 @@ class ConstrainedEnsemble:
         return out
 
 
-def _all_bernoulli_fields(n: int) -> np.ndarray:
-    if n > 20:
-        raise CapacityError("too many sites for exhaustive field enumeration")
-    return enumerate_spins(n).astype(np.float64)
-
-
 def check_antisymmetry(ens: ConstrainedEnsemble, j: int, theta: float, beta: float,
                        tol: float = ANTISYMMETRY_TOL) -> bool:
     """F_j(h) = -F_j(h flipped on D_j) over all Bernoulli realizations."""
     vol = ens.vol
-    fields = _all_bernoulli_fields(vol.n_sites)
+    fields = enumerate_spins(vol.n_sites).astype(np.float64)
     f = ens.f_values(fields, theta, beta)[:, j]
     mask = 0
     for i in flip_composition(ens.contour, j):
@@ -213,7 +213,7 @@ def estimate_Bj_probability(ens: ConstrainedEnsemble, theta: float, beta: float,
     a = thresholds(contour, alpha)
     bounds = _bj_bounds(contour, alpha, theta)
     if exhaustive:
-        fields = _all_bernoulli_fields(vol.n_sites)
+        fields = enumerate_spins(vol.n_sites).astype(np.float64)
         ind = _bj_indicators(ens.f_values(fields, theta, beta), a)
         if not np.all(ind.sum(axis=1) == 1):
             raise AssertionError("B_j events do not partition field space")

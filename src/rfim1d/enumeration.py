@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .contours import Cluster, Contour, _contour, _merge, _reach, _shifted
+from .contours import (Cluster, Contour, _contour, _merge, _reach, _shifted,
+                       check_separation_constant)
 from .model import CapacityError
 from .triangles import _is_realizable
 
@@ -90,9 +91,9 @@ def contour_shapes(m: int, c: int, /) -> Tuple[BondPairs, ...]:
     """Canonical (leftmost bond 0) single-contour families of total mass m.
 
     Both arguments are positional, so each (m, c) is one cache entry.
+    The cap is checked before the search.
     """
-    if m < 1:
-        raise ValueError("mass must be >= 1")
+    _check_cap(m, c)
     # per block mass: each block shape's width and its own clusters, merged once
     blocks = [[(max(r for _, r in shape), _merge(shape, c)) for shape in _block_shapes(mass)]
               for mass in range(m + 1)]
@@ -139,13 +140,21 @@ def _check_cap(m: int, c: int) -> None:
     ``DEFAULT_MASS_CAP``."""
     if m < 1:
         raise ValueError("mass must be >= 1")
-    if c < 1:
-        raise ValueError(f"separation constant c must be >= 1, got {c}")
+    check_separation_constant(c)
     if m > DEFAULT_MASS_CAP:
         raise CapacityError(f"mass {m} exceeds enumeration cap {DEFAULT_MASS_CAP}")
     cap = 3 * DEFAULT_MASS_CAP**3
     if c * m**3 > cap:
         raise CapacityError(f"c * m**3 = {c * m**3} exceeds enumeration cap {cap}")
+
+
+def origin_contour_counts(m_max: int, c: int = 3) -> List[Tuple[int, int]]:
+    """(origin contours, canonical shapes) of each mass 1..m_max, in order;
+    the cap is checked for m_max before any enumeration."""
+    _check_cap(m_max, c)
+    # each shape spanning bonds [0, B] gives B origin contours
+    return [(sum(_shape_aggregates(m, c).values()), len(contour_shapes(m, c)))
+            for m in range(1, m_max + 1)]
 
 
 def enumerate_origin_contours(m: int, c: int = 3) -> List[Contour]:

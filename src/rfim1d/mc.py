@@ -49,7 +49,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .contours import contours
+from .contours import check_separation_constant, contours
 from .disorder import b_bar
 from .model import (CouplingSpec, DisorderField, SpinConfiguration, Volume,
                     _coupling_tables, _stream_words, energy, toeplitz_rows)
@@ -86,7 +86,6 @@ class RunConfig:
     realizations: int = 64
     distribution: str = "bernoulli"
     c: int = 3
-    occupancy_stride: int = 1
 
     def __post_init__(self):
         if not self.beta >= 0.0:  # also rejects NaN
@@ -98,21 +97,19 @@ class RunConfig:
         if self.theta < 0.0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if self.size < 1:
-            raise ValueError("size must be >= 1")
+            raise ValueError(f"size must be >= 1, got {self.size}")
         if not 0 <= self.burnin < self.sweeps:
-            raise ValueError("need sweeps > burnin >= 0")
+            raise ValueError(f"need sweeps > burnin >= 0, got sweeps={self.sweeps}, "
+                             f"burnin={self.burnin}")
         # the records of a chain, and its draw counter 2 * size * sweep, must fit
         if self.sweeps > MAX_SWEEPS or 2 * self.size * self.sweeps >= 2**64:
             raise ValueError(f"sweeps must be <= {MAX_SWEEPS} and 2 * size * sweeps "
                              f"< 2**64, got sweeps={self.sweeps}, size={self.size}")
         if self.realizations < 1:
-            raise ValueError("realizations must be >= 1")
+            raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if self.boundary not in (-1, +1):
-            raise ValueError("boundary must be +-1")
-        if self.occupancy_stride < 1:
-            raise ValueError("occupancy_stride must be >= 1")
-        if self.c < 1:
-            raise ValueError("separation constant c must be >= 1")
+            raise ValueError(f"boundary must be +-1, got {self.boundary}")
+        check_separation_constant(self.c)
         self.coupling_spec()  # checks alpha and j1
 
     def volume(self) -> Volume:
@@ -257,10 +254,8 @@ def metropolis_run(config: RunConfig, h: DisorderField,
 
     seed = config.seed if chain_seed is None else chain_seed
     n_measured = config.sweeps - config.burnin
-    stride = config.occupancy_stride
     minus = np.zeros(n_measured, dtype=bool)
-    # one record per checked sweep k, k % stride == 0; k = 0 is always checked
-    in_contour = np.zeros(len(range(0, n_measured, stride)), dtype=bool)
+    in_contour = np.zeros(n_measured, dtype=bool)
     accepted = 0
     since_check = flips_since_check = 0
     # before the first sweep, the acceptance the start state predicts stands in
@@ -294,12 +289,10 @@ def metropolis_run(config: RunConfig, h: DisorderField,
         k = sweep - config.burnin
         if k >= 0:
             minus[k] = s[origin] < 0
-            if k % stride == 0:
-                # fold a minus boundary onto the plus-boundary construction
-                sigma = SpinConfiguration(vol, (tau * s).astype(np.int8))
-                fam = spins_to_triangles(sigma)
-                in_contour[k // stride] = any(g.contains_site(0)
-                                              for g in contours(fam, config.c))
+            # fold a minus boundary onto the plus-boundary construction
+            sigma = SpinConfiguration(vol, (tau * s).astype(np.int8))
+            fam = spins_to_triangles(sigma)
+            in_contour[k] = any(g.contains_site(0) for g in contours(fam, config.c))
 
     x = minus.astype(np.float64)
     return ChainResult(
@@ -307,7 +300,7 @@ def metropolis_run(config: RunConfig, h: DisorderField,
         stderr=_batch_means_stderr(x),
         occupancy=float(in_contour.mean()),
         acceptance=accepted / (config.sweeps * n),
-        violations=int(np.count_nonzero(minus[::stride] & ~in_contour)),
+        violations=int(np.count_nonzero(minus & ~in_contour)),
         n_measured=n_measured,
         field_seed=h.seed,
     )
@@ -345,8 +338,11 @@ def disorder_sweep(config: RunConfig, jobs: int = 1) -> RunReport:
     (at most one per realization); results do not depend on jobs.  The
     workers are spawned, so each re-imports the caller's main module:
     a script must keep its call under ``if __name__ == "__main__":``.
-    Raises ``WorkerPoolError`` when a worker dies.
+    Raises ``ValueError`` for jobs < 1 and for alpha outside the Peierls
+    range, before the first chain, and ``WorkerPoolError`` when a worker dies.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     bb = b_bar(config.beta, config.theta, config.alpha)  # checks alpha's Peierls range
     # words 2r and 2r + 1 of SplittableRandom(seed) seed realization r's field and chain
     seeds = _stream_words(config.seed, 0, 2 * config.realizations).reshape(-1, 2).tolist()

@@ -187,8 +187,7 @@ def test_criterion_12_per_sample_decomposition():
 def test_criterion_13_physics_trends():
     def run(beta, theta):
         cfg = RunConfig(alpha=0.55, beta=beta, theta=theta, size=512,
-                        sweeps=800, burnin=200, seed=41, realizations=4,
-                        occupancy_stride=10)
+                        sweeps=800, burnin=200, seed=41, realizations=4)
         return disorder_sweep(cfg)
 
     beta_reports = [run(b, 0.05) for b in (0.5, 2.0, 8.0)]

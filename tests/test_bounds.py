@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from rfim1d import (ALPHA_PEIERLS_MAX, CouplingSpec, SpinConfiguration, Volume,
+from rfim1d import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, SpinConfiguration, Volume,
                     energy, exhaustive_reports, family_code, hamiltonian,
                     minimal_j1, triangles_to_spins, zeta)
 from rfim1d import bounds
@@ -134,6 +134,24 @@ class TestExhaustive:
             monkeypatch.setattr(bounds, name, no_work)
         with pytest.raises(ValueError, match=f"c must be >= 1, got {c}"):
             next(exhaustive_reports(spec, 4, c))
+
+    @pytest.mark.parametrize("n, error", [(0, ValueError), (1, ValueError),
+                                          (15, CapacityError), (30, CapacityError)])
+    def test_volume_checked_before_work(self, spec, monkeypatch, n, error):
+        # n = 30 would be a 2**30-row spin table
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"exhaustive_reports started work at n = {n}")
+
+        for name in ("enumerate_spins", "energy", "families"):
+            monkeypatch.setattr(bounds, name, no_work)
+        with pytest.raises(error, match=f"^n must lie in 2..14 for exhaustive energy checks, "
+                                        f"got {n}$"):
+            next(exhaustive_reports(spec, n))
+
+    def test_smallest_volume_runs(self, spec):
+        assert bounds.MAX_SITES == 14
+        reports = list(exhaustive_reports(spec, 2))
+        assert reports and all(r.passed for r in reports)
 
     def test_failures_reported_at_small_j1(self):
         weak = CouplingSpec(alpha=0.55, j1=1.01)

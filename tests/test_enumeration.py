@@ -7,7 +7,7 @@ from oracles import max_span, spin_scan_origin_contours, verify_P1
 from rfim1d import CapacityError, certify_C0, enumeration, enumerate_origin_contours
 from rfim1d.contours import _merge, contours
 from rfim1d.enumeration import (_block_shapes, _shape_aggregates, _shift,
-                                contour_shapes)
+                                contour_shapes, origin_contour_counts)
 from rfim1d.triangles import _is_realizable
 
 
@@ -98,12 +98,20 @@ class TestEnumeration:
                 enumerate_origin_contours(m, c)
             with pytest.raises(CapacityError, match="exceeds enumeration cap 648"):
                 certify_C0(0.1, m_max=m, c=c)
+            with pytest.raises(CapacityError, match="exceeds enumeration cap 648"):
+                origin_contour_counts(m, c)
+            with pytest.raises(CapacityError, match="exceeds enumeration cap 648"):
+                contour_shapes(m, c)
         # below c = 1 the separation rule breaks: at c = 0, mass 3 would give 3 contours, not 92
         for m, c in ((3, 0), (1, -2)):
             with pytest.raises(ValueError, match=f"c must be >= 1, got {c}"):
                 enumerate_origin_contours(m, c)
             with pytest.raises(ValueError, match=f"c must be >= 1, got {c}"):
                 certify_C0(0.1, m_max=m, c=c)
+            with pytest.raises(ValueError, match=f"c must be >= 1, got {c}"):
+                origin_contour_counts(m, c)
+            with pytest.raises(ValueError, match=f"c must be >= 1, got {c}"):
+                contour_shapes(m, c)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_shapes_match_object_oracle(self, m):

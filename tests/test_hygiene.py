@@ -152,6 +152,15 @@ def test_every_definition_has_a_use_outside_tests():
     assert not unused, f"rfim1d defines names only tests use: {unused}"
 
 
+def test_cli_imports_no_private_name():
+    # a check the CLI needs belongs to a public library call
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.level or node.module == "rfim1d")
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"rfim1d.cli imports private names: {private}"
+
+
 def test_contours_submodule_not_shadowed():
     import rfim1d.contours as m
     assert hasattr(m, "_merge")

@@ -26,7 +26,7 @@ class TestRunConfig:
         {"sweeps": 10, "burnin": 10},
         {"realizations": 0},
         {"boundary": 2},
-        {"occupancy_stride": 0},
+        {"burnin": -1},
         {"c": 0},
     ])
     def test_validation(self, kwargs):
@@ -646,6 +646,18 @@ class TestDisorderSweep:
         cfg = RunConfig(alpha=0.7, size=10, sweeps=300, burnin=50, realizations=2)
         with pytest.raises(ValueError, match="alpha=0.7 outside"):
             disorder_sweep(cfg)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected_before_chains(self, monkeypatch, jobs):
+        # refused before a process pool or a chain could start
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"work started at jobs = {jobs}")
+
+        for name in ("_stream_words", "metropolis_run"):
+            monkeypatch.setattr(mc_module, name, no_work)
+        cfg = RunConfig(size=10, sweeps=300, burnin=50, realizations=2)
+        with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+            disorder_sweep(cfg, jobs=jobs)
 
     def test_distinct_fields_per_realization(self):
         cfg = RunConfig(size=10, beta=0.1, theta=0.2, sweeps=300, burnin=50,
