@@ -1,15 +1,16 @@
 """Single-site Metropolis sampling of the finite-volume plus-boundary measure.
 
-Each chain keeps the running sums m_i = sum_j J(|i-j|) sigma_j, which
+Each chain (``_Chain``) owns its kernel tables, its state and its drift
+check.  It keeps the running sums m_i = sum_j J(|i-j|) sigma_j, which
 start in closed form (``_start_sums``), so a flip proposal costs O(1) to
 evaluate and O(N) to commit; the couplings are one length-(2N-1)
 Toeplitz vector (row i of J is a slice of it), so memory stays O(N).
-The running energy is the change since the start.  Every 10^4 updates it
-is checked against ``model.energy`` of the current state less that of
-the start state.  The current energy is recomputed only if a flip was
-accepted since the last check, and the start energy once, at the first
-recomputation: before it both sides are exactly 0, so a chain that never
-flips, or ends before its first check, evaluates no energy.
+Its running energy, the change since the start, is checked after every
+ceil(10^4/N) sweeps against ``model.energy`` of the current state less
+that of the start state.  The current energy is recomputed only if a flip
+was accepted since the last check, and the start energy once, at the
+first recomputation: before it both sides are exactly 0, so a chain that
+never flips, or ends before its first check, evaluates no energy.
 
 Every random number of a run is a SplitMix64 word (``model._stream_words``).
 Realization r of seed S takes its field seed and its chain seed from
@@ -27,15 +28,15 @@ The rule u < exp(-beta * dE) would decide differently only where u lies
 within an ulp of the exponential, or where u = 0 meets an exponential
 that underflowed: about 2**-52 per uphill proposal.
 
-The sweep kernel has two paths over the same thresholds and the same
-tables (doubled coupling rows, tau * b, theta * h), built once per chain.
-``_sweep`` is a loop on Python floats that commits an accepted flip as one
-in-place numpy subtract or add of a doubled row.  After a sweep whose
-acceptance fell below ``SKIP_BELOW_ACCEPTANCE`` (for the first sweep: the
-acceptance the start state predicts) ``_skip_sweep`` runs instead: it
-tests a window of upcoming proposals in one numpy expression, commits the
-first accepted one and skips the rejected run before it (Bortz, Kalos &
-Lebowitz, J. Comput. Phys. 17 (1975) 10, without changing the chain).
+The sweep kernel has two paths over the same thresholds and the chain's
+tables (doubled coupling rows, tau * b, theta * h).  ``_sweep`` is a loop
+on Python floats that commits an accepted flip as one in-place numpy
+subtract or add of a doubled row.  After a sweep whose acceptance fell
+below ``SKIP_BELOW_ACCEPTANCE`` (for the first sweep: the acceptance the
+start state predicts) ``_skip_sweep`` runs instead: it tests a window of
+upcoming proposals in one numpy expression, commits the first accepted
+one and skips the rejected run before it (Bortz, Kalos & Lebowitz,
+J. Comput. Phys. 17 (1975) 10, without changing the chain).
 Both paths compare the same product beta * dE with the same threshold and
 commit with the same row update, so the path choice cannot change a
 chain: the threshold is a speed setting only.
@@ -60,6 +61,7 @@ DRIFT_TOLERANCE = 1e-6
 SKIP_BELOW_ACCEPTANCE = 0.05  # previous sweep's acceptance below which _skip_sweep runs
 SKIP_WINDOW = 64  # fewest proposals in the first window after a start or a commit
 MAX_SWEEPS = 10**8  # a chain keeps at most two one-byte records per measured sweep
+MAX_REALIZATIONS = 10**6  # a run draws its 2 * realizations seed words up front: 16 MB
 
 
 class EnergyDriftError(RuntimeError):
@@ -105,8 +107,9 @@ class RunConfig:
         if self.sweeps > MAX_SWEEPS or 2 * self.size * self.sweeps >= 2**64:
             raise ValueError(f"sweeps must be <= {MAX_SWEEPS} and 2 * size * sweeps "
                              f"< 2**64, got sweeps={self.sweeps}, size={self.size}")
-        if self.realizations < 1:
-            raise ValueError(f"realizations must be >= 1, got {self.realizations}")
+        if not 1 <= self.realizations <= MAX_REALIZATIONS:
+            raise ValueError(f"realizations must be in [1, {MAX_REALIZATIONS}], "
+                             f"got {self.realizations}")
         if self.boundary not in (-1, +1):
             raise ValueError(f"boundary must be +-1, got {self.boundary}")
         check_separation_constant(self.c)
@@ -226,6 +229,60 @@ def _batch_means_stderr(x: np.ndarray, n_batches: int = 32) -> float:
     return float(means.std(ddof=1) / math.sqrt(nb))
 
 
+class _Chain:
+    """One chain's tables, state and drift check (see the module docstring)."""
+
+    def __init__(self, config: RunConfig, h: DisorderField, seed: int):
+        self.config, self.h, self.seed = config, h, seed
+        self.spec, self.vol = config.coupling_spec(), config.volume()
+        if h.volume != self.vol:
+            raise ValueError("field volume does not match config")
+        n = self.n = config.size
+        tau = self.tau = float(config.boundary)
+        t, bv = _coupling_tables(self.spec, self.vol)
+        # the kernels' tables; doubling is exact: row i is 2 * t[n-1-i : 2n-1-i]
+        self.rows2, self.tb, self.th = toeplitz_rows(2.0 * t), tau * bv, config.theta * h.values
+        self.tb_list, self.th_list = self.tb.tolist(), self.th.tolist()
+        self.s = np.full(n, tau)
+        self.m = _start_sums(t, tau)
+        # energy changes since the start; e0 and scale wait for a recomputation
+        self.e = self.ref = 0.0
+        self.e0, self.scale = None, 1.0
+        self.check_every = -(-DRIFT_CHECK_UPDATES // n)  # sweeps between drift checks
+        self.accepted = self.flips_since_check = 0
+        # the acceptance the start state predicts: the sum of min(1, exp(-beta * de))
+        de = 2.0 * self.s * (self.m + self.tb + self.th)
+        self.acc = float(np.exp(np.minimum(-config.beta * de, 0.0)).sum())
+
+    def sweep(self, k: int) -> None:
+        """Run sweep k, then the drift check if one falls after it."""
+        n, beta = self.n, self.config.beta
+        order, thr = _sweep_draws(self.seed, n, k)
+        if self.acc >= SKIP_BELOW_ACCEPTANCE * n:
+            self.e, self.acc = _sweep(self.s, self.m, self.rows2, self.tb_list, self.th_list,
+                                      beta, order, thr, self.e)
+        else:
+            # a first window as long as the run of rejections acc predicts
+            self.e, self.acc = _skip_sweep(self.s, self.m, self.rows2, self.tb, self.th, beta,
+                                           order, thr, self.e,
+                                           max(SKIP_WINDOW, int(n / (self.acc + 1.0))))
+        self.accepted += self.acc
+        self.flips_since_check += self.acc
+        if (k + 1) % self.check_every == 0:
+            # with no flip since the last recomputation (or the start), s and e
+            # are exactly those it saw, so its value stands
+            if self.flips_since_check:
+                self.flips_since_check = 0
+                rest = (self.config.boundary, self.h, self.config.theta)
+                if self.e0 is None:
+                    self.e0 = energy(self.spec, self.vol, np.full(n, self.tau), *rest)
+                now = energy(self.spec, self.vol, self.s, *rest)
+                self.ref, self.scale = now - self.e0, max(1.0, abs(now))
+            if abs(self.e - self.ref) > DRIFT_TOLERANCE * self.scale:
+                raise EnergyDriftError(f"energy drift {self.e - self.ref:g} after sweep {k}")
+            self.e = self.ref
+
+
 def metropolis_run(config: RunConfig, h: DisorderField,
                    chain_seed: Optional[int] = None) -> ChainResult:
     """Sample one chain and estimate mu(+/-)_Lambda(sigma_0 = -1).
@@ -234,63 +291,18 @@ def metropolis_run(config: RunConfig, h: DisorderField,
     the fraction of measured sweeps whose decomposition has a contour
     through the origin.  Deterministic given (config, seeds).
     """
-    vol = config.volume()
-    if h.volume != vol:
-        raise ValueError("field volume does not match config")
-    spec = config.coupling_spec()
-    n = config.size
-    tau = float(config.boundary)
-    origin = vol.index(0)
-    t, bv = _coupling_tables(spec, vol)
-    # the kernels' tables; doubling is exact: row i is 2 * t[n-1-i : 2n-1-i]
-    rows2, tb, th = toeplitz_rows(2.0 * t), tau * bv, config.theta * h.values
-    tb_list, th_list = tb.tolist(), th.tolist()
-    s = np.full(n, tau)
-    m = _start_sums(t, tau)
-    # e and ref are energy changes since the start; the start energy e0 and
-    # the scale of the tolerance wait for the first recomputation
-    e = ref = 0.0
-    e0, scale = None, 1.0
-
-    seed = config.seed if chain_seed is None else chain_seed
+    chain = _Chain(config, h, config.seed if chain_seed is None else chain_seed)
+    origin = chain.vol.index(0)
     n_measured = config.sweeps - config.burnin
     minus = np.zeros(n_measured, dtype=bool)
     in_contour = np.zeros(n_measured, dtype=bool)
-    accepted = 0
-    since_check = flips_since_check = 0
-    # before the first sweep, the acceptance the start state predicts stands in
-    # for the previous sweep's: the sum of min(1, exp(-beta * de))
-    de = 2.0 * s * (m + tb + th)
-    acc = float(np.exp(np.minimum(-config.beta * de, 0.0)).sum())
     for sweep in range(config.sweeps):
-        order, thr = _sweep_draws(seed, n, sweep)
-        if acc >= SKIP_BELOW_ACCEPTANCE * n:
-            e, acc = _sweep(s, m, rows2, tb_list, th_list, config.beta, order, thr, e)
-        else:
-            # a first window as long as the run of rejections acc predicts
-            e, acc = _skip_sweep(s, m, rows2, tb, th, config.beta, order, thr, e,
-                                 max(SKIP_WINDOW, int(n / (acc + 1.0))))
-        accepted += acc
-        flips_since_check += acc
-        since_check += n
-        if since_check >= DRIFT_CHECK_UPDATES:
-            since_check = 0
-            # with no flip since the last recomputation (or the start), s and e
-            # are exactly those it saw, so its value stands
-            if flips_since_check:
-                flips_since_check = 0
-                if e0 is None:
-                    e0 = energy(spec, vol, np.full(n, tau), config.boundary, h, config.theta)
-                now = energy(spec, vol, s, config.boundary, h, config.theta)
-                ref, scale = now - e0, max(1.0, abs(now))
-            if abs(e - ref) > DRIFT_TOLERANCE * scale:
-                raise EnergyDriftError(f"energy drift {e - ref:g} after sweep {sweep}")
-            e = ref
+        chain.sweep(sweep)
         k = sweep - config.burnin
         if k >= 0:
-            minus[k] = s[origin] < 0
+            minus[k] = chain.s[origin] < 0
             # fold a minus boundary onto the plus-boundary construction
-            sigma = SpinConfiguration(vol, (tau * s).astype(np.int8))
+            sigma = SpinConfiguration(chain.vol, (chain.tau * chain.s).astype(np.int8))
             fam = spins_to_triangles(sigma)
             in_contour[k] = any(g.contains_site(0) for g in contours(fam, config.c))
 
@@ -299,7 +311,7 @@ def metropolis_run(config: RunConfig, h: DisorderField,
         estimate=float(x.mean()),
         stderr=_batch_means_stderr(x),
         occupancy=float(in_contour.mean()),
-        acceptance=accepted / (config.sweeps * n),
+        acceptance=chain.accepted / (config.sweeps * config.size),
         violations=int(np.count_nonzero(minus & ~in_contour)),
         n_measured=n_measured,
         field_seed=h.seed,

@@ -148,6 +148,16 @@ class TestParsing:
         assert (code, out) == (1, "")
         assert err.startswith("error: sweeps must be <= 100000000 and 2 * size * sweeps")
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_huge_realization_count_rejected_before_work(self, capsys, monkeypatch, command):
+        # the seed words of all realizations are drawn up front, so their count is bounded
+        huge = "99999999999999999999999"
+        forbid_work(monkeypatch, f"--realizations {huge}")
+        code, out, err = run_cli(capsys, command, "--size", "8", "--sweeps", "3",
+                                 "--burnin", "1", "--realizations", huge)
+        assert (code, out) == (1, "")
+        assert err == f"error: realizations must be in [1, 1000000], got {huge}\n"
+
     RUN = ("--size", "16", "--sweeps", "3", "--burnin", "1", "--realizations", "1")
     PEIERLS = "alpha={} outside [0, 0.584963); the Peierls constant is not positive there"
 

@@ -10,7 +10,7 @@ from rfim1d import (Contour, DisorderField, RunConfig, SpinConfiguration,
                     Volume, choose_C, separation_series, triangle_distance)
 from rfim1d import mc as mc_module
 from rfim1d.contours import _contour, _merge, contours
-from rfim1d.model import enumerate_spins, toeplitz_rows
+from rfim1d.model import enumerate_spins
 from rfim1d.triangles import families, interfaces, pair_interface_bonds, spins_to_triangles
 
 
@@ -133,17 +133,12 @@ def _partition(clusters):
 def _sampled_configuration(seed: int) -> SpinConfiguration:
     """N=512 state after three Metropolis sweeps at the sample-hot parameters."""
     cfg = RunConfig(alpha=0.55, j1=1.5, beta=0.2, theta=1.0, size=512)
-    vol, spec = cfg.volume(), cfg.coupling_spec()
-    h = DisorderField.generate(vol, seed=seed)
-    t = spec.coupling_toeplitz(vol)
-    rows2, tb, th = toeplitz_rows(2.0 * t), spec.boundary_vector(vol), cfg.theta * h.values
-    s = np.ones(cfg.size)
-    m = mc_module._start_sums(t, 1.0)
+    chain = mc_module._Chain(cfg, DisorderField.generate(cfg.volume(), seed=seed), seed)
     rng = np.random.default_rng(seed)
     for _ in range(3):
-        mc_module._sweep(s, m, rows2, tb, th, cfg.beta, rng.permutation(cfg.size),
-                         -np.log(rng.random(cfg.size)), 0.0)
-    return SpinConfiguration(vol, s.astype(np.int8))
+        mc_module._sweep(chain.s, chain.m, chain.rows2, chain.tb, chain.th, cfg.beta,
+                         rng.permutation(cfg.size), -np.log(rng.random(cfg.size)), 0.0)
+    return SpinConfiguration(chain.vol, chain.s.astype(np.int8))
 
 
 class TestSeparationConstant:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import warnings
@@ -71,19 +72,19 @@ class TestRunConfig:
             with pytest.raises(ValueError, match="sweeps must be"):
                 RunConfig(**kwargs)
 
+    def test_realization_cap(self):
+        cap = mc_module.MAX_REALIZATIONS
+        assert RunConfig(realizations=cap).realizations == cap
+        for realizations in (0, cap + 1, 10**23):
+            with pytest.raises(ValueError, match=r"^realizations must be in \[1, 1000000\], got "):
+                RunConfig(realizations=realizations)
+
 
 def flipped(sigma, i):
     """sigma with the spin at site i reversed."""
     spins = sigma.spins.copy()
     spins[sigma.volume.index(i)] *= -1
     return SpinConfiguration(sigma.volume, spins, sigma.boundary)
-
-
-def chain_tables(spec, vol, hv, theta, tau=1.0):
-    """The kernels' per-chain tables (rows2, tb, th), as ``metropolis_run``
-    builds them."""
-    t = spec.coupling_toeplitz(vol)
-    return toeplitz_rows(2.0 * t), tau * spec.boundary_vector(vol), theta * hv
 
 
 def kernel_flip_energy(spec, sigma, h, theta, i):
@@ -97,8 +98,11 @@ def kernel_flip_energy(spec, sigma, h, theta, i):
     assert n % 2 == 1
     s = sigma.spins.astype(np.float64)
     m = spec.coupling_matrix(vol) @ s
-    hv = np.zeros(n) if h is None else h.values
-    e, acc = mc_module._sweep(s, m, *chain_tables(spec, vol, hv, theta), 0.0,
+    if h is None:
+        h = DisorderField(vol, np.zeros(n), "uniform")
+    cfg = RunConfig(alpha=spec.alpha, j1=spec.j1, theta=theta, size=n, sweeps=1, burnin=0)
+    chain = mc_module._Chain(cfg, h, 0)
+    e, acc = mc_module._sweep(s, m, chain.rows2, chain.tb, chain.th, 0.0,
                               np.full(n, vol.index(i)), np.full(n, np.inf), 0.0)
     assert acc == n
     assert np.array_equal(s, flipped(sigma, i).spins)
@@ -292,15 +296,14 @@ class TestMetropolis:
             vol, spec = cfg.volume(), cfg.coupling_spec()
             h = DisorderField.generate(vol, seed=n)
             t = spec.coupling_toeplitz(vol)
-            tables = chain_tables(spec, vol, h.values, theta)
-            s = np.ones(n)
-            m = mc_module._start_sums(t, 1.0)
+            chain = mc_module._Chain(cfg, h, 0)
+            s, m = chain.s, chain.m
             e = energy(spec, vol, s, +1, h, theta)
             rng = np.random.default_rng(n)
             accepted = 0
             for _ in range(20):
-                e, acc = mc_module._sweep(s, m, *tables, beta, rng.permutation(n),
-                                          -np.log(rng.random(n)), e)
+                e, acc = mc_module._sweep(s, m, chain.rows2, chain.tb, chain.th, beta,
+                                          rng.permutation(n), -np.log(rng.random(n)), e)
                 accepted += acc
             assert accepted > 0
             dense = spec.coupling_matrix(vol) @ s
@@ -325,16 +328,14 @@ class TestStationaryDistribution:
         vol = cfg.volume()
         spec = cfg.coupling_spec()
         h = DisorderField.generate(vol, seed=4)
-        tables = chain_tables(spec, vol, h.values, theta)
-        s = np.ones(n)
-        m = mc_module._start_sums(spec.coupling_toeplitz(vol), 1.0)
-        e = 0.0
+        chain = mc_module._Chain(cfg, h, cfg.seed)
+        s, m, e = chain.s, chain.m, chain.e
         rng = np.random.default_rng(123)
         sweeps, burnin = 40_000, 2_000
         counts = np.zeros(2 ** n)
         for sweep in range(sweeps):
             e, _ = mc_module._sweep(
-                s, m, *tables, beta,
+                s, m, chain.rows2, chain.tb, chain.th, beta,
                 rng.permutation(n), -np.log(rng.random(n)), e)
             if sweep >= burnin:
                 code = sum(1 << k for k in range(n) if s[k] > 0)
@@ -356,14 +357,13 @@ def kernel_run(kernel, n, beta, theta, j1, sweeps=20, seed=0, boundary=+1,
     ``_reference_sweep`` takes its own arguments and the uniforms u; a
     kernel takes the per-chain tables and the thresholds -ln u of the same u.
     """
-    cfg = RunConfig(size=n, alpha=0.55, beta=beta, theta=theta, j1=j1, sweeps=1, burnin=0)
+    cfg = RunConfig(size=n, alpha=0.55, beta=beta, theta=theta, j1=j1, sweeps=1, burnin=0,
+                    boundary=boundary)
     vol, spec = cfg.volume(), cfg.coupling_spec()
     h = DisorderField.generate(vol, seed=seed, distribution=distribution)
     t = spec.coupling_toeplitz(vol)
-    tau = float(boundary)
-    tables = chain_tables(spec, vol, h.values, theta, tau)
-    s = np.full(n, tau)
-    m = mc_module._start_sums(t, tau)
+    chain = mc_module._Chain(cfg, h, seed)
+    s, m = chain.s, chain.m
     e = energy(spec, vol, s, boundary, h, theta)
     rng = np.random.default_rng(seed + 1)
     accepted = 0
@@ -371,13 +371,13 @@ def kernel_run(kernel, n, beta, theta, j1, sweeps=20, seed=0, boundary=+1,
         order, u = rng.permutation(n), rng.random(n)
         if kernel is _reference_sweep:
             e, acc = kernel(s, m, t, spec.boundary_vector(vol), h.values, theta, beta,
-                            tau, order, u, e)
+                            chain.tau, order, u, e)
         elif kernel is mc_module._sweep:
-            # as metropolis_run passes them: tb and th as lists of floats
-            e, acc = kernel(s, m, tables[0], tables[1].tolist(), tables[2].tolist(), beta,
+            # as the chain passes them: tb and th as lists of floats
+            e, acc = kernel(s, m, chain.rows2, chain.tb_list, chain.th_list, beta,
                             order, -np.log(u), e)
         else:
-            e, acc = kernel(s, m, *tables, beta, order, -np.log(u), e)
+            e, acc = kernel(s, m, chain.rows2, chain.tb, chain.th, beta, order, -np.log(u), e)
         accepted += acc
     return s, m, e, accepted
 
@@ -598,6 +598,21 @@ class TestDriftCheck:
             metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed=2))
         # the first check compares the drifted running energy with the start's, 0
         assert len(accepted) == 157 and sum(accepted) == 0
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("size, sweeps_before_check", [
+        (3000, 4),  # ceil(10^4 / 3000) = 4 sweeps between checks
+        (2500, 4),  # 4 sweeps reach 10^4 updates exactly, and the check falls there
+        (10_001, 1),  # past 10^4 sites a check follows every sweep
+    ])
+    def test_first_check_falls_after_ceil_updates_over_size_sweeps(self, monkeypatch, size,
+                                                                   sweeps_before_check):
+        calls = self._counting_energy(monkeypatch)
+        accepted = self._drifting(monkeypatch)
+        cfg = dataclasses.replace(self.FROZEN, size=size)
+        with pytest.raises(mc_module.EnergyDriftError):
+            metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed=2))
+        assert len(accepted) == sweeps_before_check and sum(accepted) == 0
         assert len(calls) == 0
 
     def test_corrupted_running_energy_raises(self, monkeypatch):
