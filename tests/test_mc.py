@@ -245,6 +245,13 @@ class TestChainStream:
         h = DisorderField.generate(cfg.volume(), seed=4)
         metropolis_run(cfg, h, chain_seed=2**64 - 1)
         assert calls == [(2**64 - 1, 24 * k, 24) for k in range(9)]
+        # a frozen sweep reads its thresholds alone: no proposal passes, so
+        # its order words are never read
+        calls.clear()
+        cfg = TestDriftCheck.FROZEN
+        n = cfg.size
+        metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed=2), chain_seed=7)
+        assert calls == [(7, 2 * n * k + n, n) for k in range(cfg.sweeps)]
 
 
 def run_small(beta, theta, seed=11, sweeps=6000, **kwargs):
@@ -526,6 +533,104 @@ class TestSkipPath:
         # the default switches paths; 0 keeps the scalar loop; 1 skips every sweep
         assert 0 < ran[0] < cfg.sweeps
         assert ran[1] == 0 and ran[2] == cfg.sweeps
+
+
+class TestWholeSweepRejection:
+    """The order-free test that ends a sweep of ``_skip_sweep`` with no flip
+    when the least beta * de exceeds the greatest threshold."""
+
+    BETA = 0.7
+
+    def _run(self, b, thr):
+        """One sweep of each kernel with zero couplings, so that proposal k
+        has de = 2 b_k: the (s, e, accepted) of ``_skip_sweep``, the number of
+        times it drew its order, and the (s, e, accepted) of ``_sweep``."""
+        n = b.size
+        drawn = []
+
+        def draw_order():
+            drawn.append(1)
+            return np.arange(n)
+
+        s, m = np.ones(n), np.zeros(n)
+        e, acc = mc_module._skip_sweep(s, m, np.zeros((n, n)), b, np.zeros(n), self.BETA,
+                                       draw_order, thr, 0.0)
+        s2, m2 = np.ones(n), np.zeros(n)
+        e2, acc2 = mc_module._sweep(s2, m2, np.zeros((n, n)), b.tolist(), [0.0] * n, self.BETA,
+                                    np.arange(n), thr, 0.0)
+        return (s.tolist(), e, acc), len(drawn), (s2.tolist(), e2, acc2)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_threshold_ties(self, n):
+        # a constant field: every proposal has the same beta * de, equal to
+        # every threshold, and each passes (<=)
+        b = np.full(n, 3.0)
+        x = self.BETA * (2.0 * b)
+        skip, drawn, scalar = self._run(b, x)
+        assert skip == scalar and skip[2] == n and drawn == 1
+        # one ulp less, no proposal passes, and the order is never drawn
+        skip, drawn, scalar = self._run(b, np.nextafter(x, -np.inf))
+        assert skip == scalar == ([1.0] * n, 0.0, 0) and drawn == 0
+
+    def test_one_tie_among_rejections(self):
+        b = np.array([5.0, 3.0, 7.0])
+        thr = np.array([1.0, self.BETA * (2.0 * 3.0), 2.0])
+        skip, drawn, scalar = self._run(b, thr)
+        assert skip == scalar == ([1.0, -1.0, 1.0], 6.0, 1) and drawn == 1
+
+    def test_infinite_threshold_scans_the_sweep(self):
+        # u = 0 gives the threshold +inf, the greatest, which no beta * de exceeds
+        b = np.full(6, 3.0)
+        thr = np.full(6, 1.0)
+        thr[4] = np.inf
+        skip, drawn, scalar = self._run(b, thr)
+        assert skip == scalar and skip[2] == 1 and drawn == 1
+
+    def test_nan_flip_energy_scans_the_sweep(self):
+        # a NaN de makes the least beta * de NaN, and the test fails; the scan
+        # rejects every proposal, as the scalar loop does
+        skip, drawn, scalar = self._run(np.full(6, np.nan), np.full(6, 1.0))
+        assert skip == scalar == ([1.0] * 6, 0.0, 0) and drawn == 1
+
+
+class TestMeasurement:
+    # a field of strength 10 turns each site to its own sign within the
+    # burn-in; then no proposal passes, and the origin lies in a contour
+    CFG = RunConfig(alpha=0.55, beta=5.0, theta=10.0, j1=1.5, size=64, sweeps=60, burnin=5,
+                    seed=0, realizations=1)
+
+    def test_sweep_without_flip_is_not_measured_again(self, monkeypatch):
+        cfg = self.CFG
+        h = DisorderField.generate(cfg.volume(), seed=10)
+        # the reference steps the chain and measures the state after every measured sweep
+        chain = mc_module._Chain(cfg, h, 20)
+        origin = chain.vol.index(0)
+        minus, covered = [], []
+        for sweep in range(cfg.sweeps):
+            chain.sweep(sweep)
+            if sweep >= cfg.burnin:
+                minus.append(chain.s[origin] < 0)
+                sigma = SpinConfiguration(chain.vol, chain.s.astype(np.int8))
+                covered.append(origin_in_contour(sigma))
+        minus, covered = np.array(minus), np.array(covered)
+        x = minus.astype(np.float64)
+        want = mc_module.ChainResult(
+            estimate=float(x.mean()), stderr=mc_module._batch_means_stderr(x),
+            occupancy=float(covered.mean()),
+            acceptance=chain.accepted / (cfg.sweeps * cfg.size),
+            violations=int(np.count_nonzero(minus & ~covered)),
+            n_measured=cfg.sweeps - cfg.burnin, field_seed=h.seed)
+        assert want.acceptance > 0.0 and want.estimate == want.occupancy == 1.0
+
+        calls = []
+
+        def counting(sigma):
+            calls.append(1)
+            return spins_to_triangles(sigma)
+
+        monkeypatch.setattr(mc_module, "spins_to_triangles", counting)
+        assert metropolis_run(cfg, h, chain_seed=20) == want
+        assert len(calls) == 1
 
 
 class TestDriftCheck:
