@@ -34,8 +34,7 @@ def main():
     f = ens.f_values(fields, theta, beta)
     print(f"\nF_j over all {fields.shape[0]} Bernoulli fields "
           f"(theta = {theta}, beta = {beta}):")
-    for j in range(contour.n_classes):
-        anti = check_antisymmetry(ens, j, theta, beta)
+    for j, anti in enumerate(check_antisymmetry(ens, theta, beta)):
         print(f"  j = {j}: mean {f[:, j].mean():+.2e}  std {f[:, j].std():.4f}  "
               f"range [{f[:, j].min():+.4f}, {f[:, j].max():+.4f}]  "
               f"antisymmetric: {anti}")

@@ -78,9 +78,9 @@ def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,
                 yield BoundReport(f"{code}:{k}", lhs, rhs)
 
 
-def minimal_j1(alpha: float, n: int = 8, c: int = 3,
+def minimal_j1(alpha: float, n: int = 8,
                grid: Sequence[float] = (1.5, 2.0, 3.0, 5.0, 10.0, 100.0)) -> Optional[float]:
-    """Smallest grid j1 for which every bound report passes at this alpha.
+    """Smallest grid j1 for which every bound report at c = 3 passes at this alpha.
 
     The required size of J(1) is an empirical question; failures at small
     j1 are reported rather than asserted, and an empty grid raises.
@@ -89,6 +89,6 @@ def minimal_j1(alpha: float, n: int = 8, c: int = 3,
         raise ValueError("grid is empty; minimal_j1 needs at least one j1")
     for j1 in sorted(grid):
         spec = CouplingSpec(alpha=alpha, j1=j1)
-        if all(r.passed for r in exhaustive_reports(spec, n, c)):
+        if all(r.passed for r in exhaustive_reports(spec, n)):
             return j1
     return None

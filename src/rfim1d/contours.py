@@ -61,22 +61,23 @@ from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-DEFAULT_SEPARATION_TERMS = 2_000_000
+# M, the number of terms the separation series sums before its tail bound
+SEPARATION_TERMS = 2_000_000
 
 
-def separation_series(c: int, terms: int = DEFAULT_SEPARATION_TERMS) -> Tuple[float, float]:
+def separation_series(c: int) -> Tuple[float, float]:
     """Partial sum and tail bound of sum_m 4m / floor(c*m)**3."""
-    m = np.arange(1, terms + 1, dtype=np.float64)
+    m = np.arange(1, SEPARATION_TERMS + 1, dtype=np.float64)
     partial = float(np.sum(4.0 * m / np.floor(c * m) ** 3))
     # floor(c*m) >= c*m - 1, so the tail is below (4/c^3) * (1/M) / (1 - 1/(c*M))^3
-    tail = (4.0 / c**3) / terms / (1.0 - 1.0 / (c * terms)) ** 3
+    tail = (4.0 / c**3) / SEPARATION_TERMS / (1.0 - 1.0 / (c * SEPARATION_TERMS)) ** 3
     return partial, tail
 
 
-def choose_C(terms: int = DEFAULT_SEPARATION_TERMS) -> int:
+def choose_C() -> int:
     """Smallest integer C with sum_m 4m / floor(C*m)**3 <= 1/2."""
     for c in range(1, 64):
-        partial, tail = separation_series(c, terms)
+        partial, tail = separation_series(c)
         if partial + tail <= 0.5:
             return c
     raise RuntimeError("no admissible separation constant found")

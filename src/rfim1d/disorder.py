@@ -18,8 +18,7 @@ import numpy as np
 
 from .bounds import zeta
 from .contours import Contour
-from .model import (CapacityError, CouplingSpec, Volume, _logsumexp, _site_words,
-                    _word_values, energy, enumerate_spins)
+from .model import CapacityError, CouplingSpec, Volume, _logsumexp, energy, enumerate_spins
 from .triangles import families, family_code
 
 EXHAUSTIVE_SITE_CAP = 12
@@ -136,37 +135,33 @@ class ConstrainedEnsemble:
         return out
 
 
-def check_antisymmetry(ens: ConstrainedEnsemble, j: int, theta: float, beta: float,
-                       tol: float = ANTISYMMETRY_TOL) -> bool:
-    """F_j(h) = -F_j(h flipped on D_j) over all Bernoulli realizations."""
+def check_antisymmetry(ens: ConstrainedEnsemble, theta: float, beta: float) -> List[bool]:
+    """For each level j, whether F_j(h) = -F_j(h flipped on D_j) over all
+    Bernoulli realizations, from one evaluation of F."""
     vol = ens.vol
     fields = enumerate_spins(vol.n_sites).astype(np.float64)
-    f = ens.f_values(fields, theta, beta)[:, j]
-    mask = 0
-    for i in flip_composition(ens.contour, j):
-        mask |= 1 << vol.index(i)
+    f = ens.f_values(fields, theta, beta)
     codes = np.arange(fields.shape[0])
-    return bool(np.all(np.abs(f + f[codes ^ mask]) <= tol))
-
-
-def _sampled_fields(vol: Volume, n_samples: int, seed: int, distribution: str) -> np.ndarray:
-    """Row r: the values of DisorderField.generate(vol, seed + r, distribution),
-    all rows drawn in one pass."""
-    return _word_values(_site_words(range(seed, seed + n_samples), vol), distribution)
+    ok = []
+    for j in range(ens.n_levels):
+        mask = 0
+        for i in flip_composition(ens.contour, j):
+            mask |= 1 << vol.index(i)
+        ok.append(bool(np.all(np.abs(f[:, j] + f[codes ^ mask, j]) <= ANTISYMMETRY_TOL)))
+    return ok
 
 
 @dataclass(frozen=True)
 class BjEstimate:
-    """Probability of the level-j event with its class-level bound."""
+    """Exact probability of the level-j event with its class-level bound."""
 
     j: int
     estimate: float
-    stderr: float
     bound: float
 
     @property
     def passed(self) -> bool:
-        return self.estimate <= self.bound + 3.0 * self.stderr
+        return self.estimate <= self.bound
 
 
 def _bj_indicators(f: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -200,29 +195,20 @@ def _bj_bounds(contour: Contour, alpha: float, theta: float) -> np.ndarray:
     return out
 
 
-def estimate_Bj_probability(ens: ConstrainedEnsemble, theta: float, beta: float,
-                            exhaustive: bool = True,
-                            n_samples: int = 100_000,
-                            seed: int = 0,
-                            distribution: str = "gaussian") -> List[BjEstimate]:
-    """P[B_j] for j = -1..k, exact over Bernoulli fields or by Monte Carlo.
+def estimate_Bj_probability(ens: ConstrainedEnsemble, theta: float,
+                            beta: float) -> List[BjEstimate]:
+    """P[B_j] for j = -1..k, exact over all Bernoulli fields.
 
-    The exact indicators are verified to partition field space.
+    Bernoulli fields are symmetric and subgaussian, the class the bound is
+    proved for.  The indicators are verified to partition field space.
     """
-    alpha, contour, vol = ens.spec.alpha, ens.contour, ens.vol
+    alpha, contour = ens.spec.alpha, ens.contour
     a = thresholds(contour, alpha)
     bounds = _bj_bounds(contour, alpha, theta)
-    if exhaustive:
-        fields = enumerate_spins(vol.n_sites).astype(np.float64)
-        ind = _bj_indicators(ens.f_values(fields, theta, beta), a)
-        if not np.all(ind.sum(axis=1) == 1):
-            raise AssertionError("B_j events do not partition field space")
-        probs = ind.mean(axis=0)
-        errs = np.zeros_like(probs)
-    else:
-        fields = _sampled_fields(vol, n_samples, seed, distribution)
-        ind = _bj_indicators(ens.f_values(fields, theta, beta), a)
-        probs = ind.mean(axis=0)
-        errs = np.sqrt(probs * (1.0 - probs) / n_samples)
-    return [BjEstimate(j, float(p), float(e), float(b))
-            for j, p, e, b in zip(range(-1, ens.n_levels), probs, errs, bounds)]
+    fields = enumerate_spins(ens.vol.n_sites).astype(np.float64)
+    ind = _bj_indicators(ens.f_values(fields, theta, beta), a)
+    if not np.all(ind.sum(axis=1) == 1):
+        raise AssertionError("B_j events do not partition field space")
+    probs = ind.mean(axis=0)
+    return [BjEstimate(j, float(p), float(b))
+            for j, p, b in zip(range(-1, ens.n_levels), probs, bounds)]

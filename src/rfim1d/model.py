@@ -168,11 +168,12 @@ class SpinConfiguration:
         )
 
     @classmethod
-    def from_minus_sites(cls, vol: Volume, minus, boundary: int = +1) -> "SpinConfiguration":
+    def from_minus_sites(cls, vol: Volume, minus) -> "SpinConfiguration":
+        """The + boundary configuration whose - spins sit at ``minus``."""
         spins = np.ones(vol.n_sites, dtype=np.int8)
         for i in minus:
             spins[vol.index(i)] = -1
-        return cls(vol, spins, boundary)
+        return cls(vol, spins)
 
 
 # SplitMix64's golden-ratio increment and the two multipliers of its finalizer mix64

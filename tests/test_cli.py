@@ -436,6 +436,20 @@ class TestVerifyDisorderCommand:
         assert code == 0
         assert len(calls) == 1
 
+    def test_two_evaluations_of_f_per_run(self, capsys, monkeypatch):
+        # one for the antisymmetry of every level, one for the B_j events
+        calls = []
+        original = ConstrainedEnsemble.f_values
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConstrainedEnsemble, "f_values", counting)
+        code, _, _ = run_cli(capsys, "verify-disorder", "--deterministic")
+        assert code == 0
+        assert len(calls) == 2
+
 
 class TestEnumerationCommands:
     def test_enumerate_counts(self, capsys):

@@ -6,7 +6,10 @@ package exports, and every public function, class and method a library
 module defines, has a use outside the tests and outside its own
 definition: in a library module, in a demo, or in the benchmark harness,
 whose trace targets count too.  A method that overrides one of a base
-class is used by the base class's callers, so it is exempt.
+class is used by the base class's callers, so it is exempt.  Every
+defaulted parameter of a public function or method is set off its
+default by some call, in a library module, a demo, the benchmark harness
+or a test: a default no caller turns is a constant.
 """
 
 import ast
@@ -150,6 +153,80 @@ def test_every_definition_has_a_use_outside_tests():
     unused = [f"{module}.{name}" for module, name in public_definitions()
               if name.rsplit(".", 1)[-1] not in used]
     assert not unused, f"rfim1d defines names only tests use: {unused}"
+
+
+def defaulted_parameters():
+    """(qualified name, parameter, default, position) of every defaulted
+    parameter of a public definition.  A method's positions skip its
+    ``self`` or ``cls``; a keyword-only parameter has position None."""
+    public = set(public_definitions())
+    found = []
+    for path in MODULES:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            defs = [(stmt.name, stmt, 0)] if isinstance(stmt, ast.FunctionDef) else []
+            if isinstance(stmt, ast.ClassDef):
+                defs = [(f"{stmt.name}.{node.name}", node, 1) for node in stmt.body
+                        if isinstance(node, ast.FunctionDef)]
+            for name, node, skip in defs:
+                if (path.stem, name) not in public:
+                    continue
+                args, qual = node.args, f"{path.stem}.{name}"
+                positional = (args.posonlyargs + args.args)[skip:]
+                first = len(positional) - len(args.defaults)
+                found += [(qual, a.arg, d, i) for i, (a, d) in
+                          enumerate(zip(positional[first:], args.defaults), first)]
+                found += [(qual, a.arg, d, None)
+                          for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def _is_default(value, default):
+    if ast.dump(value) == ast.dump(default):
+        return True
+    try:
+        return ast.literal_eval(value) == ast.literal_eval(default)
+    except ValueError:
+        return False
+
+
+def turned_defaults():
+    """(callee name, parameter name or position) of every argument that a
+    call sets off its default; a call with ``*args`` or ``**kwargs`` may
+    set any parameter, so it gives (callee name, "*")."""
+    defaults = {(qual.rsplit(".", 1)[-1], key): default
+                for qual, arg, default, pos in defaulted_parameters() for key in (arg, pos)}
+    turned = set()
+    users = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    for path in users:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                turned.add((name, "*"))
+            settings = list(enumerate(node.args))
+            settings += [(k.arg, k.value) for k in node.keywords if k.arg is not None]
+            for key, value in settings:
+                default = defaults.get((name, key))
+                if default is not None and not _is_default(value, default):
+                    turned.add((name, key))
+    return turned
+
+
+def test_defaulted_parameters_found():
+    found = {(qual, arg) for qual, arg, _, _ in defaulted_parameters()}
+    assert {("bounds.exhaustive_reports", "c"), ("model.energy", "theta")} <= found
+    assert ("cli.main", "argv") in found
+
+
+def test_every_default_is_turned_by_a_caller():
+    turned = turned_defaults()
+    unturned = [f"{qual}.{arg}" for qual, arg, _, pos in defaulted_parameters()
+                if not {(qual.rsplit(".", 1)[-1], key) for key in (arg, pos, "*")} & turned]
+    assert not unturned, f"defaults that no caller sets to another value: {unturned}"
 
 
 def test_cli_imports_no_private_name():

@@ -15,7 +15,7 @@ from oracles import (boundary_field, coupling, homogeneous, power_tail,
 from rfim1d import (CapacityError, CouplingSpec, DisorderField,
                     SpinConfiguration, Volume, VolumeMismatchError, energy,
                     exact_gibbs_marginal, hamiltonian, triangles_to_spins)
-from rfim1d.model import _logsumexp, _site_words, _word_values, enumerate_spins
+from rfim1d.model import DISTRIBUTIONS, _logsumexp, _site_words, _word_values, enumerate_spins
 
 FIELD_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 123456789012345, 2**64 - 1, 2**70 + 5, -3]
 
@@ -326,6 +326,11 @@ class TestFieldStream:
             assert np.array_equal(row, _site_words(seed, vol))
             assert [int(w) for w in row] == [_reference_word(seed % 2**64, int(i))
                                              for i in vol.sites()]
+        # a batch of rows gives each seed's field, for every distribution
+        for distribution in DISTRIBUTIONS:
+            for seed, values in zip(seeds, _word_values(rows, distribution)):
+                h = DisorderField.generate(vol, seed=seed, distribution=distribution)
+                assert np.array_equal(values, h.values), (seed, distribution)
 
     @pytest.mark.parametrize("distribution", ["bernoulli", "uniform"])
     @pytest.mark.parametrize("seed", FIELD_SEEDS)
