@@ -139,22 +139,24 @@ Cluster = Tuple[int, int, int, Sequence[int], Tuple[Tuple[int, int], ...]]
 _left_and_mass = itemgetter(0, 2)
 
 
-def _merge(pairs: Sequence[Tuple[int, int]], c: int,
-           clusters: Sequence[Cluster] = ()) -> List[Cluster]:
+def _merge(pairs: Sequence[Tuple[int, int]], c: int, clusters: Sequence[Cluster] = (),
+           separated: Sequence[Cluster] = ()) -> List[Cluster]:
     """Merge clusters to a fixed point of the separation rules.
 
-    The starting clusters are the given ones plus one per bond pair.  A
-    popped cluster is checked against the clusters found pairwise
-    separated so far, newest first, fused with the first one it violates,
-    and the fused cluster goes back on the worklist.  The fixed point does
-    not depend on the merge order (see the module docstring).  Returns the
-    clusters in (left, mass) order; the members of a fused cluster are in
-    merge order, not bond order.
+    The starting clusters are ``separated``, which the caller vouches are
+    pairwise separated and which are not checked against each other, the
+    given ``clusters``, and one per bond pair.  A popped cluster is
+    checked against the clusters found pairwise separated so far, newest
+    first, fused with the first one it violates, and the fused cluster
+    goes back on the worklist.  The fixed point does not depend on the
+    merge order (see the module docstring).  Returns the clusters in
+    (left, mass) order; the members of a fused cluster are in merge
+    order, not bond order.
     """
     work = list(clusters)
     work += [(p[0], p[1], p[1] - p[0], p, (p,)) for p in pairs]
     work.reverse()  # pop in the given order
-    separated: List[Cluster] = []
+    separated = list(separated)
     while work:
         g = gl, gr, gm, gb, gt = work.pop()
         gd = c * gm ** 3

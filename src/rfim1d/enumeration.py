@@ -13,9 +13,11 @@ far, as the plain tuples ``contours._merge`` works on (see the
 ``contours`` docstring), so each prefix cluster keeps its sorted bonds
 and no ``Contour`` is built until a candidate is finished.  Each block
 shape is merged once; placing it merges its clusters, shifted by
-``contours._shifted``, into the prefix's.  A candidate is kept when its
-last block leaves one cluster and its bond pairs are realizable.  The
-top-level triangles fix the blocks, so no family is built twice.
+``contours._shifted``, into the prefix's, which are pairwise separated
+already and are not checked against each other again.  A candidate is
+kept when its last block leaves one cluster and its bond pairs are
+realizable.  The top-level triangles fix the blocks, so no family is
+built twice.
 
 The merge order does not matter (the argument is in the ``contours``
 docstring), so the prefix's clusters and a block's clusters, each of
@@ -113,7 +115,7 @@ def contour_shapes(m: int, c: int, /) -> Tuple[BondPairs, ...]:
                 for gap in gaps:
                     left = right + gap
                     moved = [_shifted(x, left) for x in block]
-                    extend(_merge((), c, clusters + moved), used + block_mass, left + width)
+                    extend(_merge((), c, moved, clusters), used + block_mass, left + width)
 
     extend([], 0, 0)
     return tuple(sorted(results))

@@ -42,11 +42,14 @@ one and skips the rejected run before it (Bortz, Kalos & Lebowitz,
 J. Comput. Phys. 17 (1975) 10, without changing the chain).
 When the chain predicts no flip (the previous sweep accepted none, or
 the start state predicts fewer than one), ``_skip_sweep`` first tests
-the sweep whole, in no order: if the least beta * dE over all sites, the
-kernels' own float product, exceeds the greatest threshold, every
-proposal compares a value at least that least one with a threshold at
-most that greatest one, so none passes in any order.  The sweep then
-ends with no flip and without reading its order words.  A NaN dE makes
+the sweep whole, in no order: if the least beta * dE over all sites
+(``_least``, the kernels' own float product) exceeds the greatest
+threshold, every proposal compares a value at least that least one with
+a threshold at most that greatest one, so none passes in any order.  The
+sweep then ends with no flip and without reading its order words.  The
+chain caches the least from the first sweep that tests it and drops it
+after any sweep that accepts a flip: with no flip the state, and so the
+least, keeps its bits, and a frozen chain computes it once.  A NaN dE makes
 the least value NaN, and u = 0 the greatest threshold +inf; either fails
 the test, and the window scan runs as it would without it.  A chain that
 flips skips the test, which would nearly always fail, and reads its
@@ -192,20 +195,28 @@ def _sweep(s, m, rows2, tb, th, beta, order, thr, e):
     return e, acc
 
 
-def _skip_sweep(s, m, rows2, tb, th, beta, order, thr, e, w0=SKIP_WINDOW):
+def _least(s, m, tb, th, beta):
+    """The least beta * de over all sites, the kernels' own float product."""
+    return (beta * (2.0 * s * (m + tb + th))).min()
+
+
+def _skip_sweep(s, m, rows2, tb, th, beta, order, thr, e, w0=SKIP_WINDOW, least=None):
     """``_sweep`` on the same draws, skipping runs of rejected proposals.
 
     ``order`` is the site order, or a function that draws it: then the
-    sweep is first tested whole (see the module docstring), and the order
-    is drawn only if that test fails.  The flip energies and accept tests
-    of a window of upcoming proposals are one numpy expression with the
-    scalar loop's float operations; the first accepted proposal is
-    committed as there and the scan resumes right after it.  Windows
-    start at w0 proposals, after each commit too, and a window without an
-    accept doubles the next one.
+    sweep is first tested whole (see the module docstring), against
+    ``least`` if given (the ``_least`` of this state) and else a fresh
+    ``_least``, and the order is drawn only if that test fails.  The flip
+    energies and accept tests of a window of upcoming proposals are one
+    numpy expression with the scalar loop's float operations; the first
+    accepted proposal is committed as there and the scan resumes right
+    after it.  Windows start at w0 proposals, after each commit too, and a
+    window without an accept doubles the next one.
     """
     if callable(order):
-        if (beta * (2.0 * s * (m + tb + th))).min() > thr.max():
+        if least is None:
+            least = _least(s, m, tb, th, beta)
+        if least > thr.max():
             return e, 0
         order = order()
     n = s.shape[0]
@@ -266,7 +277,8 @@ class _Chain:
         t, bv = _coupling_tables(self.spec, self.vol)
         # the kernels' tables; doubling is exact: row i is 2 * t[n-1-i : 2n-1-i]
         self.rows2, self.tb, self.th = toeplitz_rows(2.0 * t), tau * bv, config.theta * h.values
-        self.tb_list, self.th_list = self.tb.tolist(), self.th.tolist()
+        # the scalar loop's tables and the cached _least wait until a sweep needs them
+        self.tb_list = self.th_list = self.least = None
         self.s = np.full(n, tau)
         self.m = _start_sums(t, tau)
         # energy changes since the start; e0 and scale wait for a recomputation
@@ -282,6 +294,8 @@ class _Chain:
         """Run sweep k, then the drift check if one falls after it."""
         n, beta, seed = self.n, self.config.beta, self.seed
         if self.acc >= SKIP_BELOW_ACCEPTANCE * n:
+            if self.tb_list is None:
+                self.tb_list, self.th_list = self.tb.tolist(), self.th.tolist()
             order, thr = _sweep_draws(seed, n, k)
             self.e, self.acc = _sweep(self.s, self.m, self.rows2, self.tb_list, self.th_list,
                                       beta, order, thr, self.e)
@@ -290,12 +304,17 @@ class _Chain:
                 # no flip predicted: the order words wait for the whole-sweep test
                 thr = _thresholds(_stream_words(seed, 2 * n * k + n, n))
                 order = lambda: _site_order(_stream_words(seed, 2 * n * k, n))
+                if self.least is None:
+                    self.least = _least(self.s, self.m, self.tb, self.th, beta)
             else:
                 order, thr = _sweep_draws(seed, n, k)
             # a first window as long as the run of rejections acc predicts
             self.e, self.acc = _skip_sweep(self.s, self.m, self.rows2, self.tb, self.th, beta,
                                            order, thr, self.e,
-                                           max(SKIP_WINDOW, int(n / (self.acc + 1.0))))
+                                           max(SKIP_WINDOW, int(n / (self.acc + 1.0))),
+                                           self.least)
+        if self.acc:
+            self.least = None  # a flip changed the state
         self.accepted += self.acc
         self.flips_since_check += self.acc
         if (k + 1) % self.check_every == 0:

@@ -94,12 +94,12 @@ class CouplingSpec:
         m_min = (1.0 / (30.0 * TAIL_TOLERANCE)) ** (1.0 / (5.0 - self.alpha))
         return max(int(math.ceil(m_min)), 16)
 
-    def _closure(self, m: int) -> float:
+    def _closure(self, m):
         """Euler-Maclaurin closure integral + f(m)/2 - f'(m)/12 of the sum of
-        f(n) = n**(alpha-2) over n >= m."""
+        f(n) = n**(alpha-2) over n >= m, for a number m or elementwise over
+        a float64 array."""
         a = self.alpha
-        fm = float(m) ** (a - 2.0)
-        return float(m) ** (a - 1.0) / (1.0 - a) + fm / 2.0 - (a - 2.0) * float(m) ** (a - 3.0) / 12.0
+        return m ** (a - 1.0) / (1.0 - a) + m ** (a - 2.0) / 2.0 - (a - 2.0) * m ** (a - 3.0) / 12.0
 
     def coupling_toeplitz(self, vol: Volume) -> np.ndarray:
         """J(|i-j|) as one length-(2N-1) vector t, zero at the centre.
@@ -123,15 +123,16 @@ class CouplingSpec:
         beyond, where P(d), the sum of n**(alpha-2) over n >= d, is the
         partial sum up to the truncation point M plus the closure from M
         on (from d on when d >= M).  Below M the partial sums are suffixes
-        of one array of powers.
+        of one array of powers; the closures from d >= M are one numpy
+        pass, whose float64 powers may differ from Python's by an ulp.
         """
         m0 = self._truncation_point()
         p = np.arange(1, m0, dtype=np.float64) ** (self.alpha - 2.0)
         c0 = self._closure(m0)
-        tails = [float(np.sum(p[d - 1:])) + c0 if d < m0 else self._closure(d)
-                 for d in range(1, vol.n_sites + 1)]
-        tails[0] = self.j1 + (float(np.sum(p[1:])) + c0)
-        tails = np.array(tails)
+        head = [float(np.sum(p[d - 1:])) + c0 for d in range(1, min(vol.n_sites, m0 - 1) + 1)]
+        head[0] = self.j1 + (float(np.sum(p[1:])) + c0)
+        far = self._closure(np.arange(m0, vol.n_sites + 1, dtype=np.float64))
+        tails = np.concatenate((head, far))
         return tails + tails[::-1]
 
 

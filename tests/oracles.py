@@ -5,6 +5,8 @@ by a slower, independent route, and only the tests call them:
 
 - ``coupling``, ``power_tail``, ``tail`` and ``boundary_field``: J(n),
   its tail sums and the boundary field of one site, one scalar at a time;
+- ``exterior_tails``: the tail sums to far beyond the truncation point,
+  by ``math.fsum``, for the accuracy of the library's closure;
 - ``homogeneous``: the configuration with every spin equal;
 - ``splitmix64_next`` and ``splitmix64_word``: a scalar SplitMix64
   generator, against which every vectorized stream is checked;
@@ -35,6 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from bisect import bisect_left
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -62,13 +65,30 @@ def coupling(spec: CouplingSpec, n: int) -> float:
 def power_tail(spec: CouplingSpec, d: int) -> float:
     """Sum of n**(alpha-2) over n >= d, to absolute accuracy TAIL_TOLERANCE:
     the partial sum up to the truncation point plus the Euler-Maclaurin
-    closure from there on."""
+    closure from there on.  From the truncation point on, the closure is
+    evaluated on a 0-d float64 array, with numpy's powers, as the library
+    evaluates all of those closures in one array."""
     if d < 1:
         raise ValueError("tail start must be >= 1")
-    m = max(d, spec._truncation_point())
-    n = np.arange(d, m, dtype=np.float64)
-    partial = float(np.sum(n ** (spec.alpha - 2.0))) if n.size else 0.0
-    return partial + spec._closure(m)
+    m0 = spec._truncation_point()
+    if d >= m0:
+        return float(spec._closure(np.array(d, dtype=np.float64)))
+    n = np.arange(d, m0, dtype=np.float64)
+    return float(np.sum(n ** (spec.alpha - 2.0))) + spec._closure(m0)
+
+
+def exterior_tails(spec: CouplingSpec, n: int, far: int = 10**5) -> List[float]:
+    """The sums of J(k) over k >= d for d = 1 .. n, by an independent route:
+    ``math.fsum`` of the terms below ``far`` (j1 at k = 1, k**(alpha-2)
+    beyond) plus the Euler-Maclaurin closure at ``far``, integral + f/2 -
+    f'/12, written out here.  The terms from n + 1 on are summed once."""
+    if not 1 <= n < far:
+        raise ValueError(f"need 1 <= n < far, got n={n}, far={far}")
+    a, f = spec.alpha, float(far)
+    terms = [spec.j1] + [float(k) ** (a - 2.0) for k in range(2, far)]
+    rest = math.fsum(terms[n:]) + (f ** (a - 1.0) / (1.0 - a) + f ** (a - 2.0) / 2.0
+                                   - (a - 2.0) * f ** (a - 3.0) / 12.0)
+    return [math.fsum(terms[d - 1:n]) + rest for d in range(1, n + 1)]
 
 
 def tail(spec: CouplingSpec, d: int) -> float:

@@ -590,6 +590,35 @@ def test_json_rows_equal_csv_rows(capsys, command):
     assert rows and rows == listed
 
 
+def _simulate_rows(payload):
+    """simulate's CSV rows from its JSON report: one per realization."""
+    rep = payload["report"]
+    return [{"realization": r, "estimate": ch["estimate"], "stderr": ch["stderr"],
+             "occupancy": ch["occupancy"], "acceptance": ch["acceptance"],
+             "violations": ch["violations"], "mean_estimate": rep["estimate"],
+             "mean_stderr": rep["stderr"], "b_bar": rep["b_bar"],
+             "reference_100": rep["reference_100"]} for r, ch in enumerate(rep["chains"])]
+
+
+def _sweep_rows(payload):
+    """sweep's CSV rows from its JSON reports: one per grid point."""
+    return [{"beta": rep["config"]["beta"], "theta": rep["config"]["theta"],
+             **{k: rep[k] for k in ("estimate", "stderr", "occupancy", "b_bar", "reference_100")}}
+            for rep in payload["reports"]]
+
+
+@pytest.mark.parametrize("name, rebuild", [("simulate-plus", _simulate_rows),
+                                           ("sweep", _sweep_rows)])
+def test_json_reports_give_csv_rows(capsys, name, rebuild):
+    # simulate and sweep list no rows in JSON; their reports hold every value of one
+    argv = GOLDEN_CASES[name].split() + ["--deterministic"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [{k: _cell(v) for k, v in row.items()} for row in csv.DictReader(lines[2:])]
+    assert main(argv + ["--format", "json"]) == 0
+    assert len(rows) > 1 and rows == rebuild(json.loads(capsys.readouterr().out))
+
+
 class TestSweepCommand:
     def test_grid_rows(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--beta", "0.1,0.2",

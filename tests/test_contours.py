@@ -283,8 +283,10 @@ class TestMergeOrder:
         for fam in families(Volume(0, 11)):
             whole = _partition(_merge(fam, 3))
             for k in range(1, len(fam)):
-                start = _merge(fam[:k], 3) + _merge(fam[k:], 3)
-                assert _partition(_merge((), 3, start)) == whole, (fam, k)
+                prefix, rest = _merge(fam[:k], 3), _merge(fam[k:], 3)
+                assert _partition(_merge((), 3, prefix + rest)) == whole, (fam, k)
+                # as the shape enumerator merges: the prefix's clusters start out separated
+                assert _partition(_merge((), 3, rest, prefix)) == whole, (fam, k)
 
 
 class TestPairPredicate:

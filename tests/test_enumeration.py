@@ -141,18 +141,23 @@ class TestEnumeration:
     def test_search_size(self, monkeypatch):
         # merges and fusions of one uncached mass-5 search: each block shape is
         # merged once, and the reach-bounded gaps leave 5,128 finished
-        # candidates, where merging each candidate from scratch took 10,008
-        work = [0, 0]
+        # candidates, where merging each candidate from scratch took 10,008;
+        # the prefix clusters a placement starts from are pairwise separated,
+        # and go in as such, so they are not checked against each other again
+        work = [0, 0, 0]
 
-        def counting(pairs, c, clusters=()):
-            out = _merge(pairs, c, clusters)
+        def counting(pairs, c, clusters=(), separated=()):
+            assert len(_merge((), c, separated)) == len(separated)
+            out = _merge(pairs, c, clusters, separated)
             work[0] += 1
-            work[1] += len(pairs) + len(clusters) - len(out)
+            work[1] += len(pairs) + len(clusters) + len(separated) - len(out)
+            work[2] += len(separated)
             return out
 
+        want = contour_shapes(5, 3)  # cached before the count, which sees one search
         monkeypatch.setitem(contour_shapes.__wrapped__.__globals__, "_merge", counting)
-        assert contour_shapes.__wrapped__(5, 3) == contour_shapes(5, 3)
-        assert work == [6_522, 8_689]
+        assert contour_shapes.__wrapped__(5, 3) == want
+        assert work[:2] == [6_522, 8_689] and work[2] > 0
 
     def test_each_mass_is_enumerated_once(self):
         # (2, 5) is a pair no other test enumerates, so its first call is the one miss

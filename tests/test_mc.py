@@ -381,7 +381,7 @@ def kernel_run(kernel, n, beta, theta, j1, sweeps=20, seed=0, boundary=+1,
                             chain.tau, order, u, e)
         elif kernel is mc_module._sweep:
             # as the chain passes them: tb and th as lists of floats
-            e, acc = kernel(s, m, chain.rows2, chain.tb_list, chain.th_list, beta,
+            e, acc = kernel(s, m, chain.rows2, chain.tb.tolist(), chain.th.tolist(), beta,
                             order, -np.log(u), e)
         else:
             e, acc = kernel(s, m, chain.rows2, chain.tb, chain.th, beta, order, -np.log(u), e)
@@ -599,14 +599,17 @@ class TestMeasurement:
     CFG = RunConfig(alpha=0.55, beta=5.0, theta=10.0, j1=1.5, size=64, sweeps=60, burnin=5,
                     seed=0, realizations=1)
 
-    def test_sweep_without_flip_is_not_measured_again(self, monkeypatch):
-        cfg = self.CFG
-        h = DisorderField.generate(cfg.volume(), seed=10)
-        # the reference steps the chain and measures the state after every measured sweep
-        chain = mc_module._Chain(cfg, h, 20)
+    @staticmethod
+    def hand_stepped(cfg, h, seed, fresh_least=False):
+        """The ``ChainResult`` of a chain stepped by hand, which measures the
+        state after every measured sweep; with ``fresh_least`` the chain's
+        cached least is cleared before every sweep."""
+        chain = mc_module._Chain(cfg, h, seed)
         origin = chain.vol.index(0)
         minus, covered = [], []
         for sweep in range(cfg.sweeps):
+            if fresh_least:
+                chain.least = None
             chain.sweep(sweep)
             if sweep >= cfg.burnin:
                 minus.append(chain.s[origin] < 0)
@@ -614,12 +617,17 @@ class TestMeasurement:
                 covered.append(origin_in_contour(sigma))
         minus, covered = np.array(minus), np.array(covered)
         x = minus.astype(np.float64)
-        want = mc_module.ChainResult(
+        return mc_module.ChainResult(
             estimate=float(x.mean()), stderr=mc_module._batch_means_stderr(x),
             occupancy=float(covered.mean()),
             acceptance=chain.accepted / (cfg.sweeps * cfg.size),
             violations=int(np.count_nonzero(minus & ~covered)),
             n_measured=cfg.sweeps - cfg.burnin, field_seed=h.seed)
+
+    def test_sweep_without_flip_is_not_measured_again(self, monkeypatch):
+        cfg = self.CFG
+        h = DisorderField.generate(cfg.volume(), seed=10)
+        want = self.hand_stepped(cfg, h, 20)
         assert want.acceptance > 0.0 and want.estimate == want.occupancy == 1.0
 
         calls = []
@@ -630,6 +638,65 @@ class TestMeasurement:
 
         monkeypatch.setattr(mc_module, "spins_to_triangles", counting)
         assert metropolis_run(cfg, h, chain_seed=20) == want
+        assert len(calls) == 1
+
+
+class TestCachedLeast:
+    """A chain caches the least beta * de of its state (``_Chain.least``) for
+    the whole-sweep test while nothing flips; the cache changes no chain."""
+
+    @staticmethod
+    def _side_by_side(cfg, h, seed):
+        """Step a chain next to one whose least is cleared before every sweep.
+
+        After every sweep the two agree to the bit, and a cached least is
+        the ``_least`` of the state.  Returns, per sweep, whether the chain
+        began it with a cached least and how many flips it accepted.
+        """
+        chain, fresh = mc_module._Chain(cfg, h, seed), mc_module._Chain(cfg, h, seed)
+        log = []
+        for sweep in range(cfg.sweeps):
+            cached = chain.least is not None
+            chain.sweep(sweep)
+            fresh.least = None
+            fresh.sweep(sweep)
+            assert np.array_equal(chain.s, fresh.s) and np.array_equal(chain.m, fresh.m)
+            assert (chain.e, chain.acc) == (fresh.e, fresh.acc), sweep
+            if chain.least is not None:
+                assert chain.least == mc_module._least(chain.s, chain.m, chain.tb, chain.th,
+                                                       cfg.beta), sweep
+            log.append((cached, chain.acc))
+        return log
+
+    def test_flipping_then_frozen_chain(self):
+        cfg = TestMeasurement.CFG
+        h = DisorderField.generate(cfg.volume(), seed=10)
+        log = self._side_by_side(cfg, h, 20)
+        # the chain flips, then holds one cached least to its end
+        assert log[0][0] is False and log[0][1] > 0 and log[-1] == (True, 0)
+        assert metropolis_run(cfg, h, chain_seed=20) == TestMeasurement.hand_stepped(
+            cfg, h, 20, fresh_least=True)
+
+    def test_cache_is_dropped_after_any_flip(self):
+        # a warm chain: some predicted-frozen sweeps, which test a cached least,
+        # accept one flip and some more than one
+        cfg = RunConfig(alpha=0.55, beta=0.4, theta=0.5, j1=1.5, size=32, sweeps=400,
+                        burnin=10, seed=0, realizations=1)
+        log = self._side_by_side(cfg, DisorderField.generate(cfg.volume(), seed=10), 20)
+        assert (True, 1) in log and any(cached and acc > 1 for cached, acc in log)
+
+    def test_frozen_chain_evaluates_least_once(self, monkeypatch):
+        calls = []
+        least = mc_module._least
+
+        def counting(*args):
+            calls.append(1)
+            return least(*args)
+
+        monkeypatch.setattr(mc_module, "_least", counting)
+        cfg = TestDriftCheck.FROZEN
+        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed=2))
+        assert res.acceptance == 0.0
         assert len(calls) == 1
 
 

@@ -10,12 +10,13 @@ from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import zeta as hurwitz_zeta
 
 import rfim1d
-from oracles import (boundary_field, coupling, homogeneous, power_tail,
+from oracles import (boundary_field, coupling, exterior_tails, homogeneous, power_tail,
                      splitmix64_next, splitmix64_word, tail)
 from rfim1d import (CapacityError, CouplingSpec, DisorderField,
                     SpinConfiguration, Volume, VolumeMismatchError, energy,
                     exact_gibbs_marginal, hamiltonian, triangles_to_spins)
-from rfim1d.model import DISTRIBUTIONS, _logsumexp, _site_words, _word_values, enumerate_spins
+from rfim1d.model import (DISTRIBUTIONS, TAIL_TOLERANCE, _logsumexp, _site_words, _word_values,
+                          enumerate_spins)
 
 FIELD_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 123456789012345, 2**64 - 1, 2**70 + 5, -3]
 
@@ -116,6 +117,17 @@ class TestCoupling:
         vol = Volume.centered(n)
         per_site = np.array([boundary_field(spec, i, vol) for i in vol.sites()])
         assert np.array_equal(spec.boundary_vector(vol), per_site)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.55, 0.99])
+    def test_boundary_vector_accuracy(self, alpha):
+        # against fsum tails summed to 10^5, on both sides of the truncation
+        # point (83 at alpha = 0.55), where the closures become one numpy pass
+        spec = CouplingSpec(alpha=alpha, j1=10.0)
+        tails = np.array(exterior_tails(spec, 4096))
+        for n in [82, 83, 84, 512, 4096]:
+            want = tails[:n] + tails[:n][::-1]
+            err = np.abs(spec.boundary_vector(Volume.centered(n)) - want).max()
+            assert err <= 2 * TAIL_TOLERANCE, (n, err)
 
     def test_coupling_matrix(self):
         spec = CouplingSpec(alpha=0.55, j1=10.0)
