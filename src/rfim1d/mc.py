@@ -31,35 +31,25 @@ The rule u < exp(-beta * dE) would decide differently only where u lies
 within an ulp of the exponential, or where u = 0 meets an exponential
 that underflowed: about 2**-52 per uphill proposal.
 
-The sweep kernel has two paths over the same thresholds and the chain's
-tables (doubled coupling rows, tau * b, theta * h).  ``_sweep`` is a loop
-on Python floats that commits an accepted flip as one in-place numpy
-subtract or add of a doubled row.  After a sweep whose acceptance fell
-below ``SKIP_BELOW_ACCEPTANCE`` (for the first sweep: the acceptance the
-start state predicts) ``_skip_sweep`` runs instead: it tests a window of
-upcoming proposals in one numpy expression, commits the first accepted
-one and skips the rejected run before it (Bortz, Kalos & Lebowitz,
-J. Comput. Phys. 17 (1975) 10, without changing the chain).
-When the chain predicts no flip (the previous sweep accepted none, or
-the start state predicts fewer than one), ``_skip_sweep`` first tests
-the sweep whole, in no order: if the least beta * dE over all sites
-(``_least``, the kernels' own float product) exceeds the greatest
-threshold, every proposal compares a value at least that least one with
-a threshold at most that greatest one, so none passes in any order.  The
-sweep then ends with no flip and without reading its order words.  The
-chain caches the least from the first sweep that tests it and drops it
-after any sweep that accepts a flip: with no flip the state, and so the
-least, keeps its bits, and a frozen chain computes it once.  A NaN dE makes
-the least value NaN, and u = 0 the greatest threshold +inf; either fails
-the test, and the window scan runs as it would without it.  A chain that
-flips skips the test, which would nearly always fail, and reads its
-words in one call: the test and a second read made a chain at N=512,
-beta=0.4 (acceptance 0.016) 12-16% slower on a 2-CPU Xeon.  A
-measured sweep with no flip reuses the previous sweep's measurement
+The sweep kernel ``_sweep`` is a loop on Python floats over the chain's
+tables (doubled coupling rows, tau * b, theta * h) that commits an
+accepted flip as one in-place numpy subtract or add of a doubled row.
+When the chain predicts no flip (the previous sweep accepted none, or the
+start state predicts fewer than one), the sweep is first tested whole, in
+no order: if the least beta * dE over all sites (``_least``, the kernel's
+own float product) exceeds the greatest threshold, every proposal
+compares a value at least that least one with a threshold at most that
+greatest one, so none passes in any order.  The sweep then ends with no
+flip and without reading its order words; otherwise ``_sweep`` runs as
+it would without the test, so the test cannot change a chain.  The chain
+caches the least from the first sweep that tests it and drops it after
+any sweep that accepts a flip: with no flip the state, and so the least,
+keeps its bits, and a frozen chain computes it once.  A NaN dE makes the
+least value NaN, and u = 0 the greatest threshold +inf; either fails the
+test, and ``_sweep`` decides each proposal.  A chain that flips skips the
+test, which would nearly always fail, and reads its words in one call.
+A measured sweep with no flip reuses the previous sweep's measurement
 instead of rebuilding its triangles and contours.
-Both paths compare the same product beta * dE with the same threshold and
-commit with the same row update, so the path choice cannot change a
-chain: the threshold is a speed setting only.
 """
 
 from __future__ import annotations
@@ -78,8 +68,7 @@ from .triangles import spins_to_triangles
 
 DRIFT_CHECK_UPDATES = 10_000
 DRIFT_TOLERANCE = 1e-6
-SKIP_BELOW_ACCEPTANCE = 0.05  # previous sweep's acceptance below which _skip_sweep runs
-SKIP_WINDOW = 64  # fewest proposals in the first window after a start or a commit
+BATCHES = 32  # batch means of a chain's error bar
 MAX_SWEEPS = 10**8  # a chain keeps at most two one-byte records per measured sweep
 MAX_REALIZATIONS = 10**6  # a run draws its 2 * realizations seed words up front: 16 MB
 
@@ -196,53 +185,8 @@ def _sweep(s, m, rows2, tb, th, beta, order, thr, e):
 
 
 def _least(s, m, tb, th, beta):
-    """The least beta * de over all sites, the kernels' own float product."""
+    """The least beta * de over all sites, the kernel's own float product."""
     return (beta * (2.0 * s * (m + tb + th))).min()
-
-
-def _skip_sweep(s, m, rows2, tb, th, beta, order, thr, e, w0=SKIP_WINDOW, least=None):
-    """``_sweep`` on the same draws, skipping runs of rejected proposals.
-
-    ``order`` is the site order, or a function that draws it: then the
-    sweep is first tested whole (see the module docstring), against
-    ``least`` if given (the ``_least`` of this state) and else a fresh
-    ``_least``, and the order is drawn only if that test fails.  The flip
-    energies and accept tests of a window of upcoming proposals are one
-    numpy expression with the scalar loop's float operations; the first
-    accepted proposal is committed as there and the scan resumes right
-    after it.  Windows start at w0 proposals, after each commit too, and a
-    window without an accept doubles the next one.
-    """
-    if callable(order):
-        if least is None:
-            least = _least(s, m, tb, th, beta)
-        if least > thr.max():
-            return e, 0
-        order = order()
-    n = s.shape[0]
-    acc = 0
-    k = 0
-    w = w0
-    while k < n:
-        idx = order[k:k + w]
-        de = 2.0 * s[idx] * (m[idx] + tb[idx] + th[idx])
-        hit = beta * de <= thr[k:k + w]
-        j = int(hit.argmax())
-        if not hit[j]:
-            k += w
-            w *= 2
-            continue
-        i = idx[j]
-        if s[i] > 0.0:
-            m -= rows2[i]
-        else:
-            m += rows2[i]
-        s[i] = -s[i]
-        e += de[j]
-        acc += 1
-        k += j + 1
-        w = w0
-    return e, acc
 
 
 def _start_sums(t: np.ndarray, tau: float) -> np.ndarray:
@@ -253,10 +197,10 @@ def _start_sums(t: np.ndarray, tau: float) -> np.ndarray:
     return tau * (c + c[::-1])
 
 
-def _batch_means_stderr(x: np.ndarray, n_batches: int = 32) -> float:
+def _batch_means_stderr(x: np.ndarray) -> float:
     """Standard error of the mean of a correlated series via batch means."""
     n = x.size
-    nb = min(n_batches, n)
+    nb = min(BATCHES, n)
     if nb < 2:
         return 0.0
     size = n // nb
@@ -275,7 +219,7 @@ class _Chain:
         n = self.n = config.size
         tau = self.tau = float(config.boundary)
         t, bv = _coupling_tables(self.spec, self.vol)
-        # the kernels' tables; doubling is exact: row i is 2 * t[n-1-i : 2n-1-i]
+        # the kernel's tables; doubling is exact: row i is 2 * t[n-1-i : 2n-1-i]
         self.rows2, self.tb, self.th = toeplitz_rows(2.0 * t), tau * bv, config.theta * h.values
         # the scalar loop's tables and the cached _least wait until a sweep needs them
         self.tb_list = self.th_list = self.least = None
@@ -293,28 +237,23 @@ class _Chain:
     def sweep(self, k: int) -> None:
         """Run sweep k, then the drift check if one falls after it."""
         n, beta, seed = self.n, self.config.beta, self.seed
-        if self.acc >= SKIP_BELOW_ACCEPTANCE * n:
+        if self.acc >= 1.0:
+            order, thr = _sweep_draws(seed, n, k)
+        else:
+            # no flip predicted: the order words wait for the whole-sweep test
+            thr = _thresholds(_stream_words(seed, 2 * n * k + n, n))
+            if self.least is None:
+                self.least = _least(self.s, self.m, self.tb, self.th, beta)
+            order = (None if self.least > thr.max()
+                     else _site_order(_stream_words(seed, 2 * n * k, n)))
+        self.acc = 0
+        if order is not None:
             if self.tb_list is None:
                 self.tb_list, self.th_list = self.tb.tolist(), self.th.tolist()
-            order, thr = _sweep_draws(seed, n, k)
             self.e, self.acc = _sweep(self.s, self.m, self.rows2, self.tb_list, self.th_list,
                                       beta, order, thr, self.e)
-        else:
-            if self.acc < 1.0:
-                # no flip predicted: the order words wait for the whole-sweep test
-                thr = _thresholds(_stream_words(seed, 2 * n * k + n, n))
-                order = lambda: _site_order(_stream_words(seed, 2 * n * k, n))
-                if self.least is None:
-                    self.least = _least(self.s, self.m, self.tb, self.th, beta)
-            else:
-                order, thr = _sweep_draws(seed, n, k)
-            # a first window as long as the run of rejections acc predicts
-            self.e, self.acc = _skip_sweep(self.s, self.m, self.rows2, self.tb, self.th, beta,
-                                           order, thr, self.e,
-                                           max(SKIP_WINDOW, int(n / (self.acc + 1.0))),
-                                           self.least)
-        if self.acc:
-            self.least = None  # a flip changed the state
+            if self.acc:
+                self.least = None  # a flip changed the state
         self.accepted += self.acc
         self.flips_since_check += self.acc
         if (k + 1) % self.check_every == 0:

@@ -44,6 +44,9 @@ CASES = {
                   " --sweeps 3 --burnin 2 --realizations 5 --seed 4200",
     "sample-cold": "simulate --alpha 0.55 --beta 5 --theta 0.05 --j1 10 --size 4096"
                    " --sweeps 40 --burnin 10 --realizations 1 --seed 4200",
+    # rare accepts (acceptance about 0.016): no workload runs this regime
+    "simulate-rare": "simulate --alpha 0.55 --j1 1.5 --theta 1.0 --beta 0.4 --size 512"
+                     " --sweeps 20 --burnin 5 --realizations 2 --seed 11",
 }
 # the JSON of verify-energy repeats its CSV rows at three times the size
 FILES = [(name, fmt) for name in CASES for fmt in ("csv", "json")

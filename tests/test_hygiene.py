@@ -7,9 +7,9 @@ module defines, has a use outside the tests and outside its own
 definition: in a library module, in a demo, or in the benchmark harness,
 whose trace targets count too.  A method that overrides one of a base
 class is used by the base class's callers, so it is exempt.  Every
-defaulted parameter of a public function or method is set off its
-default by some call, in a library module, a demo, the benchmark harness
-or a test: a default no caller turns is a constant.
+defaulted parameter of a function or method, public or private, is set
+off its default by some call, in a library module, a demo, the benchmark
+harness or a test: a default no caller turns is a constant.
 """
 
 import ast
@@ -111,24 +111,29 @@ def names_used_outside_tests():
     return used
 
 
-def public_definitions():
-    """(module, qualified name) of every public module-level function and
-    class and of every public method of a module-level class, overrides
-    excepted."""
+def definitions():
+    """(module, qualified name) of every module-level function and class and
+    of every method of a module-level class, overrides excepted."""
     found = []
     for path in MODULES:
         module = importlib.import_module(f"rfim1d.{path.stem}")
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if stmt.name[0] != "_":
-                found.append((path.stem, stmt.name))
+            found.append((path.stem, stmt.name))
             if isinstance(stmt, ast.ClassDef):
                 bases = getattr(module, stmt.name).__mro__[1:]
                 found += [(path.stem, f"{stmt.name}.{node.name}") for node in stmt.body
-                          if isinstance(node, ast.FunctionDef) and node.name[0] != "_"
+                          if isinstance(node, ast.FunctionDef)
                           and not any(node.name in vars(base) for base in bases)]
     return found
+
+
+def public_definitions():
+    """The ``definitions`` whose own name is public: a public method of a
+    private class counts."""
+    return [(module, name) for module, name in definitions()
+            if name.rsplit(".", 1)[-1][0] != "_"]
 
 
 def test_exports_found():
@@ -157,9 +162,10 @@ def test_every_definition_has_a_use_outside_tests():
 
 def defaulted_parameters():
     """(qualified name, parameter, default, position) of every defaulted
-    parameter of a public definition.  A method's positions skip its
-    ``self`` or ``cls``; a keyword-only parameter has position None."""
-    public = set(public_definitions())
+    parameter of a function or method of ``definitions``.  A method's
+    positions skip its ``self`` or ``cls``; a keyword-only parameter has
+    position None."""
+    defined = set(definitions())
     found = []
     for path in MODULES:
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
@@ -168,7 +174,7 @@ def defaulted_parameters():
                 defs = [(f"{stmt.name}.{node.name}", node, 1) for node in stmt.body
                         if isinstance(node, ast.FunctionDef)]
             for name, node, skip in defs:
-                if (path.stem, name) not in public:
+                if (path.stem, name) not in defined:
                     continue
                 args, qual = node.args, f"{path.stem}.{name}"
                 positional = (args.posonlyargs + args.args)[skip:]
@@ -220,6 +226,8 @@ def test_defaulted_parameters_found():
     found = {(qual, arg) for qual, arg, _, _ in defaulted_parameters()}
     assert {("bounds.exhaustive_reports", "c"), ("model.energy", "theta")} <= found
     assert ("cli.main", "argv") in found
+    # private functions count too
+    assert ("contours._merge", "clusters") in found
 
 
 def test_every_default_is_turned_by_a_caller():

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import warnings
 
@@ -244,7 +243,13 @@ class TestChainStream:
                         burnin=2, seed=3, realizations=1)
         h = DisorderField.generate(cfg.volume(), seed=4)
         metropolis_run(cfg, h, chain_seed=2**64 - 1)
-        assert calls == [(2**64 - 1, 24 * k, 24) for k in range(9)]
+        # the start state predicts fewer than one flip: the first sweep reads its
+        # thresholds, fails the whole-sweep test and then reads its order; each
+        # later sweep follows one that flipped and reads its 2n words in one call
+        assert mc_module._Chain(cfg, h, 0).acc < 1.0
+        seed = 2**64 - 1
+        assert calls == [(seed, 12, 12), (seed, 0, 12)] + [(seed, 24 * k, 24)
+                                                            for k in range(1, 9)]
         # a frozen sweep reads its thresholds alone: no proposal passes, so
         # its order words are never read
         calls.clear()
@@ -379,12 +384,10 @@ def kernel_run(kernel, n, beta, theta, j1, sweeps=20, seed=0, boundary=+1,
         if kernel is _reference_sweep:
             e, acc = kernel(s, m, t, spec.boundary_vector(vol), h.values, theta, beta,
                             chain.tau, order, u, e)
-        elif kernel is mc_module._sweep:
+        else:
             # as the chain passes them: tb and th as lists of floats
             e, acc = kernel(s, m, chain.rows2, chain.tb.tolist(), chain.th.tolist(), beta,
                             order, -np.log(u), e)
-        else:
-            e, acc = kernel(s, m, chain.rows2, chain.tb, chain.th, beta, order, -np.log(u), e)
         accepted += acc
     return s, m, e, accepted
 
@@ -428,9 +431,7 @@ class TestScalarKernel:
         if n > 1 and 0.0 < beta < 1.0:
             assert 0 < acc < sweeps * n
 
-    @pytest.mark.parametrize("kernel", [mc_module._sweep, mc_module._skip_sweep],
-                             ids=["scalar", "skip"])
-    def test_threshold_ties(self, kernel):
+    def test_threshold_ties(self):
         # with zero couplings each site is an independent proposal with
         # de = 2 b_k; a move is accepted iff beta * de <= its threshold
         beta = 0.7
@@ -440,7 +441,8 @@ class TestScalarKernel:
 
         def accepts(b, thr):
             s, m = np.ones(n), np.zeros(n)
-            kernel(s, m, np.zeros((n, n)), b, np.zeros(n), beta, np.arange(n), thr, 0.0)
+            mc_module._sweep(s, m, np.zeros((n, n)), b, np.zeros(n), beta, np.arange(n), thr,
+                             0.0)
             return s < 0
 
         x = beta * (2.0 * b)
@@ -485,112 +487,150 @@ class TestScalarKernel:
 
 
 class TestSkipPath:
+    """A chain skips a predicted-frozen sweep only when the whole-sweep test
+    shows that no proposal can pass, so skipping changes no chain."""
+
     @pytest.mark.parametrize("n, beta, theta, j1, acceptance", [
         (4096, 5.0, 0.05, 10.0, (0.0, 0.0)),  # sample-cold parameters
         (512, 0.2, 1.0, 1.5, (0.2, 0.45)),  # sample-hot parameters
-        (512, 0.4, 1.0, 1.5, (0.005, 0.05)),  # rare accepts inside windows
+        (512, 0.4, 1.0, 1.5, (0.005, 0.05)),  # rare accepts
         (512, 0.0, 1.0, 1.5, (1.0, 1.0)),  # beta = 0 accepts everything
         (1, 0.3, 1.0, 1.5, (0.0, 1.0)),
     ], ids=["cold", "hot", "rare", "beta0", "n1"])
-    @pytest.mark.parametrize("w0", [mc_module.SKIP_WINDOW, 1000])
-    def test_same_chain_as_scalar_loop(self, n, beta, theta, j1, acceptance, w0):
-        s, m, e, acc = kernel_run(mc_module._sweep, n, beta, theta, j1)
-        s2, m2, e2, acc2 = kernel_run(functools.partial(mc_module._skip_sweep, w0=w0),
-                                      n, beta, theta, j1)
-        assert np.array_equal(s, s2) and np.array_equal(m, m2)
-        assert e == e2 and acc == acc2
+    @pytest.mark.parametrize("seed", [64, 1000])
+    def test_same_chain_as_scalar_loop(self, n, beta, theta, j1, acceptance, seed):
+        # the second chain predicts a flip before every sweep, so it never
+        # tests a sweep whole; after every sweep the two agree to the bit
+        cfg = RunConfig(size=n, alpha=0.55, beta=beta, theta=theta, j1=j1, sweeps=20,
+                        burnin=0)
+        h = DisorderField.generate(cfg.volume(), seed=0)
+        chain, scalar = mc_module._Chain(cfg, h, seed), mc_module._Chain(cfg, h, seed)
+        for sweep in range(cfg.sweeps):
+            chain.sweep(sweep)
+            scalar.acc = 1.0
+            scalar.sweep(sweep)
+            assert np.array_equal(chain.s, scalar.s) and np.array_equal(chain.m, scalar.m)
+            assert (chain.e, chain.acc) == (scalar.e, scalar.acc), sweep
         lo, hi = acceptance
-        assert lo <= acc / (20 * n) <= hi
+        assert lo <= chain.accepted / (cfg.sweeps * n) <= hi
 
-    def test_large_negative_flip_energy_does_not_overflow(self):
-        # a field of strength 1000 gives de near -2000 at every site it opposes
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            s, m, e, acc = kernel_run(mc_module._skip_sweep, 64, 5.0, 1000.0, 1.5, sweeps=2)
-        ref = kernel_run(mc_module._sweep, 64, 5.0, 1000.0, 1.5, sweeps=2)
-        assert np.array_equal(s, ref[0]) and e == ref[2] and acc == ref[3] > 0
 
-    def test_threshold_is_a_speed_setting(self, monkeypatch):
+class TestProposalLoop:
+    """Every sweep that proposes runs ``_sweep``; the whole-sweep test only
+    ends sweeps in which no proposal can pass, so it changes no chain."""
+
+    def test_forced_scalar_sweeps_give_the_same_result(self, monkeypatch):
+        # a warm chain: some predicted-frozen sweeps pass the whole-sweep test
+        # and some fail it
+        cfg = RunConfig(alpha=0.55, beta=0.4, theta=0.5, j1=1.5, size=32, sweeps=400,
+                        burnin=10, seed=0, realizations=1)
+        h = DisorderField.generate(cfg.volume(), seed=10)
         calls = []
-        skip = mc_module._skip_sweep
+        scalar = mc_module._sweep
 
         def counting(*args):
             calls.append(1)
-            return skip(*args)
+            return scalar(*args)
 
-        monkeypatch.setattr(mc_module, "_skip_sweep", counting)
-        cfg = RunConfig(alpha=0.55, beta=0.3, theta=0.5, j1=1.5, size=16, sweeps=600,
-                        burnin=100, seed=3, realizations=1)
-        h = DisorderField.generate(cfg.volume(), seed=4)
-        results, ran = [], []
-        for threshold in (mc_module.SKIP_BELOW_ACCEPTANCE, 0.0, 1.0):
-            monkeypatch.setattr(mc_module, "SKIP_BELOW_ACCEPTANCE", threshold)
-            calls.clear()
-            results.append(metropolis_run(cfg, h, chain_seed=5))
-            ran.append(len(calls))
-        assert results[0] == results[1] == results[2]
-        assert 0.0 < results[0].acceptance < 1.0
-        # the default switches paths; 0 keeps the scalar loop; 1 skips every sweep
-        assert 0 < ran[0] < cfg.sweeps
-        assert ran[1] == 0 and ran[2] == cfg.sweeps
+        monkeypatch.setattr(mc_module, "_sweep", counting)
+        step = mc_module._Chain.sweep
+        tested = []  # per predicted-frozen sweep: whether it ran _sweep
+
+        def logged(chain, k):
+            frozen, before = chain.acc < 1.0, len(calls)
+            step(chain, k)
+            if frozen:
+                tested.append(len(calls) > before)
+
+        monkeypatch.setattr(mc_module._Chain, "sweep", logged)
+        want = metropolis_run(cfg, h, chain_seed=20)
+        assert True in tested and False in tested
+        assert 0.0 < want.acceptance < 1.0
+
+        def forced(chain, k):
+            chain.acc = 1.0
+            step(chain, k)
+
+        monkeypatch.setattr(mc_module._Chain, "sweep", forced)
+        calls.clear()
+        assert metropolis_run(cfg, h, chain_seed=20) == want
+        assert len(calls) == cfg.sweeps
+
+    def test_large_negative_flip_energy_does_not_overflow(self):
+        # a field of strength 1000 gives de near -2000 at every site it opposes:
+        # each site takes its field's sign, then every sweep is tested whole
+        cfg = RunConfig(alpha=0.55, beta=5.0, theta=1000.0, j1=1.5, size=64, sweeps=200,
+                        burnin=1, seed=0, realizations=1)
+        h = DisorderField.generate(cfg.volume(), seed=3)
+        assert cfg.sweeps > -(-mc_module.DRIFT_CHECK_UPDATES // cfg.size)  # a drift check runs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = metropolis_run(cfg, h)
+        assert res.acceptance > 0.0
+        assert res.estimate == float(h.values[cfg.volume().index(0)] < 0)
 
 
 class TestWholeSweepRejection:
-    """The order-free test that ends a sweep of ``_skip_sweep`` with no flip
-    when the least beta * de exceeds the greatest threshold."""
+    """The order-free test that ends a predicted-frozen sweep of a chain
+    with no flip when the least beta * de exceeds the greatest threshold."""
 
     BETA = 0.7
 
-    def _run(self, b, thr):
-        """One sweep of each kernel with zero couplings, so that proposal k
-        has de = 2 b_k: the (s, e, accepted) of ``_skip_sweep``, the number of
-        times it drew its order, and the (s, e, accepted) of ``_sweep``."""
+    def _run(self, b, thr, monkeypatch):
+        """One predicted-frozen chain sweep with zero couplings, so that
+        proposal k has de = 2 b_k, against the thresholds thr: the chain's
+        (s, e, accepted), the number of times it drew its order, and the
+        (s, e, accepted) of ``_sweep`` in the same order."""
         n = b.size
         drawn = []
 
-        def draw_order():
+        def draw_order(w):
             drawn.append(1)
             return np.arange(n)
 
-        s, m = np.ones(n), np.zeros(n)
-        e, acc = mc_module._skip_sweep(s, m, np.zeros((n, n)), b, np.zeros(n), self.BETA,
-                                       draw_order, thr, 0.0)
+        monkeypatch.setattr(mc_module, "_thresholds", lambda w: thr)
+        monkeypatch.setattr(mc_module, "_site_order", draw_order)
+        cfg = RunConfig(size=n, alpha=0.55, beta=self.BETA, sweeps=1, burnin=0)
+        chain = mc_module._Chain(cfg, DisorderField.generate(cfg.volume(), seed=0), 1)
+        chain.rows2, chain.m = np.zeros((n, n)), np.zeros(n)
+        chain.tb, chain.th, chain.acc = b, np.zeros(n), 0
+        chain.sweep(0)
         s2, m2 = np.ones(n), np.zeros(n)
         e2, acc2 = mc_module._sweep(s2, m2, np.zeros((n, n)), b.tolist(), [0.0] * n, self.BETA,
                                     np.arange(n), thr, 0.0)
-        return (s.tolist(), e, acc), len(drawn), (s2.tolist(), e2, acc2)
+        return (chain.s.tolist(), chain.e, chain.acc), len(drawn), (s2.tolist(), e2, acc2)
 
     @pytest.mark.parametrize("n", [1, 5])
-    def test_threshold_ties(self, n):
+    def test_threshold_ties(self, n, monkeypatch):
         # a constant field: every proposal has the same beta * de, equal to
         # every threshold, and each passes (<=)
         b = np.full(n, 3.0)
         x = self.BETA * (2.0 * b)
-        skip, drawn, scalar = self._run(b, x)
-        assert skip == scalar and skip[2] == n and drawn == 1
+        got, drawn, scalar = self._run(b, x, monkeypatch)
+        assert got == scalar and got[2] == n and drawn == 1
         # one ulp less, no proposal passes, and the order is never drawn
-        skip, drawn, scalar = self._run(b, np.nextafter(x, -np.inf))
-        assert skip == scalar == ([1.0] * n, 0.0, 0) and drawn == 0
+        got, drawn, scalar = self._run(b, np.nextafter(x, -np.inf), monkeypatch)
+        assert got == scalar == ([1.0] * n, 0.0, 0) and drawn == 0
 
-    def test_one_tie_among_rejections(self):
+    def test_one_tie_among_rejections(self, monkeypatch):
         b = np.array([5.0, 3.0, 7.0])
         thr = np.array([1.0, self.BETA * (2.0 * 3.0), 2.0])
-        skip, drawn, scalar = self._run(b, thr)
-        assert skip == scalar == ([1.0, -1.0, 1.0], 6.0, 1) and drawn == 1
+        got, drawn, scalar = self._run(b, thr, monkeypatch)
+        assert got == scalar == ([1.0, -1.0, 1.0], 6.0, 1) and drawn == 1
 
-    def test_infinite_threshold_scans_the_sweep(self):
+    def test_infinite_threshold_scans_the_sweep(self, monkeypatch):
         # u = 0 gives the threshold +inf, the greatest, which no beta * de exceeds
         b = np.full(6, 3.0)
         thr = np.full(6, 1.0)
         thr[4] = np.inf
-        skip, drawn, scalar = self._run(b, thr)
-        assert skip == scalar and skip[2] == 1 and drawn == 1
+        got, drawn, scalar = self._run(b, thr, monkeypatch)
+        assert got == scalar and got[2] == 1 and drawn == 1
 
-    def test_nan_flip_energy_scans_the_sweep(self):
-        # a NaN de makes the least beta * de NaN, and the test fails; the scan
-        # rejects every proposal, as the scalar loop does
-        skip, drawn, scalar = self._run(np.full(6, np.nan), np.full(6, 1.0))
-        assert skip == scalar == ([1.0] * 6, 0.0, 0) and drawn == 1
+    def test_nan_flip_energy_scans_the_sweep(self, monkeypatch):
+        # a NaN de makes the least beta * de NaN, and the test fails; _sweep
+        # rejects every proposal
+        got, drawn, scalar = self._run(np.full(6, np.nan), np.full(6, 1.0), monkeypatch)
+        assert got == scalar == ([1.0] * 6, 0.0, 0) and drawn == 1
 
 
 class TestMeasurement:
@@ -718,18 +758,20 @@ class TestDriftCheck:
 
     @staticmethod
     def _drifting(monkeypatch):
-        """Add 1 to the running energy after every sweep; returns the accept counts."""
+        """Add 1 to the running energy after every sweep; returns the accept counts.
+
+        A least beta * de of -inf fails every whole-sweep test, so every
+        sweep runs ``_sweep``, as it would without the test."""
         accepted = []
+        sweep = mc_module._sweep
 
-        def drifting(sweep):
-            def run(*args, **kwargs):
-                e, acc = sweep(*args, **kwargs)
-                accepted.append(acc)
-                return e + 1.0, acc
-            return run
+        def drifting(*args):
+            e, acc = sweep(*args)
+            accepted.append(acc)
+            return e + 1.0, acc
 
-        monkeypatch.setattr(mc_module, "_sweep", drifting(mc_module._sweep))
-        monkeypatch.setattr(mc_module, "_skip_sweep", drifting(mc_module._skip_sweep))
+        monkeypatch.setattr(mc_module, "_sweep", drifting)
+        monkeypatch.setattr(mc_module, "_least", lambda *args: -np.inf)
         return accepted
 
     def test_frozen_chain_computes_no_energy(self, monkeypatch):
