@@ -3,9 +3,10 @@
 Library layout:
 
 - ``model``: volumes, couplings, fields, the one energy function, exact marginals
-- ``triangles``: interface pairing and the triangle encoding of spins; a
-  triangle is a ``(left, right)`` int bond pair, a family is a sorted tuple
-  of them, and ``families`` streams those of every configuration of a volume
+- ``triangles``: interface pairing and the triangle encoding of a +-1 spin
+  row under the plus boundary; a triangle is a ``(left, right)`` int bond
+  pair, a family is a sorted tuple of them, and ``families`` streams those
+  of every configuration of a volume
 - ``contours``: separation rules and the contour decomposition; a ``Contour``
   is a named tuple (left, right, mass, triangles), and the decomposition
   itself is ``rfim1d.contours.contours``
@@ -29,9 +30,8 @@ from .disorder import (BjEstimate, ConstrainedEnsemble, b_bar, check_antisymmetr
                        thresholds)
 from .enumeration import CertifyResult, certify_C0, enumerate_origin_contours
 from .mc import ChainResult, RunConfig, RunReport, disorder_sweep, metropolis_run
-from .model import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec,
-                    DisorderField, SpinConfiguration, Volume,
-                    VolumeMismatchError, energy, exact_gibbs_marginal,
+from .model import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, DisorderField,
+                    Volume, VolumeMismatchError, energy, exact_gibbs_marginal,
                     hamiltonian)
 from .triangles import (families, family_code, interfaces, pair_interface_bonds,
                         satisfies_ma1, spins_to_triangles, triangle_distance,

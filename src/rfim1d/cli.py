@@ -30,7 +30,7 @@ from .disorder import (ConstrainedEnsemble, check_antisymmetry, check_beta_theta
 from .enumeration import certify_C0, origin_contour_counts
 from .mc import EnergyDriftError, RunConfig, WorkerPoolError, disorder_sweep
 from .model import DISTRIBUTIONS, CapacityError, CouplingSpec, Volume
-from .triangles import families, family_code, satisfies_ma1
+from .triangles import roundtrip_failures
 
 SCHEMA_VERSION = 1
 
@@ -337,25 +337,17 @@ def cmd_certify_c0(opts: Dict[str, object]) -> int:
 
 def cmd_roundtrip_test(opts: Dict[str, object]) -> int:
     n = int(opts["n"])
-    if not 1 <= n <= 16:
-        raise CliError("--n must lie in 1..16 for the exhaustive roundtrip")
-    vol = Volume.centered(n)
-    failures = 0
-    ma1_failures = 0
-    for code, fam in enumerate(families(vol)):
-        if family_code(fam, vol) != code:
-            failures += 1
-        if not satisfies_ma1(fam):
-            ma1_failures += 1
+    failures, ma1_failures = roundtrip_failures(n)
+    ok = failures == 0 and ma1_failures == 0
     payload = _base_payload("roundtrip-test", opts)
     payload["configurations"] = 2**n
     payload["roundtrip_failures"] = failures
     payload["compatibility_failures"] = ma1_failures
-    payload["all_pass"] = failures == 0 and ma1_failures == 0
+    payload["all_pass"] = ok
     _emit(opts, payload,
           ["configurations", "roundtrip_failures", "compatibility_failures", "pass"],
-          [[2**n, failures, ma1_failures, int(failures == 0 and ma1_failures == 0)]])
-    return 0 if failures == 0 and ma1_failures == 0 else 2
+          [[2**n, failures, ma1_failures, int(ok)]])
+    return 0 if ok else 2
 
 
 # plain handlers: the benchmark's tracer wraps them in place

@@ -62,8 +62,8 @@ import numpy as np
 
 from .contours import check_separation_constant, contours
 from .disorder import b_bar
-from .model import (CouplingSpec, DisorderField, SpinConfiguration, Volume,
-                    _coupling_tables, _stream_words, energy, toeplitz_rows)
+from .model import (CouplingSpec, DisorderField, Volume, _coupling_tables, _stream_words,
+                    energy, toeplitz_rows)
 from .triangles import spins_to_triangles
 
 DRIFT_CHECK_UPDATES = 10_000
@@ -293,8 +293,7 @@ def metropolis_run(config: RunConfig, h: DisorderField,
         elif k >= 0:
             minus[k] = chain.s[origin] < 0
             # fold a minus boundary onto the plus-boundary construction
-            sigma = SpinConfiguration(chain.vol, (chain.tau * chain.s).astype(np.int8))
-            fam = spins_to_triangles(sigma)
+            fam = spins_to_triangles(chain.tau * chain.s, chain.vol)
             in_contour[k] = any(g.contains_site(0) for g in contours(fam, config.c))
 
     x = minus.astype(np.float64)

@@ -11,8 +11,8 @@ All energies come from one function, ``energy``: H_0 + theta * G of a
 spin row or of a batch of rows, under either boundary sign, in O(N)
 memory per row.  It reads the couplings as one length-(2N-1) Toeplitz
 vector plus the boundary vector, cached per (spec, volume) and shared
-with the Metropolis chains.  ``hamiltonian`` is its entry point for a
-``SpinConfiguration``.
+with the Metropolis chains.  A configuration is a plain +-1 row over the
+volume; ``hamiltonian`` is ``energy`` of one row under the plus boundary.
 """
 
 from __future__ import annotations
@@ -142,41 +142,6 @@ def toeplitz_rows(t: np.ndarray) -> np.ndarray:
     return sliding_window_view(t, n)[::-1]
 
 
-@dataclass(frozen=True, eq=False)
-class SpinConfiguration:
-    """+-1 spins on a volume with a homogeneous boundary value."""
-
-    volume: Volume
-    spins: np.ndarray
-    boundary: int = +1
-
-    def __post_init__(self):
-        spins = np.asarray(self.spins, dtype=np.int8)
-        object.__setattr__(self, "spins", spins)
-        if spins.shape != (self.volume.n_sites,):
-            raise ValueError("spin count does not match volume")
-        if not np.all(np.abs(spins) == 1):
-            raise ValueError("spins must be +-1")
-        if self.boundary not in (-1, +1):
-            raise ValueError("boundary must be +-1")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SpinConfiguration)
-            and self.volume == other.volume
-            and self.boundary == other.boundary
-            and np.array_equal(self.spins, other.spins)
-        )
-
-    @classmethod
-    def from_minus_sites(cls, vol: Volume, minus) -> "SpinConfiguration":
-        """The + boundary configuration whose - spins sit at ``minus``."""
-        spins = np.ones(vol.n_sites, dtype=np.int8)
-        for i in minus:
-            spins[vol.index(i)] = -1
-        return cls(vol, spins)
-
-
 # SplitMix64's golden-ratio increment and the two multipliers of its finalizer mix64
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
@@ -260,12 +225,13 @@ class DisorderField:
 
 def hamiltonian(
     spec: CouplingSpec,
-    sigma: SpinConfiguration,
+    vol: Volume,
+    spins: np.ndarray,
     h: Optional[DisorderField] = None,
     theta: float = 0.0,
 ) -> float:
-    """Full random Hamiltonian H_0 + theta * G of a spin configuration."""
-    return energy(spec, sigma.volume, sigma.spins, sigma.boundary, h, theta)
+    """Full random Hamiltonian H_0 + theta * G of a +-1 spin row under the plus boundary."""
+    return energy(spec, vol, spins, +1, h, theta)
 
 
 @lru_cache(maxsize=8)

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .model import SpinConfiguration, Volume, enumerate_spins
+from .model import CapacityError, Volume, VolumeMismatchError, enumerate_spins
 
 FAMILY_BLOCK = 1024  # codes per interface scan in ``families``
 
@@ -89,11 +89,18 @@ def _interface_bonds(spins: np.ndarray, first_bond: int) -> Iterator[List[int]]:
         start += count
 
 
-def interfaces(sigma: SpinConfiguration) -> List[int]:
-    """Sorted interface bonds of a configuration in the plus-boundary class."""
-    if sigma.boundary != +1:
-        raise ValueError("triangle construction requires plus boundary")
-    return next(_interface_bonds(sigma.spins[None, :], sigma.volume.lo - 1))
+def interfaces(spins: np.ndarray, vol: Volume) -> List[int]:
+    """Sorted interface bonds of a +-1 spin row on vol under the plus boundary.
+
+    The library's one check on a row from outside: a row that is not
+    vol.n_sites long, or holds a value other than +-1, raises ValueError.
+    """
+    spins = np.asarray(spins)
+    if spins.shape != (vol.n_sites,):
+        raise VolumeMismatchError(f"spin row of shape {spins.shape} on {vol.n_sites} sites")
+    if not np.all(np.abs(spins) == 1):
+        raise ValueError("spins must be +-1")
+    return next(_interface_bonds(spins[None, :], vol.lo - 1))
 
 
 def pair_interface_bonds(bonds: List[int]) -> List[Tuple[int, int]]:
@@ -116,9 +123,9 @@ def pair_interface_bonds(bonds: List[int]) -> List[Tuple[int, int]]:
     return pairs
 
 
-def spins_to_triangles(sigma: SpinConfiguration) -> Tuple[Tuple[int, int], ...]:
-    """Map a plus-boundary configuration to its triangle family, in bond order."""
-    return tuple(pair_interface_bonds(interfaces(sigma)))
+def spins_to_triangles(spins: np.ndarray, vol: Volume) -> Tuple[Tuple[int, int], ...]:
+    """Map a +-1 spin row on vol, plus boundary, to its triangle family, in bond order."""
+    return tuple(pair_interface_bonds(interfaces(spins, vol)))
 
 
 def families(vol: Volume) -> Iterator[Tuple[Tuple[int, int], ...]]:
@@ -135,15 +142,15 @@ def families(vol: Volume) -> Iterator[Tuple[Tuple[int, int], ...]]:
             yield tuple(pair_interface_bonds(bonds))
 
 
-def triangles_to_spins(family: Iterable[Tuple[int, int]], vol: Volume) -> SpinConfiguration:
-    """Inverse map: sigma_i = (-1)**(number of triangles covering site i)."""
+def triangles_to_spins(family: Iterable[Tuple[int, int]], vol: Volume) -> np.ndarray:
+    """Inverse map, as an int8 row: sigma_i = (-1)**(number of triangles covering site i)."""
     spins = np.ones(vol.n_sites, dtype=np.int8)
     for left, right in family:
         if not vol.lo - 1 <= left < right <= vol.hi:
             raise ValueError(f"triangle ({left}, {right}) is not a bond pair left < right "
                              f"inside volume [{vol.lo}, {vol.hi}]")
         spins[left + 1 - vol.lo:right + 1 - vol.lo] *= -1
-    return SpinConfiguration(vol, spins, boundary=+1)
+    return spins
 
 
 def family_code(triangles: Iterable[Tuple[int, int]], vol: Volume) -> int:
@@ -158,6 +165,24 @@ def family_code(triangles: Iterable[Tuple[int, int]], vol: Volume) -> int:
     for left, right in triangles:
         code ^= ((1 << (right - left)) - 1) << (left + 1 - vol.lo)
     return code
+
+
+def roundtrip_failures(n: int) -> Tuple[int, int]:
+    """Roundtrip and compatibility failures over all 2**n configurations of
+    ``Volume.centered(n)``: the families whose bit code is not their
+    configuration's, and the families that break ``satisfies_ma1``.
+
+    n < 1 raises ValueError, n > 16 CapacityError, before any work.
+    """
+    if not 1 <= n <= 16:
+        error = CapacityError if n > 16 else ValueError
+        raise error(f"n must lie in 1..16 for the exhaustive roundtrip, got {n}")
+    vol = Volume.centered(n)
+    failures = ma1_failures = 0
+    for code, fam in enumerate(families(vol)):
+        failures += family_code(fam, vol) != code
+        ma1_failures += not satisfies_ma1(fam)
+    return failures, ma1_failures
 
 
 def _is_realizable(pairs: Iterable[Tuple[int, int]]) -> bool:

@@ -7,7 +7,7 @@ by a slower, independent route, and only the tests call them:
   its tail sums and the boundary field of one site, one scalar at a time;
 - ``exterior_tails``: the tail sums to far beyond the truncation point,
   by ``math.fsum``, for the accuracy of the library's closure;
-- ``homogeneous``: the configuration with every spin equal;
+- ``minus_row``: the int8 +-1 row with -1 spins at given sites;
 - ``splitmix64_next`` and ``splitmix64_word``: a scalar SplitMix64
   generator, against which every vectorized stream is checked;
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from rfim1d.bounds import exhaustive_reports
 from rfim1d.contours import Contour, contours
-from rfim1d.model import CouplingSpec, SpinConfiguration, Volume
+from rfim1d.model import CouplingSpec, Volume
 from rfim1d.triangles import _is_realizable, spins_to_triangles
 
 SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
@@ -107,8 +107,11 @@ def boundary_field(spec: CouplingSpec, i: int, vol: Volume) -> float:
     return tail(spec, d_left) + tail(spec, d_right)
 
 
-def homogeneous(vol: Volume, value: int = +1, boundary: int = +1) -> SpinConfiguration:
-    return SpinConfiguration(vol, np.full(vol.n_sites, value, dtype=np.int8), boundary)
+def minus_row(vol: Volume, minus: Iterable[int] = ()) -> np.ndarray:
+    """The int8 +-1 row on vol, -1 at the sites ``minus`` and +1 elsewhere."""
+    spins = np.ones(vol.n_sites, dtype=np.int8)
+    spins[[vol.index(i) for i in minus]] = -1
+    return spins
 
 
 def splitmix64_next(state: int) -> Tuple[int, int]:
@@ -208,8 +211,7 @@ def spin_scan_origin_contours(m: int, c: int = 3,
     found = {}
     for k in range(1, m + 1):
         for minus in itertools.combinations(sites, k):
-            sigma = SpinConfiguration.from_minus_sites(vol, minus)
-            for gamma in contours(spins_to_triangles(sigma), c):
+            for gamma in contours(spins_to_triangles(minus_row(vol, minus), vol), c):
                 if gamma.mass == m and gamma.contains_site(0):
                     found[gamma.triangles] = gamma
     return list(found.values())

@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from rfim1d import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, SpinConfiguration, Volume,
-                    energy, exhaustive_reports, family_code, hamiltonian,
-                    minimal_j1, triangles_to_spins, zeta)
+from rfim1d import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, Volume, energy,
+                    exhaustive_reports, family_code, hamiltonian, minimal_j1,
+                    triangles_to_spins, zeta)
 from rfim1d import bounds
 from rfim1d.contours import contours
 from rfim1d.model import enumerate_spins
@@ -65,7 +65,7 @@ class TestEraseBounds:
         assert report.passed
         assert report.rhs == pytest.approx(zeta(0.55))
         # erasing the only triangle costs its full creation energy
-        assert report.lhs == pytest.approx(hamiltonian(spec, triangles_to_spins(fam, vol)),
+        assert report.lhs == pytest.approx(hamiltonian(spec, vol, triangles_to_spins(fam, vol)),
                                            abs=1e-9)
 
     def test_two_distant_unit_triangles(self, reports_10):
@@ -115,7 +115,7 @@ class TestTelescoping:
         # erasing every triangle, smallest first, costs H_0 of the configuration
         vol = Volume(0, 9)
         report = reports_10[f"{_code(pairs)}:prefix{len(pairs)}"]
-        image = triangles_to_spins(pairs, vol).spins
+        image = triangles_to_spins(pairs, vol)
         assert report.lhs == pytest.approx(energy_oracle(spec, vol, image), rel=1e-9)
 
 
@@ -177,10 +177,10 @@ class TestExhaustive:
         reports = {r.instance: r for r in exhaustive_reports(spec, n)}
 
         def h0(tris):
-            return hamiltonian(spec, triangles_to_spins(tris, vol))
+            return hamiltonian(spec, vol, triangles_to_spins(tris, vol))
 
         for code, row in enumerate(enumerate_spins(n)):
-            fam = spins_to_triangles(SpinConfiguration(vol, row))
+            fam = spins_to_triangles(row, vol)
             tris = sorted(fam, key=lambda t: (t[1] - t[0], t))
             for i in range(1, len(tris) + 1):
                 direct = h0(tris) - h0(tris[i:])

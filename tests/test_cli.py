@@ -38,11 +38,11 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-# the first work of each subcommand: inside the library, behind the checks it
-# makes, except roundtrip-test's, whose handler is itself the work loop
+# the first work of each subcommand: inside the library, behind the checks it makes
 WORK = ((mc_module, "_stream_words"), (bounds, "enumerate_spins"), (bounds, "energy"),
         (bounds, "families"), (enumeration, "contour_shapes"),
-        (enumeration, "_shape_aggregates"), (disorder, "enumerate_spins"), (cli, "families"))
+        (enumeration, "_shape_aggregates"), (disorder, "enumerate_spins"),
+        (triangles, "families"))
 
 
 def forbid_work(monkeypatch, what):
@@ -201,6 +201,10 @@ class TestParsing:
          "n must lie in 2..14 for exhaustive energy checks, got 1"),
         (("verify-energy", "--n", "15"),
          "n must lie in 2..14 for exhaustive energy checks, got 15"),
+        (("roundtrip-test", "--n", "0"),
+         "n must lie in 1..16 for the exhaustive roundtrip, got 0"),
+        (("roundtrip-test", "--n", "17"),
+         "n must lie in 1..16 for the exhaustive roundtrip, got 17"),
     ])
     def test_bad_physics_parameter_rejected_before_work(self, capsys, monkeypatch,
                                                         argv, message):
@@ -345,7 +349,7 @@ class TestRoundtripCommand:
         assert json.loads(out)["roundtrip_failures"] > 0
 
     def test_ma1_violation_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "satisfies_ma1", lambda family: False)
+        monkeypatch.setattr(triangles, "satisfies_ma1", lambda family: False)
         code, out, _ = run_cli(capsys, "roundtrip-test", "--n", "6",
                                "--format", "json", "--deterministic")
         assert code == 2

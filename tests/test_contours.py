@@ -1,13 +1,14 @@
 import itertools
 import random
+from typing import Tuple
 
 import numpy as np
 import pytest
 
-from oracles import (_pair_separated, rescan_pair_interface_bonds, restart_merge,
-                     verify_P1, verify_P2)
-from rfim1d import (Contour, DisorderField, RunConfig, SpinConfiguration,
-                    Volume, choose_C, separation_series, triangle_distance)
+from oracles import (_pair_separated, minus_row, rescan_pair_interface_bonds,
+                     restart_merge, verify_P1, verify_P2)
+from rfim1d import (Contour, DisorderField, RunConfig, Volume, choose_C, separation_series,
+                    triangle_distance)
 from rfim1d import mc as mc_module
 from rfim1d.contours import _contour, _merge, contours
 from rfim1d.model import enumerate_spins
@@ -130,15 +131,16 @@ def _partition(clusters):
     return sorted(tuple(sorted(g[-1])) for g in clusters)
 
 
-def _sampled_configuration(seed: int) -> SpinConfiguration:
-    """N=512 state after three Metropolis sweeps at the sample-hot parameters."""
+def _sampled_configuration(seed: int) -> Tuple[np.ndarray, Volume]:
+    """N=512 state after three Metropolis sweeps at the sample-hot parameters,
+    as its spin row and volume."""
     cfg = RunConfig(alpha=0.55, j1=1.5, beta=0.2, theta=1.0, size=512)
     chain = mc_module._Chain(cfg, DisorderField.generate(cfg.volume(), seed=seed), seed)
     rng = np.random.default_rng(seed)
     for _ in range(3):
         mc_module._sweep(chain.s, chain.m, chain.rows2, chain.tb, chain.th, cfg.beta,
                          rng.permutation(cfg.size), -np.log(rng.random(cfg.size)), 0.0)
-    return SpinConfiguration(chain.vol, chain.s.astype(np.int8))
+    return chain.s, chain.vol
 
 
 class TestSeparationConstant:
@@ -232,7 +234,7 @@ class TestDecomposition:
         vol = Volume.centered(12)
         spins = enumerate_spins(12)
         for code in range(0, 2 ** 12, 7):
-            fam = spins_to_triangles(SpinConfiguration(vol, spins[code]))
+            fam = spins_to_triangles(spins[code], vol)
             if len(fam):
                 assert verify_P1(contours(fam, 3), 3)
 
@@ -255,11 +257,11 @@ class TestReferenceOracle:
     def test_all_families_of_twelve_sites(self):
         vol = Volume.centered(12)
         for spins in enumerate_spins(12):
-            self._assert_agrees(spins_to_triangles(SpinConfiguration(vol, spins)))
+            self._assert_agrees(spins_to_triangles(spins, vol))
 
     def test_sampled_configurations(self):
         for seed in range(20):
-            fam = spins_to_triangles(_sampled_configuration(seed))
+            fam = spins_to_triangles(*_sampled_configuration(seed))
             assert len(fam) > 10
             self._assert_agrees(fam)
 
@@ -356,7 +358,7 @@ class TestPairPredicate:
         # one-member clusters never sort: (50, 51) sits far inside (0, 100)
         assert len(_merge([(0, 100), (50, 51)], 3)) == 2
         assert calls == []
-        fam = spins_to_triangles(_sampled_configuration(3))
+        fam = spins_to_triangles(*_sampled_configuration(3))
         merged = _merge(fam, 3)
         # each fusion sorts the fused cluster's bonds exactly once, and nothing else sorts
         assert len(calls) == len(fam) - len(merged) > 0
@@ -382,11 +384,11 @@ class TestPairPredicate:
         assert calls == [[0, 10, 40, 60], [0, 10, 40, 60, 62, 63]]
 
 
-def _random_state(n: int, seed: int) -> SpinConfiguration:
-    """A plus-boundary configuration of n sites with a random fifth of them minus."""
+def _random_state(n: int, seed: int) -> Tuple[np.ndarray, Volume]:
+    """A plus-boundary configuration of n sites with a random fifth of them
+    minus, as its spin row and volume."""
     vol = Volume.centered(n)
-    return SpinConfiguration.from_minus_sites(
-        vol, random.Random(seed).sample(list(vol.sites()), n // 5))
+    return minus_row(vol, random.Random(seed).sample(list(vol.sites()), n // 5)), vol
 
 
 def _merged(clusters):
@@ -437,13 +439,13 @@ class TestOnePassEquivalence:
     def test_pairing_on_all_configurations_of_twelve_sites(self):
         vol = Volume(0, 11)
         for spins in enumerate_spins(12):
-            bonds = interfaces(SpinConfiguration(vol, spins))
+            bonds = interfaces(spins, vol)
             pairs = pair_interface_bonds(bonds)
             assert _collision_order(pairs) == rescan_pair_interface_bonds(bonds), bonds
 
     def test_pairing_on_sampled_and_random_states(self, states):
-        for sigma in states:
-            bonds = interfaces(sigma)
+        for state in states:
+            bonds = interfaces(*state)
             pairs = pair_interface_bonds(bonds)
             assert _collision_order(pairs) == rescan_pair_interface_bonds(bonds)
 
@@ -463,13 +465,13 @@ class TestOnePassEquivalence:
         assert fused > 1000
 
     def test_merge_on_sampled_and_random_states(self, states, chain_families):
-        for fam in [spins_to_triangles(sigma) for sigma in states] + chain_families:
+        for fam in [spins_to_triangles(*state) for state in states] + chain_families:
             assert len(fam) > 10
             assert _merged(_merge(fam, 3)) == _merged(restart_merge(fam, 3))
 
     def test_merge_of_starting_clusters(self, states, chain_families):
         # the sampled N=512 states and the sample-hot chains
-        for fam in [spins_to_triangles(sigma) for sigma in states[:20]] + chain_families:
+        for fam in [spins_to_triangles(*state) for state in states[:20]] + chain_families:
             half = len(fam) // 2
             start = _merge(fam[:half], 3) + _merge(fam[half:], 3)
             assert len(start) > len(_merge((), 3, start))  # the halves fuse across the cut

@@ -1,15 +1,17 @@
-"""Smoke test: the demo scripts run against the current library.
+"""Smoke test: the demo scripts and README's Python run against the current library.
 
 ``sampling_demo.py`` is left out on purpose: it runs Metropolis chains
 for about 20 s, and the sampler it drives is covered by ``test_mc.py``.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("name", ["triangle_decomposition_demo", "energy_bounds_demo",
@@ -23,3 +25,13 @@ def test_demo_runs(name, capsys):
     assert out
     if name == "triangle_decomposition_demo":
         assert "roundtrip exact: True" in out
+
+
+def test_readme_python_runs():
+    # the blocks build on each other, so they run in order in one namespace
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

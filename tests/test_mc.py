@@ -5,10 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import boundary_field, coupling, homogeneous, splitmix64_word
-from rfim1d import (CouplingSpec, DisorderField, RunConfig, SpinConfiguration,
-                    Volume, disorder_sweep, exact_gibbs_marginal, hamiltonian,
-                    metropolis_run, spins_to_triangles)
+from oracles import boundary_field, coupling, minus_row, splitmix64_word
+from rfim1d import (CouplingSpec, DisorderField, RunConfig, Volume, disorder_sweep,
+                    exact_gibbs_marginal, hamiltonian, metropolis_run, spins_to_triangles)
 from rfim1d.contours import contours
 from rfim1d import mc as mc_module
 from rfim1d import model as model_module
@@ -79,23 +78,22 @@ class TestRunConfig:
                 RunConfig(realizations=realizations)
 
 
-def flipped(sigma, i):
-    """sigma with the spin at site i reversed."""
-    spins = sigma.spins.copy()
-    spins[sigma.volume.index(i)] *= -1
-    return SpinConfiguration(sigma.volume, spins, sigma.boundary)
+def flipped(vol, sigma, i):
+    """The spin row sigma on vol with the spin at site i reversed."""
+    spins = sigma.copy()
+    spins[vol.index(i)] *= -1
+    return spins
 
 
-def kernel_flip_energy(spec, sigma, h, theta, i):
-    """Energy change the sweep kernel books for flipping site i.
+def kernel_flip_energy(spec, vol, sigma, h, theta, i):
+    """Energy change the sweep kernel books for flipping site i of the row sigma.
 
     An odd number of proposals at i, all accepted at beta = 0, leaves
     exactly that one flip; the returned energy starts from 0.
     """
-    vol = sigma.volume
     n = vol.n_sites
     assert n % 2 == 1
-    s = sigma.spins.astype(np.float64)
+    s = sigma.astype(np.float64)
     m = spec.coupling_matrix(vol) @ s
     if h is None:
         h = DisorderField(vol, np.zeros(n), "uniform")
@@ -104,7 +102,7 @@ def kernel_flip_energy(spec, sigma, h, theta, i):
     e, acc = mc_module._sweep(s, m, chain.rows2, chain.tb, chain.th, 0.0,
                               np.full(n, vol.index(i)), np.full(n, np.inf), 0.0)
     assert acc == n
-    assert np.array_equal(s, flipped(sigma, i).spins)
+    assert np.array_equal(s, flipped(vol, sigma, i))
     return e
 
 
@@ -114,27 +112,26 @@ class TestLocalField:
         rng = np.random.default_rng(3)
         h = DisorderField.generate(vol, seed=8)
         for _ in range(5):
-            sigma = SpinConfiguration(vol, rng.choice([-1, 1], size=9).astype(np.int8))
+            sigma = rng.choice([-1, 1], size=9).astype(np.int8)
             for i in (vol.lo, -1, 0, vol.hi):
-                de = kernel_flip_energy(spec, sigma, h, 0.3, i)
-                direct = (hamiltonian(spec, flipped(sigma, i), h, 0.3)
-                          - hamiltonian(spec, sigma, h, 0.3))
+                de = kernel_flip_energy(spec, vol, sigma, h, 0.3, i)
+                direct = (hamiltonian(spec, vol, flipped(vol, sigma, i), h, 0.3)
+                          - hamiltonian(spec, vol, sigma, h, 0.3))
                 assert de == pytest.approx(direct, abs=1e-9)
 
     def test_flip_back_negates(self, spec):
         vol = Volume.centered(7)
-        sigma = SpinConfiguration.from_minus_sites(vol, [0, 2])
-        de = kernel_flip_energy(spec, sigma, None, 0.0, 2)
-        back = kernel_flip_energy(spec, flipped(sigma, 2), None, 0.0, 2)
+        sigma = minus_row(vol, [0, 2])
+        de = kernel_flip_energy(spec, vol, sigma, None, 0.0, 2)
+        back = kernel_flip_energy(spec, vol, flipped(vol, sigma, 2), None, 0.0, 2)
         assert de == pytest.approx(-back, abs=1e-12)
 
     def test_all_plus_closed_form(self, spec):
         vol = Volume.centered(7)
-        sigma = homogeneous(vol, +1)
         expected = 2.0 * (sum(coupling(spec, abs(j)) for j in vol.sites() if j != 0)
                           + boundary_field(spec, 0, vol))
-        assert kernel_flip_energy(spec, sigma, None, 0.0, 0) == pytest.approx(expected,
-                                                                             abs=1e-9)
+        assert kernel_flip_energy(spec, vol, minus_row(vol), None, 0.0, 0) == \
+            pytest.approx(expected, abs=1e-9)
 
 
 class TestStartSums:
@@ -323,8 +320,7 @@ class TestMetropolis:
             exact = energy_oracle(spec, vol, s, +1, h.values, theta)
             assert e == pytest.approx(exact, rel=1e-9)
             assert energy(spec, vol, s, +1, h, theta) == pytest.approx(exact, rel=1e-9)
-            assert hamiltonian(spec, SpinConfiguration(vol, s.astype(np.int8)), h,
-                               theta) == pytest.approx(exact, rel=1e-9)
+            assert hamiltonian(spec, vol, s, h, theta) == pytest.approx(exact, rel=1e-9)
         # the sampled marginal, here under a minus boundary, matches the oracle
         cfg, h, res = run_small(0.05, 0.2, boundary=-1)
         exact = exact_gibbs_marginal(cfg.coupling_spec(), cfg.volume(), h, 0.2, 0.05, 0,
@@ -653,8 +649,7 @@ class TestMeasurement:
             chain.sweep(sweep)
             if sweep >= cfg.burnin:
                 minus.append(chain.s[origin] < 0)
-                sigma = SpinConfiguration(chain.vol, chain.s.astype(np.int8))
-                covered.append(origin_in_contour(sigma))
+                covered.append(origin_in_contour(chain.s, chain.vol))
         minus, covered = np.array(minus), np.array(covered)
         x = minus.astype(np.float64)
         return mc_module.ChainResult(
@@ -672,9 +667,9 @@ class TestMeasurement:
 
         calls = []
 
-        def counting(sigma):
+        def counting(spins, vol):
             calls.append(1)
-            return spins_to_triangles(sigma)
+            return spins_to_triangles(spins, vol)
 
         monkeypatch.setattr(mc_module, "spins_to_triangles", counting)
         assert metropolis_run(cfg, h, chain_seed=20) == want
@@ -895,23 +890,21 @@ class TestDisorderSweep:
         assert len({c.field_seed for c in rep.chains}) == 4
 
 
-def origin_in_contour(sigma):
-    return any(g.contains_site(0) for g in contours(spins_to_triangles(sigma), 3))
+def origin_in_contour(spins, vol):
+    return any(g.contains_site(0) for g in contours(spins_to_triangles(spins, vol), 3))
 
 
 class TestDecompositionCheck:
     def test_all_plus_sample(self):
         vol = Volume.centered(8)
-        assert not origin_in_contour(homogeneous(vol, +1))
+        assert not origin_in_contour(minus_row(vol), vol)
 
     def test_minus_origin_is_covered(self):
         vol = Volume.centered(8)
-        samples = [SpinConfiguration.from_minus_sites(vol, [0]),
-                   SpinConfiguration.from_minus_sites(vol, [0, 1]),
-                   SpinConfiguration.from_minus_sites(vol, [-2, 0, 3])]
-        for sigma in samples:
-            assert sigma.spins[vol.index(0)] == -1
-            assert origin_in_contour(sigma)
+        for minus in ([0], [0, 1], [-2, 0, 3]):
+            sigma = minus_row(vol, minus)
+            assert sigma[vol.index(0)] == -1
+            assert origin_in_contour(sigma, vol)
 
 
 class TestCouplingTables:

@@ -10,11 +10,10 @@ from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import zeta as hurwitz_zeta
 
 import rfim1d
-from oracles import (boundary_field, coupling, exterior_tails, homogeneous, power_tail,
+from oracles import (boundary_field, coupling, exterior_tails, minus_row, power_tail,
                      splitmix64_next, splitmix64_word, tail)
-from rfim1d import (CapacityError, CouplingSpec, DisorderField,
-                    SpinConfiguration, Volume, VolumeMismatchError, energy,
-                    exact_gibbs_marginal, hamiltonian, triangles_to_spins)
+from rfim1d import (CapacityError, CouplingSpec, DisorderField, Volume, VolumeMismatchError,
+                    energy, exact_gibbs_marginal, hamiltonian, triangles_to_spins)
 from rfim1d.model import (DISTRIBUTIONS, TAIL_TOLERANCE, _logsumexp, _site_words, _word_values,
                           enumerate_spins)
 
@@ -57,7 +56,7 @@ class TestVolume:
         assert vol.n_sites == 6
         assert list(vol.sites()) == [-2, -1, 0, 1, 2, 3]
         # the bonds touching the volume, boundary bonds included, are -3..3
-        assert list(triangles_to_spins([(-3, 3)], vol).spins) == [-1] * 6
+        assert list(triangles_to_spins([(-3, 3)], vol)) == [-1] * 6
         with pytest.raises(ValueError):
             triangles_to_spins([(-4, 3)], vol)
         with pytest.raises(ValueError):
@@ -154,47 +153,43 @@ class TestSetupTablesUnchanged:
 class TestHamiltonian:
     def test_all_plus_ground_state_energy_zero(self, spec):
         vol = Volume(-4, 4)
-        sigma = homogeneous(vol, +1)
-        assert hamiltonian(spec, sigma) == pytest.approx(0.0, abs=1e-12)
+        assert hamiltonian(spec, vol, minus_row(vol)) == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_energy_nonnegative(self, spec):
         vol = Volume(0, 7)
-        for code in range(2 ** 8):
-            sigma = SpinConfiguration(vol, enumerate_spins(8)[code])
-            assert hamiltonian(spec, sigma) >= -1e-12
+        for spins in enumerate_spins(8):
+            assert hamiltonian(spec, vol, spins) >= -1e-12
 
     def test_single_flip_cost(self, spec):
         # flipping one spin in the all-plus state costs 2 * sum_j J(|i-j|)
         vol = Volume(-5, 5)
-        sigma = SpinConfiguration.from_minus_sites(vol, [0])
         expected = 2.0 * (sum(coupling(spec, abs(j)) for j in vol.sites() if j != 0)
                           + boundary_field(spec, 0, vol))
-        assert hamiltonian(spec, sigma) == pytest.approx(expected, abs=1e-9)
+        assert hamiltonian(spec, vol, minus_row(vol, [0])) == pytest.approx(expected, abs=1e-9)
 
     def test_field_energy_sign(self, spec):
         # G = -sum_i h_i sigma_i, scaled by theta (0 unless given)
         vol = Volume(0, 3)
-        sigma = homogeneous(vol, +1)
+        sigma = minus_row(vol)
         h = DisorderField(vol, np.array([1.0, -1.0, 1.0, 1.0]))
-        assert hamiltonian(spec, sigma, h, theta=1.0) - hamiltonian(spec, sigma) == \
+        assert hamiltonian(spec, vol, sigma, h, theta=1.0) - hamiltonian(spec, vol, sigma) == \
             pytest.approx(-2.0)
-        assert hamiltonian(spec, sigma, h, theta=0.5) - hamiltonian(spec, sigma) == \
+        assert hamiltonian(spec, vol, sigma, h, theta=0.5) - hamiltonian(spec, vol, sigma) == \
             pytest.approx(-1.0)
-        assert hamiltonian(spec, sigma, h) == hamiltonian(spec, sigma)
+        assert hamiltonian(spec, vol, sigma, h) == hamiltonian(spec, vol, sigma)
 
     def test_field_volume_mismatch(self, spec):
-        sigma = homogeneous(Volume(0, 3), +1)
+        vol = Volume(0, 3)
         h = DisorderField.generate(Volume(0, 4), seed=0)
         with pytest.raises(VolumeMismatchError):
-            hamiltonian(spec, sigma, h)
+            hamiltonian(spec, vol, minus_row(vol), h)
 
     def test_batch_matches_scalar(self, spec):
         vol = Volume(0, 5)
         spins = enumerate_spins(6)
         energies = energy(spec, vol, spins)
         for code in (0, 1, 17, 63):
-            sigma = SpinConfiguration(vol, spins[code])
-            assert energies[code] == pytest.approx(hamiltonian(spec, sigma), abs=1e-9)
+            assert energies[code] == pytest.approx(hamiltonian(spec, vol, spins[code]), abs=1e-9)
 
 
 class TestEnergy:

@@ -4,10 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import homogeneous, is_compatible
-from rfim1d import (SpinConfiguration, Volume, energy, families, family_code,
-                    hamiltonian, interfaces, pair_interface_bonds, satisfies_ma1,
-                    spins_to_triangles, triangle_distance, triangles_to_spins)
+from oracles import is_compatible, minus_row
+from rfim1d import (CapacityError, Volume, energy, families, family_code, hamiltonian,
+                    interfaces, pair_interface_bonds, satisfies_ma1, spins_to_triangles,
+                    triangle_distance, triangles_to_spins)
 from rfim1d import triangles
 from rfim1d.model import enumerate_spins
 
@@ -87,7 +87,7 @@ class TestPairing:
     def test_matches_exact_offset_collision_order(self):
         vol = Volume.centered(12)
         for spins in enumerate_spins(12):
-            bonds = interfaces(SpinConfiguration(vol, spins))
+            bonds = interfaces(spins, vol)
             pairs = pair_interface_bonds(bonds)
             assert pairs == sorted(pairs)
             # sorted by (gap, left bond), the pairs fall in collision order
@@ -100,36 +100,48 @@ class TestPairing:
 
 class TestSpinTriangleBijection:
     def test_all_plus_maps_to_empty_family(self):
-        sigma = homogeneous(Volume(0, 5), +1)
-        assert len(spins_to_triangles(sigma)) == 0
+        vol = Volume(0, 5)
+        assert len(spins_to_triangles(minus_row(vol), vol)) == 0
 
     def test_single_minus_site(self):
-        sigma = SpinConfiguration.from_minus_sites(Volume(0, 5), [2])
-        assert interfaces(sigma) == [1, 2]
-        fam = spins_to_triangles(sigma)
+        vol = Volume(0, 5)
+        sigma = minus_row(vol, [2])
+        assert interfaces(sigma, vol) == [1, 2]
+        fam = spins_to_triangles(sigma, vol)
         assert fam == ((1, 2),)
         assert all(type(t) is tuple and all(type(b) is int for b in t) for t in fam)
 
     def test_nested_block(self):
         # minus sites 1,2,3,5,6,7,8 with site 4 plus: one big triangle, one island
         vol = Volume(0, 9)
-        sigma = SpinConfiguration.from_minus_sites(vol, [1, 2, 3, 5, 6, 7, 8])
-        fam = spins_to_triangles(sigma)
+        fam = spins_to_triangles(minus_row(vol, [1, 2, 3, 5, 6, 7, 8]), vol)
         assert fam == ((0, 8), (3, 4))
 
-    def test_minus_boundary_rejected(self):
-        sigma = homogeneous(Volume(0, 3), +1, boundary=-1)
+    @pytest.mark.parametrize("row", [
+        [1, 1, 0, 1, 1, 1],  # not +-1
+        [1, -1, 2, 1, 1, 1],
+        [1.0, -1.0, 1.0, float("nan"), 1.0, 1.0],
+        [1, -1, 1, 1, 1],  # wrong length
+        [1, -1, 1, 1, 1, 1, 1],
+        [[1, -1, 1, 1, 1, 1]],
+    ])
+    def test_bad_row_rejected(self, row):
+        vol = Volume(0, 5)
         with pytest.raises(ValueError):
-            interfaces(sigma)
+            interfaces(np.array(row), vol)
+        with pytest.raises(ValueError):
+            spins_to_triangles(np.array(row), vol)
 
     @pytest.mark.parametrize("n", [1, 4, 8])
     def test_roundtrip_exhaustive(self, n):
         vol = Volume.centered(n)
         spins = enumerate_spins(n)
         for code in range(2 ** n):
-            sigma = SpinConfiguration(vol, spins[code])
-            fam = spins_to_triangles(sigma)
-            assert triangles_to_spins(fam, vol) == sigma
+            fam = spins_to_triangles(spins[code], vol)
+            back = triangles_to_spins(fam, vol)
+            assert back.dtype == np.int8 and np.array_equal(back, spins[code])
+            # a chain's float64 row gives the family of its int8 form
+            assert spins_to_triangles(spins[code].astype(np.float64), vol) == fam
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_family_code_inverts_enumeration(self, n):
@@ -137,26 +149,30 @@ class TestSpinTriangleBijection:
         vol = Volume.centered(n)
         spins = enumerate_spins(n)
         for code in range(2 ** n):
-            fam = spins_to_triangles(SpinConfiguration(vol, spins[code]))
+            fam = spins_to_triangles(spins[code], vol)
             assert family_code(fam, vol) == code
-            assert np.array_equal(spins[family_code(fam, vol)],
-                                  triangles_to_spins(fam, vol).spins)
+            assert np.array_equal(spins[family_code(fam, vol)], triangles_to_spins(fam, vol))
 
     def test_decomposition_translation_covariant(self):
         vol = Volume(0, 9)
-        sigma = SpinConfiguration.from_minus_sites(vol, [1, 3, 4, 5])
-        fam = spins_to_triangles(sigma)
+        fam = spins_to_triangles(minus_row(vol, [1, 3, 4, 5]), vol)
         shifted_vol = Volume(5, 14)
-        shifted = SpinConfiguration.from_minus_sites(shifted_vol, [6, 8, 9, 10])
-        assert spins_to_triangles(shifted) == tuple((l + 5, r + 5) for l, r in fam)
+        shifted = minus_row(shifted_vol, [6, 8, 9, 10])
+        assert spins_to_triangles(shifted, shifted_vol) == tuple((l + 5, r + 5) for l, r in fam)
+
+    def test_roundtrip_failures_range_checked_before_work(self, monkeypatch):
+        monkeypatch.setattr(triangles, "families", None)
+        with pytest.raises(ValueError, match="got 0$"):
+            triangles.roundtrip_failures(0)
+        with pytest.raises(CapacityError, match="got 17$"):
+            triangles.roundtrip_failures(17)
 
     def test_pairwise_distance_compatibility_exhaustive(self):
         # every produced family keeps pair distances >= the smaller mass
         vol = Volume.centered(10)
         spins = enumerate_spins(10)
         for code in range(2 ** 10):
-            fam = spins_to_triangles(SpinConfiguration(vol, spins[code]))
-            assert satisfies_ma1(fam)
+            assert satisfies_ma1(spins_to_triangles(spins[code], vol))
 
 
 class TestFamilies:
@@ -164,15 +180,14 @@ class TestFamilies:
         # a site's spin is -1 to the number of triangles covering it
         fam = ((0, 8), (3, 4))
         sigma = triangles_to_spins(fam, Volume(0, 9))
-        assert sigma.spins[4] == 1
-        assert sigma.spins[3] == -1
-        assert sigma.spins[9] == 1
+        assert sigma[4] == 1
+        assert sigma[3] == -1
+        assert sigma[9] == 1
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_families_match_per_configuration_map(self, n):
         for vol in (Volume(0, n - 1), Volume.centered(n), Volume(-20, -20 + n - 1)):
-            expected = [spins_to_triangles(SpinConfiguration(vol, row))
-                        for row in enumerate_spins(n)]
+            expected = [spins_to_triangles(row, vol) for row in enumerate_spins(n)]
             assert list(families(vol)) == expected
 
     def test_families_is_lazy(self, monkeypatch):
@@ -220,8 +235,8 @@ class TestCompatibility:
         s = ((1, 2),)
         rest = ((6, 8),)
         assert is_compatible(s, rest)
-        expected = (hamiltonian(spec, triangles_to_spins(s + rest, vol))
-                    - hamiltonian(spec, triangles_to_spins(rest, vol)))
+        expected = (hamiltonian(spec, vol, triangles_to_spins(s + rest, vol))
+                    - hamiltonian(spec, vol, triangles_to_spins(rest, vol)))
         table = energy(spec, vol, enumerate_spins(10))
         looked_up = table[family_code(s + rest, vol)] - table[family_code(rest, vol)]
         assert looked_up == pytest.approx(expected, abs=1e-12)
