@@ -34,7 +34,6 @@ from .model import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, DisorderFiel
                     Volume, VolumeMismatchError, energy, exact_gibbs_marginal,
                     hamiltonian)
 from .triangles import (families, family_code, interfaces, pair_interface_bonds,
-                        satisfies_ma1, spins_to_triangles, triangle_distance,
-                        triangles_to_spins)
+                        satisfies_ma1, spins_to_triangles, triangles_to_spins)
 
 __version__ = "0.1.0"

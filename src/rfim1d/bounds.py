@@ -8,12 +8,11 @@ configurations of a small volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .contours import check_separation_constant, contours
 from .model import ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, Volume, energy, enumerate_spins
-from .triangles import families, family_code
+from .triangles import families
 
 TOLERANCE = 1e-9
 MAX_SITES = 14  # the energy table holds 2**n rows
@@ -27,8 +26,7 @@ def zeta(alpha: float) -> float:
     return 1.0 - 2.0 * (2.0**alpha - 1.0)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One energy-bound comparison: passes iff lhs - rhs >= -1e-9."""
 
     instance: str
@@ -51,7 +49,10 @@ def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,
     Instance ids are "<config index>:<check>"; configurations are indexed
     by their bit code (bit k set means spin +1 at site k).  The energies
     of all 2**n configurations come from one batched call; an erased
-    family is looked up by the bit code of its image.  Before that call,
+    family is looked up by the bit code of its image.  ``families``
+    yields the family of each code in code order, and a triangle (l, r)
+    flips the bits of sites l + 1..r, so that image is the code XORed
+    with the flip masks of the erased triangles.  Before that call,
     c < 1 and n < 2 raise ValueError, n > MAX_SITES CapacityError.
     """
     check_separation_constant(c)
@@ -66,14 +67,19 @@ def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,
         full = table[code]
         if "prefix" in kinds:
             tris = sorted(family, key=lambda t: (t[1] - t[0], t))
+            image = code
             rhs = 0.0
             for i, (l, r) in enumerate(tris, 1):
-                lhs = full - table[family_code(tris[i:], vol)]
+                image ^= ((1 << (r - l)) - 1) << (l + 1)
+                lhs = full - table[image]
                 rhs += z * (r - l)**spec.alpha
                 yield BoundReport(f"{code}:prefix{i}", lhs, rhs)
         if "contour" in kinds:
             for k, gamma in enumerate(contours(family, c)):
-                lhs = full - table[family_code(set(family).difference(gamma.triangles), vol)]
+                image = code
+                for l, r in gamma.triangles:
+                    image ^= ((1 << (r - l)) - 1) << (l + 1)
+                lhs = full - table[image]
                 rhs = 0.5 * z * gamma.power_mass(spec.alpha)
                 yield BoundReport(f"{code}:{k}", lhs, rhs)
 

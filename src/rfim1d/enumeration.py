@@ -19,6 +19,18 @@ kept when its last block leaves one cluster and its bond pairs are
 realizable.  The top-level triangles fix the blocks, so no family is
 built twice.
 
+Realizability is decided on the way down.  The search also carries the
+stack of ``triangles.pair_interface_bonds`` over the bonds placed so
+far, and each placed block pushes its sorted, shifted bonds through it.
+Its bonds are distinct, and every later block lies right of them, so
+the pairing of a finished candidate's bonds pushes the same bonds first,
+in the same order: a pair that pops is a pair of that pairing, whatever
+comes after.  The candidate is realizable iff that pairing is its own
+bond pairs (criterion 1's bijection).  So a placement that pops a pair
+which is not one of the placed pairs is pruned with its whole subtree,
+which holds only unrealizable candidates; and at a leaf, flushing the
+stack pops the last pairs, which decides realizability.
+
 The merge order does not matter (the argument is in the ``contours``
 docstring), so the prefix's clusters and a block's clusters, each of
 which lies inside the contours of the whole candidate, merge into the
@@ -45,7 +57,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .contours import (Cluster, Contour, _contour, _merge, _reach, _shifted,
                        check_separation_constant)
 from .model import CapacityError
-from .triangles import _is_realizable
 
 DEFAULT_MASS_CAP = 6
 
@@ -88,6 +99,31 @@ def _shift(pairs: BondPairs, k: int) -> BondPairs:
     return tuple((l + k, r + k) for l, r in pairs)
 
 
+def _push(stack: List[int], bonds: Sequence[Tuple[int, int]], left: int,
+          mate: Dict[int, int]) -> Optional[List[int]]:
+    """Push a block's (bond, mate) pairs, moved ``left`` bonds to the right,
+    through a copy of the pairing stack; None when a pair pops that is not
+    one of the placed pairs.  ``mate`` maps each placed bond to the other
+    bond of its pair."""
+    stack = stack.copy()
+    for b, other in bonds:
+        b += left
+        mate[b] = other + left
+        while len(stack) >= 2 and stack[-1] - stack[-2] <= b - stack[-1]:
+            if mate[stack.pop()] != stack.pop():
+                return None
+        stack.append(b)
+    return stack
+
+
+def _flushes(stack: List[int], mate: Dict[int, int]) -> bool:
+    """True iff every pair the end of the bonds pops is a placed pair."""
+    while stack:
+        if mate[stack.pop()] != stack.pop():
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def contour_shapes(m: int, c: int, /) -> Tuple[BondPairs, ...]:
     """Canonical (leftmost bond 0) single-contour families of total mass m.
@@ -96,28 +132,36 @@ def contour_shapes(m: int, c: int, /) -> Tuple[BondPairs, ...]:
     The cap is checked before the search.
     """
     _check_cap(m, c)
-    # per block mass: each block shape's width and its own clusters, merged once
-    blocks = [[(max(r for _, r in shape), _merge(shape, c)) for shape in _block_shapes(mass)]
+    # per block mass: each block shape's width, its own clusters, merged once, and
+    # its (bond, mate) pairs in bond order
+    blocks = [[(max(r for _, r in shape), _merge(shape, c),
+                sorted(x for l, r in shape for x in ((l, r), (r, l))))
+               for shape in _block_shapes(mass)]
               for mass in range(m + 1)]
     results: List[BondPairs] = []
+    # a placed bond's mate; a stale entry is never read, as every bond on the
+    # stack was written by its own placement, after any earlier one at its place
+    mate: Dict[int, int] = {}
 
-    def extend(clusters: List[Cluster], used: int, right: int) -> None:
+    def extend(clusters: List[Cluster], stack: List[int], used: int, right: int) -> None:
         remaining = m - used
         if remaining == 0:
-            if len(clusters) == 1:
-                pairs = _contour(clusters[0]).triangles
-                if _is_realizable(pairs):
-                    results.append(pairs)
+            if len(clusters) == 1 and _flushes(stack, mate):
+                results.append(_contour(clusters[0]).triangles)
             return
         gaps = range(1, _reach(clusters, c, remaining) - right + 1) if used else (0,)
         for block_mass in range(1, remaining + 1):
-            for width, block in blocks[block_mass]:
+            for width, block, bonds in blocks[block_mass]:
                 for gap in gaps:
                     left = right + gap
+                    pushed = _push(stack, bonds, left, mate)
+                    if pushed is None:
+                        continue
                     moved = [_shifted(x, left) for x in block]
-                    extend(_merge((), c, moved, clusters), used + block_mass, left + width)
+                    extend(_merge((), c, moved, clusters), pushed, used + block_mass,
+                           left + width)
 
-    extend([], 0, 0)
+    extend([], [], 0, 0)
     return tuple(sorted(results))
 
 

@@ -33,12 +33,14 @@ tie with its right neighbour the leftmost pair wins.  The collisions
 happen in nondecreasing gap order, as removing a pair of gap g leaves
 a gap of at least 3g behind; so all pairs of one gap exist before the
 first of them collides and collide from left to right, and sorting the
-pairs by (gap, left bond) gives the collision order.
+pairs by (gap, left bond) gives the collision order.  Every gap is <=
+the infinite one, so that bond pops the pairs left on the stack from
+the top down: a flush loop does the same without pushing it.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import combinations
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -48,31 +50,27 @@ from .model import CapacityError, Volume, VolumeMismatchError, enumerate_spins
 FAMILY_BLOCK = 1024  # codes per interface scan in ``families``
 
 
-def triangle_distance(a: Tuple[int, int], b: Tuple[int, int]) -> int:
-    """Distance between triangle bases (bond units).
-
-    Disjoint bases: the gap.  Nested bases: distance from the inner base
-    to the outer base's endpoints.  Partial overlap (never produced by
-    the construction): 0.
-    """
-    (al, ar), (bl, br) = a, b
-    if ar <= bl:
-        return bl - ar
-    if br <= al:
-        return al - br
-    if al <= bl and br <= ar:
-        (al, ar), (bl, br) = b, a
-    if bl <= al and ar <= br:
-        return min(al - bl, br - ar)
-    return 0
-
-
 def satisfies_ma1(family: Sequence[Tuple[int, int]]) -> bool:
-    """dist(T, T') >= min(|T|, |T'|) for every pair (nested pairs included)."""
-    for i, a in enumerate(family):
-        for b in family[i + 1:]:
-            if triangle_distance(a, b) < min(a[1] - a[0], b[1] - b[0]):
-                return False
+    """dist(T, T') >= min(|T|, |T'|) for every pair (nested pairs included).
+
+    The distance between two bases, in bond units: the gap between
+    disjoint bases; for nested bases, the distance from the inner base to
+    the nearer endpoint of the outer one; 0 for a partial overlap, which
+    the construction never produces.
+    """
+    for (al, ar), (bl, br) in combinations(family, 2):
+        if ar <= bl:
+            d = bl - ar
+        elif br <= al:
+            d = al - br
+        elif bl <= al and ar <= br:
+            d = min(al - bl, br - ar)
+        elif al <= bl and br <= ar:
+            d = min(bl - al, ar - br)
+        else:
+            d = 0
+        if d < ar - al and d < br - bl:
+            return False
     return True
 
 
@@ -114,11 +112,15 @@ def pair_interface_bonds(bonds: List[int]) -> List[Tuple[int, int]]:
         raise RuntimeError("odd interface count: configuration not in the plus class")
     stack: List[int] = []
     pairs: List[Tuple[int, int]] = []
-    for b in [*sorted(bonds), math.inf]:
+    for b in sorted(bonds):
         while len(stack) >= 2 and stack[-1] - stack[-2] <= b - stack[-1]:
             right = stack.pop()
             pairs.append((stack.pop(), right))
         stack.append(b)
+    # the final infinite bond: every pair left pops, from the top
+    while stack:
+        right = stack.pop()
+        pairs.append((stack.pop(), right))
     pairs.sort()
     return pairs
 
@@ -183,12 +185,3 @@ def roundtrip_failures(n: int) -> Tuple[int, int]:
         failures += family_code(fam, vol) != code
         ma1_failures += not satisfies_ma1(fam)
     return failures, ma1_failures
-
-
-def _is_realizable(pairs: Iterable[Tuple[int, int]]) -> bool:
-    """True iff the pairs are the triangle family of some configuration."""
-    pairs = set(pairs)
-    bonds = [b for pair in pairs for b in pair]
-    if len(set(bonds)) != len(bonds):
-        return False
-    return set(pair_interface_bonds(bonds)) == pairs

@@ -11,6 +11,11 @@ by a slower, independent route, and only the tests call them:
 - ``splitmix64_next`` and ``splitmix64_word``: a scalar SplitMix64
   generator, against which every vectorized stream is checked;
 
+- ``triangle_distance``: the distance between two triangle bases, the
+  pair rule that ``triangles.satisfies_ma1`` inlines in its flat loop;
+- ``is_realizable``: a set of bond pairs is the triangle family of some
+  configuration, decided by pairing its bonds from scratch, which the
+  shape enumerator decides on its pairing stack as it places blocks;
 - ``is_compatible``: a union of triangle families is realizable, decided
   by regenerating its pairing;
 - ``verify_P1`` / ``verify_P2``: the separation certificate of a contour
@@ -47,7 +52,7 @@ import numpy as np
 from rfim1d.bounds import exhaustive_reports
 from rfim1d.contours import Contour, contours
 from rfim1d.model import CouplingSpec, Volume
-from rfim1d.triangles import _is_realizable, spins_to_triangles
+from rfim1d.triangles import pair_interface_bonds, spins_to_triangles
 
 SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = 2**64 - 1
@@ -128,6 +133,34 @@ def splitmix64_word(seed: int, k: int) -> int:
     return splitmix64_next((seed + k * SPLITMIX64_GAMMA) & _MASK64)[1]
 
 
+def triangle_distance(a: Tuple[int, int], b: Tuple[int, int]) -> int:
+    """Distance between triangle bases (bond units).
+
+    Disjoint bases: the gap.  Nested bases: distance from the inner base
+    to the outer base's endpoints.  Partial overlap (never produced by
+    the construction): 0.
+    """
+    (al, ar), (bl, br) = a, b
+    if ar <= bl:
+        return bl - ar
+    if br <= al:
+        return al - br
+    if al <= bl and br <= ar:
+        (al, ar), (bl, br) = b, a
+    if bl <= al and ar <= br:
+        return min(al - bl, br - ar)
+    return 0
+
+
+def is_realizable(pairs: Iterable[Tuple[int, int]]) -> bool:
+    """True iff the pairs are the triangle family of some configuration."""
+    pairs = set(pairs)
+    bonds = [b for pair in pairs for b in pair]
+    if len(set(bonds)) != len(bonds):
+        return False
+    return set(pair_interface_bonds(bonds)) == pairs
+
+
 def is_compatible(a: Iterable[Tuple[int, int]], b: Iterable[Tuple[int, int]]) -> bool:
     """True iff the union is realizable by some plus-boundary configuration.
 
@@ -137,7 +170,7 @@ def is_compatible(a: Iterable[Tuple[int, int]], b: Iterable[Tuple[int, int]]) ->
     a, b = set(a), set(b)
     if a & b:
         return False
-    return _is_realizable(a | b)
+    return is_realizable(a | b)
 
 
 def _pair_separated(a: Contour, a_bonds: Sequence[int], b: Contour,

@@ -1,6 +1,6 @@
-import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from rfim1d import (ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, Volume, energy,
@@ -85,7 +85,7 @@ class TestEraseBounds:
         assert report.margin == pytest.approx(report.lhs - report.rhs)
         assert report.passed == (report.margin >= -1e-9)
         # the run's parameters stay with the caller: a report is its comparison
-        assert [f.name for f in dataclasses.fields(report)] == ["instance", "lhs", "rhs"]
+        assert report._fields == ("instance", "lhs", "rhs")
 
 
 class TestContourBound:
@@ -170,6 +170,27 @@ class TestExhaustive:
         monkeypatch.setattr(bounds, "exhaustive_reports", no_work)
         with pytest.raises(ValueError, match="grid is empty"):
             minimal_j1(0.55, n=6, grid=grid)
+
+    def test_erased_images_are_the_codes_of_the_remaining_triangles(self, spec, monkeypatch):
+        # with the energy of each configuration set to its own code, lhs is the
+        # configuration's code minus the code of the erased image it looked up
+        n = 10
+        vol = Volume(0, n - 1)
+        monkeypatch.setattr(bounds, "energy",
+                            lambda spec, vol, spins: np.arange(len(spins), dtype=np.float64))
+        reports = {r.instance: r for r in exhaustive_reports(spec, n)}
+        checked = 0
+        for code, row in enumerate(enumerate_spins(n)):
+            family = spins_to_triangles(row, vol)
+            tris = sorted(family, key=lambda t: (t[1] - t[0], t))
+            want = {f"{code}:prefix{i}": family_code(tris[i:], vol)
+                    for i in range(1, len(tris) + 1)}
+            want.update((f"{code}:{k}", family_code(set(family).difference(gamma.triangles), vol))
+                        for k, gamma in enumerate(contours(family, 3)))
+            for instance, image in want.items():
+                assert code - reports[instance].lhs == image, instance
+            checked += len(want)
+        assert checked == len(reports)
 
     def test_code_lookups_match_per_family_energies(self, spec):
         n = 6

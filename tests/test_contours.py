@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import (_pair_separated, minus_row, rescan_pair_interface_bonds,
-                     restart_merge, verify_P1, verify_P2)
-from rfim1d import (Contour, DisorderField, RunConfig, Volume, choose_C, separation_series,
-                    triangle_distance)
+                     restart_merge, triangle_distance, verify_P1, verify_P2)
+from rfim1d import Contour, DisorderField, RunConfig, Volume, choose_C, separation_series
 from rfim1d import mc as mc_module
 from rfim1d.contours import _contour, _merge, contours
 from rfim1d.model import enumerate_spins

@@ -1,14 +1,14 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
 
-from oracles import max_span, spin_scan_origin_contours, verify_P1
+from oracles import is_realizable, max_span, spin_scan_origin_contours, verify_P1
 from rfim1d import CapacityError, certify_C0, enumeration, enumerate_origin_contours
 from rfim1d.contours import _merge, contours
-from rfim1d.enumeration import (_block_shapes, _shape_aggregates, _shift,
+from rfim1d.enumeration import (_block_shapes, _flushes, _push, _shape_aggregates, _shift,
                                 contour_shapes, origin_contour_counts)
-from rfim1d.triangles import _is_realizable
 
 
 def contour_keys(contour_list):
@@ -26,7 +26,7 @@ def _reference_contour_shapes(m, c=3):
         remaining = m - used
         if remaining == 0:
             fam = tuple(sorted(prefix))
-            if _is_realizable(frozenset(fam)) and len(contours(fam, c)) == 1:
+            if is_realizable(frozenset(fam)) and len(contours(fam, c)) == 1:
                 results.append(fam)
             return
         gaps = range(1, c * min(used, remaining) ** 3 + 1) if used else (0,)
@@ -134,17 +134,41 @@ class TestEnumeration:
             mirrors = [tuple(sorted((span - r, span - l) for l, r in shape))
                        for shape, span in ((s, max(r for _, r in s)) for s in shapes)]
             absent = [mirror for mirror in mirrors if mirror not in known]
-            assert not any(_is_realizable(mirror) for mirror in absent)
+            assert not any(is_realizable(mirror) for mirror in absent)
             missing.append(len(absent))
         assert missing == [0, 0, 1, 6, 201, 3_426]
+
+    def test_pairing_stack_decides_realizability(self):
+        # one block's pairs pushed through an empty stack, then flushed, against
+        # the oracle that pairs the bonds from scratch; the flush rejects nested or
+        # crossing leftovers such as (0, 6) around (3, 5), whose gaps 3 > 2 > 1
+        # pop nothing, and which need a mass of at least 8
+        window = [(l, r) for l in range(9) for r in range(l + 1, 10)]
+        rejected_by_flush = 0
+        for k in (1, 2, 3):
+            for pairs in itertools.combinations(window, k):
+                if len({b for pair in pairs for b in pair}) < 2 * k:
+                    continue
+                mate = {}
+                bonds = sorted(x for l, r in pairs for x in ((l, r), (r, l)))
+                stack = _push([], bonds, 0, mate)
+                decided = stack is not None and _flushes(stack, mate)
+                rejected_by_flush += stack is not None and not decided
+                assert decided is is_realizable(pairs), pairs
+        assert rejected_by_flush > 0
 
     def test_search_size(self, monkeypatch):
         # merges and fusions of one uncached mass-5 search: each block shape is
         # merged once, and the reach-bounded gaps leave 5,128 finished
         # candidates, where merging each candidate from scratch took 10,008;
         # the prefix clusters a placement starts from are pairwise separated,
-        # and go in as such, so they are not checked against each other again
+        # and go in as such, so they are not checked against each other again;
+        # a placement whose bonds pop a pair that is not placed is pruned before
+        # its merge: 116 of 6,376 placements, which took the counts down from
+        # 6,522 merges and 8,689 fusions
         work = [0, 0, 0]
+        tried = [0, 0]  # placements pushed through the pairing stack, and pruned
+        flushed = []  # the leaf flush of each single-cluster candidate
 
         def counting(pairs, c, clusters=(), separated=()):
             assert len(_merge((), c, separated)) == len(separated)
@@ -154,10 +178,30 @@ class TestEnumeration:
             work[2] += len(separated)
             return out
 
+        def counting_push(*args):
+            stack = _push(*args)
+            tried[0] += 1
+            tried[1] += stack is None
+            return stack
+
+        def counting_flush(*args):
+            flushed.append(_flushes(*args))
+            return flushed[-1]
+
         want = contour_shapes(5, 3)  # cached before the count, which sees one search
-        monkeypatch.setitem(contour_shapes.__wrapped__.__globals__, "_merge", counting)
+        globals_ = contour_shapes.__wrapped__.__globals__
+        monkeypatch.setitem(globals_, "_merge", counting)
+        monkeypatch.setitem(globals_, "_push", counting_push)
+        monkeypatch.setitem(globals_, "_flushes", counting_flush)
         assert contour_shapes.__wrapped__(5, 3) == want
-        assert work[:2] == [6_522, 8_689] and work[2] > 0
+        assert work[:2] == [6_268, 8_395] and work[2] > 0
+        # every placement that is not pruned is merged, after the block shapes' own merges
+        blocks = sum(len(_block_shapes(mass)) for mass in range(1, 6))
+        assert tried[0] - tried[1] == work[0] - blocks
+        assert tried == [6_376, 116]
+        # each single-cluster candidate is flushed; below mass 8 the placements'
+        # pops leave the flush nothing to reject (see the test above)
+        assert flushed == [True] * len(want)
 
     def test_each_mass_is_enumerated_once(self):
         # (2, 5) is a pair no other test enumerates, so its first call is the one miss

@@ -4,12 +4,18 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import is_compatible, minus_row
+from oracles import is_compatible, minus_row, triangle_distance
 from rfim1d import (CapacityError, Volume, energy, families, family_code, hamiltonian,
                     interfaces, pair_interface_bonds, satisfies_ma1, spins_to_triangles,
-                    triangle_distance, triangles_to_spins)
+                    triangles_to_spins)
 from rfim1d import triangles
 from rfim1d.model import enumerate_spins
+
+
+def ma1_pairwise(family):
+    """MA1 pair by pair, through the distance oracle."""
+    return all(triangle_distance(a, b) >= min(a[1] - a[0], b[1] - b[0])
+               for a, b in combinations(family, 2))
 
 
 def collision_key(pair):
@@ -64,6 +70,31 @@ class TestTriangle:
         assert not satisfies_ma1(((0, 3), (4, 6)))
         assert satisfies_ma1(((0, 3), (5, 7)))
 
+    @pytest.mark.parametrize("family, expected", [
+        (((0, 3), (4, 6)), False),  # disjoint: gap 1 below the smaller mass 2
+        (((5, 8), (0, 3)), False),  # disjoint, right one first: gap 2 below 3
+        (((0, 8), (1, 3)), False),  # nested, outer first: 1 from the outer's left end
+        (((1, 3), (0, 8)), False),  # nested, inner first
+        (((0, 8), (5, 7)), False),  # nested: 1 from the outer's right end
+        (((0, 4), (2, 6)), False),  # partial overlap: distance 0
+        (((0, 8), (2, 3), (5, 6)), True),  # nested at distance 2, disjoint at gap 2
+    ])
+    def test_ma1_matches_pairwise_oracle_on_hand_built_families(self, family, expected):
+        assert ma1_pairwise(family) is expected
+        assert satisfies_ma1(family) is expected
+
+    def test_ma1_matches_pairwise_oracle(self):
+        vol = Volume.centered(12)
+        assert all(satisfies_ma1(fam) is ma1_pairwise(fam) for fam in families(vol))
+        # every pair and triple of bond pairs in a window, in both orders: disjoint,
+        # shared ends, nested either way and partial overlaps; then a repeated pair
+        window = [(l, r) for l in range(-1, 7) for r in range(l + 1, 8)]
+        for k in (2, 3):
+            for fam in combinations(window, k):
+                assert satisfies_ma1(fam) is ma1_pairwise(fam), fam
+                assert satisfies_ma1(fam[::-1]) is ma1_pairwise(fam), fam
+        assert satisfies_ma1(((0, 2), (0, 2))) is ma1_pairwise(((0, 2), (0, 2))) is False
+
 
 class TestPairing:
     def test_two_interfaces(self):
@@ -72,6 +103,8 @@ class TestPairing:
     def test_closest_pair_first(self):
         # gaps 3, 1, 4: the middle pair collides first, the rest nest around it
         assert set(pair_interface_bonds([0, 3, 4, 8])) == {(3, 4), (0, 8)}
+        # the input is sorted first; the pairs come in bond order
+        assert pair_interface_bonds([8, 4, 0, 3]) == [(0, 8), (3, 4)]
 
     def test_leftmost_tie_break(self):
         # equal gaps: pair from the left
