@@ -20,7 +20,7 @@ def main():
         vol = cfg.volume()
         h = DisorderField.generate(vol, seed=2)
         res = metropolis_run(cfg, h, chain_seed=3)
-        exact = exact_gibbs_marginal(cfg.coupling_spec(), vol, h, theta, beta, 0)
+        exact = exact_gibbs_marginal(cfg.coupling_spec(), vol, h, theta, beta, 0, +1)
         print(f"  beta={beta:<5} theta={theta:<4}  "
               f"sampled {res.estimate:.4f} +- {res.stderr:.4f}  exact {exact:.4f}  "
               f"origin-in-contour fraction {res.occupancy:.3f}")

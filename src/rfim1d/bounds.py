@@ -8,7 +8,7 @@ configurations of a small volume.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 from .contours import check_separation_constant, contours
 from .model import ALPHA_PEIERLS_MAX, CapacityError, CouplingSpec, Volume, energy, enumerate_spins
@@ -16,6 +16,8 @@ from .triangles import families
 
 TOLERANCE = 1e-9
 MAX_SITES = 14  # the energy table holds 2**n rows
+# the j1 values minimal_j1 tries, in increasing order
+J1_GRID = (1.5, 2.0, 3.0, 5.0, 10.0, 100.0)
 
 
 def zeta(alpha: float) -> float:
@@ -42,8 +44,7 @@ class BoundReport(NamedTuple):
         return self.margin >= -TOLERANCE
 
 
-def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,
-                       kinds: Sequence[str] = ("prefix", "contour")) -> Iterator[BoundReport]:
+def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3) -> Iterator[BoundReport]:
     """Bound reports over every configuration of an n-site volume.
 
     Instance ids are "<config index>:<check>"; configurations are indexed
@@ -65,35 +66,31 @@ def exhaustive_reports(spec: CouplingSpec, n: int, c: int = 3,
 
     for code, family in enumerate(families(vol)):
         full = table[code]
-        if "prefix" in kinds:
-            tris = sorted(family, key=lambda t: (t[1] - t[0], t))
+        tris = sorted(family, key=lambda t: (t[1] - t[0], t))
+        image = code
+        rhs = 0.0
+        for i, (l, r) in enumerate(tris, 1):
+            image ^= ((1 << (r - l)) - 1) << (l + 1)
+            lhs = full - table[image]
+            rhs += z * (r - l)**spec.alpha
+            yield BoundReport(f"{code}:prefix{i}", lhs, rhs)
+        for k, gamma in enumerate(contours(family, c)):
             image = code
-            rhs = 0.0
-            for i, (l, r) in enumerate(tris, 1):
+            for l, r in gamma.triangles:
                 image ^= ((1 << (r - l)) - 1) << (l + 1)
-                lhs = full - table[image]
-                rhs += z * (r - l)**spec.alpha
-                yield BoundReport(f"{code}:prefix{i}", lhs, rhs)
-        if "contour" in kinds:
-            for k, gamma in enumerate(contours(family, c)):
-                image = code
-                for l, r in gamma.triangles:
-                    image ^= ((1 << (r - l)) - 1) << (l + 1)
-                lhs = full - table[image]
-                rhs = 0.5 * z * gamma.power_mass(spec.alpha)
-                yield BoundReport(f"{code}:{k}", lhs, rhs)
+            lhs = full - table[image]
+            rhs = 0.5 * z * gamma.power_mass(spec.alpha)
+            yield BoundReport(f"{code}:{k}", lhs, rhs)
 
 
-def minimal_j1(alpha: float, n: int = 8,
-               grid: Sequence[float] = (1.5, 2.0, 3.0, 5.0, 10.0, 100.0)) -> Optional[float]:
-    """Smallest grid j1 for which every bound report at c = 3 passes at this alpha.
+def minimal_j1(alpha: float, n: int = 8) -> Optional[float]:
+    """Smallest j1 of ``J1_GRID`` for which every bound report at c = 3
+    passes at this alpha, or None.
 
     The required size of J(1) is an empirical question; failures at small
-    j1 are reported rather than asserted, and an empty grid raises.
+    j1 are reported rather than asserted.
     """
-    if not grid:
-        raise ValueError("grid is empty; minimal_j1 needs at least one j1")
-    for j1 in sorted(grid):
+    for j1 in J1_GRID:
         spec = CouplingSpec(alpha=alpha, j1=j1)
         if all(r.passed for r in exhaustive_reports(spec, n)):
             return j1

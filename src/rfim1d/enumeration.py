@@ -59,6 +59,8 @@ from .contours import (Cluster, Contour, _contour, _merge, _reach, _shifted,
 from .model import CapacityError
 
 DEFAULT_MASS_CAP = 6
+# the weight constants b at which certify_C0 checks the entropy bound, in increasing order
+B_GRID = tuple(float(b) for b in range(1, 51))
 
 BondPairs = Tuple[Tuple[int, int], ...]
 
@@ -203,11 +205,11 @@ def origin_contour_counts(m_max: int, c: int = 3) -> List[Tuple[int, int]]:
             for m in range(1, m_max + 1)]
 
 
-def enumerate_origin_contours(m: int, c: int = 3) -> List[Contour]:
-    """All contours of mass m whose enclosing basis contains the origin."""
-    _check_cap(m, c)
+def enumerate_origin_contours(m: int) -> List[Contour]:
+    """All contours of mass m whose enclosing basis contains the origin, at c = 3."""
+    _check_cap(m, 3)
     out: List[Contour] = []
-    for shape in contour_shapes(m, c):
+    for shape in contour_shapes(m, 3):
         span = max(r for _, r in shape)
         # translations t with 0 in the enclosing basis (t, t + span]
         for t in range(-span, 0):
@@ -221,40 +223,32 @@ class CertifyResult:
     rows: Tuple[Tuple[int, float, float, float, bool], ...]  # (m, b, sum, bound, pass)
 
 
-def certify_C0(gamma: float, m_max: int = DEFAULT_MASS_CAP,
-               b_grid: Sequence[float] = tuple(range(1, 51)),
-               c: int = 3) -> CertifyResult:
-    """Smallest grid b* above which the entropy bound holds for all m <= m_max.
+def certify_C0(gamma: float, m_max: int = DEFAULT_MASS_CAP, c: int = 3) -> CertifyResult:
+    """Smallest b* of ``B_GRID`` above which the entropy bound holds for all m <= m_max.
 
     The origin contours of mass m weigh sum over contours of
     exp(-b * sum_T |T|**gamma); the bound is 2m * exp(-b * m**gamma).  It is
     checked at every grid point at and above the candidate; absence of an
-    admissible b* is reported, not raised, and an empty grid raises.
+    admissible b* is reported, not raised.
     """
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    grid = tuple(sorted(float(b) for b in b_grid))
-    if not grid:
-        raise ValueError("b_grid is empty; certify_C0 needs at least one b")
-    for b in grid:
-        if not 0.0 < b < math.inf:
-            raise ValueError(f"b must be positive and finite, got {b}")
     _check_cap(m_max, c)
     rows = []
-    ok_by_b: Dict[float, bool] = {b: True for b in grid}
+    ok_by_b: Dict[float, bool] = {b: True for b in B_GRID}
     for m in range(1, m_max + 1):
         # each mass multiset's sum |T|**gamma with its origin-translation count
         terms = [(count, sum(float(mass)**gamma for mass in masses))
                  for masses, count in _shape_aggregates(m, c).items()]
-        for b in grid:
+        for b in B_GRID:
             s = float(sum(count * math.exp(-b * t) for count, t in terms))
             bd = 2.0 * m * math.exp(-b * float(m)**gamma)
             ok = s <= bd
             ok_by_b[b] = ok_by_b[b] and ok
             rows.append((m, b, s, bd, ok))
     b_star = None
-    for i, b in enumerate(grid):
-        if all(ok_by_b[bb] for bb in grid[i:]):
+    for i, b in enumerate(B_GRID):
+        if all(ok_by_b[bb] for bb in B_GRID[i:]):
             b_star = b
             break
     return CertifyResult(b_star, tuple(rows))

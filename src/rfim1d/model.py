@@ -12,7 +12,7 @@ spin row or of a batch of rows, under either boundary sign, in O(N)
 memory per row.  It reads the couplings as one length-(2N-1) Toeplitz
 vector plus the boundary vector, cached per (spec, volume) and shared
 with the Metropolis chains.  A configuration is a plain +-1 row over the
-volume; ``hamiltonian`` is ``energy`` of one row under the plus boundary.
+volume; ``hamiltonian`` is H_0 of one row, ``energy`` under the plus boundary.
 """
 
 from __future__ import annotations
@@ -147,29 +147,27 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
-def _stream_words(seed, start: int, count: int) -> np.ndarray:
+def _stream_words(seed: int, start: int, count: int) -> np.ndarray:
     """Words start, ..., start + count - 1 of ``SplittableRandom(seed)``.
 
     Word k is mix64(seed mod 2**64 + (k + 1) * gamma), the (k + 1)-th
     ``nextLong()`` of Java's ``SplittableRandom(seed)`` (Steele, Lea &
     Flood, OOPSLA 2014), so any run of words costs one numpy pass, from
-    any counter (counters and sums wrap modulo 2**64).  A sequence of
-    seeds gives one row per seed.
+    any counter (counters and sums wrap modulo 2**64).
     """
-    z = (np.uint64(int(seed) % 2**64) if np.ndim(seed) == 0
-         else np.array([int(s) % 2**64 for s in seed], dtype=np.uint64)[:, None])
-    z = z + (np.arange(1, count + 1, dtype=np.uint64) + np.uint64(start % 2**64)) * _GAMMA
+    k = np.arange(1, count + 1, dtype=np.uint64) + np.uint64(start % 2**64)
+    z = np.uint64(int(seed) % 2**64) + k * _GAMMA
     z = (z ^ (z >> 30)) * _MIX_A
     z = (z ^ (z >> 27)) * _MIX_B
     return z ^ (z >> 31)
 
 
-def _site_words(seed, vol: Volume) -> np.ndarray:
+def _site_words(seed: int, vol: Volume) -> np.ndarray:
     """The SplitMix64 word of ``SplittableRandom(seed)`` at each site's zigzag key.
 
     The key k = 2i for i >= 0 and -2i - 1 below keeps keys non-negative;
     the field at a site is then independent of the enclosing volume and
-    of generation order.  A sequence of seeds gives one row per seed.
+    of generation order.
     """
     if vol.lo < -2**31 or vol.hi >= 2**31:
         raise ValueError(f"volume [{vol.lo}, {vol.hi}] has a site key >= 2**32; "
@@ -178,7 +176,7 @@ def _site_words(seed, vol: Volume) -> np.ndarray:
     keys = np.where(sites >= 0, 2 * sites, -2 * sites - 1)
     # the keys of a volume span fewer than 2N counters
     lo = int(keys.min())
-    return _stream_words(seed, lo, int(keys.max()) - lo + 1)[..., keys - lo]
+    return _stream_words(seed, lo, int(keys.max()) - lo + 1)[keys - lo]
 
 
 def _word_values(raw: np.ndarray, distribution: str) -> np.ndarray:
@@ -223,15 +221,9 @@ class DisorderField:
         return cls(vol, values, distribution, seed)
 
 
-def hamiltonian(
-    spec: CouplingSpec,
-    vol: Volume,
-    spins: np.ndarray,
-    h: Optional[DisorderField] = None,
-    theta: float = 0.0,
-) -> float:
-    """Full random Hamiltonian H_0 + theta * G of a +-1 spin row under the plus boundary."""
-    return energy(spec, vol, spins, +1, h, theta)
+def hamiltonian(spec: CouplingSpec, vol: Volume, spins: np.ndarray) -> float:
+    """H_0 of a +-1 spin row under the plus boundary."""
+    return energy(spec, vol, spins)
 
 
 @lru_cache(maxsize=8)
@@ -316,7 +308,7 @@ def exact_gibbs_marginal(
     theta: float,
     beta: float,
     site: int,
-    boundary: int = +1,
+    boundary: int,
 ) -> float:
     """P[sigma_site = -1] under the finite-volume Gibbs measure, by enumeration."""
     n = vol.n_sites

@@ -73,11 +73,13 @@ def test_criterion_03_erasure_bounds_and_telescoping(energy_oracle):
     for alpha in ALPHA_GRID:
         spec = CouplingSpec(alpha=alpha, j1=10.0)
         erase_all = {}
-        for rep in exhaustive_reports(spec, n, kinds=("prefix",)):
+        for rep in exhaustive_reports(spec, n):
+            code, check = rep.instance.split(":")
+            if not check.startswith("prefix"):
+                continue
             if not rep.passed:
                 ok = False
-            code = int(rep.instance.split(":")[0])
-            erase_all[code] = rep  # prefixes come in increasing length
+            erase_all[int(code)] = rep  # prefixes come in increasing length
         # erasing every triangle leaves all plus, so the cost telescopes to H_0
         if sorted(erase_all) != list(range(2 ** n - 1)):
             ok = False
@@ -93,8 +95,9 @@ def test_criterion_04_contour_bounds():
     ok = c == 3
     for alpha in ALPHA_GRID:
         spec = CouplingSpec(alpha=alpha, j1=10.0)
-        for rep in exhaustive_reports(spec, 12, c, kinds=("contour",)):
-            if not rep.passed:
+        for rep in exhaustive_reports(spec, 12, c):
+            # the contour reports, "<code>:<k>"
+            if not rep.instance.split(":")[1].startswith("prefix") and not rep.passed:
                 ok = False
     report(4, "per-contour bounds (zeta/2 power mass), N=12, 4 alphas, C=3", ok)
 
@@ -163,7 +166,7 @@ def test_criterion_11_sampler_vs_oracle():
         vol = cfg.volume()
         h = DisorderField.generate(vol, seed=22)
         res = metropolis_run(cfg, h, chain_seed=23)
-        exact = exact_gibbs_marginal(cfg.coupling_spec(), vol, h, theta, beta, 0)
+        exact = exact_gibbs_marginal(cfg.coupling_spec(), vol, h, theta, beta, 0, +1)
         tol = 3.0 * max(res.stderr, 0.01)
         if abs(res.estimate - exact) > tol:
             ok = False

@@ -157,19 +157,14 @@ class TestExhaustive:
         weak = CouplingSpec(alpha=0.55, j1=1.01)
         assert any(not r.passed for r in exhaustive_reports(weak, 6))
 
-    def test_minimal_j1_on_grid(self):
-        assert minimal_j1(0.55, n=6, grid=(1.5, 2.0, 10.0)) == 1.5
-        assert minimal_j1(0.55, n=6, grid=(1.01,)) is None
-
-    @pytest.mark.parametrize("grid", [(), []])
-    def test_minimal_j1_empty_grid_rejected_before_work(self, monkeypatch, grid):
-        # None would read as "no j1 on the grid keeps every bound"
-        def no_work(*args, **kwargs):
-            raise AssertionError("minimal_j1 checked a bound on an empty grid")
-
-        monkeypatch.setattr(bounds, "exhaustive_reports", no_work)
-        with pytest.raises(ValueError, match="grid is empty"):
-            minimal_j1(0.55, n=6, grid=grid)
+    def test_minimal_j1_on_grid(self, monkeypatch):
+        assert bounds.J1_GRID == (1.5, 2.0, 3.0, 5.0, 10.0, 100.0)
+        assert minimal_j1(0.55, n=6) == 1.5
+        # the grid is tried in order, and None means no grid value keeps every bound
+        monkeypatch.setattr(bounds, "J1_GRID", (1.01, 1.5))
+        assert minimal_j1(0.55, n=6) == 1.5
+        monkeypatch.setattr(bounds, "J1_GRID", (1.01,))
+        assert minimal_j1(0.55, n=6) is None
 
     def test_erased_images_are_the_codes_of_the_remaining_triangles(self, spec, monkeypatch):
         # with the energy of each configuration set to its own code, lhs is the

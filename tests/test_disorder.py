@@ -7,7 +7,7 @@ from rfim1d import (CapacityError, ConstrainedEnsemble, Contour, DisorderField,
                     Volume, b_bar, check_antisymmetry, class_support,
                     estimate_Bj_probability, flip_composition, thresholds, zeta)
 from rfim1d.disorder import ANTISYMMETRY_TOL
-from rfim1d.model import _site_words, _word_values, enumerate_spins
+from rfim1d.model import enumerate_spins
 
 
 @pytest.fixture
@@ -137,11 +137,24 @@ class TestAntisymmetry:
                             np.column_stack([fields[:, site], np.ones(len(fields))]))
         assert check_antisymmetry(nested_ensemble, theta=0.3, beta=2.0) == [True, False]
 
+    def test_level_flip_is_the_composition_not_the_union(self, nested_ensemble,
+                                                         ten_site_volume, monkeypatch):
+        # a stand-in F whose level 1, (sum of h over D_1) * (1 + h_4), is odd under
+        # the flip on D_1 = {1, 2, 3, 5, 6, 7, 8} but not under the flip on the
+        # union D_0 | D_1 = {1, ..., 8}, which also flips h_4
+        site = ten_site_volume.index(4)
+        d1 = [ten_site_volume.index(i) for i in (1, 2, 3, 5, 6, 7, 8)]
+        monkeypatch.setattr(nested_ensemble, "f_values", lambda fields, theta, beta:
+                            np.column_stack([fields[:, site],
+                                             fields[:, d1].sum(axis=1) * (1.0 + fields[:, site])]))
+        assert check_antisymmetry(nested_ensemble, theta=0.3, beta=2.0) == [True, True]
+
     def test_sampled_gaussian_pairs(self, nested_ensemble, nested_contour, ten_site_volume):
         # continuous fields cannot be enumerated: pair each sampled field with
         # its flip on D_j, and the two values of F_j must cancel
         j, theta, beta = 1, 0.25, 2.0
-        fields = _word_values(_site_words(range(64), ten_site_volume), "gaussian")
+        fields = np.array([DisorderField.generate(ten_site_volume, seed, "gaussian").values
+                           for seed in range(64)])
         flipped = fields.copy()
         for i in flip_composition(nested_contour, j):
             flipped[:, ten_site_volume.index(i)] *= -1.0

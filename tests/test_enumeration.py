@@ -95,8 +95,6 @@ class TestEnumeration:
         monkeypatch.setattr(enumeration, "contour_shapes", no_work)
         for m, c in ((4, 11), (3, 25), (1, 649), (6, 4)):
             with pytest.raises(CapacityError, match="exceeds enumeration cap 648"):
-                enumerate_origin_contours(m, c)
-            with pytest.raises(CapacityError, match="exceeds enumeration cap 648"):
                 certify_C0(0.1, m_max=m, c=c)
             with pytest.raises(CapacityError, match="exceeds enumeration cap 648"):
                 origin_contour_counts(m, c)
@@ -104,8 +102,6 @@ class TestEnumeration:
                 contour_shapes(m, c)
         # below c = 1 the separation rule breaks: at c = 0, mass 3 would give 3 contours, not 92
         for m, c in ((3, 0), (1, -2)):
-            with pytest.raises(ValueError, match=f"c must be >= 1, got {c}"):
-                enumerate_origin_contours(m, c)
             with pytest.raises(ValueError, match=f"c must be >= 1, got {c}"):
                 certify_C0(0.1, m_max=m, c=c)
             with pytest.raises(ValueError, match=f"c must be >= 1, got {c}"):
@@ -204,15 +200,17 @@ class TestEnumeration:
         assert flushed == [True] * len(want)
 
     def test_each_mass_is_enumerated_once(self):
-        # (2, 5) is a pair no other test enumerates, so its first call is the one miss
+        # (1, 5) and (2, 5) are pairs no other test enumerates, so the first call
+        # of each is its one miss
         m, c = 2, 5
         before = contour_shapes.cache_info()
         shapes = contour_shapes(m, c)
         aggregates = _shape_aggregates(m, c)
-        origin = enumerate_origin_contours(m, c)
+        counts = origin_contour_counts(m, c)
         after = contour_shapes.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
-        assert sum(aggregates.values()) == len(origin) == sum(max(r for _, r in s) for s in shapes)
+        assert (after.misses - before.misses, after.hits - before.hits) == (2, 4)
+        assert counts[-1] == (sum(aggregates.values()), len(shapes))
+        assert sum(aggregates.values()) == sum(max(r for _, r in s) for s in shapes)
         # a second spelling of the same call would be a second cache entry
         with pytest.raises(TypeError):
             contour_shapes(m)
@@ -225,19 +223,19 @@ class TestEnumeration:
         assert max_span(3) == 3 + 3 * (1 + 1)
 
 
-def weight_sums(gamma, m_max, b_grid):
+def weight_sums(gamma, m_max):
     """The weight_sum column of the certificate, keyed by (m, b)."""
-    return {(m, b): s for m, b, s, _bd, _ok in certify_C0(gamma, m_max, b_grid).rows}
+    return {(m, b): s for m, b, s, _bd, _ok in certify_C0(gamma, m_max).rows}
 
 
 class TestWeightSums:
     def test_mass_one_value(self):
-        assert weight_sums(0.1, 1, (2.0,))[1, 2.0] == pytest.approx(math.exp(-2.0))
+        assert weight_sums(0.1, 1)[1, 2.0] == pytest.approx(math.exp(-2.0))
 
     def test_matches_direct_sum(self):
         # each origin contour weighs exp(-b * sum_T |T|**gamma)
-        b, gamma = 1.5, 0.3
-        sums = weight_sums(gamma, 3, (b,))
+        b, gamma = 2.0, 0.3
+        sums = weight_sums(gamma, 3)
         for m in (1, 2, 3):
             direct = sum(
                 math.exp(-b * sum((r - l) ** gamma for l, r in g.triangles))
@@ -246,43 +244,24 @@ class TestWeightSums:
             assert sums[m, b] == pytest.approx(direct, rel=1e-12)
 
     def test_monotone_decreasing_in_b(self):
-        sums = weight_sums(0.1, 3, (1.0, 2.0, 4.0))
+        sums = weight_sums(0.1, 3)
         assert sums[3, 1.0] > sums[3, 2.0] > sums[3, 4.0]
 
     def test_bound_formula(self):
         # the bound column is 2m * exp(-b * m**gamma)
-        bounds = {(m, b): bd for m, b, _s, bd, _ok in certify_C0(0.1, 3, (3.0,)).rows}
+        bounds = {(m, b): bd for m, b, _s, bd, _ok in certify_C0(0.1, 3).rows}
         assert bounds[3, 3.0] == pytest.approx(6.0 * math.exp(-3.0 * 3.0 ** 0.1))
 
 
 class TestCertificate:
-    @pytest.mark.parametrize("gamma, b_grid", [
-        (0.0, (1.0,)),
-        (-1.0, (1.0,)),
-        (math.nan, (1.0,)),
-        (math.inf, (1.0,)),
-        (0.1, (1.0, 0.0)),
-        (0.1, (-2.0, 1.0)),
-        (0.1, (math.nan,)),
-        (0.1, (math.inf,)),
-    ])
-    def test_parameters_checked_before_work(self, monkeypatch, gamma, b_grid):
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_gamma_checked_before_work(self, monkeypatch, gamma):
         def no_work(*args):
-            raise AssertionError("certify_C0 enumerated before checking gamma and b")
+            raise AssertionError("certify_C0 enumerated before checking gamma")
 
         monkeypatch.setattr(enumeration, "_shape_aggregates", no_work)
-        with pytest.raises(ValueError, match="must be positive and finite"):
-            certify_C0(gamma, m_max=2, b_grid=b_grid)
-
-    @pytest.mark.parametrize("b_grid", [(), [], range(0)])
-    def test_empty_grid_rejected_before_work(self, monkeypatch, b_grid):
-        # b_star None would read as "no grid b works"
-        def no_work(*args):
-            raise AssertionError("certify_C0 enumerated for an empty grid")
-
-        monkeypatch.setattr(enumeration, "_shape_aggregates", no_work)
-        with pytest.raises(ValueError, match="b_grid is empty"):
-            certify_C0(0.1, m_max=2, b_grid=b_grid)
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            certify_C0(gamma, m_max=2)
 
     def test_small_mass_certificate(self):
         result = certify_C0(0.1, m_max=3)
@@ -303,9 +282,10 @@ class TestCertificate:
 
     def test_rows_shape(self):
         # one (m, b, sum, bound, pass) row per mass and grid value, mass-major
-        result = certify_C0(0.1, m_max=2, b_grid=(3, 1, 2))
+        result = certify_C0(0.1, m_max=2)
+        assert enumeration.B_GRID == tuple(float(b) for b in range(1, 51))
         assert [(m, b) for m, b, *_ in result.rows] == [
-            (m, b) for m in (1, 2) for b in (1.0, 2.0, 3.0)]
+            (m, b) for m in (1, 2) for b in enumeration.B_GRID]
         assert all(len(r) == 5 for r in result.rows)
         # the run's gamma, m_max, c and grid stay with the caller
         assert [f.name for f in dataclasses.fields(result)] == ["b_star", "rows"]

@@ -8,8 +8,9 @@ definition: in a library module, in a demo, or in the benchmark harness,
 whose trace targets count too.  A method that overrides one of a base
 class is used by the base class's callers, so it is exempt.  Every
 defaulted parameter of a function or method, public or private, is set
-off its default by some call, in a library module, a demo, the benchmark
-harness or a test: a default no caller turns is a constant.
+off its default by some call, in a library module, a demo or the
+benchmark harness: a default that only tests turn, or none, is a
+constant.
 """
 
 import ast
@@ -102,11 +103,16 @@ def trace_target_names():
     return {part for target in module.TARGETS for part in target[2].split(".")}
 
 
-def names_used_outside_tests():
-    users = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted(
+def callers():
+    """The sources whose uses count: library modules, demos and the
+    benchmark harness, not tests."""
+    return MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted(
         (ROOT / "perfbench").glob("*.py"))
+
+
+def names_used_outside_tests():
     used = trace_target_names()
-    for path in users:
+    for path in callers():
         used |= referenced_names(ast.parse(path.read_text(), filename=str(path)))
     return used
 
@@ -197,14 +203,12 @@ def _is_default(value, default):
 
 def turned_defaults():
     """(callee name, parameter name or position) of every argument that a
-    call sets off its default; a call with ``*args`` or ``**kwargs`` may
+    call in ``callers()`` sets off its default; a call with ``*args`` or ``**kwargs`` may
     set any parameter, so it gives (callee name, "*")."""
     defaults = {(qual.rsplit(".", 1)[-1], key): default
                 for qual, arg, default, pos in defaulted_parameters() for key in (arg, pos)}
     turned = set()
-    users = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted(
-        (ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-    for path in users:
+    for path in callers():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, ast.Call):
                 continue
@@ -228,6 +232,8 @@ def test_defaulted_parameters_found():
     assert ("cli.main", "argv") in found
     # private functions count too
     assert ("contours._merge", "clusters") in found
+    # a demo is a caller: energy_bounds_demo.py calls minimal_j1(alpha, n=6)
+    assert ("minimal_j1", "n") in turned_defaults()
 
 
 def test_every_default_is_turned_by_a_caller():

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import boundary_field, coupling, minus_row, splitmix64_word
 from rfim1d import (CouplingSpec, DisorderField, RunConfig, Volume, disorder_sweep,
-                    exact_gibbs_marginal, hamiltonian, metropolis_run, spins_to_triangles)
+                    exact_gibbs_marginal, metropolis_run, spins_to_triangles)
 from rfim1d.contours import contours
 from rfim1d import mc as mc_module
 from rfim1d import model as model_module
@@ -115,8 +115,8 @@ class TestLocalField:
             sigma = rng.choice([-1, 1], size=9).astype(np.int8)
             for i in (vol.lo, -1, 0, vol.hi):
                 de = kernel_flip_energy(spec, vol, sigma, h, 0.3, i)
-                direct = (hamiltonian(spec, vol, flipped(vol, sigma, i), h, 0.3)
-                          - hamiltonian(spec, vol, sigma, h, 0.3))
+                direct = (energy(spec, vol, flipped(vol, sigma, i), +1, h, 0.3)
+                          - energy(spec, vol, sigma, +1, h, 0.3))
                 assert de == pytest.approx(direct, abs=1e-9)
 
     def test_flip_back_negates(self, spec):
@@ -273,7 +273,7 @@ class TestMetropolis:
         for beta, theta in [(0.05, 0.2), (0.1, 0.4)]:
             cfg, h, res = run_small(beta, theta)
             exact = exact_gibbs_marginal(cfg.coupling_spec(), cfg.volume(), h,
-                                         theta, beta, 0)
+                                         theta, beta, 0, +1)
             assert abs(res.estimate - exact) <= 3.0 * max(res.stderr, 0.01)
 
     def test_strong_coupling_plus_boundary(self):
@@ -320,7 +320,6 @@ class TestMetropolis:
             exact = energy_oracle(spec, vol, s, +1, h.values, theta)
             assert e == pytest.approx(exact, rel=1e-9)
             assert energy(spec, vol, s, +1, h, theta) == pytest.approx(exact, rel=1e-9)
-            assert hamiltonian(spec, vol, s, h, theta) == pytest.approx(exact, rel=1e-9)
         # the sampled marginal, here under a minus boundary, matches the oracle
         cfg, h, res = run_small(0.05, 0.2, boundary=-1)
         exact = exact_gibbs_marginal(cfg.coupling_spec(), cfg.volume(), h, 0.2, 0.05, 0,

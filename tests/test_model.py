@@ -14,7 +14,7 @@ from oracles import (boundary_field, coupling, exterior_tails, minus_row, power_
                      splitmix64_next, splitmix64_word, tail)
 from rfim1d import (CapacityError, CouplingSpec, DisorderField, Volume, VolumeMismatchError,
                     energy, exact_gibbs_marginal, hamiltonian, triangles_to_spins)
-from rfim1d.model import (DISTRIBUTIONS, TAIL_TOLERANCE, _logsumexp, _site_words, _word_values,
+from rfim1d.model import (TAIL_TOLERANCE, _logsumexp, _site_words, _word_values,
                           enumerate_spins)
 
 FIELD_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 123456789012345, 2**64 - 1, 2**70 + 5, -3]
@@ -172,17 +172,17 @@ class TestHamiltonian:
         vol = Volume(0, 3)
         sigma = minus_row(vol)
         h = DisorderField(vol, np.array([1.0, -1.0, 1.0, 1.0]))
-        assert hamiltonian(spec, vol, sigma, h, theta=1.0) - hamiltonian(spec, vol, sigma) == \
+        assert energy(spec, vol, sigma, +1, h, 1.0) - hamiltonian(spec, vol, sigma) == \
             pytest.approx(-2.0)
-        assert hamiltonian(spec, vol, sigma, h, theta=0.5) - hamiltonian(spec, vol, sigma) == \
+        assert energy(spec, vol, sigma, +1, h, 0.5) - hamiltonian(spec, vol, sigma) == \
             pytest.approx(-1.0)
-        assert hamiltonian(spec, vol, sigma, h) == hamiltonian(spec, vol, sigma)
+        assert energy(spec, vol, sigma, +1, h) == hamiltonian(spec, vol, sigma)
 
     def test_field_volume_mismatch(self, spec):
         vol = Volume(0, 3)
         h = DisorderField.generate(Volume(0, 4), seed=0)
         with pytest.raises(VolumeMismatchError):
-            hamiltonian(spec, vol, minus_row(vol), h)
+            energy(spec, vol, minus_row(vol), +1, h)
 
     def test_batch_matches_scalar(self, spec):
         vol = Volume(0, 5)
@@ -274,11 +274,11 @@ class TestExactMarginal:
     def test_infinite_temperature_is_half(self, spec):
         vol = Volume.centered(6)
         h = DisorderField.generate(vol, seed=2)
-        assert exact_gibbs_marginal(spec, vol, h, 0.3, 0.0, 0) == pytest.approx(0.5)
+        assert exact_gibbs_marginal(spec, vol, h, 0.3, 0.0, 0, +1) == pytest.approx(0.5)
 
     def test_low_temperature_plus_boundary(self, spec):
         vol = Volume.centered(6)
-        p = exact_gibbs_marginal(spec, vol, None, 0.0, 5.0, 0)
+        p = exact_gibbs_marginal(spec, vol, None, 0.0, 5.0, 0, +1)
         assert p < 1e-6
 
     def test_boundary_flip_symmetry(self, spec):
@@ -290,7 +290,7 @@ class TestExactMarginal:
 
     def test_capacity_guard(self, spec):
         with pytest.raises(CapacityError):
-            exact_gibbs_marginal(spec, Volume.centered(25), None, 0.0, 1.0, 0)
+            exact_gibbs_marginal(spec, Volume.centered(25), None, 0.0, 1.0, 0, +1)
 
 
 class TestFieldStream:
@@ -323,21 +323,6 @@ class TestFieldStream:
         vol = Volume(-256, 255)
         expected = [_reference_word(seed % 2**64, int(i)) for i in vol.sites()]
         assert [int(w) for w in _site_words(seed, vol)] == expected
-
-    def test_seed_batch_rows(self):
-        seeds = [3, 2**64 - 1, -3]
-        vol = Volume(-9, 20)
-        rows = _site_words(seeds, vol)
-        assert rows.shape == (3, vol.n_sites)
-        for seed, row in zip(seeds, rows):
-            assert np.array_equal(row, _site_words(seed, vol))
-            assert [int(w) for w in row] == [_reference_word(seed % 2**64, int(i))
-                                             for i in vol.sites()]
-        # a batch of rows gives each seed's field, for every distribution
-        for distribution in DISTRIBUTIONS:
-            for seed, values in zip(seeds, _word_values(rows, distribution)):
-                h = DisorderField.generate(vol, seed=seed, distribution=distribution)
-                assert np.array_equal(values, h.values), (seed, distribution)
 
     @pytest.mark.parametrize("distribution", ["bernoulli", "uniform"])
     @pytest.mark.parametrize("seed", FIELD_SEEDS)
