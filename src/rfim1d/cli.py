@@ -13,7 +13,6 @@ produce byte-identical outputs.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import json
@@ -36,9 +35,10 @@ SCHEMA_VERSION = 1
 
 _RUN = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
-# Every option: its default and its argparse keywords.  The sampling defaults
-# are RunConfig's, but the boundary is spelled "+" or "-" and a missing seed
-# falls back to RFIM_SEED.
+# Every option: its default and its argparse keywords, from which main also
+# reads a well-formed command line itself.  The sampling defaults are
+# RunConfig's, but the boundary is spelled "+" or "-" and a missing seed falls
+# back to RFIM_SEED.
 OPTIONS: Dict[str, Tuple[object, dict]] = {
     "alpha": (_RUN["alpha"], {"type": float}),
     "beta": (_RUN["beta"], {"type": str, "help": "inverse temperature"}),
@@ -81,45 +81,38 @@ class CliError(Exception):
     """Validation problem; maps to exit code 1."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default exits 2; keep 2 for suite failures
-        raise CliError(message)
-
-    def parse_known_args(self, args=None, namespace=None):
-        # "--theta -inf" -> "--theta=-inf": argparse would read "-inf" as an option
-        joined: List[str] = []
-        for arg in sys.argv[1:] if args is None else args:
-            flag = joined[-1][2:] if joined and joined[-1][:2] == "--" else ""
-            if arg[:1] == "-" and arg[:2] != "--" and "type" in OPTIONS.get(flag, ("", {}))[1]:
-                joined[-1] += "=" + arg
-            else:
-                joined.append(arg)
-        return super().parse_known_args(joined, namespace)
+def _flag_value(key: str, text: str) -> object:
+    """``text`` as the argument of --key: converted by the flag's type and
+    checked against its choices; ValueError when it fails either."""
+    kwargs = OPTIONS[key][1]
+    value = kwargs.get("type", str)(text)
+    if value not in kwargs.get("choices", (value,)):
+        raise ValueError(f"{text!r} is not a choice of --{key}")
+    return value
 
 
 def _config_value(key: str, value) -> object:
     """A --config value, converted or checked as the flag's own argument would be."""
-    kwargs = OPTIONS[key][1]
-    if kwargs.get("action") == "store_true":
+    if OPTIONS[key][1].get("action") == "store_true":
         if isinstance(value, bool):
             return value
     elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
-        text = str(value)
-        if text in kwargs.get("choices", (text,)):
-            try:
-                return kwargs.get("type", str)(text)
-            except ValueError:
-                pass
+        try:
+            return _flag_value(key, str(value))
+        except ValueError:
+            pass
     raise CliError(f"bad config value for {key}: {value!r}")
 
 
-def _merge_options(args: argparse.Namespace) -> Dict[str, object]:
-    """The options the subcommand takes. Precedence: flags, then --config file, then defaults."""
-    command = args.command
+def _merge_options(flags: Dict[str, object]) -> Dict[str, object]:
+    """The options the subcommand ``flags["command"]`` takes, from the flags
+    given (a missing or None value is not given).  Precedence: flags, then
+    --config file, then defaults."""
+    command = flags["command"]
     merged = {k: OPTIONS[k][0] for k in TAKES[command] + UNIVERSAL if k != "config"}
-    if args.config:
+    if flags.get("config"):
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(flags["config"], encoding="utf-8") as fh:
                 file_opts = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read config file: {exc}")
@@ -130,7 +123,7 @@ def _merge_options(args: argparse.Namespace) -> Dict[str, object]:
             raise CliError(f"unknown config keys for {command}: {sorted(unknown)}")
         merged.update((k, _config_value(k, v)) for k, v in file_opts.items())
     for key in merged:
-        val = getattr(args, key)
+        val = flags.get(key)
         if val is not None:
             merged[key] = val
     if merged["seed"] is None:
@@ -363,8 +356,25 @@ COMMANDS = {
 }
 
 
-def build_parser(commands: Iterable[str] = tuple(COMMANDS)) -> _Parser:
+def build_parser(commands: Iterable[str] = tuple(COMMANDS)) -> "argparse.ArgumentParser":
     """The rfim1d parser with a subparser for each of the given commands."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse default exits 2; keep 2 for suite failures
+            raise CliError(message)
+
+        def parse_known_args(self, args=None, namespace=None):
+            # "--theta -inf" -> "--theta=-inf": argparse would read "-inf" as an option
+            joined: List[str] = []
+            for arg in sys.argv[1:] if args is None else args:
+                flag = joined[-1][2:] if joined and joined[-1][:2] == "--" else ""
+                if arg[:1] == "-" and arg[:2] != "--" and "type" in OPTIONS.get(flag, ("", {}))[1]:
+                    joined[-1] += "=" + arg
+                else:
+                    joined.append(arg)
+            return super().parse_known_args(joined, namespace)
+
     parser = _Parser(prog="rfim1d", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     for name in commands:
@@ -378,21 +388,63 @@ def build_parser(commands: Iterable[str] = tuple(COMMANDS)) -> _Parser:
     return parser
 
 
+def read_flags(argv: Sequence[str]) -> Optional[Dict[str, object]]:
+    """The command and flag values of a well-formed line, or None for a
+    line that only argparse may read.
+
+    A well-formed line is a command, then flags that command takes, each
+    spelled in full as ``--key value`` or ``--key=value``.  A value
+    converts with its flag's type and lies in its choices; it may start
+    with one "-", not with "--".  A store_true flag takes no value, and a
+    repeated flag's last value wins.  argparse reads the same values from
+    such a line.  None for help, a missing or unknown command, an unknown,
+    abbreviated or foreign flag, and a missing or bad value.
+    """
+    if not argv or argv[0] not in TAKES:
+        return None
+    takes = TAKES[argv[0]] + UNIVERSAL
+    flags: Dict[str, object] = {"command": argv[0]}
+    rest = iter(argv[1:])
+    for arg in rest:
+        key, eq, value = arg[2:].partition("=")
+        if arg[:2] != "--" or key not in takes:
+            return None
+        if OPTIONS[key][1].get("action") == "store_true":
+            if eq:
+                return None
+            flags[key] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                return None
+        if value[:2] == "--":
+            return None
+        try:
+            flags[key] = _flag_value(key, value)
+        except ValueError:
+            return None
+    return flags
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the command line argv (sys.argv[1:] when None); returns the exit code.
 
-    When argv starts with a command, only that command's subparser is built;
-    anything else (--help, no argument, an unknown command) gets the full
-    parser, whose help text and errors list every command.
+    A well-formed line (see ``read_flags``) never loads argparse.  Any
+    other line goes to argparse, whose help text and errors are the CLI's:
+    when it starts with a command, only that command's subparser is
+    built; anything else (--help, no argument, an unknown command) gets
+    the full parser, whose help text and errors list every command.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
-        args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
-            raise CliError("a subcommand is required (see --help)")
-        opts = _merge_options(args)
-        return COMMANDS[args.command](opts)
+        flags = read_flags(argv)
+        if flags is None:
+            parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
+            flags = vars(parser.parse_args(argv))
+            if not flags.get("command"):
+                raise CliError("a subcommand is required (see --help)")
+        return COMMANDS[flags["command"]](_merge_options(flags))
     except (CliError, ValueError, OSError, CapacityError, EnergyDriftError,
             WorkerPoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)

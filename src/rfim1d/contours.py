@@ -125,9 +125,21 @@ class Contour(NamedTuple):
     def n_classes(self) -> int:
         return len({r - l for l, r in self.triangles})
 
-    def power_mass(self, rho: float) -> float:
-        """sum_l n_l * Delta_l**rho."""
-        return float(sum(n * d**rho for d, n in ((d, len(ts)) for d, ts in self.classes())))
+    def power_mass(self, powers: Sequence[float]) -> float:
+        """sum_l n_l * powers[Delta_l]; with powers[d] = d**rho for each mass d
+        up to ``mass``, that is sum_l n_l * Delta_l**rho.
+
+        The terms are added left to right in increasing Delta_l, so the
+        rounding is the same on every Python version (the built-in sum()
+        of floats is compensated from 3.12 on).
+        """
+        counts: Dict[int, int] = {}
+        for l, r in self.triangles:
+            counts[r - l] = counts.get(r - l, 0) + 1
+        acc = 0.0
+        for d in sorted(counts):
+            acc += counts[d] * powers[d]
+        return acc
 
     def contains_site(self, i: int) -> bool:
         """Site inside the enclosing basis."""

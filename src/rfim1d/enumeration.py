@@ -237,11 +237,19 @@ def certify_C0(gamma: float, m_max: int = DEFAULT_MASS_CAP, c: int = 3) -> Certi
     rows = []
     ok_by_b: Dict[float, bool] = {b: True for b in B_GRID}
     for m in range(1, m_max + 1):
-        # each mass multiset's sum |T|**gamma with its origin-translation count
-        terms = [(count, sum(float(mass)**gamma for mass in masses))
-                 for masses, count in _shape_aggregates(m, c).items()]
+        # each mass multiset's sum |T|**gamma with its origin-translation count;
+        # both sums add left to right, which the built-in sum() of floats
+        # stopped doing in Python 3.12
+        terms = []
+        for masses, count in _shape_aggregates(m, c).items():
+            t = 0.0
+            for mass in masses:
+                t += float(mass)**gamma
+            terms.append((count, t))
         for b in B_GRID:
-            s = float(sum(count * math.exp(-b * t) for count, t in terms))
+            s = 0.0
+            for count, t in terms:
+                s += count * math.exp(-b * t)
             bd = 2.0 * m * math.exp(-b * float(m)**gamma)
             ok = s <= bd
             ok_by_b[b] = ok_by_b[b] and ok

@@ -54,6 +54,16 @@ def forbid_work(monkeypatch, what):
         monkeypatch.setattr(module, name, no_work)
 
 
+def argparse_flags(argv):
+    """The flags argparse reads from argv, without the absent ones."""
+    return {k: v for k, v in vars(cli.build_parser().parse_args(argv)).items() if v is not None}
+
+
+def typed(flags):
+    """Flag values with their types: 8 and 8.0 differ, nan equals nan."""
+    return {k: repr(v) for k, v in flags.items()}
+
+
 def _flag_worded(index, argv, message):
     return pytest.param(argv, message, id=f"argv{index}---{message}")
 
@@ -245,11 +255,14 @@ class TestParsing:
     def test_every_subcommand_parses_every_flag(self, command):
         """Each subcommand parses every option of its set and rejects all others."""
         takes = self.TAKES[command] | self.UNIVERSAL
-        args = cli.build_parser().parse_args([command] + self._argv(sorted(takes)))
-        assert vars(args) == {k: self.EVERY_FLAG[k] for k in takes} | {"command": command}
+        argv = [command] + self._argv(sorted(takes))
+        want = {k: self.EVERY_FLAG[k] for k in takes} | {"command": command}
+        assert vars(cli.build_parser().parse_args(argv)) == want
+        assert typed(cli.read_flags(argv)) == typed(want)
         for key in set(self.EVERY_FLAG) - takes:
             with pytest.raises(cli.CliError, match=f"unrecognized arguments: --{key}"):
                 cli.build_parser().parse_args([command] + self._argv([key]))
+            assert cli.read_flags([command] + self._argv([key])) is None
 
     # one option of another subcommand's set per subcommand
     FOREIGN = {"simulate": ("--n", "4"), "sweep": ("--mmax", "3"),
@@ -284,12 +297,68 @@ class TestParsing:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
         return names
 
-    def test_simulate_builds_one_subparser(self, capsys, monkeypatch):
+    def test_well_formed_line_builds_no_subparser(self, capsys, monkeypatch):
         names = self._counting_subparsers(monkeypatch)
         code, out, _ = run_cli(capsys, "simulate", "--size", "8", "--sweeps", "3",
                                "--burnin", "1", "--realizations", "1", "--deterministic")
         assert code == 0 and out.startswith("# schema=")
-        assert names == ["simulate"]
+        assert names == []
+
+    def test_error_line_builds_its_command_subparser_alone(self, capsys, monkeypatch):
+        names = self._counting_subparsers(monkeypatch)
+        code, out, err = run_cli(capsys, "roundtrip-test", "--n", "4", "--frobnicate")
+        assert (code, out, err) == (1, "", "error: unrecognized arguments: --frobnicate\n")
+        assert names == ["roundtrip-test"]
+
+    def test_well_formed_line_loads_no_argparse(self):
+        # a fresh interpreter: this one imported argparse for the tests
+        code = ("import os, sys; from rfim1d.cli import main; "
+                "assert main(['roundtrip-test', '--n', '4', '--deterministic',"
+                " '--out', os.devnull]) == 0; "
+                "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+        src = str(Path(rfim1d.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], timeout=120, capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=path), text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+    # lines the table reads: a repeated flag's last value wins, a value may
+    # start with one "-", and "--key=value" reads as "--key value"
+    READ = [
+        (["simulate", "--size", "8", "--size", "9", "--seed=3", "--seed", "4"],
+         {"size": 9, "seed": 4}),
+        (["simulate", "--theta", "-inf", "--beta=-1", "--boundary", "-", "--out", "-x",
+          "--deterministic", "--deterministic"],
+         {"theta": "-inf", "beta": "-1", "boundary": "-", "out": "-x", "deterministic": True}),
+        (["certify-c0", "--gamma=0.25", "--format=json", "--out=", "--c", "+5"],
+         {"gamma": 0.25, "format": "json", "out": "", "c": 5}),
+        (["verify-energy", "--alpha", " 0.3 ", "--n", "1_0"], {"alpha": 0.3, "n": 10}),
+        (["roundtrip-test"], {}),
+    ]
+
+    @pytest.mark.parametrize("argv, want", READ)
+    def test_table_reads_as_argparse_does(self, argv, want):
+        want = typed(want | {"command": argv[0]})
+        assert typed(cli.read_flags(argv)) == want
+        assert typed(argparse_flags(argv)) == want
+
+    # lines the table leaves to argparse
+    DECLINED = [
+        [], ["--help"], ["bogus"], ["--seed", "3", "simulate"], ["simulate", "-h"],
+        ["simulate", "--help"],
+        ["simulate", "--format", "xml"], ["simulate", "--boundary", "0"],  # not a choice
+        ["simulate", "--size", "1.5"], ["simulate", "--size", "8.0"], ["simulate", "--size=x"],
+        ["roundtrip-test", "--mmax", "3"], ["verify-disorder", "--c", "2"],  # foreign
+        ["simulate", "--siz", "8"], ["simulate", "--Size", "8"],  # not a flag in full
+        ["simulate", "--deterministic=x"], ["simulate", "--deterministic="],
+        ["simulate", "--out", "--size"], ["simulate", "--out=--x"], ["simulate", "--out", "--"],
+        ["simulate", "--size"], ["simulate", "8"], ["simulate", "--size", "8", "-1"],
+        ["simulate", "--"], ["simulate", "-s", "8"], ["simulate", "--=8"],
+    ]
+
+    @pytest.mark.parametrize("argv", DECLINED, ids=" ".join)
+    def test_table_declines(self, argv):
+        assert cli.read_flags(argv) is None
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_command_help_from_its_subparser_alone(self, capsys, monkeypatch, command):
@@ -764,25 +833,32 @@ class TestFuzz:
         except ValueError:
             return False
 
-    @pytest.mark.parametrize("command", list(cli.COMMANDS))
-    def test_random_command_lines(self, capsys, monkeypatch, tmp_path, command):
-        monkeypatch.delenv("RFIM_SEED", raising=False)
-        forbid_work(monkeypatch, "fuzz")
+    @classmethod
+    def _lines(cls, command, tmp_path):
+        """The 100 seeded lines of a command: each argv, its flag values and
+        the keys and values of its config file, which is written here."""
         rng = random.Random(f"fuzz {command}")
-        outcomes = {"work": 0, 1: 0, "non-finite": 0}
         for i in range(100):
             argv, flags, config = [command], {}, {}
-            for key in dict.fromkeys(self._keys(rng, command, 0.5)):
+            for key in dict.fromkeys(cls._keys(rng, command, 0.5)):
                 if key == "deterministic":
                     argv.append("--deterministic")
                     continue
                 if key == "config":
                     path = tmp_path / f"config-{i}.json"
-                    config = self._config(rng, command, path)
+                    config = cls._config(rng, command, path)
                     value = str(path)
                 else:
-                    value = flags[key] = self._value(rng, key, tmp_path)
+                    value = flags[key] = cls._value(rng, key, tmp_path)
                 argv += [f"--{key}", value]
+            yield argv, flags, config
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_random_command_lines(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.delenv("RFIM_SEED", raising=False)
+        forbid_work(monkeypatch, "fuzz")
+        outcomes = {"work": 0, 1: 0, "non-finite": 0}
+        for argv, flags, config in self._lines(command, tmp_path):
             try:
                 code = main(argv)
             except AssertionError as exc:
@@ -801,3 +877,15 @@ class TestFuzz:
         if not set(self.PHYSICS) & set(cli.TAKES[command]):
             del outcomes["non-finite"]
         assert min(outcomes.values()) >= 3, outcomes
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_table_agrees_with_argparse(self, tmp_path, command):
+        """Wherever the table reads a line, argparse reads the same values."""
+        read = 0
+        for argv, _, _ in self._lines(command, tmp_path):
+            flags = cli.read_flags(argv)
+            if flags is not None:
+                assert typed(flags) == typed(argparse_flags(argv)), argv
+                read += 1
+        # the lines hold both kinds
+        assert 10 <= read <= 90, read

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from typing import Tuple
 
@@ -168,8 +169,19 @@ class TestContour:
         assert nested_contour.n_classes == 2
 
     def test_power_mass(self, nested_contour):
-        assert nested_contour.power_mass(1.0) == pytest.approx(9.0)
-        assert nested_contour.power_mass(0.5) == pytest.approx(1.0 + 8.0 ** 0.5)
+        assert nested_contour.power_mass([float(d) for d in range(10)]) == pytest.approx(9.0)
+        roots = [d ** 0.5 for d in range(10)]
+        assert nested_contour.power_mass(roots) == pytest.approx(1.0 + 8.0 ** 0.5)
+
+    def test_power_mass_adds_left_to_right(self):
+        # masses 1, 2, 3 at rho = 0.3, summed in increasing mass: a compensated
+        # sum, as math.fsum or the built-in sum() from Python 3.12 on, rounds
+        # the last bit the other way
+        contour = Contour.of([(0, 3), (4, 5), (6, 8)])
+        powers = [d ** 0.3 for d in range(contour.mass + 1)]
+        terms = powers[1:4]
+        assert contour.power_mass(powers) == (terms[0] + terms[1]) + terms[2]
+        assert math.fsum(terms) != (terms[0] + terms[1]) + terms[2]
 
     def test_contains_site(self, nested_contour):
         assert nested_contour.contains_site(1)

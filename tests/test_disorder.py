@@ -59,7 +59,8 @@ class TestThresholds:
     def test_matches_prefix_power_mass(self, nested_contour):
         z = zeta(0.55)
         a = thresholds(nested_contour, 0.55)
-        assert a[-1] == pytest.approx(0.25 * z * nested_contour.power_mass(0.55))
+        assert a[-1] == pytest.approx(0.25 * z * nested_contour.power_mass(
+            [d ** 0.55 for d in range(10)]))
 
 
 class TestBbar:

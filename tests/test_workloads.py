@@ -4,7 +4,8 @@
 invocation in ``perfbench/workloads.py``; an option a subcommand stops
 taking would turn each of those operations into an exit code 1. This test
 reads the workload table and parses every invocation as the benchmark
-launches it; it runs none of them.
+launches it; it runs none of them. Each is a well-formed line, which the
+CLI reads from its option table without argparse, as argparse would.
 """
 
 import importlib.util
@@ -29,5 +30,9 @@ def test_every_invocation_parses():
                    for argv, _check in workload.invocations}
     assert {argv[0] for argv in invocations} == set(cli.COMMANDS) - {"sweep"}
     for argv in invocations:
-        args = cli.build_parser().parse_args([*argv, "--seed", "4200", "--out", "out.csv"])
-        assert (args.command, args.seed, args.out) == (argv[0], 4200, "out.csv")
+        line = [*argv, "--seed", "4200", "--out", "out.csv"]
+        flags = cli.read_flags(line)
+        assert flags is not None, line
+        assert (flags["command"], flags["seed"], flags["out"]) == (argv[0], 4200, "out.csv")
+        args = vars(cli.build_parser().parse_args(line))
+        assert flags == {k: v for k, v in args.items() if v is not None}
