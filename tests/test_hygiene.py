@@ -155,8 +155,10 @@ def test_every_export_has_a_use_outside_tests():
 def test_definitions_found():
     found = public_definitions()
     assert {("model", "CouplingSpec.boundary_vector"), ("cli", "main")} <= set(found)
-    # _Parser's methods override argparse's
-    assert not [name for module, name in found if name.startswith("_Parser.")]
+    # an override is exempt: ConstrainedEnsemble.__init__ overrides object's
+    # (the CLI's argparse subclass is local to build_parser, so not listed)
+    assert ("disorder", "ConstrainedEnsemble.__init__") not in set(definitions())
+    assert ("disorder", "ConstrainedEnsemble.f_values") in set(definitions())
 
 
 def test_every_definition_has_a_use_outside_tests():
