@@ -8,8 +8,7 @@ moves with the inverse temperature and the field strength.
 
 import time
 
-from rfim1d import (DisorderField, RunConfig, disorder_sweep,
-                    exact_gibbs_marginal, metropolis_run)
+from rfim1d import RunConfig, disorder_sweep, exact_gibbs_marginal, metropolis_run
 
 
 def main():
@@ -17,10 +16,9 @@ def main():
     for beta, theta in [(0.0, 0.0), (0.05, 0.2), (0.1, 0.4)]:
         cfg = RunConfig(alpha=0.55, beta=beta, theta=theta, size=10,
                         sweeps=6000, burnin=1000, seed=1, realizations=1)
-        vol = cfg.volume()
-        h = DisorderField.generate(vol, seed=2)
-        res = metropolis_run(cfg, h, chain_seed=3)
-        exact = exact_gibbs_marginal(cfg.coupling_spec(), vol, h, theta, beta, 0, +1)
+        res = metropolis_run(cfg, 2, 3)  # field seed 2, chain seed 3
+        exact = exact_gibbs_marginal(cfg.coupling_spec(), cfg.volume(), cfg.field(2),
+                                     theta, beta, 0, +1)
         print(f"  beta={beta:<5} theta={theta:<4}  "
               f"sampled {res.estimate:.4f} +- {res.stderr:.4f}  exact {exact:.4f}  "
               f"origin-in-contour fraction {res.occupancy:.3f}")

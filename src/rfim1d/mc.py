@@ -56,14 +56,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .contours import check_separation_constant, contours
 from .disorder import b_bar
-from .model import (CouplingSpec, DisorderField, Volume, _coupling_tables, _stream_words,
-                    energy, toeplitz_rows)
+from .model import (DISTRIBUTIONS, CouplingSpec, DisorderField, Volume, _coupling_tables,
+                    _stream_words, energy, toeplitz_rows)
 from .triangles import spins_to_triangles
 
 DRIFT_CHECK_UPDATES = 10_000
@@ -121,6 +121,8 @@ class RunConfig:
                              f"got {self.realizations}")
         if self.boundary not in (-1, +1):
             raise ValueError(f"boundary must be +-1, got {self.boundary}")
+        if self.distribution not in DISTRIBUTIONS:
+            raise ValueError(f"unknown distribution {self.distribution!r}")
         check_separation_constant(self.c)
         self.coupling_spec()  # checks alpha and j1
 
@@ -129,6 +131,10 @@ class RunConfig:
 
     def coupling_spec(self) -> CouplingSpec:
         return CouplingSpec(alpha=self.alpha, j1=self.j1)
+
+    def field(self, seed: int) -> DisorderField:
+        """The run's field drawn from ``seed``: its volume and distribution."""
+        return DisorderField.generate(self.volume(), seed, self.distribution)
 
 
 @dataclass(frozen=True)
@@ -271,15 +277,15 @@ class _Chain:
             self.e = self.ref
 
 
-def metropolis_run(config: RunConfig, h: DisorderField,
-                   chain_seed: Optional[int] = None) -> ChainResult:
-    """Sample one chain and estimate mu(+/-)_Lambda(sigma_0 = -1).
+def metropolis_run(config: RunConfig, field_seed: int, chain_seed: int) -> ChainResult:
+    """Sample one chain on the field ``config.field(field_seed)`` and estimate
+    mu(+/-)_Lambda(sigma_0 = -1).
 
     Starts from the all-boundary state; measures the origin occupation and
     the fraction of measured sweeps whose decomposition has a contour
-    through the origin.  Deterministic given (config, seeds).
+    through the origin.  Deterministic given (config, field_seed, chain_seed).
     """
-    chain = _Chain(config, h, config.seed if chain_seed is None else chain_seed)
+    chain = _Chain(config, config.field(field_seed), chain_seed)
     origin = chain.vol.index(0)
     n_measured = config.sweeps - config.burnin
     minus = np.zeros(n_measured, dtype=bool)
@@ -304,7 +310,7 @@ def metropolis_run(config: RunConfig, h: DisorderField,
         acceptance=chain.accepted / (config.sweeps * config.size),
         violations=int(np.count_nonzero(minus & ~in_contour)),
         n_measured=n_measured,
-        field_seed=h.seed,
+        field_seed=field_seed,
     )
 
 
@@ -332,13 +338,6 @@ def _thresholds(w: np.ndarray) -> np.ndarray:
         return -np.log((w >> np.uint64(11)) * 2.0**-53)
 
 
-def _realization(config: RunConfig, seeds: Tuple[int, int]) -> ChainResult:
-    """Chain of one realization from its (field seed, chain seed)."""
-    field_seed, chain_seed = seeds
-    h = DisorderField.generate(config.volume(), field_seed, config.distribution)
-    return metropolis_run(config, h, chain_seed=chain_seed)
-
-
 def disorder_sweep(config: RunConfig, jobs: int = 1) -> RunReport:
     """Average metropolis_run over independent field realizations.
 
@@ -353,7 +352,8 @@ def disorder_sweep(config: RunConfig, jobs: int = 1) -> RunReport:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     bb = b_bar(config.beta, config.theta, config.alpha)  # checks alpha's Peierls range
     # words 2r and 2r + 1 of SplittableRandom(seed) seed realization r's field and chain
-    seeds = _stream_words(config.seed, 0, 2 * config.realizations).reshape(-1, 2).tolist()
+    words = _stream_words(config.seed, 0, 2 * config.realizations).tolist()
+    configs, field_seeds, chain_seeds = [config] * config.realizations, words[0::2], words[1::2]
     workers = min(jobs, config.realizations)
     if workers > 1:
         import multiprocessing
@@ -363,14 +363,14 @@ def disorder_sweep(config: RunConfig, jobs: int = 1) -> RunReport:
         try:
             with ProcessPoolExecutor(max_workers=workers,
                                      mp_context=multiprocessing.get_context("spawn")) as pool:
-                chains = list(pool.map(_realization, [config] * len(seeds), seeds))
+                chains = list(pool.map(metropolis_run, configs, field_seeds, chain_seeds))
         except BrokenProcessPool as exc:
             raise WorkerPoolError(
                 "a worker process died; with jobs > 1 a script must make its call under "
                 "`if __name__ == \"__main__\":`, as each spawned worker re-imports it"
             ) from exc
     else:
-        chains = [_realization(config, pair) for pair in seeds]
+        chains = list(map(metropolis_run, configs, field_seeds, chain_seeds))
 
     est = np.array([c.estimate for c in chains])
     # realization scatter plus mean within-chain sampling error

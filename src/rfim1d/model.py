@@ -190,35 +190,31 @@ def _word_values(raw: np.ndarray, distribution: str) -> np.ndarray:
 
         # midpoints (k + 1/2) / 2**52 are exact, below 1 and symmetric about 1/2
         return ndtri(((raw >> 12) + 0.5) * 2.0**-52)
-    # uniform on [-1, 1], a convenient subgaussian example
-    return -1.0 + 2.0 * ((raw >> 11) * 2.0**-53)
+    if distribution == "uniform":
+        # uniform on [-1, 1], a convenient subgaussian example
+        return -1.0 + 2.0 * ((raw >> 11) * 2.0**-53)
+    raise ValueError(f"unknown distribution {distribution!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class DisorderField:
-    """A realization of the i.i.d. symmetric random field at unit scale; the
-    field strength theta is an argument of the energy."""
+    """A realization of the i.i.d. symmetric random field at unit scale, as its
+    volume and values; the field strength theta is an argument of the energy."""
 
     volume: Volume
     values: np.ndarray
-    distribution: str = "bernoulli"
-    seed: int = 0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         if values.shape != (self.volume.n_sites,):
             raise ValueError("field length does not match volume")
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.distribution == "bernoulli" and not np.all(np.abs(values) == 1.0):
-            raise ValueError("bernoulli field values must be exactly +-1")
 
     @classmethod
     def generate(cls, vol: Volume, seed: int, distribution: str = "bernoulli") -> "DisorderField":
-        """Draw one realization, keyed per (seed, site) for order-independence."""
-        values = _word_values(_site_words(seed, vol), distribution)
-        return cls(vol, values, distribution, seed)
+        """Draw one realization, keyed per (seed, site) for order-independence;
+        raises ``ValueError`` for a distribution not in ``DISTRIBUTIONS``."""
+        return cls(vol, _word_values(_site_words(seed, vol), distribution))
 
 
 def hamiltonian(spec: CouplingSpec, vol: Volume, spins: np.ndarray) -> float:

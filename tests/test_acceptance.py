@@ -164,8 +164,8 @@ def test_criterion_11_sampler_vs_oracle():
         cfg = RunConfig(alpha=0.55, beta=beta, theta=theta, size=10,
                         sweeps=6000, burnin=1000, seed=21, realizations=1)
         vol = cfg.volume()
-        h = DisorderField.generate(vol, seed=22)
-        res = metropolis_run(cfg, h, chain_seed=23)
+        h = cfg.field(22)
+        res = metropolis_run(cfg, 22, 23)
         exact = exact_gibbs_marginal(cfg.coupling_spec(), vol, h, theta, beta, 0, +1)
         tol = 3.0 * max(res.stderr, 0.01)
         if abs(res.estimate - exact) > tol:
@@ -180,8 +180,7 @@ def test_criterion_11_sampler_vs_oracle():
 def test_criterion_12_per_sample_decomposition():
     cfg = RunConfig(alpha=0.55, beta=0.1, theta=0.3, size=10,
                     sweeps=10_000, burnin=0, seed=31, realizations=1)
-    h = DisorderField.generate(cfg.volume(), seed=32)
-    res = metropolis_run(cfg, h, chain_seed=33)
+    res = metropolis_run(cfg, 32, 33)
     ok = res.violations == 0 and res.n_measured == 10_000
     report(12, "no sample with a minus origin spin outside every contour (10^4 sweeps)", ok)
 

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import (_pair_separated, minus_row, rescan_pair_interface_bonds,
                      restart_merge, triangle_distance, verify_P1, verify_P2)
-from rfim1d import Contour, DisorderField, RunConfig, Volume, choose_C, separation_series
+from rfim1d import Contour, RunConfig, Volume, choose_C, separation_series
 from rfim1d import mc as mc_module
 from rfim1d.contours import _contour, _merge, contours
 from rfim1d.model import enumerate_spins
@@ -135,7 +135,7 @@ def _sampled_configuration(seed: int) -> Tuple[np.ndarray, Volume]:
     """N=512 state after three Metropolis sweeps at the sample-hot parameters,
     as its spin row and volume."""
     cfg = RunConfig(alpha=0.55, j1=1.5, beta=0.2, theta=1.0, size=512)
-    chain = mc_module._Chain(cfg, DisorderField.generate(cfg.volume(), seed=seed), seed)
+    chain = mc_module._Chain(cfg, cfg.field(seed), seed)
     rng = np.random.default_rng(seed)
     for _ in range(3):
         mc_module._sweep(chain.s, chain.m, chain.rows2, chain.tb, chain.th, cfg.beta,
@@ -427,7 +427,7 @@ def _chain_family(seed: int):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mc_module, "contours", recording)
-        mc_module.metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed))
+        mc_module.metropolis_run(cfg, seed, cfg.seed)
     [fam] = seen
     return fam
 

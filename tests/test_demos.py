@@ -1,8 +1,4 @@
-"""Smoke test: the demo scripts and README's Python run against the current library.
-
-``sampling_demo.py`` is left out on purpose: it runs Metropolis chains
-for about 20 s, and the sampler it drives is covered by ``test_mc.py``.
-"""
+"""Smoke test: the demo scripts and README's Python run against the current library."""
 
 import importlib.util
 import re
@@ -15,7 +11,7 @@ DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("name", ["triangle_decomposition_demo", "energy_bounds_demo",
-                                  "disorder_functionals_demo"])
+                                  "disorder_functionals_demo", "sampling_demo"])
 def test_demo_runs(name, capsys):
     spec = importlib.util.spec_from_file_location(name, DEMOS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -25,13 +21,15 @@ def test_demo_runs(name, capsys):
     assert out
     if name == "triangle_decomposition_demo":
         assert "roundtrip exact: True" in out
+    if name == "sampling_demo":
+        assert out.count(" sampled ") == 3
 
 
 def test_readme_python_runs():
     # the blocks build on each other, so they run in order in one namespace
     blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
                         re.DOTALL | re.MULTILINE)
-    assert len(blocks) == 3
+    assert len(blocks) == 4
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)

@@ -70,6 +70,16 @@ class TestRunConfig:
             with pytest.raises(ValueError, match="sweeps must be"):
                 RunConfig(**kwargs)
 
+    def test_unknown_distribution_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a word was drawn")
+
+        monkeypatch.setattr(mc_module, "_stream_words", no_draw)
+        monkeypatch.setattr(model_module, "_stream_words", no_draw)
+        for name in ("cauchy", "Gaussian", ""):
+            with pytest.raises(ValueError, match=f"^unknown distribution '{name}'$"):
+                RunConfig(distribution=name)
+
     def test_realization_cap(self):
         cap = mc_module.MAX_REALIZATIONS
         assert RunConfig(realizations=cap).realizations == cap
@@ -96,7 +106,7 @@ def kernel_flip_energy(spec, vol, sigma, h, theta, i):
     s = sigma.astype(np.float64)
     m = spec.coupling_matrix(vol) @ s
     if h is None:
-        h = DisorderField(vol, np.zeros(n), "uniform")
+        h = DisorderField(vol, np.zeros(n))
     cfg = RunConfig(alpha=spec.alpha, j1=spec.j1, theta=theta, size=n, sweeps=1, burnin=0)
     chain = mc_module._Chain(cfg, h, 0)
     e, acc = mc_module._sweep(s, m, chain.rows2, chain.tb, chain.th, 0.0,
@@ -165,12 +175,12 @@ class TestChainStream:
             calls.append(args)
             return stream(*args)
 
-        def chain(config, seeds):
-            pairs.append(seeds)
-            return mc_module.ChainResult(0.0, 0.0, 0.0, 0.0, 0, 1, seeds[0])
+        def chain(config, field_seed, chain_seed):
+            pairs.append([field_seed, chain_seed])
+            return mc_module.ChainResult(0.0, 0.0, 0.0, 0.0, 0, 1, field_seed)
 
         monkeypatch.setattr(mc_module, "_stream_words", recording)
-        monkeypatch.setattr(mc_module, "_realization", chain)
+        monkeypatch.setattr(mc_module, "metropolis_run", chain)
         disorder_sweep(RunConfig(size=10, sweeps=2, burnin=1, seed=seed,
                                  realizations=realizations))
         assert calls == [(seed, 0, 2 * realizations)]
@@ -238,12 +248,11 @@ class TestChainStream:
         monkeypatch.setattr(mc_module, "_stream_words", recording)
         cfg = RunConfig(alpha=0.55, beta=0.2, theta=1.0, j1=1.5, size=12, sweeps=9,
                         burnin=2, seed=3, realizations=1)
-        h = DisorderField.generate(cfg.volume(), seed=4)
-        metropolis_run(cfg, h, chain_seed=2**64 - 1)
+        metropolis_run(cfg, 4, 2**64 - 1)
         # the start state predicts fewer than one flip: the first sweep reads its
         # thresholds, fails the whole-sweep test and then reads its order; each
         # later sweep follows one that flipped and reads its 2n words in one call
-        assert mc_module._Chain(cfg, h, 0).acc < 1.0
+        assert mc_module._Chain(cfg, cfg.field(4), 0).acc < 1.0
         seed = 2**64 - 1
         assert calls == [(seed, 12, 12), (seed, 0, 12)] + [(seed, 24 * k, 24)
                                                             for k in range(1, 9)]
@@ -252,16 +261,14 @@ class TestChainStream:
         calls.clear()
         cfg = TestDriftCheck.FROZEN
         n = cfg.size
-        metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed=2), chain_seed=7)
+        metropolis_run(cfg, 2, 7)
         assert calls == [(7, 2 * n * k + n, n) for k in range(cfg.sweeps)]
 
 
 def run_small(beta, theta, seed=11, sweeps=6000, **kwargs):
     cfg = RunConfig(alpha=0.55, beta=beta, theta=theta, size=10, sweeps=sweeps,
                     burnin=sweeps // 6, seed=seed, realizations=1, **kwargs)
-    vol = cfg.volume()
-    h = DisorderField.generate(vol, seed=seed + 1)
-    return cfg, h, metropolis_run(cfg, h, chain_seed=seed + 2)
+    return cfg, cfg.field(seed + 1), metropolis_run(cfg, seed + 1, seed + 2)
 
 
 class TestMetropolis:
@@ -294,8 +301,8 @@ class TestMetropolis:
     def test_volume_mismatch_rejected(self):
         cfg = RunConfig(size=10, sweeps=100, burnin=10)
         h = DisorderField.generate(Volume(0, 4), seed=0)
-        with pytest.raises(ValueError):
-            metropolis_run(cfg, h)
+        with pytest.raises(ValueError, match="field volume does not match config"):
+            mc_module._Chain(cfg, h, cfg.seed)
 
     def test_single_kernel_matches_oracles(self, energy_oracle):
         # after a short run the running sums and energy equal independent recomputations
@@ -519,7 +526,6 @@ class TestProposalLoop:
         # and some fail it
         cfg = RunConfig(alpha=0.55, beta=0.4, theta=0.5, j1=1.5, size=32, sweeps=400,
                         burnin=10, seed=0, realizations=1)
-        h = DisorderField.generate(cfg.volume(), seed=10)
         calls = []
         scalar = mc_module._sweep
 
@@ -538,7 +544,7 @@ class TestProposalLoop:
                 tested.append(len(calls) > before)
 
         monkeypatch.setattr(mc_module._Chain, "sweep", logged)
-        want = metropolis_run(cfg, h, chain_seed=20)
+        want = metropolis_run(cfg, 10, 20)
         assert True in tested and False in tested
         assert 0.0 < want.acceptance < 1.0
 
@@ -548,7 +554,7 @@ class TestProposalLoop:
 
         monkeypatch.setattr(mc_module._Chain, "sweep", forced)
         calls.clear()
-        assert metropolis_run(cfg, h, chain_seed=20) == want
+        assert metropolis_run(cfg, 10, 20) == want
         assert len(calls) == cfg.sweeps
 
     def test_large_negative_flip_energy_does_not_overflow(self):
@@ -556,11 +562,11 @@ class TestProposalLoop:
         # each site takes its field's sign, then every sweep is tested whole
         cfg = RunConfig(alpha=0.55, beta=5.0, theta=1000.0, j1=1.5, size=64, sweeps=200,
                         burnin=1, seed=0, realizations=1)
-        h = DisorderField.generate(cfg.volume(), seed=3)
+        h = cfg.field(3)
         assert cfg.sweeps > -(-mc_module.DRIFT_CHECK_UPDATES // cfg.size)  # a drift check runs
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = metropolis_run(cfg, h)
+            res = metropolis_run(cfg, 3, cfg.seed)
         assert res.acceptance > 0.0
         assert res.estimate == float(h.values[cfg.volume().index(0)] < 0)
 
@@ -635,10 +641,12 @@ class TestMeasurement:
                     seed=0, realizations=1)
 
     @staticmethod
-    def hand_stepped(cfg, h, seed, fresh_least=False):
-        """The ``ChainResult`` of a chain stepped by hand, which measures the
+    def hand_stepped(cfg, field_seed, seed, fresh_least=False):
+        """The ``ChainResult`` of a chain stepped by hand on the field that
+        ``DisorderField.generate`` draws from ``field_seed``, which measures the
         state after every measured sweep; with ``fresh_least`` the chain's
         cached least is cleared before every sweep."""
+        h = DisorderField.generate(cfg.volume(), field_seed, cfg.distribution)
         chain = mc_module._Chain(cfg, h, seed)
         origin = chain.vol.index(0)
         minus, covered = [], []
@@ -656,12 +664,11 @@ class TestMeasurement:
             occupancy=float(covered.mean()),
             acceptance=chain.accepted / (cfg.sweeps * cfg.size),
             violations=int(np.count_nonzero(minus & ~covered)),
-            n_measured=cfg.sweeps - cfg.burnin, field_seed=h.seed)
+            n_measured=cfg.sweeps - cfg.burnin, field_seed=field_seed)
 
     def test_sweep_without_flip_is_not_measured_again(self, monkeypatch):
         cfg = self.CFG
-        h = DisorderField.generate(cfg.volume(), seed=10)
-        want = self.hand_stepped(cfg, h, 20)
+        want = self.hand_stepped(cfg, 10, 20)
         assert want.acceptance > 0.0 and want.estimate == want.occupancy == 1.0
 
         calls = []
@@ -671,8 +678,17 @@ class TestMeasurement:
             return spins_to_triangles(spins, vol)
 
         monkeypatch.setattr(mc_module, "spins_to_triangles", counting)
-        assert metropolis_run(cfg, h, chain_seed=20) == want
+        assert metropolis_run(cfg, 10, 20) == want
         assert len(calls) == 1
+
+    def test_chain_draws_the_configured_field(self):
+        # a warm chain, whose path turns on the field's magnitudes and not only
+        # its signs (a gaussian value has its bernoulli value's sign)
+        cfg = RunConfig(alpha=0.55, beta=0.4, theta=0.5, j1=1.5, size=32, sweeps=400,
+                        burnin=10, seed=0, realizations=1, distribution="gaussian")
+        res = metropolis_run(cfg, 10, 20)
+        assert res == self.hand_stepped(cfg, 10, 20)
+        assert res.field_seed == 10 and 0.0 < res.acceptance < 1.0
 
 
 class TestCachedLeast:
@@ -704,19 +720,18 @@ class TestCachedLeast:
 
     def test_flipping_then_frozen_chain(self):
         cfg = TestMeasurement.CFG
-        h = DisorderField.generate(cfg.volume(), seed=10)
-        log = self._side_by_side(cfg, h, 20)
+        log = self._side_by_side(cfg, cfg.field(10), 20)
         # the chain flips, then holds one cached least to its end
         assert log[0][0] is False and log[0][1] > 0 and log[-1] == (True, 0)
-        assert metropolis_run(cfg, h, chain_seed=20) == TestMeasurement.hand_stepped(
-            cfg, h, 20, fresh_least=True)
+        assert metropolis_run(cfg, 10, 20) == TestMeasurement.hand_stepped(
+            cfg, 10, 20, fresh_least=True)
 
     def test_cache_is_dropped_after_any_flip(self):
         # a warm chain: some predicted-frozen sweeps, which test a cached least,
         # accept one flip and some more than one
         cfg = RunConfig(alpha=0.55, beta=0.4, theta=0.5, j1=1.5, size=32, sweeps=400,
                         burnin=10, seed=0, realizations=1)
-        log = self._side_by_side(cfg, DisorderField.generate(cfg.volume(), seed=10), 20)
+        log = self._side_by_side(cfg, cfg.field(10), 20)
         assert (True, 1) in log and any(cached and acc > 1 for cached, acc in log)
 
     def test_frozen_chain_evaluates_least_once(self, monkeypatch):
@@ -729,7 +744,7 @@ class TestCachedLeast:
 
         monkeypatch.setattr(mc_module, "_least", counting)
         cfg = TestDriftCheck.FROZEN
-        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed=2))
+        res = metropolis_run(cfg, 2, cfg.seed)
         assert res.acceptance == 0.0
         assert len(calls) == 1
 
@@ -771,7 +786,7 @@ class TestDriftCheck:
     def test_frozen_chain_computes_no_energy(self, monkeypatch):
         calls = self._counting_energy(monkeypatch)
         cfg = self.FROZEN
-        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed=2))
+        res = metropolis_run(cfg, 2, cfg.seed)
         assert res.acceptance == 0.0
         assert len(calls) == 0
 
@@ -781,7 +796,7 @@ class TestDriftCheck:
         cfg = RunConfig(alpha=0.55, beta=0.2, theta=1.0, j1=1.5, size=512, sweeps=3,
                         burnin=2, seed=1, realizations=1)
         assert cfg.sweeps * cfg.size < mc_module.DRIFT_CHECK_UPDATES
-        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed=2))
+        res = metropolis_run(cfg, 2, cfg.seed)
         assert res.acceptance > 0.0
         assert len(calls) == 0
 
@@ -793,8 +808,7 @@ class TestDriftCheck:
         cfg = RunConfig(alpha=0.55, beta=0.2, theta=1.0, j1=1.5, size=64, sweeps=400,
                         burnin=10, seed=1, realizations=1, boundary=boundary,
                         distribution="uniform")
-        res = metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed=2,
-                                                         distribution="uniform"))
+        res = metropolis_run(cfg, 2, cfg.seed)
         assert res.acceptance > 0.0
         assert len(calls) == 3
 
@@ -803,7 +817,7 @@ class TestDriftCheck:
         accepted = self._drifting(monkeypatch)
         cfg = self.FROZEN
         with pytest.raises(mc_module.EnergyDriftError):
-            metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed=2))
+            metropolis_run(cfg, 2, cfg.seed)
         # the first check compares the drifted running energy with the start's, 0
         assert len(accepted) == 157 and sum(accepted) == 0
         assert len(calls) == 0
@@ -819,7 +833,7 @@ class TestDriftCheck:
         accepted = self._drifting(monkeypatch)
         cfg = dataclasses.replace(self.FROZEN, size=size)
         with pytest.raises(mc_module.EnergyDriftError):
-            metropolis_run(cfg, DisorderField.generate(cfg.volume(), seed=2))
+            metropolis_run(cfg, 2, cfg.seed)
         assert len(accepted) == sweeps_before_check and sum(accepted) == 0
         assert len(calls) == 0
 
@@ -828,9 +842,8 @@ class TestDriftCheck:
         accepted = self._drifting(monkeypatch)
         cfg = RunConfig(alpha=0.55, beta=0.2, theta=1.0, j1=1.5, size=64, sweeps=400,
                         burnin=10, seed=1, realizations=1)
-        h = DisorderField.generate(cfg.volume(), seed=2)
         with pytest.raises(mc_module.EnergyDriftError):
-            metropolis_run(cfg, h)
+            metropolis_run(cfg, 2, cfg.seed)
         # the first check, after 157 sweeps of 64 updates, caught the drift
         assert len(accepted) == 157 and sum(accepted) > 0
         assert len(calls) == 2

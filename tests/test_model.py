@@ -261,8 +261,13 @@ class TestDisorderField:
             assert small.values[small.volume.index(i)] == large.values[large.volume.index(i)]
 
     def test_distribution_validation(self):
-        with pytest.raises(ValueError):
-            DisorderField.generate(Volume(0, 3), seed=0, distribution="cauchy")
+        # the word-to-value map names each law; any other name is refused,
+        # not read as uniform
+        for name in ("cauchy", "Gaussian", "Uniform"):
+            with pytest.raises(ValueError, match=f"^unknown distribution '{name}'$"):
+                DisorderField.generate(Volume(0, 3), 0, name)
+            with pytest.raises(ValueError, match=f"^unknown distribution '{name}'$"):
+                _word_values(np.zeros(4, dtype=np.uint64), name)
 
     @pytest.mark.parametrize("distribution", ["gaussian", "uniform"])
     def test_symmetric_distributions_centered(self, distribution):
